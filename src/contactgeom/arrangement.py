@@ -32,6 +32,18 @@ def chain_point(c: Curve, s: Fraction) -> Point:
     return c.point_at(k, s - k)
 
 
+def chain_param(g: Sequence[Point], p: Point) -> Optional[Fraction]:
+    """Chain parameter of p along the polyline g, read on the first segment
+    that holds p, or None when p is off g. The inverse of chain_point."""
+    for k in range(len(g) - 1):
+        a, b = g[k], g[k + 1]
+        if on_segment(p, a, b):
+            if b.x != a.x:
+                return k + (p.x - a.x) / (b.x - a.x)
+            return k + (p.y - a.y) / (b.y - a.y)
+    return None
+
+
 def curve_portion(c: Curve, s0: Fraction, s1: Fraction) -> Tuple[Point, ...]:
     """Polyline of c from parameter s0 to s1 (s0 < s1; for closed curves s1
     may wrap past the segment count by at most one full turn)."""
@@ -129,15 +141,6 @@ class Arrangement:
 
     def face(self, fid: int) -> Face:
         return self.faces[fid]
-
-    def half_edges_of_curve(self, cid: int) -> List[HalfEdge]:
-        return [h for h in self.half_edges if h.curve == cid]
-
-    def curve_by_id(self, cid: int) -> Curve:
-        for c in self.curves:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
 
 
 def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
@@ -369,20 +372,6 @@ def boundary_edge_cycle(arr: Arrangement, face_id: int) -> Tuple[Tuple[int, ...]
     return tuple(tuple(reversed(cyc)) for cyc in f.cycles)
 
 
-def point_param_on_half_edge(arr: Arrangement, hid: int, p: Point) -> Optional[Fraction]:
-    """Chain parameter of p along the half-edge's stored geometry, or None."""
-    g = arr.half_edges[hid].geometry
-    for k in range(len(g) - 1):
-        a, b = g[k], g[k + 1]
-        if on_segment(p, a, b):
-            if b.x != a.x:
-                t = Fraction(p.x - a.x, 1) / (b.x - a.x)
-            else:
-                t = Fraction(p.y - a.y, 1) / (b.y - a.y)
-            return k + t
-    return None
-
-
 @dataclass(frozen=True)
 class SubArc:
     """A contiguous piece of a parent curve cut at its contacts with the
@@ -454,17 +443,3 @@ def split_arcs_by_pair(family: CurveFamily, i: int, j: int,
             next_id += 1
     return out
 
-
-def dump_arrangement(arr: Arrangement) -> str:
-    lines = ["VERTICES"]
-    for v in arr.vertices:
-        lines.append(f"{v.id} {v.point.x} {v.point.y}")
-    lines.append("HALFEDGES")
-    for h in arr.half_edges:
-        lines.append(f"{h.id} origin={h.origin} twin={h.twin} next={h.next} "
-                     f"curve={h.curve} face={h.face}")
-    lines.append("FACES")
-    for f in arr.faces:
-        cyc = ";".join(",".join(str(h) for h in c) for c in f.cycles)
-        lines.append(f"{f.id} depth={f.depth} cycles={cyc}")
-    return "\n".join(lines) + "\n"

@@ -121,4 +121,8 @@ def write_family(path, family: CurveFamily) -> None:
 
 def read_family(path) -> CurveFamily:
     with open(path, "r", encoding="utf8") as fh:
-        return loads_family(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})") from None
+    return loads_family(text)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 from .errors import ValidationError
@@ -38,19 +38,13 @@ class Point:
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
 
-    def scale(self, k: Fraction) -> "Point":
-        return Point(self.x * k, self.y * k)
-
-    def as_pair(self) -> Tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
 
 def pt(x, y) -> Point:
     return Point(frac(x), frac(y))
 
 
 def midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+    return Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
 
 
 def cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -76,10 +70,6 @@ def exact_orientation(p: Point, q: Point, r: Point) -> str:
     if s < 0:
         return "right"
     return "collinear"
-
-
-def dot(o: Point, a: Point, b: Point) -> Fraction:
-    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -112,6 +102,55 @@ def direction_key(a: Point, b: Point) -> Tuple[int, Fraction]:
     return pseudo_angle_key(b.x - a.x, b.y - a.y)
 
 
+def _between(p, u, v) -> bool:
+    """p collinear with uv assumed; closed bbox membership."""
+    return (min(u[0], v[0]) <= p[0] <= max(u[0], v[0])
+            and min(u[1], v[1]) <= p[1] <= max(u[1], v[1]))
+
+
+def seg_events(pa, pb, pc, pd):
+    """Classify closed integer segments ab and cd.
+
+    Returns ("none",), ("proper", t, u), ("touch", point) with the point an
+    integer pair, or ("overlap", lo, hi) for a collinear shared piece.
+    This is the package's one segment-vs-segment predicate.
+    """
+    ax, ay = pa
+    bx, by = pb
+    cx, cy = pc
+    dx, dy = pd
+    d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    if d1 or d2 or d3 or d4:
+        if d1 and d2 and d3 and d4 and (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
+            denom = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+            t = Fraction((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx), denom)
+            u = Fraction((cx - ax) * (by - ay) - (cy - ay) * (bx - ax), denom)
+            return ("proper", t, u)
+        if d1 == 0 and _between(pa, pc, pd):
+            return ("touch", pa)
+        if d2 == 0 and _between(pb, pc, pd):
+            return ("touch", pb)
+        if d3 == 0 and _between(pc, pa, pb):
+            return ("touch", pc)
+        if d4 == 0 and _between(pd, pa, pb):
+            return ("touch", pd)
+        return ("none",)
+    # a zero-length ab still has a direction to sort along when cd has one
+    axis = 0 if ax != bx or cx != dx else 1
+    s1 = sorted((pa, pb), key=lambda p: p[axis])
+    s2 = sorted((pc, pd), key=lambda p: p[axis])
+    lo = max(s1[0], s2[0], key=lambda p: p[axis])
+    hi = min(s1[1], s2[1], key=lambda p: p[axis])
+    if lo[axis] > hi[axis]:
+        return ("none",)
+    if lo == hi:
+        return ("touch", lo)
+    return ("overlap", lo, hi)
+
+
 def segment_intersection(a: Point, b: Point, c: Point, d: Point):
     """Classify how closed segments ab and cd meet.
 
@@ -124,40 +163,28 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
                               (the two points bound it; equal points mean a
                               single-point collinear touch, still reported
                               as "endpoint")
+
+    The four points are lifted onto one integer grid and decided by
+    seg_events.
     """
-    d1 = orientation(c, d, a)
-    d2 = orientation(c, d, b)
-    d3 = orientation(a, b, c)
-    d4 = orientation(a, b, d)
+    coords = (a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    scale = lcm(*(v.denominator for v in coords))
+    ax, ay, bx, by, cx, cy, dx, dy = (
+        v.numerator * (scale // v.denominator) for v in coords)
+    res = seg_events((ax, ay), (bx, by), (cx, cy), (dx, dy))
+    tag = res[0]
+    if tag == "none":
+        return ("none", None)
+    if tag == "proper":
+        t = res[1]
+        return ("proper", Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
 
-    if d1 != d2 and d3 != d4 and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        # Solve a + t(b-a) with t from the standard determinant ratio.
-        denom = (b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)
-        t = ((c.x - a.x) * (d.y - c.y) - (c.y - a.y) * (d.x - c.x)) / denom
-        p = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        return ("proper", p)
+    def unlift(q) -> Point:
+        return Point(Fraction(q[0], scale), Fraction(q[1], scale))
 
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        # Collinear: project on the dominant axis.
-        if a.x != b.x or c.x != d.x:
-            key = lambda p: p.x
-        else:
-            key = lambda p: p.y
-        lo1, hi1 = sorted((a, b), key=key)
-        lo2, hi2 = sorted((c, d), key=key)
-        lo = max(lo1, lo2, key=key)
-        hi = min(hi1, hi2, key=key)
-        if key(lo) > key(hi):
-            return ("none", None)
-        if lo == hi:
-            return ("endpoint", lo)
-        return ("overlap", (lo, hi))
-
-    # Touching cases: some orientation is zero and ranges overlap.
-    for p, (u, v) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
-        if on_segment(p, u, v):
-            return ("endpoint", p)
-    return ("none", None)
+    if tag == "touch":
+        return ("endpoint", unlift(res[1]))
+    return ("overlap", (unlift(res[1]), unlift(res[2])))
 
 
 def point_segment_position(p: Point, a: Point, b: Point) -> str:
@@ -275,12 +302,8 @@ class CurveFamily:
 def coordinate_scale(curves: Sequence[Curve]) -> int:
     """LCM of all coordinate denominators: multiplying by it makes every
     coordinate an integer, enabling pure-int predicate evaluation."""
-    scale = 1
-    for c in curves:
-        for p in c.points:
-            for den in (p.x.denominator, p.y.denominator):
-                scale = scale * den // gcd(scale, den)
-    return scale
+    return lcm(*(v.denominator for c in curves for p in c.points
+                 for v in (p.x, p.y)))
 
 
 def winding_parity(p: Point, polygon: Sequence[Point]) -> bool:

@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, EndpointError, ValidationError
-from .geometry import Curve, CurveFamily, Point, coordinate_scale, pseudo_angle_key
+from .geometry import (Curve, CurveFamily, Point, coordinate_scale,
+                       pseudo_angle_key, seg_events)
 
 
 @dataclass(frozen=True)
@@ -148,53 +149,6 @@ class _ScaledCurve:
         return out
 
 
-def _between(p, u, v) -> bool:
-    """p collinear with uv assumed; closed bbox membership."""
-    return (min(u[0], v[0]) <= p[0] <= max(u[0], v[0])
-            and min(u[1], v[1]) <= p[1] <= max(u[1], v[1]))
-
-
-def _seg_events(pa, pb, pc, pd):
-    """Classify closed integer segments ab and cd.
-
-    Returns ("none",), ("proper", t, u), ("touch", point) with the point an
-    integer pair, or ("overlap", lo, hi) for a collinear shared piece.
-    """
-    ax, ay = pa
-    bx, by = pb
-    cx, cy = pc
-    dx, dy = pd
-    d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    if d1 or d2 or d3 or d4:
-        if d1 and d2 and d3 and d4 and (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
-            denom = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
-            t = Fraction((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx), denom)
-            u = Fraction((cx - ax) * (by - ay) - (cy - ay) * (bx - ax), denom)
-            return ("proper", t, u)
-        if d1 == 0 and _between(pa, pc, pd):
-            return ("touch", pa)
-        if d2 == 0 and _between(pb, pc, pd):
-            return ("touch", pb)
-        if d3 == 0 and _between(pc, pa, pb):
-            return ("touch", pc)
-        if d4 == 0 and _between(pd, pa, pb):
-            return ("touch", pd)
-        return ("none",)
-    axis = 0 if ax != bx else 1
-    s1 = sorted((pa, pb), key=lambda p: p[axis])
-    s2 = sorted((pc, pd), key=lambda p: p[axis])
-    lo = max(s1[0], s2[0], key=lambda p: p[axis])
-    hi = min(s1[1], s2[1], key=lambda p: p[axis])
-    if lo[axis] > hi[axis]:
-        return ("none",)
-    if lo == hi:
-        return ("touch", lo)
-    return ("overlap", lo, hi)
-
-
 def _locate_on(sc: _ScaledCurve, seg_index: int, p) -> Fraction:
     """Chain parameter of integer point p, known to lie on segment seg_index."""
     k = sc.vmap.get(p)
@@ -230,7 +184,7 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
         for j in range(sb.nseg):
             if not _boxes_meet(ib, sb.segbox[j]):
                 continue
-            res = _seg_events(*sa.seg(i), *sb.seg(j))
+            res = seg_events(*sa.seg(i), *sb.seg(j))
             tag = res[0]
             if tag == "none":
                 continue
@@ -347,7 +301,7 @@ def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
         for j in range(i + 1, n):
             if j == i + 1 or (sc.closed and i == 0 and j == n - 1):
                 continue
-            res = _seg_events(*sc.seg(i), *sc.seg(j))
+            res = seg_events(*sc.seg(i), *sc.seg(j))
             tag = res[0]
             if tag == "none":
                 continue
@@ -430,35 +384,6 @@ def is_touching_pair(a: Curve, b: Curve) -> bool:
     """True iff the pair meets exactly once and that contact is a tangency."""
     incs = curve_pair_incidences(a, b)
     return len(incs) == 1 and incs[0].kind == "tangency"
-
-
-def classify_shared_vertex(a: Curve, b: Curve, v: Point) -> str:
-    """'crossing' or 'tangency' for a vertex v shared by both polylines.
-
-    The four outgoing directions at v are cyclically sorted by exact
-    pseudo-angle; alternating ownership means the curves cross.
-    """
-    scale = coordinate_scale([a, b])
-    sa, sb = _ScaledCurve(a, scale), _ScaledCurve(b, scale)
-    key = (v.x * scale, v.y * scale)
-    if key[0].denominator != 1 or key[1].denominator != 1:
-        raise DegeneracyError("v is not a vertex of both curves")
-    ipt = (key[0].numerator, key[1].numerator)
-    if ipt not in sa.vmap or ipt not in sb.vmap:
-        raise DegeneracyError("v is not a vertex of both curves")
-    ka, kb = sa.vmap[ipt], sb.vmap[ipt]
-    if sa.is_endpoint_vertex(ka) or sb.is_endpoint_vertex(kb):
-        raise EndpointError("shared vertex is an arc endpoint")
-    keyed = []
-    for sc, owner in ((sa, "A"), (sb, "B")):
-        k = ka if owner == "A" else kb
-        for dx, dy in sc.vertex_directions(k):
-            keyed.append((pseudo_angle_key(Fraction(dx), Fraction(dy)), owner))
-    if len({k for k, _ in keyed}) != 4:
-        raise DegeneracyError("coincident directions at shared vertex")
-    keyed.sort()
-    owners = "".join(owner for _, owner in keyed)
-    return "crossing" if owners in ("ABAB", "BABA") else "tangency"
 
 
 @dataclass(frozen=True)

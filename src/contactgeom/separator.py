@@ -22,12 +22,6 @@ from .incidence import FamilyIncidences, compute_incidences
 VertexId = Tuple
 
 
-def _vkey(v: VertexId):
-    # anchors ("a", cid) sort before points ("p", x, y); same-kind tuples
-    # compare componentwise
-    return v
-
-
 @dataclass(frozen=True)
 class ReducedFamily(CurveFamily):
     """A family of sub-curves produced by reduce_degree.
@@ -127,7 +121,7 @@ class WeightedPlanarGraph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return {v: tuple(sorted(nb, key=_vkey)) for v, nb in adj.items()}
+        return {v: tuple(sorted(nb)) for v, nb in adj.items()}
 
 
 def weighted_graph(vertices: Sequence[VertexId],
@@ -138,7 +132,7 @@ def weighted_graph(vertices: Sequence[VertexId],
 
     Default weights are uniform 1/|V|.
     """
-    vs = tuple(sorted(set(vertices), key=_vkey))
+    vs = tuple(sorted(set(vertices)))
     if weights is None:
         w = Fraction(1, len(vs)) if vs else Fraction(0)
         wmap = {v: w for v in vs}
@@ -146,12 +140,12 @@ def weighted_graph(vertices: Sequence[VertexId],
         wmap = {v: Fraction(weights[v]) for v in vs}
         if any(x < 0 for x in wmap.values()):
             raise PreconditionError("vertex weights must be nonnegative")
-    es = frozenset(tuple(sorted((u, v), key=_vkey)) for u, v in edges if u != v)
+    es = frozenset(tuple(sorted((u, v))) for u, v in edges if u != v)
     g = networkx.Graph()
     g.add_nodes_from(vs)
     g.add_edges_from(es)
     planar, _ = networkx.check_planarity(g)
-    return WeightedPlanarGraph(vs, tuple(sorted(wmap.items(), key=lambda kv: _vkey(kv[0]))),
+    return WeightedPlanarGraph(vs, tuple(sorted(wmap.items())),
                                es, bool(planar))
 
 
@@ -203,7 +197,7 @@ def _components(adj: Mapping[VertexId, Tuple[VertexId, ...]],
                 removed: FrozenSet) -> List[FrozenSet]:
     seen = set(removed)
     out = []
-    for root in sorted(adj, key=_vkey):
+    for root in sorted(adj):
         if root in seen:
             continue
         comp = {root}
@@ -232,7 +226,7 @@ def _bfs_levels(adj, root) -> List[List[VertexId]]:
                     nxt.append(v)
         if not nxt:
             return levels
-        levels.append(sorted(nxt, key=_vkey))
+        levels.append(sorted(nxt))
 
 
 def _bfs_tree(adj, root):
@@ -256,14 +250,14 @@ def _fundamental_cycles(adj, root, cap: int = 200):
             u = parent[u]
             d += 1
         depth[v] = d
-    tree_edges = {tuple(sorted((v, p), key=_vkey))
+    tree_edges = {tuple(sorted((v, p)))
                   for v, p in parent.items() if p is not None}
     cycles = []
-    for u in sorted(parent, key=_vkey):
+    for u in sorted(parent):
         for v in adj[u]:
-            if _vkey(v) <= _vkey(u) or v not in parent:
+            if v <= u or v not in parent:
                 continue
-            if tuple(sorted((u, v), key=_vkey)) in tree_edges:
+            if tuple(sorted((u, v))) in tree_edges:
                 continue
             a, b, cyc = u, v, {u, v}
             while depth[a] > depth[b]:
@@ -307,7 +301,7 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
 
     candidates: List[FrozenSet] = [frozenset()]
     for comp in _components(adj, frozenset()):
-        root = min(comp, key=_vkey)
+        root = min(comp)
         levels = _bfs_levels(adj, root)
         for lev in levels:
             candidates.append(frozenset(lev))
@@ -316,7 +310,7 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
     nxg = networkx.Graph()
     nxg.add_nodes_from(g.vertices)
     nxg.add_edges_from(g.edges)
-    cuts = sorted(networkx.articulation_points(nxg), key=_vkey)
+    cuts = sorted(networkx.articulation_points(nxg))
     candidates.extend(frozenset((v,)) for v in cuts[:1024])
     # greedy fallback: peel heaviest vertices out of overweight components
     greedy: set = set()
@@ -326,7 +320,7 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
         if not heavy:
             break
         worst = max(heavy, key=weight)
-        greedy.add(max(worst, key=lambda v: (wmap[v], _vkey(v))))
+        greedy.add(max(worst, key=lambda v: (wmap[v], v)))
     candidates.append(frozenset(greedy))
 
     best = None
@@ -335,7 +329,7 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
         if any(weight(c) > bound for c in comps):
             continue
         key = (len(cand), max((weight(c) for c in comps), default=Fraction(0)),
-               sorted(cand, key=_vkey))
+               sorted(cand))
         if best is None or key < best[0]:
             best = (key, cand, tuple(comps))
     assert best is not None, "greedy fallback should always validate"

@@ -18,14 +18,13 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, PreconditionError
-from .geometry import (Curve, CurveFamily, Point, midpoint, on_segment,
-                       segment_intersection)
+from .geometry import Curve, CurveFamily, Point, midpoint, segment_intersection
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import (FamilyIncidences, compute_incidences,
                         curve_pair_incidences, is_touching_pair)
 from .arrangement import (Arrangement, SubArc, boundary_edge_cycle,
-                          build_mixed_arrangement, curve_portion, locate_cell,
-                          pair_arrangement, split_arcs_by_pair)
+                          build_mixed_arrangement, chain_param, curve_portion,
+                          locate_cell, pair_arrangement, split_arcs_by_pair)
 
 
 # ---------------------------------------------------------------- sampling
@@ -287,24 +286,16 @@ def _polyline_position(g: Tuple[Point, ...], p: Point):
 
     A missing direction (p at the polyline's first or last point) is None.
     """
-    n = len(g)
-    for k in range(n - 1):
-        a, b = g[k], g[k + 1]
-        if not on_segment(p, a, b):
-            continue
-        if p == a:
-            u = None if k == 0 else _vec(g[k - 1], a)
-            return Fraction(k), u, _vec(a, b)
-        if p == b:
-            v = None if k + 2 >= n else _vec(b, g[k + 2])
-            return Fraction(k + 1), _vec(a, b), v
-        d = _vec(a, b)
-        if b.x != a.x:
-            t = (p.x - a.x) / (b.x - a.x)
-        else:
-            t = (p.y - a.y) / (b.y - a.y)
-        return k + t, d, d
-    return None
+    s = chain_param(g, p)
+    if s is None:
+        return None
+    k = int(s)
+    if s != k:
+        d = _vec(g[k], g[k + 1])
+        return s, d, d
+    u = None if k == 0 else _vec(g[k - 1], g[k])
+    v = None if k == len(g) - 1 else _vec(g[k], g[k + 1])
+    return s, u, v
 
 
 class FaceContext:
@@ -457,34 +448,24 @@ def verify_signature_uniqueness(F: int, lambda1: Sequence[SubArc],
 
 # ---------------------------------------------------------------- charging
 
-def _point_param(c: Curve, p: Point) -> Fraction:
-    for k, a, b in c.segments():
-        if on_segment(p, a, b):
-            if b.x != a.x:
-                return k + (p.x - a.x) / (b.x - a.x)
-            return k + (p.y - a.y) / (b.y - a.y)
-    raise PreconditionError(f"{p} not on curve {c.id}")
+def _polyline(c: Curve) -> Tuple[Point, ...]:
+    """Vertices of c in order; a closed curve repeats its first vertex."""
+    return c.points + c.points[:1] if c.closed else c.points
 
 
-def _curve_intersections(c1: Curve, c2: Curve) -> Set[Point]:
-    pts: Set[Point] = set()
-    for _, a, b in c1.segments():
-        for _, u, v in c2.segments():
-            kind, data = segment_intersection(a, b, u, v)
-            if kind in ("proper", "endpoint"):
-                pts.add(data)
-            elif kind == "overlap":
-                pts.add(data[0])
-                pts.add(data[1])
-    return pts
+def _meetings(g1: Sequence[Point], g2: Sequence[Point]):
+    """segment_intersection of every segment of polyline g1 with every
+    segment of polyline g2, g1's segments in the outer loop."""
+    for i in range(len(g1) - 1):
+        for j in range(len(g2) - 1):
+            yield segment_intersection(g1[i], g1[i + 1], g2[j], g2[j + 1])
 
 
 def _segment_hits(a: Point, b: Point, c: Curve) -> Optional[List[Point]]:
     """Proper crossings of segment ab with curve c; None on dirty contact
     (endpoint touch or collinear overlap)."""
     out = []
-    for _, u, v in c.segments():
-        kind, data = segment_intersection(a, b, u, v)
+    for kind, data in _meetings((a, b), _polyline(c)):
         if kind == "proper":
             out.append(data)
         elif kind != "none":
@@ -550,37 +531,31 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
         return g, None
     q_end, q_start = g.points[-1], g.points[0]
     lam1_curves = [sa.geometry for sa in ctx.lambda1]
+
+    def crossings_with_other(path) -> Optional[List[Point]]:
+        """Proper crossings of path with `other`; None when the path leaves
+        the face, grazes its boundary, touches `other` or meets lam away
+        from the two junctions."""
+        out: List[Point] = []
+        for a, b in zip(path, path[1:]):
+            if any(_segment_hits(a, b, mu) != [] for mu in lam1_curves):
+                return None
+            hits = _segment_hits(a, b, other)
+            if hits is None:
+                return None
+            out.extend(hits)
+            if any(kind != "none"
+                   and not (kind == "endpoint" and data in (q_end, q_start))
+                   for kind, data in _meetings((a, b), g.points)):
+                return None
+        return out
+
     for via in _route_candidates(ctx, q_end, q_start):
         path = (q_end,) + tuple(via) + (q_start,)
         if any(path[i] == path[i + 1] for i in range(len(path) - 1)):
             continue
-        ok = True
-        crossings: List[Point] = []
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            for mu in lam1_curves:
-                hits = _segment_hits(a, b, mu)
-                if hits is None or hits:
-                    ok = False  # leaves the face or grazes its boundary
-                    break
-            if not ok:
-                break
-            hits = _segment_hits(a, b, other)
-            if hits is None:
-                ok = False
-                break
-            crossings.extend(hits)
-            for _, u, v in g.segments():
-                kind, data = segment_intersection(a, b, u, v)
-                if kind == "none":
-                    continue
-                if kind == "endpoint" and data in (q_end, q_start):
-                    continue
-                ok = False
-                break
-            if not ok:
-                break
-        if not ok or any(p in forbidden for p in crossings):
+        crossings = crossings_with_other(path)
+        if crossings is None or any(p in forbidden for p in crossings):
             continue
         try:
             closed = Curve(id=g.id, points=g.points + tuple(via), closed=True)
@@ -597,16 +572,9 @@ def _piece_intersections(c1: Curve, lo1: Fraction, hi1: Fraction,
     """Intersection points interior to two chain-parameter portions."""
     poly1 = curve_portion(c1, lo1, hi1)
     poly2 = curve_portion(c2, lo2, hi2)
-    pts: Set[Point] = set()
-    for i in range(len(poly1) - 1):
-        for j in range(len(poly2) - 1):
-            kind, data = segment_intersection(poly1[i], poly1[i + 1],
-                                              poly2[j], poly2[j + 1])
-            if kind in ("proper", "endpoint"):
-                pts.add(data)
-    for q in (poly1[0], poly1[-1], poly2[0], poly2[-1]):
-        pts.discard(q)
-    return sorted(pts)
+    pts = {data for kind, data in _meetings(poly1, poly2)
+           if kind in ("proper", "endpoint")}
+    return sorted(pts - {poly1[0], poly1[-1], poly2[0], poly2[-1]})
 
 
 @dataclass(frozen=True)
@@ -646,14 +614,25 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
     if sig1 != seq or sig2 != seq:
         raise PreconditionError("arcs do not share the given signature")
 
-    existing = _curve_intersections(lam1.geometry, lam2.geometry)
+    existing: Set[Point] = set()
+    for kind, data in _meetings(_polyline(lam1.geometry),
+                                _polyline(lam2.geometry)):
+        if kind == "overlap":
+            existing.update(data)
+        elif kind != "none":
+            existing.add(data)
     closed1, imag1 = _close_arc(ctx, lam1, lam2.geometry, existing)
     closed2, imag2 = _close_arc(ctx, lam2, closed1, existing)
 
     def alignment(closed: Curve, point_of: Dict[int, Point]):
         """Contact params on the closed curve; fails unless the contact
         cycle realizes the signature forwards or backwards."""
-        params = {lbl: _point_param(closed, p) for lbl, p in point_of.items()}
+        ring = _polyline(closed)
+        params = {}
+        for lbl, p in point_of.items():
+            params[lbl] = chain_param(ring, p)
+            if params[lbl] is None:
+                raise PreconditionError(f"{p} not on curve {closed.id}")
         cyc = tuple(lbl for _, lbl in sorted(
             (s, lbl) for lbl, s in params.items()))
         if seq in tuple(cyc[i:] + cyc[:i] for i in range(L)):

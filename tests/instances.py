@@ -186,8 +186,8 @@ def fence_charging(fence, lam1, lam2):
     """(context, lam1's signature, charge report) for a colliding pair in
     the single face of a fence.
 
-    The imaginary-closure route search makes one open or hat charging take
-    over a minute, so test modules that check the same pair share one run.
+    The imaginary-closure route search is the costliest step of a charging,
+    so test modules that check the same pair share one run.
     """
     ctx = FaceContext(fence, 0)
     sig = circular_signature(0, fence, lam1, context=ctx)

@@ -58,9 +58,12 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 def test_malformed_file_exits_1(tmp_path, capsys):
     path = tmp_path / "garbage.family"
-    path.write_text("not a family header\n")
-    assert main(["validate", str(path)]) == 1
-    assert "parse error" in capsys.readouterr().err
+    # a bad header, then bytes that are not UTF-8 (a UTF-16 byte-order mark)
+    for data in (b"not a family header\n", b"\xff\xfefamily m=1\n"):
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error") and len(err.splitlines()) == 1
 
 
 # -------------------------------------------------------------- analyze

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactgeom.geometry import (Curve, Point, coordinate_scale, cross, dot,
+from contactgeom.geometry import (Curve, Point, coordinate_scale, cross,
                                   direction_key, exact_orientation, frac,
                                   midpoint, on_segment, orientation,
                                   point_segment_position, pseudo_angle_key,
@@ -30,8 +30,10 @@ def test_orientation_signs():
 def test_cross_dot_midpoint():
     o = pt(1, 1)
     assert cross(o, pt(2, 1), pt(1, 2)) == 1
-    assert dot(o, pt(2, 1), pt(1, 2)) == 0
     assert midpoint(pt(0, 0), pt(1, 3)) == Point(F(1, 2), F(3, 2))
+    # integer coordinates give exact halves, not floats
+    m = midpoint(Point(0, 0), Point(1, 3))
+    assert isinstance(m.x, F) and isinstance(m.y, F)
 
 
 def test_frac_accepts_strings_and_ints():
@@ -76,25 +78,49 @@ def test_segment_intersection_exact_rational_point():
     assert p.x + p.y == 2          # on the second segment's line
 
 
-def test_segment_intersection_matches_reference_on_random_grid():
+def _random_quadruple(rng, dens):
+    """Four grid points with denominators drawn from dens. About a third of
+    the draws put cd on the line through ab, and a third make c an endpoint
+    of ab."""
+    def coord():
+        return F(rng.randrange(-6, 7), rng.choice(dens))
+
+    a, b, c, d = (Point(coord(), coord()) for _ in range(4))
+    shape = rng.randrange(3)
+    if shape == 1:
+        def param():
+            k = rng.choice(dens)
+            return F(rng.randrange(-2 * k, 3 * k + 1), k)
+
+        c, d = (Point(a.x + s * (b.x - a.x), a.y + s * (b.y - a.y))
+                for s in (param(), param()))
+    elif shape == 2:
+        c = rng.choice((a, b))
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("dens", [(1,), (1, 2, 3, 7)],
+                         ids=["integer", "rational"])
+def test_segment_intersection_matches_reference_on_random_grid(dens):
     rng = random.Random(9)
-    pts = [Point(F(rng.randrange(-6, 7)), F(rng.randrange(-6, 7)))
-           for _ in range(160)]
-    for k in range(0, 160, 4):
-        a, b, c, d = pts[k:k + 4]
+    seen = set()
+    for _ in range(400):
+        a, b, c, d = _random_quadruple(rng, dens)
         if a == b or c == d:
             continue
         kind, data = segment_intersection(a, b, c, d)
+        seen.add(kind)
         ref_kind, ref = oracles.seg_meet(a, b, c, d)
         if ref_kind == "none":
             assert kind == "none"
         elif ref_kind == "overlap":
             assert kind == "overlap"
-            lo, hi = ref
-            assert data[0] != data[1]
+            assert set(data) == {Point(a.x + t * (b.x - a.x),
+                                       a.y + t * (b.y - a.y)) for t in ref}
         else:
-            assert kind in ("proper", "endpoint")
             assert data == ref
+            assert kind == ("endpoint" if ref in (a, b, c, d) else "proper")
+    assert seen == {"none", "proper", "endpoint", "overlap"}
 
 
 def test_pseudo_angle_key_orders_counterclockwise():
