@@ -39,8 +39,8 @@ def chain_param(g: Sequence[Point], p: Point) -> Optional[Fraction]:
         a, b = g[k], g[k + 1]
         if on_segment(p, a, b):
             if b.x != a.x:
-                return k + (p.x - a.x) / (b.x - a.x)
-            return k + (p.y - a.y) / (b.y - a.y)
+                return k + Fraction(p.x - a.x) / (b.x - a.x)
+            return k + Fraction(p.y - a.y) / (b.y - a.y)
     return None
 
 

@@ -418,6 +418,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a bug, not bad input: still one line and exit 2, no traceback
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,6 +45,11 @@ class DegenerateError(ContactGeomError):
     """An instance is too small or too sparse for the requested analysis."""
 
 
+class InvariantError(ContactGeomError):
+    """An invariant the package guarantees failed to hold: a bug, not bad
+    input."""
+
+
 class FitError(ContactGeomError):
     """A regression has too few points or no spread to determine a slope."""
 

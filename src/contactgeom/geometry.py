@@ -320,11 +320,12 @@ def winding_parity(p: Point, polygon: Sequence[Point]) -> bool:
         b = polygon[(i + 1) % n]
         if on_segment(p, a, b):
             return False
-        # Count crossings of the upward ray from p.
+        # Count crossings of the rightward ray from p. The edge meets height
+        # p.y at xcross = a.x + (p.y - a.y) * (b.x - a.x) / dy; the test
+        # xcross > p.x is multiplied through by dy * dy > 0, so no division.
         if (a.y > p.y) != (b.y > p.y):
-            # x coordinate of edge at height p.y, compared exactly
-            xcross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xcross > p.x:
+            dy = b.y - a.y
+            if ((p.y - a.y) * (b.x - a.x) - (p.x - a.x) * dy) * dy > 0:
                 inside = not inside
     return inside
 

@@ -211,10 +211,11 @@ def _unscale(key, scale: int) -> Point:
     return Point(key[0] / scale, key[1] / scale)
 
 
-def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, scale: int, mode: str):
-    """Turn grouped events into incidences and violations for one pair."""
+def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
+                   scale: int, mode: str):
+    """Turn one pair's grouped events (from _pair_events) into incidences
+    and violations."""
     ida, idb = sa.curve.id, sb.curve.id
-    events, overlaps = _pair_events(sa, sb)
     incidences: List[Incidence] = []
     violations: List[Violation] = []
 
@@ -309,8 +310,6 @@ def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
                 t = res[1]
                 (ax, ay), (bx, by) = sc.seg(i)
                 pkey = (ax + t * (bx - ax), ay + t * (by - ay))
-            elif tag == "touch":
-                pkey = (Fraction(res[1][0]), Fraction(res[1][1]))
             else:
                 pkey = (Fraction(res[1][0]), Fraction(res[1][1]))
             viols.append(Violation(
@@ -332,11 +331,11 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
     for i in range(len(scaled)):
         for j in range(i + 1, len(scaled)):
             sa, sb = scaled[i], scaled[j]
-            events, _ = _pair_events(sa, sb)
+            events, overlaps = _pair_events(sa, sb)
             for key in events:
                 point_owners.setdefault(key, set()).update(
                     (sa.curve.id, sb.curve.id))
-            incs, viols = _classify_pair(sa, sb, scale, mode)
+            incs, viols = _classify_pair(sa, sb, events, overlaps, scale, mode)
             violations.extend(viols)
             if incs:
                 pairs[(sa.curve.id, sb.curve.id)] = tuple(incs)

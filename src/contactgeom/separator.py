@@ -15,11 +15,17 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import networkx
 
 from .arrangement import curve_portion
-from .errors import DegenerateError, PreconditionError
+from .errors import DegenerateError, InvariantError, PreconditionError
 from .geometry import Curve, CurveFamily
 from .incidence import FamilyIncidences, compute_incidences
 
 VertexId = Tuple
+
+
+def _check(ok: bool, message: str) -> None:
+    """Raise InvariantError unless an advertised invariant holds."""
+    if not ok:
+        raise InvariantError(message)
 
 
 @dataclass(frozen=True)
@@ -38,27 +44,23 @@ class ReducedFamily(CurveFamily):
 def _piece_intervals(c: Curve, params: Sequence[Fraction], d: int):
     """Chain-parameter intervals holding d contact params each (last may hold
     fewer), separated by open slivers cut out of the contact-free gaps."""
-    deg = len(params)
-    q = -(-deg // d)
-    gaps = []
-    for k in range(1, q):
-        gaps.append((params[k * d - 1], params[k * d]))
+    q = -(-len(params) // d)
+    gaps = [(params[k * d - 1], params[k * d]) for k in range(1, q)]
     n = Fraction(c.n_segments)
     if c.closed:
         gaps.append((params[-1], params[0] + n))
-        cuts = [(u + (v - u) / 3, u + 2 * (v - u) / 3) for u, v in gaps]
-        out = []
-        for k in range(len(cuts)):
-            lo = cuts[k][1] % n
-            hi = cuts[(k + 1) % len(cuts)][0]
-            if hi <= lo:
-                hi += n
-            out.append((lo, hi))
-        return out
     cuts = [(u + (v - u) / 3, u + 2 * (v - u) / 3) for u, v in gaps]
-    bounds_lo = [Fraction(0)] + [c2 for _, c2 in cuts]
-    bounds_hi = [c1 for c1, _ in cuts] + [n]
-    return list(zip(bounds_lo, bounds_hi))
+    if not c.closed:
+        return list(zip([Fraction(0)] + [c2 for _, c2 in cuts],
+                        [c1 for c1, _ in cuts] + [n]))
+    out = []
+    for k in range(len(cuts)):
+        lo = cuts[k][1] % n
+        hi = cuts[(k + 1) % len(cuts)][0]
+        if hi <= lo:
+            hi += n
+        out.append((lo, hi))
+    return out
 
 
 def reduce_degree(family: CurveFamily) -> CurveFamily:
@@ -93,10 +95,10 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
             next_id += 1
     out = ReducedFamily(tuple(pieces), family.m, tuple(parent))
     fo = compute_incidences(out)
-    assert fo.X == fi.X and fo.T == fi.T, "degree reduction changed the stats"
-    assert ({i.point for i in fo.all_incidences()}
-            == {i.point for i in fi.all_incidences()}), \
-        "degree reduction moved a contact point"
+    _check(fo.X == fi.X and fo.T == fi.T, "degree reduction changed the stats")
+    _check({i.point for i in fo.all_incidences()}
+           == {i.point for i in fi.all_incidences()},
+           "degree reduction moved a contact point")
     return out
 
 
@@ -115,13 +117,6 @@ class WeightedPlanarGraph:
     @property
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self.weight_items), Fraction(0))
-
-    def adjacency(self) -> Dict[VertexId, Tuple[VertexId, ...]]:
-        adj: Dict[VertexId, List[VertexId]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(nb)) for v, nb in adj.items()}
 
 
 def weighted_graph(vertices: Sequence[VertexId],
@@ -180,7 +175,7 @@ def arrangement_to_planar_graph(family: CurveFamily,
         if c.closed and len(chain) > 1:
             edges.append((chain[-1], chain[0]))
     g = weighted_graph(tuple(verts), edges, verts)
-    assert g.planar, "arrangement graph failed the planarity check"
+    _check(g.planar, "arrangement graph failed the planarity check")
     return g
 
 
@@ -193,71 +188,45 @@ class SeparatorResult:
     c_measured: float
 
 
-def _components(adj: Mapping[VertexId, Tuple[VertexId, ...]],
-                removed: FrozenSet) -> List[FrozenSet]:
-    seen = set(removed)
+# the search tries the first _CYCLE_CAP fundamental cycles of each component
+# and the first _CUT_CAP articulation points as candidates
+_CYCLE_CAP = 200
+_CUT_CAP = 1024
+
+
+def _components(nbrs: Sequence[Sequence[int]], removed: Sequence[int] = ()):
+    """Components of the graph on 0..V-1 (sorted neighbour lists) minus
+    `removed`, and the breadth-first parent of every vertex reached.
+
+    Each component is a BFS order from its smallest vertex, and components
+    come in order of that vertex. A root is its own parent, and a removed
+    vertex has parent -2.
+    """
+    parent = [-1] * len(nbrs)
+    for v in removed:
+        parent[v] = -2
     out = []
-    for root in sorted(adj):
-        if root in seen:
+    for root in range(len(nbrs)):
+        if parent[root] != -1:
             continue
-        comp = {root}
-        seen.add(root)
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        out.append(frozenset(comp))
-    return out
+        parent[root] = root
+        comp = [root]
+        for u in comp:
+            for v in nbrs[u]:
+                if parent[v] == -1:
+                    parent[v] = u
+                    comp.append(v)
+        out.append(comp)
+    return out, parent
 
 
-def _bfs_levels(adj, root) -> List[List[VertexId]]:
-    levels = [[root]]
-    seen = {root}
-    while True:
-        nxt = []
-        for u in levels[-1]:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            return levels
-        levels.append(sorted(nxt))
-
-
-def _bfs_tree(adj, root):
-    parent = {root: None}
-    order = [root]
-    for u in order:
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-    return parent
-
-
-def _fundamental_cycles(adj, root, cap: int = 200):
-    """Vertex sets of fundamental cycles of a BFS tree, largest first capped."""
-    parent = _bfs_tree(adj, root)
-    depth = {}
-    for v in parent:
-        d, u = 0, v
-        while parent[u] is not None:
-            u = parent[u]
-            d += 1
-        depth[v] = d
-    tree_edges = {tuple(sorted((v, p)))
-                  for v, p in parent.items() if p is not None}
+def _fundamental_cycles(nbrs, comp, parent, depth) -> List[set]:
+    """Vertex sets of the fundamental cycles of one component's BFS tree,
+    by smaller then larger endpoint of the closing edge, at most _CYCLE_CAP."""
     cycles = []
-    for u in sorted(parent):
-        for v in adj[u]:
-            if v <= u or v not in parent:
-                continue
-            if tuple(sorted((u, v))) in tree_edges:
+    for u in sorted(comp):
+        for v in nbrs[u]:
+            if v <= u or parent[v] == u or parent[u] == v:
                 continue
             a, b, cyc = u, v, {u, v}
             while depth[a] > depth[b]:
@@ -270,8 +239,8 @@ def _fundamental_cycles(adj, root, cap: int = 200):
                 a, b = parent[a], parent[b]
                 cyc.add(a)
                 cyc.add(b)
-            cycles.append(frozenset(cyc))
-            if len(cycles) >= cap:
+            cycles.append(cyc)
+            if len(cycles) >= _CYCLE_CAP:
                 return cycles
     return cycles
 
@@ -281,60 +250,75 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
     most 2/3 of the total.
 
     Candidates come from BFS levels and fundamental cycles of a BFS tree of
-    each component, plus a greedy fallback; every candidate is validated
-    exactly with rational arithmetic and the smallest valid one wins (ties by
-    balance, then lexicographically).
+    each component, articulation points, and a greedy fallback; the smallest
+    candidate that passes the exact balance test wins (ties by balance, then
+    lexicographically). The search runs on the vertices relabelled to their
+    positions in sorted order, with weights scaled to integers over their
+    common denominator; both maps are monotone, so every comparison and
+    tie-break is the one the original labels and weights would give.
     """
     if not g.planar:
         raise PreconditionError("separator needs a planar graph")
-    adj = g.adjacency()
-    nv = len(g.vertices)
+    verts = sorted(g.vertices)
+    nv = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[u], index[v]) for u, v in g.edges]
+    nbrs: List[List[int]] = [[] for _ in verts]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for lst in nbrs:
+        lst.sort()
+    labels = lambda vs: frozenset(verts[i] for i in vs)
     if nv <= 1:
-        comps = tuple(_components(adj, frozenset()))
-        return SeparatorResult(frozenset(), comps, 0.0)
+        return SeparatorResult(frozenset(),
+                               tuple(map(labels, _components(nbrs)[0])), 0.0)
     wmap = g.weights
-    total = g.total_weight
-    bound = Fraction(2, 3) * total
+    scale = math.lcm(*(x.denominator for x in wmap.values()))
+    w = [int(wmap[v] * scale) for v in verts]
+    bound = 2 * sum(w)       # a component is heavy when 3 * weight > bound
 
-    def weight(vs) -> Fraction:
-        return sum((wmap[v] for v in vs), Fraction(0))
-
-    candidates: List[FrozenSet] = [frozenset()]
-    for comp in _components(adj, frozenset()):
-        root = min(comp)
-        levels = _bfs_levels(adj, root)
-        for lev in levels:
-            candidates.append(frozenset(lev))
-        candidates.extend(_fundamental_cycles(adj, root))
-        candidates.append(frozenset(comp))
-    nxg = networkx.Graph()
-    nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from(g.edges)
-    cuts = sorted(networkx.articulation_points(nxg))
-    candidates.extend(frozenset((v,)) for v in cuts[:1024])
+    comps, parent = _components(nbrs)
+    depth = [0] * nv
+    candidates: List = [()]
+    for comp in comps:
+        levels = [[comp[0]]]
+        for u in comp[1:]:
+            depth[u] = depth[parent[u]] + 1
+            if depth[u] == len(levels):
+                levels.append([])
+            levels[-1].append(u)
+        candidates += levels
+        candidates += _fundamental_cycles(nbrs, comp, parent, depth)
+        candidates.append(comp)
+    cuts = sorted(networkx.articulation_points(networkx.Graph(edges)))
+    candidates += [(v,) for v in cuts[:_CUT_CAP]]
     # greedy fallback: peel heaviest vertices out of overweight components
-    greedy: set = set()
+    greedy: List[int] = []
     while True:
-        comps = _components(adj, frozenset(greedy))
-        heavy = [c for c in comps if weight(c) > bound]
-        if not heavy:
+        comps = _components(nbrs, greedy)[0]
+        cw = [sum(w[v] for v in c) for c in comps]
+        if 3 * max(cw, default=0) <= bound:
             break
-        worst = max(heavy, key=weight)
-        greedy.add(max(worst, key=lambda v: (wmap[v], v)))
-    candidates.append(frozenset(greedy))
+        worst = comps[cw.index(max(cw))]
+        greedy.append(max(worst, key=lambda v: (w[v], v)))
+    candidates.append(greedy)
 
     best = None
     for cand in candidates:
-        comps = _components(adj, cand)
-        if any(weight(c) > bound for c in comps):
+        if best is not None and len(cand) > best[0][0]:
+            continue             # its key loses on length alone
+        comps = _components(nbrs, cand)[0]
+        heaviest = max((sum(w[v] for v in c) for c in comps), default=0)
+        if 3 * heaviest > bound:
             continue
-        key = (len(cand), max((weight(c) for c in comps), default=Fraction(0)),
-               sorted(cand))
+        key = (len(cand), heaviest, sorted(cand))
         if best is None or key < best[0]:
-            best = (key, cand, tuple(comps))
-    assert best is not None, "greedy fallback should always validate"
+            best = (key, cand, comps)
+    _check(best is not None, "greedy fallback did not validate")
     _, sep, comps = best
-    return SeparatorResult(sep, comps, len(sep) / math.sqrt(nv))
+    return SeparatorResult(labels(sep), tuple(map(labels, comps)),
+                           len(sep) / math.sqrt(nv))
 
 
 @dataclass(frozen=True)
@@ -348,14 +332,15 @@ class StringSeparatorResult:
 
 def _curve_components(family: CurveFamily, fi: FamilyIncidences,
                       removed: FrozenSet[int]) -> Tuple[FrozenSet[int], ...]:
-    adj: Dict[int, List[int]] = {c.id: [] for c in family.curves
-                                 if c.id not in removed}
+    ids = sorted(c.id for c in family.curves)
+    index = {cid: i for i, cid in enumerate(ids)}
+    nbrs: List[List[int]] = [[] for _ in ids]
     for (a, b), incs in fi.pairs.items():
-        if incs and a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
-    return tuple(_components({k: tuple(v) for k, v in adj.items()},
-                             frozenset()))
+        if incs:
+            nbrs[index[a]].append(index[b])
+            nbrs[index[b]].append(index[a])
+    comps = _components(nbrs, [index[cid] for cid in removed])[0]
+    return tuple(frozenset(ids[i] for i in c) for c in comps)
 
 
 def string_separator(family: CurveFamily) -> StringSeparatorResult:
@@ -390,9 +375,8 @@ def string_separator(family: CurveFamily) -> StringSeparatorResult:
                for c in _curve_components(family, fi, trial)):
             sep.discard(cid)
     comps = _curve_components(family, fi, frozenset(sep))
-    if n > 1:
-        assert all(3 * len(c) <= 2 * n for c in comps), \
-            "lifted separator lost the balance guarantee"
+    _check(n <= 1 or all(3 * len(c) <= 2 * n for c in comps),
+           "lifted separator lost the balance guarantee")
     return StringSeparatorResult(frozenset(sep), comps,
                                  len(sep) / math.sqrt(fi.X))
 
@@ -490,28 +474,26 @@ def recursive_decompose(family: CurveFamily,
     rec(all_ids, 0)
     pieces.sort(key=min)
 
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            assert not (pieces[i] & pieces[j]), "pieces overlap"
-    assert all(len(p) < M or len(p) <= 2 for p in pieces), "oversized piece"
+    _check(sum(map(len, pieces)) == len(set().union(*pieces)),
+           "pieces overlap")
+    _check(all(len(p) < M or len(p) <= 2 for p in pieces), "oversized piece")
     where = {cid: k for k, p in enumerate(pieces) for cid in p}
-    for (a, b), incs in fi.pairs.items():
-        if incs and a in where and b in where:
-            assert where[a] == where[b], "contact between distinct pieces"
+    _check(all(where[a] == where[b] for (a, b), incs in fi.pairs.items()
+               if incs and a in where and b in where),
+           "contact between distinct pieces")
+    _check(all(nodes), "empty recursion node")
     buckets: Dict[int, List[FrozenSet[int]]] = {}
     for node in nodes:
-        assert node, "empty recursion node"
         buckets.setdefault(_bucket_index(len(node), M), []).append(node)
-    for group in buckets.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                assert not (group[i] & group[j]), \
-                    "same-bucket subsets share a curve"
+    _check(all(sum(map(len, group)) == len(set().union(*group))
+               for group in buckets.values()),
+           "same-bucket subsets share a curve")
 
     surviving = sum(1 for (a, b) in fi.touching_pairs()
                     if a in where and b in where)
-    assert surviving == sum(1 for (a, b) in fi.touching_pairs()
-                            if a not in sep and b not in sep)
+    _check(surviving == sum(1 for (a, b) in fi.touching_pairs()
+                            if a not in sep and b not in sep),
+           "surviving touchings miscounted")
     per_level = tuple(level_sizes[k] for k in sorted(level_sizes))
     return DecompositionReport(d, M, C_const, frozenset(sep), tuple(pieces),
                                surviving, T, per_level)

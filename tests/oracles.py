@@ -265,3 +265,134 @@ class Raster:
             return out
         step = len(out) / limit
         return [out[int(t * step)] for t in range(limit)]
+
+
+# ------------------------------------------------------- planar separator
+
+def _sep_components(adj, removed):
+    seen = set(removed)
+    out = []
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        comp = {root}
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    stack.append(v)
+        out.append(frozenset(comp))
+    return out
+
+
+def _bfs_levels(adj, root):
+    levels = [[root]]
+    seen = {root}
+    while True:
+        nxt = []
+        for u in levels[-1]:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        if not nxt:
+            return levels
+        levels.append(sorted(nxt))
+
+
+def _fundamental_cycles(adj, root, cap=200):
+    parent = {root: None}
+    order = [root]
+    for u in order:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    depth = {}
+    for v in parent:
+        d, u = 0, v
+        while parent[u] is not None:
+            u = parent[u]
+            d += 1
+        depth[v] = d
+    tree_edges = {tuple(sorted((v, p)))
+                  for v, p in parent.items() if p is not None}
+    cycles = []
+    for u in sorted(parent):
+        for v in adj[u]:
+            if v <= u or tuple(sorted((u, v))) in tree_edges:
+                continue
+            a, b, cyc = u, v, {u, v}
+            while depth[a] > depth[b]:
+                a = parent[a]
+                cyc.add(a)
+            while depth[b] > depth[a]:
+                b = parent[b]
+                cyc.add(b)
+            while a != b:
+                a, b = parent[a], parent[b]
+                cyc.add(a)
+                cyc.add(b)
+            cycles.append(frozenset(cyc))
+            if len(cycles) >= cap:
+                return cycles
+    return cycles
+
+
+def planar_separator(g):
+    """(separator, components, c_measured) of a WeightedPlanarGraph, searched
+    on the original vertex labels with Fraction weights: candidates are BFS
+    levels, the first 200 fundamental cycles and the whole of each component,
+    the first 1024 articulation points (networkx) and a greedy peel; the
+    smallest balanced one wins, ties by heaviest component, then sorted."""
+    import math
+
+    import networkx
+
+    adj = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
+    nv = len(g.vertices)
+    if nv <= 1:
+        return frozenset(), tuple(_sep_components(adj, ())), 0.0
+    wmap = dict(g.weight_items)
+    bound = F(2, 3) * sum(wmap.values(), F(0))
+
+    def weight(vs):
+        return sum((wmap[v] for v in vs), F(0))
+
+    candidates = [frozenset()]
+    for comp in _sep_components(adj, ()):
+        root = min(comp)
+        candidates.extend(frozenset(lev) for lev in _bfs_levels(adj, root))
+        candidates.extend(_fundamental_cycles(adj, root))
+        candidates.append(comp)
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    cuts = sorted(networkx.articulation_points(nxg))
+    candidates.extend(frozenset((v,)) for v in cuts[:1024])
+    greedy = set()
+    while True:
+        heavy = [c for c in _sep_components(adj, greedy) if weight(c) > bound]
+        if not heavy:
+            break
+        worst = max(heavy, key=weight)
+        greedy.add(max(worst, key=lambda v: (wmap[v], v)))
+    candidates.append(frozenset(greedy))
+    best = None
+    for cand in candidates:
+        comps = _sep_components(adj, cand)
+        if any(weight(c) > bound for c in comps):
+            continue
+        key = (len(cand), max((weight(c) for c in comps), default=F(0)),
+               sorted(cand))
+        if best is None or key < best[0]:
+            best = (key, cand, tuple(comps))
+    _, sep, comps = best
+    return sep, comps, len(sep) / math.sqrt(nv)

@@ -1,16 +1,17 @@
 """Arrangement construction, face topology, and point location."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from contactgeom.arrangement import (boundary_edge_cycle, build_arrangement,
                                      build_mixed_arrangement, cells_of_pair,
-                                     chain_point, curve_portion, locate_cell,
-                                     pair_arrangement, split_arcs_by_pair,
-                                     split_curve_at)
+                                     chain_param, chain_point, curve_portion,
+                                     locate_cell, pair_arrangement,
+                                     split_arcs_by_pair, split_curve_at)
 from contactgeom.errors import OnCurveError
-from contactgeom.geometry import Curve, CurveFamily, pt
+from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate
 
 import oracles
@@ -146,6 +147,23 @@ def test_chain_point_and_portion():
     assert portion[0] == pt(0, -2) and portion[-1] == pt(2, 2)
     assert split_curve_at(c, [F(1, 2), F(2)]) == [
         (F(1, 2), F(2)), (F(2), F(9, 2))]
+
+
+def test_chain_param_is_exact_on_integer_points():
+    assert chain_param((Point(0, 0), Point(2, 0)), Point(1, 0)) == F(1, 2)
+    assert type(chain_param((Point(0, 0), Point(2, 0)), Point(1, 0))) is F
+    rng = random.Random(7)
+    for _ in range(300):
+        # a vertical or sloped segment with an integer point strictly inside
+        ax, ay = (rng.randrange(-2 ** 60, 2 ** 60) for _ in range(2))
+        dx, dy = rng.choice((0, 1, 3)), rng.randrange(1, 9)
+        k = rng.randrange(1, 2 ** 40)
+        g = (Point(ax, ay), Point(ax + dx * k * 7, ay + dy * k * 7))
+        p = Point(ax + dx * k * 3, ay + dy * k * 3)
+        exact = chain_param(tuple(Point(F(q.x), F(q.y)) for q in g),
+                            Point(F(p.x), F(p.y)))
+        got = chain_param(g, p)
+        assert exact == F(3, 7) and type(got) is F and got == exact
 
 
 def test_split_arcs_by_pair_on_chain():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import contactgeom
+from contactgeom import cli
 from contactgeom.cli import main
 from contactgeom.familyio import read_family, write_family
 from contactgeom.generators import GeneratorSpec, generate
@@ -64,6 +65,19 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("parse error") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc", [KeyError("lost"),
+                                 AssertionError("broken invariant")])
+def test_unexpected_exception_exits_2_with_one_line(exc, chain_file,
+                                                    monkeypatch, capsys):
+    def handler(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+    assert main(["validate", chain_file]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 # -------------------------------------------------------------- analyze

@@ -151,6 +151,21 @@ def test_signed_area_and_winding():
     assert not winding_parity(pt(3, 5), notch)
 
 
+def test_winding_parity_is_exact_on_integer_points():
+    # a huge integer triangle probed one unit beside the middle of each edge:
+    # the int inputs must give the verdict of the same inputs as Fractions
+    rng = random.Random(11)
+    as_fractions = lambda q: Point(F(q.x), F(q.y))
+    for _ in range(500):
+        tri = [Point(rng.randrange(2 ** 60), rng.randrange(2 ** 60))
+               for _ in range(3)]
+        a, b = tri[0], tri[1]
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            p = Point((a.x + b.x) // 2 + dx, (a.y + b.y) // 2 + dy)
+            assert winding_parity(p, tri) == winding_parity(
+                as_fractions(p), [as_fractions(q) for q in tri])
+
+
 def test_coordinate_scale_clears_denominators():
     c = Curve(id=1, points=(pt("1/2", 0), pt(1, "2/3"), pt(0, 1)),
               closed=True)

@@ -1,17 +1,26 @@
 """Degree reduction, planar separators, and the recursive decomposition."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contactgeom.errors import DegenerateError, PreconditionError
+from contactgeom import separator
+from contactgeom.errors import (DegenerateError, InvariantError,
+                                PreconditionError)
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import Curve, CurveFamily, pt
-from contactgeom.incidence import compute_incidences
-from contactgeom.separator import (ReducedFamily, arrangement_to_planar_graph,
+from contactgeom.incidence import FamilyIncidences, compute_incidences
+from contactgeom.separator import (ReducedFamily, SeparatorResult,
+                                   arrangement_to_planar_graph,
                                    planar_separator, recursive_decompose,
                                    reduce_degree, string_separator,
                                    weighted_graph)
+
+import oracles
 
 F = Fraction
 
@@ -54,6 +63,31 @@ def test_reduce_degree_same_parent_pieces_are_disjoint():
 def test_reduce_degree_identity_when_sparse():
     fam = chain9()           # X = 8 < n, so the per-curve budget is zero
     assert reduce_degree(fam) is fam
+
+
+def test_reduce_degree_post_check_raises_invariant_error(monkeypatch):
+    calls = []
+
+    def lossy(family, *args):
+        # the second call is the post-check on the pieces: drop one pair
+        fi = compute_incidences(family, *args)
+        calls.append(family)
+        if len(calls) == 2:
+            pairs = dict(fi.pairs)
+            pairs.pop(min(pairs))
+            fi = FamilyIncidences(fi.m, fi.curve_ids, pairs)
+        return fi
+
+    monkeypatch.setattr(separator, "compute_incidences", lossy)
+    with pytest.raises(InvariantError, match="changed the stats"):
+        reduce_degree(grid9())
+    assert len(calls) == 2
+
+
+def test_separator_module_has_no_assert():
+    # advertised invariants must survive python -O as InvariantError
+    tree = ast.parse(inspect.getsource(separator))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 # ----------------------------------------------------------- planar graphs
@@ -129,6 +163,69 @@ def test_single_vertex_graph():
     res = planar_separator(weighted_graph((7,), ()))
     assert res.separator == frozenset()
     assert res.components == (frozenset({7}),)
+
+
+def _planar_parts(draw):
+    """Edges of a disjoint union of grids with deleted edges, trees, cycles
+    and single vertices, on vertices 0..V-1."""
+    edges, nv = [], 0
+    for kind in draw(st.lists(st.sampled_from(
+            ("grid", "tree", "cycle", "single")), min_size=1, max_size=4)):
+        if kind == "grid":
+            r, c = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+            cell = lambda i, j: nv + i * c + j
+            grid = [(cell(i, j), cell(i + 1, j))
+                    for i in range(r - 1) for j in range(c)]
+            grid += [(cell(i, j), cell(i, j + 1))
+                     for i in range(r) for j in range(c - 1)]
+            keep = draw(st.lists(st.booleans(), min_size=len(grid),
+                                 max_size=len(grid)))
+            edges += [e for e, k in zip(grid, keep) if k]
+            size = r * c
+        elif kind == "tree":
+            size = draw(st.integers(1, 15))
+            edges += [(nv + draw(st.integers(0, k - 1)), nv + k)
+                      for k in range(1, size)]
+        elif kind == "cycle":
+            size = draw(st.integers(3, 12))
+            edges += [(nv + k, nv + (k + 1) % size) for k in range(size)]
+        else:
+            size = 1
+        nv += size
+    return nv, edges
+
+
+@st.composite
+def planar_graphs(draw):
+    nv, edges = _planar_parts(draw)
+    # mixed anchor and point labels, in an order unrelated to 0..V-1
+    perm = draw(st.permutations(range(nv)))
+    label = [("a", perm[i]) if draw(st.booleans())
+             else ("p", F(perm[i], 3), F(-perm[i], 7)) for i in range(nv)]
+    weights = draw(st.one_of(
+        st.none(), st.just([0] * nv),
+        st.lists(st.sampled_from((0, 1, 3, F(1, 2), F(2, 3), F(5, 7),
+                                  F(11, 12))), min_size=nv, max_size=nv)))
+    return weighted_graph(label, [(label[u], label[v]) for u, v in edges],
+                          None if weights is None
+                          else dict(zip(label, weights)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(planar_graphs())
+def test_planar_separator_matches_reference(g):
+    assert g.planar
+    assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
+
+
+@pytest.mark.parametrize("kind,n,seed", [
+    ("UnitCirclesGrid", 16, 1), ("UnitCirclesGrid", 30, 2),
+    ("RandomCircles", 12, 3), ("RandomCircles", 40, 4),
+    ("TangentChain", 9, 1)])
+def test_planar_separator_matches_reference_on_arrangements(kind, n, seed):
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
+    g = arrangement_to_planar_graph(fam)
+    assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
 
 # -------------------------------------------------------- string separator
