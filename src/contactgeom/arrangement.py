@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import DegeneracyError, OnCurveError, PreconditionError
+from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, midpoint, on_segment,
                        pseudo_angle_key, signed_area2, winding_parity)
 from .incidence import (FamilyIncidences, compute_incidences,
@@ -336,8 +336,8 @@ def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
     arr = pair_arrangement(family, i, j)
     a, b = family.curve(i), family.curve(j)
     if a.closed and b.closed:
-        assert arr.F <= family.m + 2, (
-            f"pair ({i},{j}): {arr.F} cells exceeds m+2={family.m + 2}")
+        check(arr.F <= family.m + 2,
+              f"pair ({i},{j}): {arr.F} cells exceeds m+2={family.m + 2}")
     return list(arr.faces)
 
 
@@ -356,7 +356,7 @@ def locate_cell(arr: Arrangement, p: Point) -> int:
         if any(winding_parity(p, arr.cycle_polygon(cyc))
                for k, cyc in enumerate(f.cycles) if k != f.outer_index):
             continue
-        assert hit is None, "point claimed by two faces"
+        check(hit is None, "point claimed by two faces")
         hit = f.id
     return arr.unbounded_face_id if hit is None else hit
 
@@ -426,7 +426,7 @@ def split_arcs_by_pair(family: CurveFamily, i: int, j: int,
                 continue
             if loop:
                 shift = int(lo)
-                assert lo == shift, "loop piece must start at a polyline vertex"
+                check(lo == shift, "loop piece must start at a polyline vertex")
                 pts = c.points[shift:] + c.points[:shift]
                 geom = Curve(id=next_id, points=pts, closed=True)
                 kinds: Tuple[str, ...] = ()

@@ -285,7 +285,7 @@ def _cmd_sample_lemma(cfg: RunConfig) -> int:
         }
     else:
         data["rich_poor"] = None
-    data["monte_carlo"] = monte_carlo_ground(family, cfg.trials, cfg.seed)
+    data["monte_carlo"] = monte_carlo_ground(family, cfg.trials, cfg.seed, fi)
     _write_text(cfg.report, _json_text(data))
     mc = data["monte_carlo"]
     print(f"trials={cfg.trials} seed={cfg.seed} "

@@ -50,6 +50,12 @@ class InvariantError(ContactGeomError):
     input."""
 
 
+def check(ok: bool, message: str) -> None:
+    """Raise InvariantError unless an advertised invariant holds."""
+    if not ok:
+        raise InvariantError(message)
+
+
 class FitError(ContactGeomError):
     """A regression has too few points or no spread to determine a slope."""
 

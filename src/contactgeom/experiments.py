@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateError, FitError
+from .errors import DegenerateError, FitError, check
 from .generators import GeneratorSpec, generate
 from .geometry import CurveFamily
 from .incidence import FamilyIncidences, compute_incidences
@@ -69,7 +69,7 @@ def check_thm4(family: CurveFamily,
     is only defined for touching-heavy families (T >= n)."""
     if fi is None:
         fi = compute_incidences(family)
-    assert fi.X >= fi.T, "intersections cannot undercount touchings"
+    check(fi.X >= fi.T, "intersections cannot undercount touchings")
     return _make_row(family, fi)
 
 

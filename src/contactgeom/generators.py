@@ -2,9 +2,9 @@
 
 Tangencies are synthesised exactly: the contact point is placed as a shared
 polyline vertex of both curves, so the four local directions split into the
-side-separated pattern the incidence engine classifies as a tangency. Every
-generated family is post-checked with the full validator before it is
-returned.
+side-separated pattern the incidence engine classifies as a tangency. Each
+builder yields candidate families; `generate` checks each with the full
+validator and returns the first valid one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, List, Tuple
 
 from .errors import GenerationError, PreconditionError
 from .geometry import Curve, CurveFamily, Point, pt
@@ -63,7 +64,7 @@ def _circle(cid: int, center: Point, resolution: int) -> Curve:
     return Curve(id=cid, points=rational_circle(center, resolution), closed=True)
 
 
-def _unit_circles_grid(spec: GeneratorSpec) -> CurveFamily:
+def _unit_circles_grid(spec: GeneratorSpec) -> Iterator[CurveFamily]:
     k = 1
     while k * k < spec.n:
         k += 1
@@ -71,13 +72,13 @@ def _unit_circles_grid(spec: GeneratorSpec) -> CurveFamily:
     for t in range(spec.n):
         i, j = t % k, t // k
         curves.append(_circle(t + 1, pt(2 * i, 2 * j), spec.resolution))
-    return CurveFamily(curves=tuple(curves), m=spec.m)
+    yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
-def _tangent_chain(spec: GeneratorSpec) -> CurveFamily:
+def _tangent_chain(spec: GeneratorSpec) -> Iterator[CurveFamily]:
     curves = [_circle(i + 1, pt(2 * i, 0), spec.resolution)
               for i in range(spec.n)]
-    return CurveFamily(curves=tuple(curves), m=spec.m)
+    yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
 # center offsets for the unanchored circles; each lands deep inside a
@@ -90,7 +91,7 @@ _FREE_OFFSETS = tuple(
 )
 
 
-def _random_circles(spec: GeneratorSpec) -> CurveFamily:
+def _random_circles(spec: GeneratorSpec) -> Iterator[CurveFamily]:
     rng = random.Random(spec.seed)
     n_free = 0 if spec.m < 2 else spec.n // 5
     n_lat = spec.n - n_free
@@ -99,7 +100,7 @@ def _random_circles(spec: GeneratorSpec) -> CurveFamily:
         k += 1
     sites = sorted(rng.sample([(a, b) for a in range(k) for b in range(k)],
                               n_lat))
-    for attempt in range(20):
+    while True:
         curves: List[Curve] = []
         for idx, (a, b) in enumerate(sites):
             curves.append(_circle(idx + 1, pt(2 * a, 2 * b), spec.resolution))
@@ -108,14 +109,10 @@ def _random_circles(spec: GeneratorSpec) -> CurveFamily:
             ux, uy = _FREE_OFFSETS[rng.randrange(len(_FREE_OFFSETS))]
             center = Point(2 * a + ux, 2 * b + uy)
             curves.append(_circle(n_lat + j + 1, center, spec.resolution))
-        family = CurveFamily(curves=tuple(curves), m=spec.m)
-        if validate_general_position(family).ok:
-            return family
-    raise GenerationError(
-        f"RandomCircles n={spec.n} seed={spec.seed}: no valid placement in 20 attempts")
+        yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
-def _pseudo_parabolas(spec: GeneratorSpec) -> CurveFamily:
+def _pseudo_parabolas(spec: GeneratorSpec) -> Iterator[CurveFamily]:
     q = (spec.resolution + 1) // 2
     curves = []
     for i in range(spec.n):
@@ -124,15 +121,15 @@ def _pseudo_parabolas(spec: GeneratorSpec) -> CurveFamily:
         pts = tuple(Point(Fraction(x), Fraction((x - c) ** 2) + base)
                     for x in range(-q, q + 1))
         curves.append(Curve(id=i + 1, points=pts, closed=False))
-    return CurveFamily(curves=tuple(curves), m=spec.m)
+    yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
-def _perturbed_pencil(spec: GeneratorSpec) -> CurveFamily:
+def _perturbed_pencil(spec: GeneratorSpec) -> Iterator[CurveFamily]:
     rng = random.Random(spec.seed)
     r = spec.resolution + (0 if spec.resolution % 2 else 1)
     bend = Fraction(1, 4)
     scale = spec.n ** 3 + 1
-    for attempt in range(20):
+    while True:
         order = rng.sample(range(1, spec.n + 1), spec.n)
         curves = []
         for i in range(spec.n):
@@ -143,11 +140,7 @@ def _perturbed_pencil(spec: GeneratorSpec) -> CurveFamily:
                 x = Fraction(2 * kk, r) - 1
                 pts.append(Point(x, bend * x * x + slope * x + shift))
             curves.append(Curve(id=i + 1, points=tuple(pts), closed=False))
-        family = CurveFamily(curves=tuple(curves), m=spec.m)
-        if validate_general_position(family).ok:
-            return family
-    raise GenerationError(
-        f"PerturbedPencil n={spec.n} seed={spec.seed}: no valid shifts in 20 attempts")
+        yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
 _BUILDERS = {
@@ -160,9 +153,13 @@ _BUILDERS = {
 
 
 def generate(spec: GeneratorSpec) -> CurveFamily:
-    family = _BUILDERS[spec.kind](spec)
-    report = validate_general_position(family)
-    if not report.ok:
-        kinds = ", ".join(sorted(report.kinds()))
-        raise GenerationError(f"{spec.kind} produced violations: {kinds}")
-    return family
+    """The first valid candidate of the spec's builder; the seeded builders
+    draw a fresh placement per candidate, up to 20 of them."""
+    candidates = islice(_BUILDERS[spec.kind](spec), 20)
+    for tried, family in enumerate(candidates, 1):
+        report = validate_general_position(family)
+        if report.ok:
+            return family
+    raise GenerationError(
+        f"{spec.kind} n={spec.n} seed={spec.seed}: no valid family in "
+        f"{tried} attempt(s); last violations: {', '.join(report.kinds())}")

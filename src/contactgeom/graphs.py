@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from .errors import ResourceError
+from .errors import ResourceError, check
 from .geometry import CurveFamily
 from .incidence import FamilyIncidences, compute_incidences
 
@@ -229,7 +229,7 @@ def check_planarity(g: SimpleGraph) -> bool:
     ng.add_edges_from(g.edges)
     planar, _ = nx.check_planarity(ng)
     if planar and g.n >= 3:
-        assert g.n_edges <= 3 * g.n - 6
+        check(g.n_edges <= 3 * g.n - 6, "planar graph exceeds 3n - 6 edges")
     return planar
 
 

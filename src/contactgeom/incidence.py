@@ -166,6 +166,25 @@ def _boxes_meet(b1, b2) -> bool:
     return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
 
 
+def _meeting_pairs(boxes) -> List[Tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, whose closed boxes meet, by a
+    sort-and-sweep along x: O(n log n) plus the pairs whose x ranges meet."""
+    n = len(boxes)
+    order = sorted(range(n), key=lambda k: boxes[k][0])
+    out = []
+    for s, i in enumerate(order):
+        _, y0, x1, y1 = boxes[i]
+        for t in range(s + 1, n):
+            j = order[t]
+            b = boxes[j]
+            if b[0] > x1:
+                break
+            if b[1] <= y1 and y0 <= b[3]:
+                out.append((i, j) if i < j else (j, i))
+    out.sort()
+    return out
+
+
 def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
     """All meeting points of two scaled curves, grouped by point.
 
@@ -175,8 +194,6 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
     """
     events: Dict[Tuple[Fraction, Fraction], dict] = {}
     overlaps: List[tuple] = []
-    if not _boxes_meet(sa.box, sb.box):
-        return events, overlaps
     for i in range(sa.nseg):
         ib = sa.segbox[i]
         if not _boxes_meet(ib, sb.box):
@@ -328,22 +345,21 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
 
     pairs: Dict[Tuple[int, int], Tuple[Incidence, ...]] = {}
     point_owners: Dict[Tuple[Fraction, Fraction], set] = {}
-    for i in range(len(scaled)):
-        for j in range(i + 1, len(scaled)):
-            sa, sb = scaled[i], scaled[j]
-            events, overlaps = _pair_events(sa, sb)
-            for key in events:
-                point_owners.setdefault(key, set()).update(
-                    (sa.curve.id, sb.curve.id))
-            incs, viols = _classify_pair(sa, sb, events, overlaps, scale, mode)
-            violations.extend(viols)
-            if incs:
-                pairs[(sa.curve.id, sb.curve.id)] = tuple(incs)
-            if m is not None and len(incs) > m:
-                violations.append(Violation(
-                    "intersection_budget",
-                    (sa.curve.id, sb.curve.id), incs[0].point,
-                    f"{len(incs)} contacts exceed budget {m}"))
+    for i, j in _meeting_pairs([sc.box for sc in scaled]):
+        sa, sb = scaled[i], scaled[j]
+        events, overlaps = _pair_events(sa, sb)
+        for key in events:
+            point_owners.setdefault(key, set()).update(
+                (sa.curve.id, sb.curve.id))
+        incs, viols = _classify_pair(sa, sb, events, overlaps, scale, mode)
+        violations.extend(viols)
+        if incs:
+            pairs[(sa.curve.id, sb.curve.id)] = tuple(incs)
+        if m is not None and len(incs) > m:
+            violations.append(Violation(
+                "intersection_budget",
+                (sa.curve.id, sb.curve.id), incs[0].point,
+                f"{len(incs)} contacts exceed budget {m}"))
 
     for key in sorted(point_owners):
         owners = point_owners[key]

@@ -15,17 +15,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import networkx
 
 from .arrangement import curve_portion
-from .errors import DegenerateError, InvariantError, PreconditionError
+from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily
 from .incidence import FamilyIncidences, compute_incidences
 
 VertexId = Tuple
-
-
-def _check(ok: bool, message: str) -> None:
-    """Raise InvariantError unless an advertised invariant holds."""
-    if not ok:
-        raise InvariantError(message)
 
 
 @dataclass(frozen=True)
@@ -95,10 +89,10 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
             next_id += 1
     out = ReducedFamily(tuple(pieces), family.m, tuple(parent))
     fo = compute_incidences(out)
-    _check(fo.X == fi.X and fo.T == fi.T, "degree reduction changed the stats")
-    _check({i.point for i in fo.all_incidences()}
-           == {i.point for i in fi.all_incidences()},
-           "degree reduction moved a contact point")
+    check(fo.X == fi.X and fo.T == fi.T, "degree reduction changed the stats")
+    check({i.point for i in fo.all_incidences()}
+          == {i.point for i in fi.all_incidences()},
+          "degree reduction moved a contact point")
     return out
 
 
@@ -175,7 +169,7 @@ def arrangement_to_planar_graph(family: CurveFamily,
         if c.closed and len(chain) > 1:
             edges.append((chain[-1], chain[0]))
     g = weighted_graph(tuple(verts), edges, verts)
-    _check(g.planar, "arrangement graph failed the planarity check")
+    check(g.planar, "arrangement graph failed the planarity check")
     return g
 
 
@@ -315,7 +309,7 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
         key = (len(cand), heaviest, sorted(cand))
         if best is None or key < best[0]:
             best = (key, cand, comps)
-    _check(best is not None, "greedy fallback did not validate")
+    check(best is not None, "greedy fallback did not validate")
     _, sep, comps = best
     return SeparatorResult(labels(sep), tuple(map(labels, comps)),
                            len(sep) / math.sqrt(nv))
@@ -375,8 +369,8 @@ def string_separator(family: CurveFamily) -> StringSeparatorResult:
                for c in _curve_components(family, fi, trial)):
             sep.discard(cid)
     comps = _curve_components(family, fi, frozenset(sep))
-    _check(n <= 1 or all(3 * len(c) <= 2 * n for c in comps),
-           "lifted separator lost the balance guarantee")
+    check(n <= 1 or all(3 * len(c) <= 2 * n for c in comps),
+          "lifted separator lost the balance guarantee")
     return StringSeparatorResult(frozenset(sep), comps,
                                  len(sep) / math.sqrt(fi.X))
 
@@ -474,26 +468,26 @@ def recursive_decompose(family: CurveFamily,
     rec(all_ids, 0)
     pieces.sort(key=min)
 
-    _check(sum(map(len, pieces)) == len(set().union(*pieces)),
-           "pieces overlap")
-    _check(all(len(p) < M or len(p) <= 2 for p in pieces), "oversized piece")
+    check(sum(map(len, pieces)) == len(set().union(*pieces)),
+          "pieces overlap")
+    check(all(len(p) < M or len(p) <= 2 for p in pieces), "oversized piece")
     where = {cid: k for k, p in enumerate(pieces) for cid in p}
-    _check(all(where[a] == where[b] for (a, b), incs in fi.pairs.items()
-               if incs and a in where and b in where),
-           "contact between distinct pieces")
-    _check(all(nodes), "empty recursion node")
+    check(all(where[a] == where[b] for (a, b), incs in fi.pairs.items()
+              if incs and a in where and b in where),
+          "contact between distinct pieces")
+    check(all(nodes), "empty recursion node")
     buckets: Dict[int, List[FrozenSet[int]]] = {}
     for node in nodes:
         buckets.setdefault(_bucket_index(len(node), M), []).append(node)
-    _check(all(sum(map(len, group)) == len(set().union(*group))
-               for group in buckets.values()),
-           "same-bucket subsets share a curve")
+    check(all(sum(map(len, group)) == len(set().union(*group))
+              for group in buckets.values()),
+          "same-bucket subsets share a curve")
 
     surviving = sum(1 for (a, b) in fi.touching_pairs()
                     if a in where and b in where)
-    _check(surviving == sum(1 for (a, b) in fi.touching_pairs()
-                            if a not in sep and b not in sep),
-           "surviving touchings miscounted")
+    check(surviving == sum(1 for (a, b) in fi.touching_pairs()
+                           if a not in sep and b not in sep),
+          "surviving touchings miscounted")
     per_level = tuple(level_sizes[k] for k in sorted(level_sizes))
     return DecompositionReport(d, M, C_const, frozenset(sep), tuple(pieces),
                                surviving, T, per_level)

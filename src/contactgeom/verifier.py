@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import ConstructionError, PreconditionError
+from .errors import ConstructionError, PreconditionError, check
 from .geometry import Curve, CurveFamily, Point, midpoint, segment_intersection
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import (FamilyIncidences, compute_incidences,
@@ -54,8 +54,8 @@ def rich_poor_partition(family: CurveFamily,
     poor = frozenset(cid for cid, k in per_arc.items() if k < threshold)
     T_poor = sum(1 for a, b in touching if a in poor or b in poor)
     T_rich = T - T_poor
-    assert T_poor + T_rich == T
-    assert 1000 * T_poor <= T, "poor arcs carry too many touchings"
+    check(T_poor + T_rich == T, "rich and poor touchings do not sum to T")
+    check(1000 * T_poor <= T, "poor arcs carry too many touchings")
     return RichPoorReport(threshold=threshold, poor_arcs=poor,
                           T_poor=T_poor, T_rich=T_rich)
 
@@ -73,21 +73,23 @@ class GroundPairSample:
     t_prime: int
 
 
+def _touching_neighbours(touching: Set[Tuple[int, int]], g: int,
+                         other: int) -> frozenset:
+    """Curves other than `other` that touch g."""
+    return frozenset(b if a == g else a for a, b in touching
+                     if g in (a, b)) - {other}
+
+
 class _PairContext:
-    """Per-ground-pair data reused across coin assignments."""
+    """Per-ground-pair data reused across coin assignments; `touching` is
+    the caller's set(fi.touching_pairs()), built once per call."""
 
     def __init__(self, family: CurveFamily, fi: FamilyIncidences,
-                 g1: int, g2: int):
+                 touching: Set[Tuple[int, int]], g1: int, g2: int):
         self.family = family
         self.g1, self.g2 = g1, g2
-        touching = set(fi.touching_pairs())
-
-        def touches(c: int, g: int) -> bool:
-            return tuple(sorted((c, g))) in touching
-
-        others = [c.id for c in family if c.id not in (g1, g2)]
-        self.A_prime = frozenset(c for c in others if touches(c, g1))
-        self.B_prime = frozenset(c for c in others if touches(c, g2))
+        self.A_prime = _touching_neighbours(touching, g1, g2)
+        self.B_prime = _touching_neighbours(touching, g2, g1)
         self.shared = tuple(sorted(self.A_prime & self.B_prime))
         self.t_prime_pairs = tuple(
             pair for pair in touching
@@ -133,10 +135,13 @@ class _PairContext:
             X_shared=frozenset(self.shared), delta=delta,
             t_star=len(star), t_star_in_delta=in_delta,
             t_prime=len(self.t_prime_pairs))
-        assert not (sample.A & sample.B)
-        assert sample.A <= self.A_prime and sample.B <= self.B_prime
-        assert sample.A | sample.B == self.A_prime | self.B_prime
-        assert sample.t_star_in_delta <= sample.t_prime
+        check(not (sample.A & sample.B), "A and B share an arc")
+        check(sample.A <= self.A_prime and sample.B <= self.B_prime,
+              "A or B holds an arc touching neither ground curve")
+        check(sample.A | sample.B == self.A_prime | self.B_prime,
+              "A and B miss an arc touching a ground curve")
+        check(sample.t_star_in_delta <= sample.t_prime,
+              "more touchings in delta than in T'")
         return sample
 
 
@@ -151,7 +156,7 @@ def sample_ground_pair(family: CurveFamily, seed: int,
     g1, g2 = pairs[rng.randrange(len(pairs))]
     if fi is None:
         fi = compute_incidences(family)
-    ctx = _PairContext(family, fi, g1, g2)
+    ctx = _PairContext(family, fi, set(fi.touching_pairs()), g1, g2)
     to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
     return ctx.resolve(to_A)
 
@@ -173,12 +178,13 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
     if family.n < 2:
         raise PreconditionError("need at least two curves")
     fi = compute_incidences(family)
+    touching = set(fi.touching_pairs())
     ids = sorted(c.id for c in family)
     pair_stars: List[Fraction] = []
     pair_deltas: List[Fraction] = []
     pair_primes: List[Fraction] = []
     for g1, g2 in combinations(ids, 2):
-        ctx = _PairContext(family, fi, g1, g2)
+        ctx = _PairContext(family, fi, touching, g1, g2)
         stars = 0
         deltas = 0
         s = len(ctx.shared)
@@ -198,13 +204,16 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
         mean_t_prime=sum(pair_primes) / k)
 
 
-def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
+def monte_carlo_ground(family: CurveFamily, trials: int, seed: int,
+                       fi: Optional[FamilyIncidences] = None) -> dict:
     """Repeated random draws, summarized for the JSON report."""
     if family.n < 2:
         raise PreconditionError("need at least two curves")
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    fi = compute_incidences(family)
+    if fi is None:
+        fi = compute_incidences(family)
+    touching = set(fi.touching_pairs())
     ids = sorted(c.id for c in family)
     pairs = list(combinations(ids, 2))
     ctxs: Dict[Tuple[int, int], _PairContext] = {}
@@ -214,7 +223,7 @@ def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
     for _ in range(trials):
         g = pairs[rng.randrange(len(pairs))]
         if g not in ctxs:
-            ctxs[g] = _PairContext(family, fi, g[0], g[1])
+            ctxs[g] = _PairContext(family, fi, touching, g[0], g[1])
         ctx = ctxs[g]
         to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
         sample = ctx.resolve(to_A)
@@ -411,7 +420,7 @@ def circular_signature(F: int, lambda1: Sequence[SubArc], lam: SubArc,
     """Cyclic list of the face-boundary edges carrying lam's touchings, in
     walk order, rotated to start at the least label."""
     ctx = context if context is not None else FaceContext(lambda1, F)
-    assert ctx.face == F
+    check(ctx.face == F, f"context is for face {ctx.face}, not {F}")
     seq, _, _ = _signature_keyed(ctx, lam)
     return CircularSignature(arc=lam.geometry.id, sequence=seq)
 
@@ -699,16 +708,16 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
         real = (lam1.geometry.contains_point(p)
                 and lam2.geometry.contains_point(p))
         if not real:
-            assert (piece_has_imag(i1, imag1, closed1.n_segments)
-                    or piece_has_imag(i2, imag2, closed2.n_segments)), \
-                "non-real charge on fully real pieces"
+            check(piece_has_imag(i1, imag1, closed1.n_segments)
+                  or piece_has_imag(i2, imag2, closed2.n_segments),
+                  "non-real charge on fully real pieces")
         charges.append((lbl, p, real))
 
-    assert len({p for _, p, _ in charges}) == L, "a point was charged twice"
+    check(len({p for _, p, _ in charges}) == L, "a point was charged twice")
     real_count = sum(1 for _, _, r in charges if r)
     imaginary_count = L - real_count
-    assert imaginary_count <= 4, f"{imaginary_count} imaginary charges"
-    assert real_count >= L - 4
+    check(imaginary_count <= 4, f"{imaginary_count} imaginary charges")
+    check(real_count >= L - 4, f"{real_count} real charges of {L}")
     return ChargeReport(sequence=seq, alt_edges=tuple(alt_edges),
                         hat_edges=tuple(hat_edges), charges=tuple(charges),
                         real_count=real_count,

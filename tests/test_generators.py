@@ -2,6 +2,7 @@
 
 import pytest
 
+from contactgeom import generators
 from contactgeom.errors import GenerationError
 from contactgeom.familyio import dumps_family
 from contactgeom.generators import KINDS, GeneratorSpec, generate
@@ -22,6 +23,20 @@ def test_every_kind_respects_the_model(kind):
     assert rep.ok, (kind, rep.violations)
     ids = [c.id for c in fam.curves]
     assert len(set(ids)) == n
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generate_validates_each_family_once(kind, monkeypatch):
+    calls = []
+
+    def counted(family):
+        calls.append(family)
+        return validate_general_position(family)
+
+    monkeypatch.setattr(generators, "validate_general_position", counted)
+    n = 6 if kind == "PerturbedPencil" else 10
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=3))
+    assert len(calls) == 1 and calls[0] is fam
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,9 +3,13 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from contactgeom import incidence
 from contactgeom.errors import DegeneracyError
-from contactgeom.geometry import Curve, CurveFamily, pt
-from contactgeom.generators import GeneratorSpec, generate
+from contactgeom.geometry import Curve, CurveFamily, Point, pt
+from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom.incidence import (compute_incidences, curve_pair_incidences,
                                    is_touching_pair,
                                    validate_general_position)
@@ -113,12 +117,56 @@ def test_family_incidences_totals():
 ])
 def test_generated_families_match_reference(kind, n, seed):
     fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
-    fi = compute_incidences(fam)
-    table = oracles.family_contacts(fam)
-    got = {}
-    for (i, j), incs in fi.pairs.items():
-        got[(i, j)] = sorted(((x.point.x, x.point.y), x.kind) for x in incs)
-    assert got == table
+    assert contact_table(fam) == oracles.family_contacts(fam)
+
+
+def contact_table(fam):
+    """compute_incidences in the shape of oracles.family_contacts."""
+    return {pair: sorted(((x.point.x, x.point.y), x.kind) for x in incs)
+            for pair, incs in compute_incidences(fam).pairs.items()}
+
+
+# lattice offsets: zero keeps a circle on the tangency lattice
+_OFFSETS = (0, 0, 0, F(1, 5), F(8, 7), F(1, 2), F(-1, 3), F(2, 3))
+
+
+@st.composite
+def rational_circle_families(draw):
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3),
+                  st.sampled_from(_OFFSETS), st.sampled_from(_OFFSETS)),
+        min_size=2, max_size=7,
+        unique_by=lambda c: (2 * c[0] + c[2], 2 * c[1] + c[3])))
+    resolution = draw(st.sampled_from((8, 12)))
+    curves = tuple(
+        Curve(id=k + 1, closed=True, points=rational_circle(
+            Point(F(2 * a + u), F(2 * b + v)), resolution))
+        for k, (a, b, u, v) in enumerate(cells))
+    return CurveFamily(curves=curves, m=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rational_circle_families())
+def test_random_circle_families_match_reference(fam):
+    assume(validate_general_position(fam).ok)
+    assert contact_table(fam) == oracles.family_contacts(fam)
+
+
+def boxes_from(corner_and_size):
+    return [(x, y, x + w, y + h) for x, y, w, h in corner_and_size]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(0, 3), st.integers(0, 3)),
+                max_size=12).map(boxes_from))
+# zero size, a shared edge, corner-only contact, equal left edges
+@example([(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 2, 2), (1, -1, 3, 0),
+          (-2, -2, -1, 0), (1, 0, 1, 3)])
+def test_meeting_pairs_are_the_pairs_whose_boxes_meet(boxes):
+    want = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
+            if incidence._boxes_meet(boxes[i], boxes[j])]
+    assert incidence._meeting_pairs(boxes) == want
 
 
 def test_validate_general_position_accepts_generated():

@@ -1,7 +1,5 @@
 """Degree reduction, planar separators, and the recursive decomposition."""
 
-import ast
-import inspect
 from fractions import Fraction
 
 import pytest
@@ -82,12 +80,6 @@ def test_reduce_degree_post_check_raises_invariant_error(monkeypatch):
     with pytest.raises(InvariantError, match="changed the stats"):
         reduce_degree(grid9())
     assert len(calls) == 2
-
-
-def test_separator_module_has_no_assert():
-    # advertised invariants must survive python -O as InvariantError
-    tree = ast.parse(inspect.getsource(separator))
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 # ----------------------------------------------------------- planar graphs

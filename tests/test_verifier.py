@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactgeom import verifier
 from contactgeom.arrangement import build_mixed_arrangement
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
@@ -202,6 +203,18 @@ def test_monte_carlo_agrees_with_exhaustive_bounds():
     assert 0 <= mc["t_star_in_delta"]["mean"] <= mc["t_star"]["mean"] + 1e-9
     again = monte_carlo_ground(fam, trials=64, seed=3)
     assert mc == again
+
+
+def test_monte_carlo_reuses_the_given_catalogue(monkeypatch):
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=9, m=1, seed=0))
+    fi = compute_incidences(fam)
+    fresh = monte_carlo_ground(fam, trials=64, seed=3)
+
+    def recompute(family):
+        raise AssertionError("catalogue computed again")
+
+    monkeypatch.setattr(verifier, "compute_incidences", recompute)
+    assert monte_carlo_ground(fam, trials=64, seed=3, fi=fi) == fresh
 
 
 def test_rich_poor_partition_thresholds():
