@@ -12,13 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DegeneracyError, OnCurveError, PreconditionError, check
-from .geometry import (Curve, CurveFamily, Point, midpoint, on_segment,
-                       pseudo_angle_key, signed_area2, winding_parity)
+from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
+                       coordinate_scale, lift, lift_point, on_polyline,
+                       on_segment, signed_area2, winding_parity)
 from .incidence import (FamilyIncidences, compute_incidences,
                         curve_pair_incidences, mixed_contacts)
+
+# the unbounded face's id in every Arrangement
+UNBOUNDED_FACE = 0
 
 
 def chain_point(c: Curve, s: Fraction) -> Point:
@@ -29,7 +34,11 @@ def chain_point(c: Curve, s: Fraction) -> Point:
     elif s == n:
         return c.points[-1]
     k = int(s)
-    return c.point_at(k, s - k)
+    a, b = c.segment(k)
+    if s == k:  # a vertex, typed as a + 0 * (b - a) would be
+        return Point(Fraction(a.x), Fraction(a.y))
+    t = s - k
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 def chain_param(g: Sequence[Point], p: Point) -> Optional[Fraction]:
@@ -83,7 +92,7 @@ def split_curve_at(c: Curve, params: Sequence[Fraction]) -> List[Tuple[Fraction,
 class ArrVertex:
     id: int
     point: Point
-    out: Tuple[int, ...]  # outgoing half-edge ids, CCW by exact pseudo-angle
+    out: Tuple[int, ...]  # outgoing half-edge ids, CCW by exact angle (angle_cmp)
 
 
 @dataclass
@@ -108,17 +117,24 @@ class Face:
 
 
 class Arrangement:
-    """Immutable after construction; all queries are read-only."""
+    """Immutable after construction; all queries are read-only.
+
+    Point location runs on the integer view: every curve and face cycle
+    lifted onto the grid of step 1/scale, where each vertex is a lattice
+    point.
+    """
 
     def __init__(self, curves, vertices, half_edges, faces, components,
-                 cycle_polygons):
+                 scale, curve_pts, cycle_polygons):
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self.vertices: List[ArrVertex] = vertices
         self.half_edges: List[HalfEdge] = half_edges
         self.faces: List[Face] = faces
-        self.unbounded_face_id = 0
+        self.unbounded_face_id = UNBOUNDED_FACE
         self.components = components
-        self._cycle_polygons: Dict[Tuple[int, ...], Tuple[Point, ...]] = cycle_polygons
+        self.scale: int = scale
+        self._curve_pts: List[List[Tuple[int, int]]] = curve_pts
+        self._cycle_polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = cycle_polygons
 
     @property
     def V(self) -> int:
@@ -132,23 +148,11 @@ class Arrangement:
     def F(self) -> int:
         return len(self.faces)
 
-    def euler_defect(self) -> int:
-        """V - E + F - (1 + C); zero on every well-formed arrangement."""
-        return self.V - self.E + self.F - (1 + self.components)
-
-    def cycle_polygon(self, cycle: Tuple[int, ...]) -> Tuple[Point, ...]:
-        return self._cycle_polygons[cycle]
-
-    def face(self, fid: int) -> Face:
-        return self.faces[fid]
-
 
 def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
     curves = tuple(curves)
-    by_id = {c.id: c for c in curves}
 
     # chain parameters carrying a vertex, per curve
-    params: Dict[int, List[Fraction]] = {}
     param_points: Dict[int, Dict[Fraction, Point]] = {}
     for c in curves:
         got: Dict[Fraction, Point] = {}
@@ -159,56 +163,63 @@ def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
             got.setdefault(Fraction(c.n_segments), c.points[-1])
         elif not got:
             got[Fraction(0)] = c.points[0]  # anchor for a free-floating loop
-        params[c.id] = sorted(got)
         param_points[c.id] = got
 
-    # vertex table, ordered by point for determinism
-    all_points = sorted({p for pts in param_points.values() for p in pts.values()},
-                        key=lambda p: (p.x, p.y))
-    vid_of: Dict[Point, int] = {p: i for i, p in enumerate(all_points)}
+    # the integer view: a grid fine enough that every curve vertex and every
+    # arrangement vertex is a lattice point
+    scale = lcm(coordinate_scale(curves),
+                *(v.denominator for got in param_points.values()
+                  for p in got.values() for v in (p.x, p.y)))
+    curve_pts = [lift(c.points, scale) for c in curves]
+
+    # vertex table, ordered by point for determinism; the first point object
+    # seen at a place stands for it
+    at: Dict[Tuple[int, int], Point] = {}
+    vkey: Dict[int, Dict[Fraction, Tuple[int, int]]] = {}
+    for cid, got in param_points.items():
+        keys = lift(got.values(), scale)
+        vkey[cid] = dict(zip(got, keys))
+        for key, p in zip(keys, got.values()):
+            at.setdefault(key, p)
+    grid = sorted(at)
+    vid_of: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(grid)}
 
     half_edges: List[HalfEdge] = []
-    for c in curves:
-        ps = params[c.id]
-        if c.closed:
-            pairs = [(ps[i], ps[i + 1] if i + 1 < len(ps) else ps[0] + c.n_segments)
-                     for i in range(len(ps))]
-        else:
-            pairs = [(ps[i], ps[i + 1]) for i in range(len(ps) - 1)]
-        for s0, s1 in pairs:
+    igeo: List[List[Tuple[int, int]]] = []  # integer geometry per half-edge
+    for c, ipts in zip(curves, curve_pts):
+        keys = vkey[c.id]
+        for s0, s1 in split_curve_at(c, list(keys)):
             geom = curve_portion(c, s0, s1)
-            a = vid_of[param_points[c.id][s0]]
-            b_param = s1 - c.n_segments if (c.closed and s1 >= c.n_segments and
-                                            s1 - c.n_segments in param_points[c.id]) else s1
-            b = vid_of[param_points[c.id][b_param]]
+            # a closed curve's last piece ends past the seam
+            ka, kb = keys[s0], keys[s1 % c.n_segments if c.closed else s1]
+            a, b = vid_of[ka], vid_of[kb]
             hf = HalfEdge(id=len(half_edges), origin=a, target=b,
                           twin=len(half_edges) + 1, curve=c.id, geometry=geom)
             hb = HalfEdge(id=len(half_edges) + 1, origin=b, target=a,
                           twin=len(half_edges), curve=c.id,
                           geometry=tuple(reversed(geom)))
             half_edges.extend([hf, hb])
+            # the vertices of c strictly between s0 and s1, as curve_portion
+            ig = [ka] + [ipts[k % len(ipts)] for k in range(int(s0) + 1, ceil(s1))] + [kb]
+            igeo.extend([ig, ig[::-1]])
 
     # rotation order at each vertex
-    out_at: Dict[int, List[int]] = {i: [] for i in range(len(all_points))}
+    out_at: Dict[int, List[int]] = {i: [] for i in range(len(grid))}
     for h in half_edges:
         out_at[h.origin].append(h.id)
     vertices: List[ArrVertex] = []
-    for vid, p in enumerate(all_points):
-        hs = out_at[vid]
-
-        def angle(hid):
-            g = half_edges[hid].geometry
-            return pseudo_angle_key(g[1].x - g[0].x, g[1].y - g[0].y)
-
-        keys = {}
-        for hid in hs:
-            k = angle(hid)
-            if k in keys:
+    for vid, key in enumerate(grid):
+        p = at[key]
+        x, y = key
+        dirs = sorted((((igeo[hid][1][0] - x, igeo[hid][1][1] - y), hid)
+                       for hid in out_at[vid]),
+                      key=lambda item: angle_key(item[0]))
+        for k in range(1, len(dirs)):
+            if angle_cmp(dirs[k - 1][0], dirs[k][0]) == 0:
                 raise DegeneracyError(
                     f"coincident edge directions at vertex {p}")
-            keys[hid] = k
-        hs_sorted = tuple(sorted(hs, key=lambda hid: keys[hid]))
-        vertices.append(ArrVertex(id=vid, point=p, out=hs_sorted))
+        vertices.append(ArrVertex(id=vid, point=p,
+                                  out=tuple(hid for _, hid in dirs)))
 
     # next pointers: continue the face-on-left walk
     for h in half_edges:
@@ -230,27 +241,26 @@ def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
             cur = half_edges[cur].next
         cycles.append(tuple(cyc))
 
-    polygons: Dict[Tuple[int, ...], Tuple[Point, ...]] = {}
-    areas: Dict[Tuple[int, ...], Fraction] = {}
+    polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+    areas: Dict[Tuple[int, ...], int] = {}
     for cyc in cycles:
-        poly: List[Point] = []
+        poly: List[Tuple[int, int]] = []
         for hid in cyc:
-            poly.extend(half_edges[hid].geometry[:-1])
-        polygons[cyc] = tuple(poly)
+            poly.extend(igeo[hid][:-1])
+        polygons[cyc] = poly
         areas[cyc] = signed_area2(poly)
 
     outers = [cyc for cyc in cycles if areas[cyc] > 0]
     inners = [cyc for cyc in cycles if areas[cyc] <= 0]
 
-    def probe(cyc) -> Point:
-        poly = polygons[cyc]
-        return midpoint(poly[0], poly[1 % len(poly)])
-
-    # attach every inner cycle to the smallest outer cycle strictly around it
+    # attach every inner cycle to the smallest outer cycle strictly around
+    # the midpoint of its first edge
     holes_of: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {o: [] for o in outers}
     orphan: List[Tuple[int, ...]] = []
     for cyc in inners:
-        q = probe(cyc)
+        poly = polygons[cyc]
+        (ax, ay), (bx, by) = poly[0], poly[1 % len(poly)]
+        q = (ax + bx, ay + by, 2)
         best = None
         for o in outers:
             if winding_parity(q, polygons[o]):
@@ -261,31 +271,31 @@ def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
         else:
             holes_of[best].append(cyc)
 
-    def interior_point(o, holes) -> Point:
-        g = half_edges[o[0]].geometry
-        a, b = g[0], g[1]
-        mid = midpoint(a, b)
-        nx, ny = a.y - b.y, b.x - a.x  # left normal, where the face lies
-        eps = Fraction(1, 2)
-        for _ in range(256):
-            q = Point(mid.x + eps * nx, mid.y + eps * ny)
-            if (not any(c.contains_point(q) for c in curves)
-                    and winding_parity(q, polygons[o])
-                    and not any(winding_parity(q, polygons[h]) for h in holes)):
-                return q
-            eps /= 2
-        raise AssertionError("interior probe did not converge")
-
     faces: List[Face] = []
     orphan.sort(key=min)
-    faces.append(Face(id=0, cycles=tuple(orphan), outer_index=None, depth=0))
+    faces.append(Face(id=UNBOUNDED_FACE, cycles=tuple(orphan), outer_index=None,
+                      depth=0))
     for o in sorted(outers, key=min):
         holes = sorted(holes_of[o], key=min)
-        q = interior_point(o, holes)
+        # interior probe: the midpoint of the first edge pushed along its left
+        # normal, where the face lies, by 2^-k of the normal for k = 1, 2, ...
+        (ax, ay), (bx, by) = igeo[o[0]][0], igeo[o[0]][1]
+        for k in range(1, 257):
+            q = (((ax + bx) << (k - 1)) + ay - by, ((ay + by) << (k - 1)) + bx - ax,
+                 1 << k)
+            if (not any(on_polyline(q, pts, c.closed)
+                        for c, pts in zip(curves, curve_pts))
+                    and winding_parity(q, polygons[o])
+                    and not any(winding_parity(q, polygons[h]) for h in holes)):
+                break
+        else:
+            raise AssertionError("interior probe did not converge")
         depth = 1 + sum(1 for o2 in outers
                         if o2 is not o and winding_parity(q, polygons[o2]))
+        d = q[2] * scale
         faces.append(Face(id=len(faces), cycles=(o,) + tuple(holes),
-                          outer_index=0, depth=depth, interior=q))
+                          outer_index=0, depth=depth,
+                          interior=Point(Fraction(q[0], d), Fraction(q[1], d))))
 
     for f in faces:
         for cyc in f.cycles:
@@ -301,16 +311,13 @@ def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
             x = root[x]
         return x
 
-    owners_at: Dict[Point, List[int]] = {}
-    for cid, got in param_points.items():
-        for p in got.values():
-            owners_at.setdefault(p, []).append(cid)
-    for ids in owners_at.values():
-        for other in ids[1:]:
-            root[find(ids[0])] = find(other)
+    for v in vertices:  # the curves through a vertex are joined there
+        for hid in v.out[1:]:
+            root[find(half_edges[v.out[0]].curve)] = find(half_edges[hid].curve)
     components = len({find(c.id) for c in curves})
 
-    return Arrangement(curves, vertices, half_edges, faces, components, polygons)
+    return Arrangement(curves, vertices, half_edges, faces, components,
+                       scale, curve_pts, polygons)
 
 
 def build_arrangement(family: CurveFamily) -> Arrangement:
@@ -324,10 +331,18 @@ def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
     return _assemble(curves, mixed_contacts(curves))
 
 
-def pair_arrangement(family: CurveFamily, i: int, j: int) -> Arrangement:
+def pair_arrangement(family: CurveFamily, i: int, j: int,
+                     fi: Optional[FamilyIncidences] = None) -> Arrangement:
+    """Arrangement of curves i and j of the family. `fi`, the family's
+    contact catalogue, spares running the engine on the pair; only its
+    contacts between i and j are read."""
     a, b = family.curve(i), family.curve(j)
-    sub = CurveFamily(curves=(a, b), m=family.m)
-    return _assemble(sub.curves, compute_incidences(sub))
+    if fi is None:
+        return _assemble((a, b), compute_incidences(
+            CurveFamily(curves=(a, b), m=family.m)))
+    incs = fi.between(i, j)
+    return _assemble((a, b), FamilyIncidences(
+        m=fi.m, curve_ids=(i, j), pairs={(i, j): incs} if incs else {}))
 
 
 def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
@@ -343,17 +358,19 @@ def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
 
 def locate_cell(arr: Arrangement, p: Point) -> int:
     """Face id containing p; OnCurveError when p lies on a curve."""
-    for c in arr.curves:
-        if c.contains_point(p):
+    q = lift_point(p, arr.scale)
+    for c, pts in zip(arr.curves, arr._curve_pts):
+        if on_polyline(q, pts, c.closed):
             raise OnCurveError(f"point {p} lies on curve {c.id}")
+    polygons = arr._cycle_polygons
     hit = None
     for f in arr.faces:
         if f.outer_index is None:
             continue
         outer = f.cycles[f.outer_index]
-        if not winding_parity(p, arr.cycle_polygon(outer)):
+        if not winding_parity(q, polygons[outer]):
             continue
-        if any(winding_parity(p, arr.cycle_polygon(cyc))
+        if any(winding_parity(q, polygons[cyc])
                for k, cyc in enumerate(f.cycles) if k != f.outer_index):
             continue
         check(hit is None, "point claimed by two faces")
@@ -383,10 +400,6 @@ class SubArc:
     endpoint_kinds: Tuple[str, ...]
     cut_points: Tuple[Point, ...]
     interval: Tuple[Fraction, Fraction]
-
-    @property
-    def free_end_count(self) -> int:
-        return sum(1 for k in self.endpoint_kinds if k == "free")
 
 
 def split_arcs_by_pair(family: CurveFamily, i: int, j: int,

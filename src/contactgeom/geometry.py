@@ -1,19 +1,20 @@
 """Exact planar primitives: rational points, polyline curves, predicates.
 
-All coordinates are ``fractions.Fraction``; every predicate below is decided
-by integer sign computations, never by floating point.
+Coordinates are ints or ``fractions.Fraction``s; floats are rejected. A
+curve set is lifted once onto one integer grid (``coordinate_scale`` and
+``lift``), and the predicates that take integer pairs run there, so every
+sign is decided by integer arithmetic, never by floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ValidationError
-
-Frac = Fraction
 
 
 def frac(value) -> Fraction:
@@ -32,11 +33,10 @@ class Point:
     x: Fraction
     y: Fraction
 
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+    def __post_init__(self):
+        for v in (self.x, self.y):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"exact coordinate required, got {type(v).__name__}")
 
 
 def pt(x, y) -> Point:
@@ -62,16 +62,6 @@ def orientation(o: Point, a: Point, b: Point) -> int:
     return 0
 
 
-def exact_orientation(p: Point, q: Point, r: Point) -> str:
-    """'left', 'right', or 'collinear' for the turn p -> q -> r."""
-    s = orientation(p, q, r)
-    if s > 0:
-        return "left"
-    if s < 0:
-        return "right"
-    return "collinear"
-
-
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """True when p lies on the closed segment ab (collinearity included)."""
     if orientation(a, b, p) != 0:
@@ -80,26 +70,31 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
 
-def pseudo_angle_key(dx: Fraction, dy: Fraction) -> Tuple[int, Fraction]:
-    """Total order on directions matching counterclockwise angle from +x.
-
-    Exact: the key is (quadrant index, monotone rational within quadrant).
-    Two directions compare equal iff they are positive multiples of each
-    other.
-    """
-    if dx == 0 and dy == 0:
-        raise ValueError("zero direction has no angle")
+def _quadrant(d) -> int:
+    dx, dy = d
     if dx > 0 and dy >= 0:
-        return (0, dy / dx)
+        return 0
     if dx <= 0 and dy > 0:
-        return (1, -dx / dy)
+        return 1
     if dx < 0 and dy <= 0:
-        return (2, dy / dx)
-    return (3, -dx / dy)
+        return 2
+    return 3
 
 
-def direction_key(a: Point, b: Point) -> Tuple[int, Fraction]:
-    return pseudo_angle_key(b.x - a.x, b.y - a.y)
+def angle_cmp(u, v) -> int:
+    """Compare integer directions u and v by counterclockwise angle from +x.
+
+    Exact: quadrants first, then the sign of one cross product. Two
+    directions compare equal iff they are positive multiples of each other.
+    """
+    qu, qv = _quadrant(u), _quadrant(v)
+    if qu != qv:
+        return -1 if qu < qv else 1
+    c = u[0] * v[1] - u[1] * v[0]
+    return -1 if c > 0 else (1 if c < 0 else 0)
+
+
+angle_key = cmp_to_key(angle_cmp)
 
 
 def _between(p, u, v) -> bool:
@@ -223,12 +218,11 @@ class Curve:
                 raise ValidationError(f"curve {self.id}: zero-length segment at {i}")
         # Collinear triples are canonicalization errors: the middle vertex
         # carries no geometry and breaks vertex-degree reasoning.
+        ip = lift(pts, lcm(*(v.denominator for p in pts for v in (p.x, p.y))))
         limit = n if self.closed else n - 2
         for i in range(limit):
-            a = pts[i]
-            b = pts[(i + 1) % n]
-            c = pts[(i + 2) % n]
-            if orientation(a, b, c) == 0:
+            (ax, ay), (bx, by), (cx, cy) = ip[i], ip[(i + 1) % n], ip[(i + 2) % n]
+            if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
                 raise ValidationError(
                     f"curve {self.id}: collinear vertex triple at {i}")
 
@@ -254,18 +248,6 @@ class Curve:
         if self.closed:
             return ()
         return (self.points[0], self.points[-1])
-
-    def point_at(self, seg: int, t: Fraction) -> Point:
-        a, b = self.segment(seg)
-        return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-
-    def contains_point(self, p: Point) -> bool:
-        return any(on_segment(p, a, b) for _, a, b in self.segments())
-
-    def bbox(self):
-        xs = [p.x for p in self.points]
-        ys = [p.y for p in self.points]
-        return (min(xs), min(ys), max(xs), max(ys))
 
     def reversed(self) -> "Curve":
         return Curve(self.id, tuple(reversed(self.points)), self.closed)
@@ -306,36 +288,65 @@ def coordinate_scale(curves: Sequence[Curve]) -> int:
                  for v in (p.x, p.y)))
 
 
-def winding_parity(p: Point, polygon: Sequence[Point]) -> bool:
-    """Exact even-odd test: True when p is strictly inside the closed
-    polygon (vertex list without repeated first point).
+def lift(points: Iterable[Point], scale: int) -> List[Tuple[int, int]]:
+    """The points as integer pairs on the grid of step 1/scale; scale must
+    clear every denominator (see coordinate_scale)."""
+    return [(p.x.numerator * (scale // p.x.denominator),
+             p.y.numerator * (scale // p.y.denominator)) for p in points]
 
-    Raises OnCurveError via caller convention: here, a boundary hit simply
-    returns False; callers that must distinguish use contains_point first.
+
+def lift_point(p: Point, scale: int) -> Tuple[int, int, int]:
+    """Any rational point on the grid of step 1/scale, as (X, Y, D) with
+    D > 0: the lifted point is (X / D, Y / D)."""
+    d = lcm(p.x.denominator, p.y.denominator)
+    return (*lift((p,), scale * d)[0], d)
+
+
+def on_polyline(p: Tuple[int, int, int], pts: Sequence[Tuple[int, int]],
+                closed: bool) -> bool:
+    """Does the lifted point p = (X, Y, D) lie on the integer polyline pts
+    (with its closing segment when closed)?"""
+    X, Y, D = p
+    ax, ay = pts[-1] if closed else pts[0]
+    for k in range(0 if closed else 1, len(pts)):
+        bx, by = pts[k]
+        if ((ax * D <= X <= bx * D or bx * D <= X <= ax * D)
+                and (ay * D <= Y <= by * D or by * D <= Y <= ay * D)
+                and (bx - ax) * (Y - ay * D) == (by - ay) * (X - ax * D)):
+            return True
+        ax, ay = bx, by
+    return False
+
+
+def winding_parity(p: Tuple[int, int, int],
+                   polygon: Sequence[Tuple[int, int]]) -> bool:
+    """Exact even-odd test: True when the lifted point p = (X, Y, D) is
+    strictly inside the closed integer polygon (vertex list without repeated
+    first point). A point on the boundary gives False; callers that must
+    tell the two apart test on_polyline first.
     """
-    n = len(polygon)
+    if on_polyline(p, polygon, True):
+        return False
+    X, Y, D = p
     inside = False
-    for i in range(n):
-        a = polygon[i]
-        b = polygon[(i + 1) % n]
-        if on_segment(p, a, b):
-            return False
+    ax, ay = polygon[-1]
+    for bx, by in polygon:
         # Count crossings of the rightward ray from p. The edge meets height
-        # p.y at xcross = a.x + (p.y - a.y) * (b.x - a.x) / dy; the test
-        # xcross > p.x is multiplied through by dy * dy > 0, so no division.
-        if (a.y > p.y) != (b.y > p.y):
-            dy = b.y - a.y
-            if ((p.y - a.y) * (b.x - a.x) - (p.x - a.x) * dy) * dy > 0:
+        # Y/D at xcross = ax + (Y/D - ay) * (bx - ax) / dy; the test
+        # xcross > X/D is multiplied through by D * dy * dy > 0.
+        if (ay * D > Y) != (by * D > Y):
+            dy = by - ay
+            if ((Y - ay * D) * (bx - ax) - (X - ax * D) * dy) * dy > 0:
                 inside = not inside
+        ax, ay = bx, by
     return inside
 
 
-def signed_area2(polygon: Sequence[Point]) -> Fraction:
-    """Twice the signed area of the closed polygon (CCW positive)."""
-    total = Fraction(0)
-    n = len(polygon)
-    for i in range(n):
-        a = polygon[i]
-        b = polygon[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
+def signed_area2(polygon: Sequence[Tuple[int, int]]) -> int:
+    """Twice the signed area of the closed integer polygon (CCW positive)."""
+    total = 0
+    ax, ay = polygon[-1]
+    for bx, by in polygon:
+        total += ax * by - bx * ay
+        ax, ay = bx, by
     return total

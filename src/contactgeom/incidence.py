@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, EndpointError, ValidationError
-from .geometry import (Curve, CurveFamily, Point, coordinate_scale,
-                       pseudo_angle_key, seg_events)
+from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
+                       coordinate_scale, lift, seg_events)
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,6 @@ class Incidence:
     s_a: Fraction
     s_b: Fraction
     pattern: Optional[str] = None
-
-    @property
-    def pair(self) -> Tuple[int, int]:
-        return (self.a, self.b)
 
     def s_on(self, cid: int) -> Fraction:
         if cid == self.a:
@@ -81,16 +79,6 @@ class ValidationReport:
         return tuple(sorted({v.kind for v in self.violations}))
 
 
-VIOLATION_KINDS = (
-    "self_intersection",
-    "overlap",
-    "degenerate_contact",
-    "endpoint_contact",
-    "triple_point",
-    "intersection_budget",
-)
-
-
 class _ScaledCurve:
     """Integer-coordinate view of a curve plus lookup tables."""
 
@@ -98,14 +86,7 @@ class _ScaledCurve:
 
     def __init__(self, curve: Curve, scale: int):
         self.curve = curve
-        pts = []
-        for p in curve.points:
-            x = p.x * scale
-            y = p.y * scale
-            if x.denominator != 1 or y.denominator != 1:
-                raise ValueError("scale does not clear coordinate denominators")
-            pts.append((x.numerator, y.numerator))
-        self.pts = pts
+        self.pts = pts = lift(curve.points, scale)
         self.closed = curve.closed
         self.nseg = curve.n_segments
         vmap: Dict[Tuple[int, int], int] = {}
@@ -133,20 +114,12 @@ class _ScaledCurve:
         """Outgoing integer directions at vertex k (1 for open endpoints,
         2 for interior vertices)."""
         pts = self.pts
-        n = len(pts)
-        vx, vy = pts[k]
-        out = []
         if self.closed:
-            nbrs = [pts[(k + 1) % n], pts[(k - 1) % n]]
-        else:
-            nbrs = []
-            if k + 1 < n:
-                nbrs.append(pts[k + 1])
-            if k - 1 >= 0:
-                nbrs.append(pts[k - 1])
-        for nx, ny in nbrs:
-            out.append((nx - vx, ny - vy))
-        return out
+            nbrs = [pts[(k + 1) % len(pts)], pts[k - 1]]
+        else:  # at k = 0, pts[k - 1:k] is empty
+            nbrs = pts[k + 1:k + 2] + pts[k - 1:k]
+        vx, vy = pts[k]
+        return [(nx - vx, ny - vy) for nx, ny in nbrs]
 
 
 def _locate_on(sc: _ScaledCurve, seg_index: int, p) -> Fraction:
@@ -185,14 +158,25 @@ def _meeting_pairs(boxes) -> List[Tuple[int, int]]:
     return out
 
 
+def _crossing_key(seg, t: Fraction) -> Tuple[int, int, int]:
+    """Grid point at parameter t on the integer segment seg, as a reduced
+    (X, Y, D) with D > 0: the point is (X / D, Y / D)."""
+    (ax, ay), (bx, by) = seg
+    n, d = t.numerator, t.denominator
+    x, y = ax * d + n * (bx - ax), ay * d + n * (by - ay)
+    g = gcd(x, y, d)
+    return (x // g, y // g, d // g)
+
+
 def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
     """All meeting points of two scaled curves, grouped by point.
 
-    Returns (events, overlaps): events maps a scaled Fraction point to
-    {"proper": count, "sa": set of chain params, "sb": set}, and overlaps
-    lists collinear shared pieces as (lo, hi) integer pairs.
+    Returns (events, overlaps): events maps a grid point key (X, Y, D), see
+    _crossing_key, to {"proper": count, "sa": set of chain params, "sb":
+    set}, and overlaps lists collinear shared pieces as (lo, hi) integer
+    pairs.
     """
-    events: Dict[Tuple[Fraction, Fraction], dict] = {}
+    events: Dict[Tuple[int, int, int], dict] = {}
     overlaps: List[tuple] = []
     for i in range(sa.nseg):
         ib = sa.segbox[i]
@@ -205,27 +189,26 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
             tag = res[0]
             if tag == "none":
                 continue
+            if tag == "overlap":
+                overlaps.append((res[1], res[2]))
+                continue
             if tag == "proper":
                 t, u = res[1], res[2]
-                (ax, ay), (bx, by) = sa.seg(i)
-                key = (ax + t * (bx - ax), ay + t * (by - ay))
-                ev = events.setdefault(key, {"proper": 0, "sa": set(), "sb": set()})
-                ev["proper"] += 1
-                ev["sa"].add(i + t)
-                ev["sb"].add(j + u)
-            elif tag == "touch":
-                p = res[1]
-                key = (Fraction(p[0]), Fraction(p[1]))
-                ev = events.setdefault(key, {"proper": 0, "sa": set(), "sb": set()})
-                ev["sa"].add(_locate_on(sa, i, p))
-                ev["sb"].add(_locate_on(sb, j, p))
+                key, s_a, s_b = _crossing_key(sa.seg(i), t), i + t, j + u
             else:
-                overlaps.append((res[1], res[2]))
+                p = res[1]
+                key, s_a, s_b = (p[0], p[1], 1), _locate_on(sa, i, p), _locate_on(sb, j, p)
+            ev = events.setdefault(key, {"proper": 0, "sa": set(), "sb": set()})
+            ev["proper"] += tag == "proper"
+            ev["sa"].add(s_a)
+            ev["sb"].add(s_b)
     return events, overlaps
 
 
 def _unscale(key, scale: int) -> Point:
-    return Point(key[0] / scale, key[1] / scale)
+    """The Fraction point of a grid key (X, Y, D) on the grid of 1/scale."""
+    d = key[2] * scale
+    return Point(Fraction(key[0], d), Fraction(key[1], d))
 
 
 def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
@@ -238,12 +221,11 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
 
     for lo, hi in overlaps:
         violations.append(Violation(
-            "overlap", (ida, idb), _unscale((Fraction(lo[0]), Fraction(lo[1])), scale),
+            "overlap", (ida, idb), _unscale((lo[0], lo[1], 1), scale),
             "curves share a collinear piece"))
 
-    for key in sorted(events):
+    for point, key in sorted((_unscale(key, scale), key) for key in events):
         ev = events[key]
-        point = _unscale(key, scale)
         if len(ev["sa"]) > 1 or len(ev["sb"]) > 1:
             violations.append(Violation(
                 "degenerate_contact", (ida, idb), point,
@@ -292,17 +274,15 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
                     "arc endpoint meets another curve at a vertex"))
             continue
 
-        dirs = ([(d, "A") for d in sa.vertex_directions(ka)]
-                + [(d, "B") for d in sb.vertex_directions(kb)])
-        keyed = [(pseudo_angle_key(Fraction(dx), Fraction(dy)), owner)
-                 for (dx, dy), owner in dirs]
-        if len({k for k, _ in keyed}) != 4:
+        dirs = sorted([(d, "A") for d in sa.vertex_directions(ka)]
+                      + [(d, "B") for d in sb.vertex_directions(kb)],
+                      key=lambda item: angle_key(item[0]))
+        if any(angle_cmp(dirs[k - 1][0], dirs[k][0]) == 0 for k in range(1, 4)):
             violations.append(Violation(
                 "overlap", (ida, idb), point,
                 "parallel germs at a shared vertex"))
             continue
-        keyed.sort()
-        owners = "".join(owner for _, owner in keyed)
+        owners = "".join(owner for _, owner in dirs)
         alternating = owners in ("ABAB", "BABA")
         incidences.append(Incidence(
             "crossing" if alternating else "tangency",
@@ -324,11 +304,9 @@ def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
             if tag == "none":
                 continue
             if tag == "proper":
-                t = res[1]
-                (ax, ay), (bx, by) = sc.seg(i)
-                pkey = (ax + t * (bx - ax), ay + t * (by - ay))
+                pkey = _crossing_key(sc.seg(i), res[1])
             else:
-                pkey = (Fraction(res[1][0]), Fraction(res[1][1]))
+                pkey = (res[1][0], res[1][1], 1)
             viols.append(Violation(
                 "self_intersection", (cid,), _unscale(pkey, scale),
                 f"segments {i} and {j} meet"))
@@ -344,7 +322,7 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
         violations.extend(_self_violations(sc, scale))
 
     pairs: Dict[Tuple[int, int], Tuple[Incidence, ...]] = {}
-    point_owners: Dict[Tuple[Fraction, Fraction], set] = {}
+    point_owners: Dict[Tuple[int, int, int], set] = {}
     for i, j in _meeting_pairs([sc.box for sc in scaled]):
         sa, sb = scaled[i], scaled[j]
         events, overlaps = _pair_events(sa, sb)
@@ -361,12 +339,12 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
                 (sa.curve.id, sb.curve.id), incs[0].point,
                 f"{len(incs)} contacts exceed budget {m}"))
 
-    for key in sorted(point_owners):
-        owners = point_owners[key]
-        if len(owners) >= 3:
-            violations.append(Violation(
-                "triple_point", tuple(sorted(owners)), _unscale(key, scale),
-                "three or more curves through one point"))
+    triples = sorted((_unscale(key, scale), tuple(sorted(owners)))
+                     for key, owners in point_owners.items() if len(owners) >= 3)
+    for point, owners in triples:
+        violations.append(Violation(
+            "triple_point", owners, point,
+            "three or more curves through one point"))
     return pairs, violations
 
 
@@ -434,15 +412,21 @@ class FamilyIncidences:
             out.extend(self.pairs[pair])
         return tuple(out)
 
-    def on_curve(self, cid: int) -> Tuple[Incidence, ...]:
-        """Contacts involving cid, ordered by chain parameter along cid."""
-        out = [inc for incs in self.pairs.values() for inc in incs
-               if cid in (inc.a, inc.b)]
-        out.sort(key=lambda inc: (inc.s_on(cid), inc.other(cid)))
-        return tuple(out)
+    @cached_property
+    def _by_curve(self) -> Dict[int, Tuple[Incidence, ...]]:
+        lists: Dict[int, List[Incidence]] = {}
+        for incs in self.pairs.values():
+            for inc in incs:
+                for cid in (inc.a, inc.b):
+                    lists.setdefault(cid, []).append(inc)
+        return {cid: tuple(sorted(out, key=lambda inc: (inc.s_on(cid),
+                                                        inc.other(cid))))
+                for cid, out in lists.items()}
 
-    def crossing_degree(self, cid: int) -> int:
-        return sum(1 for inc in self.on_curve(cid) if inc.kind == "crossing")
+    def on_curve(self, cid: int) -> Tuple[Incidence, ...]:
+        """Contacts involving cid, ordered by chain parameter along cid;
+        the per-curve lists are built once per catalogue."""
+        return self._by_curve.get(cid, ())
 
     def between(self, a: int, b: int) -> Tuple[Incidence, ...]:
         key = (a, b) if (a, b) in self.pairs else (b, a)

@@ -22,9 +22,10 @@ from .geometry import Curve, CurveFamily, Point, midpoint, segment_intersection
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import (FamilyIncidences, compute_incidences,
                         curve_pair_incidences, is_touching_pair)
-from .arrangement import (Arrangement, SubArc, boundary_edge_cycle,
-                          build_mixed_arrangement, chain_param, curve_portion,
-                          locate_cell, pair_arrangement, split_arcs_by_pair)
+from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
+                          boundary_edge_cycle, build_mixed_arrangement,
+                          chain_param, curve_portion, locate_cell,
+                          pair_arrangement, split_arcs_by_pair)
 
 
 # ---------------------------------------------------------------- sampling
@@ -73,42 +74,48 @@ class GroundPairSample:
     t_prime: int
 
 
-def _touching_neighbours(touching: Set[Tuple[int, int]], g: int,
-                         other: int) -> frozenset:
-    """Curves other than `other` that touch g."""
-    return frozenset(b if a == g else a for a, b in touching
-                     if g in (a, b)) - {other}
+def _ground_pairs(family: CurveFamily, fi: Optional[FamilyIncidences]):
+    """(catalogue, touching adjacency, candidate ground pairs) of a family:
+    the adjacency maps a curve id to the ids it touches, and the catalogue
+    is computed when fi is None."""
+    if family.n < 2:
+        raise PreconditionError("need at least two curves")
+    if fi is None:
+        fi = compute_incidences(family)
+    touching: Dict[int, Set[int]] = {}
+    for a, b in fi.touching_pairs():
+        touching.setdefault(a, set()).add(b)
+        touching.setdefault(b, set()).add(a)
+    return fi, touching, list(combinations(sorted(c.id for c in family), 2))
 
 
 class _PairContext:
     """Per-ground-pair data reused across coin assignments; `touching` is
-    the caller's set(fi.touching_pairs()), built once per call."""
+    the adjacency from _ground_pairs, built once per call. The pair
+    arrangement is built only when a touching of T* has to be located."""
 
     def __init__(self, family: CurveFamily, fi: FamilyIncidences,
-                 touching: Set[Tuple[int, int]], g1: int, g2: int):
-        self.family = family
+                 touching: Dict[int, Set[int]], g1: int, g2: int):
+        self.family, self.fi = family, fi
         self.g1, self.g2 = g1, g2
-        self.A_prime = _touching_neighbours(touching, g1, g2)
-        self.B_prime = _touching_neighbours(touching, g2, g1)
-        self.shared = tuple(sorted(self.A_prime & self.B_prime))
+        A = self.A_prime = frozenset(touching.get(g1, ())) - {g2}
+        B = self.B_prime = frozenset(touching.get(g2, ())) - {g1}
+        self.shared = tuple(sorted(A & B))
         self.t_prime_pairs = tuple(
-            pair for pair in touching
-            if ((pair[0] in self.A_prime and pair[1] in self.B_prime)
-                or (pair[0] in self.B_prime and pair[1] in self.A_prime)))
+            (a, b) for a in sorted(A | B) for b in sorted(touching[a])
+            if a < b and ((a in A and b in B) or (a in B and b in A)))
         self._touch_point = {pair: fi.between(*pair)[0].point
                              for pair in self.t_prime_pairs}
         self._arr: Optional[Arrangement] = None
         self._face_of: Dict[Point, int] = {}
 
-    def arrangement(self) -> Arrangement:
-        if self._arr is None:
-            self._arr = pair_arrangement(self.family, self.g1, self.g2)
-        return self._arr
-
     def face_of_touch(self, pair: Tuple[int, int]) -> int:
         p = self._touch_point[pair]
         if p not in self._face_of:
-            self._face_of[p] = locate_cell(self.arrangement(), p)
+            if self._arr is None:
+                self._arr = pair_arrangement(self.family, self.g1, self.g2,
+                                             self.fi)
+            self._face_of[p] = locate_cell(self._arr, p)
         return self._face_of[p]
 
     def resolve(self, to_A: Set[int]) -> GroundPairSample:
@@ -128,7 +135,7 @@ class _PairContext:
             delta = min(f for f, k in counts.items() if k == best)
             in_delta = best
         else:
-            delta = self.arrangement().unbounded_face_id
+            delta = UNBOUNDED_FACE
             in_delta = 0
         sample = GroundPairSample(
             gamma1=self.g1, gamma2=self.g2, A=A, B=B,
@@ -148,15 +155,10 @@ class _PairContext:
 def sample_ground_pair(family: CurveFamily, seed: int,
                        fi: Optional[FamilyIncidences] = None) -> GroundPairSample:
     """One random draw: uniform pair, fair coin per doubly-touching arc."""
-    if family.n < 2:
-        raise PreconditionError("need at least two curves to sample a pair")
+    fi, touching, pairs = _ground_pairs(family, fi)
     rng = random.Random(seed)
-    ids = sorted(c.id for c in family)
-    pairs = list(combinations(ids, 2))
     g1, g2 = pairs[rng.randrange(len(pairs))]
-    if fi is None:
-        fi = compute_incidences(family)
-    ctx = _PairContext(family, fi, set(fi.touching_pairs()), g1, g2)
+    ctx = _PairContext(family, fi, touching, g1, g2)
     to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
     return ctx.resolve(to_A)
 
@@ -175,15 +177,11 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
     Each pair contributes the average over its 2^s coin assignments, then
     pairs are averaged uniformly, matching the two-stage random draw.
     """
-    if family.n < 2:
-        raise PreconditionError("need at least two curves")
-    fi = compute_incidences(family)
-    touching = set(fi.touching_pairs())
-    ids = sorted(c.id for c in family)
+    fi, touching, pairs = _ground_pairs(family, None)
     pair_stars: List[Fraction] = []
     pair_deltas: List[Fraction] = []
     pair_primes: List[Fraction] = []
-    for g1, g2 in combinations(ids, 2):
+    for g1, g2 in pairs:
         ctx = _PairContext(family, fi, touching, g1, g2)
         stars = 0
         deltas = 0
@@ -207,15 +205,9 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
 def monte_carlo_ground(family: CurveFamily, trials: int, seed: int,
                        fi: Optional[FamilyIncidences] = None) -> dict:
     """Repeated random draws, summarized for the JSON report."""
-    if family.n < 2:
-        raise PreconditionError("need at least two curves")
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    if fi is None:
-        fi = compute_incidences(family)
-    touching = set(fi.touching_pairs())
-    ids = sorted(c.id for c in family)
-    pairs = list(combinations(ids, 2))
+    fi, touching, pairs = _ground_pairs(family, fi)
     ctxs: Dict[Tuple[int, int], _PairContext] = {}
     rng = random.Random(seed)
     seen: Dict[str, List[int]] = {"t_star": [], "t_star_in_delta": [],
@@ -705,8 +697,8 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
                 f"edge {lbl}: piece {k1} of arc {lam1.geometry.id} misses "
                 f"piece {k2} of arc {lam2.geometry.id}")
         p = pts[0]
-        real = (lam1.geometry.contains_point(p)
-                and lam2.geometry.contains_point(p))
+        real = (chain_param(_polyline(lam1.geometry), p) is not None
+                and chain_param(_polyline(lam2.geometry), p) is not None)
         if not real:
             check(piece_has_imag(i1, imag1, closed1.n_segments)
                   or piece_has_imag(i2, imag2, closed2.n_segments),

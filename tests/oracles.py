@@ -396,3 +396,242 @@ def planar_separator(g):
             best = (key, cand, tuple(comps))
     _, sep, comps = best
     return sep, comps, len(sep) / math.sqrt(nv)
+
+
+# ------------------------------------------------------------ arrangement
+
+def _orient(o, a, b):
+    c = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    return (c > 0) - (c < 0)
+
+
+def on_segment(p, a, b):
+    """p on the closed segment ab, in Fraction arithmetic."""
+    return (_orient(a, b, p) == 0
+            and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def winding_parity(p, polygon):
+    """Even-odd test on Fraction points: True strictly inside, False on the
+    boundary or outside."""
+    n = len(polygon)
+    inside = False
+    for i in range(n):
+        a, b = polygon[i], polygon[(i + 1) % n]
+        if on_segment(p, a, b):
+            return False
+        if (a.y > p.y) != (b.y > p.y):
+            dy = b.y - a.y
+            if ((p.y - a.y) * (b.x - a.x) - (p.x - a.x) * dy) * dy > 0:
+                inside = not inside
+    return inside
+
+
+def _area2(polygon):
+    n = len(polygon)
+    return sum((polygon[i].x * polygon[(i + 1) % n].y
+                - polygon[(i + 1) % n].x * polygon[i].y
+                for i in range(n)), F(0))
+
+
+def _angle_key(dx, dy):
+    if dx > 0 and dy >= 0:
+        return (0, F(dy) / dx)
+    if dx <= 0 and dy > 0:
+        return (1, F(-dx) / dy)
+    if dx < 0 and dy <= 0:
+        return (2, F(dy) / dx)
+    return (3, F(-dx) / dy)
+
+
+def _mid(a, b):
+    return Point(F(a.x + b.x, 2), F(a.y + b.y, 2))
+
+
+def _chain_point(c, s):
+    n = c.n_segments
+    if c.closed:
+        s = s % n
+    elif s == n:
+        return c.points[-1]
+    k = int(s)
+    a, b = c.segment(k)
+    t = s - k
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def _portion(c, s0, s1):
+    pts = [_chain_point(c, s0)]
+    k = int(s0) + 1
+    while k < s1:
+        pts.append(c.points[k % len(c.points)])
+        k += 1
+    pts.append(_chain_point(c, s1))
+    return tuple(pts)
+
+
+def _on_curve(c, p):
+    return any(on_segment(p, a, b) for _, a, b in c.segments())
+
+
+class ArrangementRef:
+    """The arrangement of `curves` whose contacts are the catalogue `fi`,
+    assembled in Fraction arithmetic as the package did before its integer
+    view: vertices (points and CCW rotation of half-edge ids), half-edges
+    (origin, target, curve, geometry), and faces (cycles, outer cycle,
+    depth, interior point), with the same ids and orders as
+    `arrangement._assemble`."""
+
+    def __init__(self, curves, fi):
+        self.curves = curves = tuple(curves)
+        got_of = {}
+        for c in curves:
+            got = {}
+            for inc in fi.on_curve(c.id):
+                got[inc.s_on(c.id)] = inc.point
+            if not c.closed:
+                got.setdefault(F(0), c.points[0])
+                got.setdefault(F(c.n_segments), c.points[-1])
+            elif not got:
+                got[F(0)] = c.points[0]
+            got_of[c.id] = got
+        self.points = sorted({p for got in got_of.values()
+                              for p in got.values()}, key=lambda p: (p.x, p.y))
+        vid = {p: i for i, p in enumerate(self.points)}
+        edges = []  # (origin, target, curve, geometry)
+        for c in curves:
+            got = got_of[c.id]
+            ps = sorted(got)
+            n = c.n_segments
+            if c.closed:
+                spans = [(ps[i], ps[i + 1] if i + 1 < len(ps) else ps[0] + n)
+                         for i in range(len(ps))]
+            else:
+                spans = list(zip(ps, ps[1:]))
+            for s0, s1 in spans:
+                geom = _portion(c, s0, s1)
+                end = s1 - n if c.closed and s1 - n in got else s1
+                a, b = vid[got[s0]], vid[got[end]]
+                edges.append((a, b, c.id, geom))
+                edges.append((b, a, c.id, tuple(reversed(geom))))
+        self.edges = edges
+        out = [[] for _ in self.points]
+        for h, (a, _, _, _) in enumerate(edges):
+            out[a].append(h)
+
+        def angle(h):
+            g = edges[h][3]
+            return _angle_key(g[1].x - g[0].x, g[1].y - g[0].y)
+
+        self.rotation = [tuple(sorted(hs, key=angle)) for hs in out]
+        nxt = []
+        for h, (_, b, _, _) in enumerate(edges):
+            rot = self.rotation[b]
+            nxt.append(rot[rot.index(h ^ 1) - 1])
+        cycles, seen = [], [False] * len(edges)
+        for h in range(len(edges)):
+            cyc = []
+            while not seen[h]:
+                seen[h] = True
+                cyc.append(h)
+                h = nxt[h]
+            if cyc:
+                cycles.append(tuple(cyc))
+        poly = {cyc: tuple(p for h in cyc for p in edges[h][3][:-1])
+                for cyc in cycles}
+        self.polygons = poly
+        area = {cyc: _area2(poly[cyc]) for cyc in cycles}
+        outers = [cyc for cyc in cycles if area[cyc] > 0]
+        holes = {o: [] for o in outers}
+        orphan = []
+        for cyc in cycles:
+            if area[cyc] > 0:
+                continue
+            q = _mid(poly[cyc][0], poly[cyc][1 % len(poly[cyc])])
+            best = None
+            for o in outers:
+                if winding_parity(q, poly[o]) and (
+                        best is None or area[o] < area[best]):
+                    best = o
+            (orphan if best is None else holes[best]).append(cyc)
+        self.faces = [(tuple(sorted(orphan, key=min)), None, 0, None)]
+        for o in sorted(outers, key=min):
+            hs = sorted(holes[o], key=min)
+            g = edges[o[0]][3]
+            m = _mid(g[0], g[1])
+            nx, ny = g[0].y - g[1].y, g[1].x - g[0].x
+            eps = F(1, 2)
+            while True:
+                q = Point(m.x + eps * nx, m.y + eps * ny)
+                if (not any(_on_curve(c, q) for c in curves)
+                        and winding_parity(q, poly[o])
+                        and not any(winding_parity(q, poly[h]) for h in hs)):
+                    break
+                eps /= 2
+            depth = 1 + sum(1 for o2 in outers
+                            if o2 is not o and winding_parity(q, poly[o2]))
+            self.faces.append(((o,) + tuple(hs), 0, depth, q))
+
+    def locate(self, p):
+        """Face id containing p, or None when p lies on a curve."""
+        if any(_on_curve(c, p) for c in self.curves):
+            return None
+        for fid, (cycles, outer, _, _) in enumerate(self.faces):
+            if outer is None:
+                continue
+            if winding_parity(p, self.polygons[cycles[0]]) and not any(
+                    winding_parity(p, self.polygons[h]) for h in cycles[1:]):
+                return fid
+        return 0
+
+
+# ------------------------------------------------------ ground-pair samples
+
+def monte_carlo_ground(family, trials, seed):
+    """The sampling report of `verifier.monte_carlo_ground`, drawn with the
+    same random stream but computed eagerly: the touching set is scanned
+    for A', B' and T' on every draw, and every drawn ground pair's
+    arrangement is built, so delta defaults to its unbounded face."""
+    import random
+    from itertools import combinations
+
+    from contactgeom.arrangement import locate_cell, pair_arrangement
+    from contactgeom.incidence import compute_incidences
+
+    fi = compute_incidences(family)
+    touching = fi.touching_pairs()
+    pairs = list(combinations(sorted(c.id for c in family), 2))
+    rng = random.Random(seed)
+    seen = {"t_star": [], "t_star_in_delta": [], "t_prime": []}
+    for _ in range(trials):
+        g1, g2 = pairs[rng.randrange(len(pairs))]
+        arr = pair_arrangement(family, g1, g2)
+        nbrs = {g: {b if a == g else a for a, b in touching if g in (a, b)}
+                for g in (g1, g2)}
+        a_prime, b_prime = nbrs[g1] - {g2}, nbrs[g2] - {g1}
+        shared = sorted(a_prime & b_prime)
+        to_a = {c for c in shared if rng.randrange(2) == 0}
+        side_a = (a_prime - b_prime) | to_a
+        side_b = (b_prime - a_prime) | (set(shared) - to_a)
+        t_prime = [(a, b) for a, b in touching
+                   if (a in a_prime and b in b_prime)
+                   or (a in b_prime and b in a_prime)]
+        counts = {}
+        star = 0
+        for a, b in t_prime:
+            if (a in side_a and b in side_b) or (a in side_b and b in side_a):
+                star += 1
+                f = locate_cell(arr, fi.between(a, b)[0].point)
+                counts[f] = counts.get(f, 0) + 1
+        seen["t_star"].append(star)
+        seen["t_star_in_delta"].append(max(counts.values(), default=0))
+        seen["t_prime"].append(len(t_prime))
+
+    def stat(xs):
+        mean = F(sum(xs), len(xs))
+        return {"mean": float(mean), "mean_exact": str(mean),
+                "min": min(xs), "max": max(xs)}
+
+    return {"seed": seed, "trials": trials,
+            **{name: stat(xs) for name, xs in seen.items()}}

@@ -4,15 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from contactgeom.arrangement import (boundary_edge_cycle, build_arrangement,
+from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
+                                     boundary_edge_cycle, build_arrangement,
                                      build_mixed_arrangement, cells_of_pair,
                                      chain_param, chain_point, curve_portion,
                                      locate_cell, pair_arrangement,
                                      split_arcs_by_pair, split_curve_at)
-from contactgeom.errors import OnCurveError
+from contactgeom.errors import ContactGeomError, OnCurveError
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
-from contactgeom.generators import GeneratorSpec, generate
+from contactgeom.generators import GeneratorSpec, generate, rational_circle
+from contactgeom.incidence import compute_incidences, mixed_contacts
 
 import oracles
 
@@ -178,3 +182,95 @@ def test_split_arcs_by_pair_on_chain():
         assert sa.endpoint_kinds == ()
     # sub-arc ids are renumbered densely
     assert sorted(sa.geometry.id for sa in subs) == list(range(len(subs)))
+
+
+# ------------------------------------------ integer view against Fractions
+
+_COORDS = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5)))
+_POINTS = st.builds(Point, _COORDS, _COORDS)
+
+
+@st.composite
+def rational_curve_sets(draw):
+    """Two to four curves: rational circles, open polylines and closed
+    triangles or quadrilaterals, with ids in a drawn order."""
+    curves = []
+    for cid in draw(st.permutations(range(1, draw(st.integers(2, 4)) + 1))):
+        shape = draw(st.sampled_from(("circle", "arc", "polygon")))
+        try:
+            if shape == "circle":
+                c = draw(_POINTS)
+                r = draw(st.sampled_from((F(1, 2), 2, 7)))
+                pts = rational_circle(Point(0, 0), draw(st.sampled_from((4, 8))))
+                curves.append(Curve(cid, tuple(Point(c.x + r * p.x, c.y + r * p.y)
+                                               for p in pts), closed=True))
+            else:
+                size = (2, 5) if shape == "arc" else (3, 4)
+                pts = draw(st.lists(_POINTS, min_size=size[0],
+                                    max_size=size[1], unique=True))
+                curves.append(Curve(cid, tuple(pts), closed=shape != "arc"))
+        except ContactGeomError:
+            assume(False)
+    return curves
+
+
+def _probes(curves):
+    """Raster cell centres, and some vertices and segment midpoints of each
+    curve."""
+    out = [p for p, _ in oracles.Raster(curves, k=12).probes(40)]
+    for c in curves:
+        for _, a, b in list(c.segments())[:3]:
+            out.extend((a, Point(F(a.x + b.x, 2), F(a.y + b.y, 2))))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(rational_curve_sets())
+def test_assemble_matches_fraction_reference(curves):
+    try:
+        fi = mixed_contacts(curves)
+    except ContactGeomError:
+        assume(False)
+    try:
+        arr = _assemble(curves, fi)
+    except ContactGeomError:
+        with pytest.raises(ContactGeomError):
+            oracles.ArrangementRef(curves, fi)
+        return
+    ref = oracles.ArrangementRef(curves, fi)
+    assert [v.point for v in arr.vertices] == ref.points
+    assert [v.out for v in arr.vertices] == ref.rotation
+    assert [(h.origin, h.target, h.curve, h.geometry)
+            for h in arr.half_edges] == ref.edges
+    assert [(f.cycles, f.outer_index, f.depth, f.interior)
+            for f in arr.faces] == ref.faces
+    assert arr.unbounded_face_id == UNBOUNDED_FACE
+    for p in _probes(curves):
+        try:
+            got = locate_cell(arr, p)
+        except OnCurveError:
+            got = None
+        assert got == ref.locate(p), p
+
+
+def test_pair_arrangement_reads_the_given_catalogue(monkeypatch):
+    from contactgeom import arrangement
+
+    fam = generate(GeneratorSpec(kind="RandomCircles", n=7, m=2, seed=3))
+    fi = compute_incidences(fam)
+    ids = sorted(c.id for c in fam)
+    pairs = [(i, j) for i in ids for j in ids if i != j]
+    built = {pair: pair_arrangement(fam, *pair) for pair in pairs}
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran again")
+
+    monkeypatch.setattr(arrangement, "compute_incidences", no_engine)
+    for pair in pairs:
+        got, want = pair_arrangement(fam, *pair, fi), built[pair]
+        assert [v.point for v in got.vertices] == [v.point for v in want.vertices]
+        assert [v.out for v in got.vertices] == [v.out for v in want.vertices]
+        assert [(f.cycles, f.depth, f.interior) for f in got.faces] == [
+            (f.cycles, f.depth, f.interior) for f in want.faces]

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from contactgeom.geometry import (Curve, Point, coordinate_scale, cross,
-                                  direction_key, exact_orientation, frac,
-                                  midpoint, on_segment, orientation,
-                                  point_segment_position, pseudo_angle_key,
-                                  pt, segment_intersection, signed_area2,
+from contactgeom.errors import ValidationError
+from contactgeom.geometry import (Curve, Point, angle_cmp, angle_key,
+                                  coordinate_scale, cross, frac, lift,
+                                  lift_point, midpoint, on_polyline,
+                                  on_segment, orientation,
+                                  point_segment_position, pt,
+                                  segment_intersection, signed_area2,
                                   winding_parity)
 
 import oracles
@@ -22,9 +24,6 @@ def test_orientation_signs():
     assert orientation(o, a, pt(2, 1)) == 1
     assert orientation(o, a, pt(2, -1)) == -1
     assert orientation(o, a, pt(2, 0)) == 0
-    assert exact_orientation(o, a, pt(2, 1)) == "left"
-    assert exact_orientation(o, a, pt(2, -1)) == "right"
-    assert exact_orientation(o, a, pt(2, 0)) == "collinear"
 
 
 def test_cross_dot_midpoint():
@@ -123,47 +122,72 @@ def test_segment_intersection_matches_reference_on_random_grid(dens):
     assert seen == {"none", "proper", "endpoint", "overlap"}
 
 
-def test_pseudo_angle_key_orders_counterclockwise():
-    dirs = [(F(1), F(0)), (F(2), F(1)), (F(1), F(1)), (F(1), F(2)),
-            (F(0), F(1)), (F(-1), F(2)), (F(-1), F(0)), (F(-2), F(-1)),
-            (F(0), F(-1)), (F(1), F(-1))]
-    keys = [pseudo_angle_key(dx, dy) for dx, dy in dirs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-
-
-def test_direction_key_parallel_segments_share_key():
-    assert direction_key(pt(0, 0), pt(2, 2)) == direction_key(pt(5, 1),
-                                                              pt(9, 5))
-    assert direction_key(pt(0, 0), pt(2, 2)) != direction_key(pt(0, 0),
-                                                              pt(2, 3))
+def test_angle_order_is_counterclockwise():
+    dirs = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 0),
+            (-2, -1), (0, -1), (1, -1)]
+    shuffled = dirs[::-1]
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled, key=angle_key) == dirs
+    assert all(angle_cmp(u, v) == -1 for u, v in zip(dirs, dirs[1:]))
+    # positive multiples share an angle, opposite directions do not
+    assert angle_cmp((2, 2), (4, 4)) == 0
+    assert angle_cmp((2, 2), (2, 3)) != 0
+    assert angle_cmp((2, 2), (-2, -2)) != 0
 
 
 def test_signed_area_and_winding():
-    sq = (pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4))
+    sq = ((0, 0), (4, 0), (4, 4), (0, 4))
     assert signed_area2(sq) == 32
     assert signed_area2(tuple(reversed(sq))) == -32
-    assert winding_parity(pt(2, 2), sq)
-    assert not winding_parity(pt(9, 2), sq)
+    assert winding_parity((2, 2, 1), sq)
+    assert not winding_parity((9, 2, 1), sq)
+    assert not winding_parity((4, 2, 1), sq)  # on the boundary
+    assert winding_parity((7, 1, 2), sq)      # (7/2, 1/2)
+    assert not winding_parity((9, 1, 2), sq)  # (9/2, 1/2)
     # concave polygon: notch interior vs pocket
-    notch = (pt(0, 0), pt(6, 0), pt(6, 6), pt(3, 2), pt(0, 6))
-    assert winding_parity(pt(1, 1), notch)
-    assert not winding_parity(pt(3, 5), notch)
+    notch = ((0, 0), (6, 0), (6, 6), (3, 2), (0, 6))
+    assert winding_parity((1, 1, 1), notch)
+    assert not winding_parity((3, 5, 1), notch)
 
 
 def test_winding_parity_is_exact_on_integer_points():
-    # a huge integer triangle probed one unit beside the middle of each edge:
-    # the int inputs must give the verdict of the same inputs as Fractions
+    # a huge integer triangle probed half a unit and one unit beside the
+    # middle of each edge: the verdict must be the Fraction reference's
     rng = random.Random(11)
-    as_fractions = lambda q: Point(F(q.x), F(q.y))
     for _ in range(500):
-        tri = [Point(rng.randrange(2 ** 60), rng.randrange(2 ** 60))
+        tri = [(rng.randrange(2 ** 60), rng.randrange(2 ** 60))
                for _ in range(3)]
-        a, b = tri[0], tri[1]
+        (ax, ay), (bx, by) = tri[0], tri[1]
+        ref_tri = [Point(x, y) for x, y in tri]
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            p = Point((a.x + b.x) // 2 + dx, (a.y + b.y) // 2 + dy)
-            assert winding_parity(p, tri) == winding_parity(
-                as_fractions(p), [as_fractions(q) for q in tri])
+            for d in (1, 2):
+                p = ((ax + bx) // 2 * d + dx, (ay + by) // 2 * d + dy, d)
+                assert winding_parity(p, tri) == oracles.winding_parity(
+                    Point(F(p[0], d), F(p[1], d)), ref_tri)
+
+
+def test_lift_puts_points_on_one_grid():
+    pts = (pt("1/2", "-2/3"), pt(3, "5/7"), pt("-9/14", 0))
+    scale = 42
+    assert lift(pts, scale) == [(21, -28), (126, 30), (-27, 0)]
+    # a point off the grid becomes (X, Y, D) with (X/D, Y/D) = p * scale
+    for p in pts + (pt("1/4", "3/5"), pt(-7, "1/9")):
+        X, Y, D = lift_point(p, scale)
+        assert D > 0 and (F(X, D), F(Y, D)) == (p.x * scale, p.y * scale)
+
+
+def test_on_polyline_matches_on_segment():
+    rng = random.Random(5)
+    pts = [pt(0, 0), pt(4, 1), pt(3, 5), pt(-1, 3)]
+    ip = lift(pts, 1)
+    for _ in range(400):
+        p = pt(F(rng.randrange(-8, 40), 8), F(rng.randrange(-8, 48), 8))
+        q = lift_point(p, 1)
+        for closed in (False, True):
+            n = len(pts) if closed else len(pts) - 1
+            ref = any(on_segment(p, pts[i], pts[(i + 1) % len(pts)])
+                      for i in range(n))
+            assert on_polyline(q, ip, closed) == ref
 
 
 def test_coordinate_scale_clears_denominators():
@@ -195,3 +219,26 @@ def test_curve_rejects_degenerate_input():
     with pytest.raises(Exception):
         # collinear vertex triples are not representable
         Curve(id=1, points=(pt(0, 0), pt(1, 0), pt(2, 0)), closed=False)
+
+
+def test_curve_rejects_collinear_triple_with_mixed_denominators():
+    # on the line y = x / 2; the numerators alone are not collinear
+    a, b, c = pt("1/2", "1/4"), pt("2/3", "1/3"), pt("6/5", "3/5")
+    with pytest.raises(ValidationError, match="collinear vertex triple at 0"):
+        Curve(id=1, points=(a, b, c), closed=False)
+    with pytest.raises(ValidationError, match="collinear vertex triple at 1"):
+        Curve(id=2, points=(pt(0, 1), a, b, c), closed=False)
+    # closed: the triple wraps around the seam
+    with pytest.raises(ValidationError, match="collinear vertex triple at 2"):
+        Curve(id=3, points=(c, pt(0, 1), a, b), closed=True)
+    Curve(id=4, points=(a, b, pt("6/5", "4/5")), closed=False)
+
+
+def test_point_rejects_inexact_coordinates():
+    for x, y in ((1.5, 0), (0, 1.5), (2.0, 1)):
+        with pytest.raises(TypeError):
+            Point(x, y)
+        with pytest.raises(TypeError):
+            Curve(id=1, points=(Point(0, 0), Point(x, y), Point(3, 7)),
+                  closed=True)
+    assert Point(1, F(1, 2)) == pt(1, "1/2")

@@ -120,6 +120,18 @@ def test_generated_families_match_reference(kind, n, seed):
     assert contact_table(fam) == oracles.family_contacts(fam)
 
 
+def test_on_curve_matches_a_scan_of_every_pair():
+    fam = generate(GeneratorSpec(kind="RandomCircles", n=30, m=2, seed=4))
+    fi = compute_incidences(fam)
+    assert fi.X > 30
+    for c in fam:
+        scan = [inc for incs in fi.pairs.values() for inc in incs
+                if c.id in (inc.a, inc.b)]
+        scan.sort(key=lambda inc: (inc.s_on(c.id), inc.other(c.id)))
+        assert fi.on_curve(c.id) == tuple(scan)
+    assert fi.on_curve(max(fi.curve_ids) + 1) == ()
+
+
 def contact_table(fam):
     """compute_incidences in the shape of oracles.family_contacts."""
     return {pair: sorted(((x.point.x, x.point.y), x.kind) for x in incs)
@@ -184,6 +196,18 @@ def test_validate_flags_triple_point():
     rep = validate_general_position(fam)
     assert not rep.ok
     assert any(v.kind == "triple_point" for v in rep.violations)
+
+
+def test_two_passages_through_one_crossing_point_are_one_event():
+    # curve 1 crosses itself at (3, 3), at 1/3 of its first segment and 1/2
+    # of its third; curve 2 passes through that point, so both passages
+    # must land on one grid point key
+    loop = Curve(id=1, points=(pt(0, 0), pt(9, 9), pt(6, 0), pt(0, 6)),
+                 closed=False)
+    line = Curve(id=2, points=(pt(3, -1), pt(3, 8)), closed=False)
+    rep = validate_general_position(CurveFamily(curves=(loop, line), m=5))
+    assert [(v.kind, v.point) for v in rep.violations] == [
+        ("self_intersection", pt(3, 3)), ("degenerate_contact", pt(3, 3))]
 
 
 def test_validate_flags_intersection_budget():

@@ -17,6 +17,7 @@ from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
                                   verify_signature_uniqueness)
 
 import instances
+import oracles
 
 F = Fraction
 
@@ -215,6 +216,32 @@ def test_monte_carlo_reuses_the_given_catalogue(monkeypatch):
 
     monkeypatch.setattr(verifier, "compute_incidences", recompute)
     assert monte_carlo_ground(fam, trials=64, seed=3, fi=fi) == fresh
+
+
+def test_monte_carlo_builds_arrangements_only_to_locate_touchings(
+        monkeypatch):
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=36, m=1, seed=0))
+    built, located = [], set()
+    build, resolve = verifier.pair_arrangement, verifier._PairContext.resolve
+
+    def counting_build(family, i, j, fi=None):
+        built.append((i, j))
+        return build(family, i, j, fi)
+
+    def recording_resolve(ctx, to_A):
+        sample = resolve(ctx, to_A)
+        if sample.t_star:
+            located.add((ctx.g1, ctx.g2))
+        return sample
+
+    monkeypatch.setattr(verifier, "pair_arrangement", counting_build)
+    monkeypatch.setattr(verifier._PairContext, "resolve", recording_resolve)
+    report = monte_carlo_ground(fam, trials=400, seed=11)
+    assert len(built) == len(set(built)) == len(located) > 0
+    assert set(built) == located
+    monkeypatch.undo()
+    assert report == oracles.monte_carlo_ground(fam, 400, 11)
+    assert report["t_star_in_delta"]["max"] > 0
 
 
 def test_rich_poor_partition_thresholds():
