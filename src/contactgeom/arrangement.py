@@ -417,15 +417,14 @@ def split_arcs_by_pair(family: CurveFamily, i: int, j: int,
         if cid in (i, j):
             raise PreconditionError("ground curves cannot be split members")
         c = family.curve(cid)
-        ground = gi if cid in A else gj
+        ground, other = (gi, gj) if cid in A else (gj, gi)
         incs_g = curve_pair_incidences(c, ground)
         if not (len(incs_g) == 1 and incs_g[0].kind == "tangency"):
             raise PreconditionError(
                 f"curve {cid} does not touch its ground curve {ground.id}")
         cuts: Dict[Fraction, Point] = {}
-        for g in (gi, gj):
-            for inc in curve_pair_incidences(c, g):
-                cuts[inc.s_on(cid)] = inc.point
+        for inc in incs_g + curve_pair_incidences(c, other):
+            cuts[inc.s_on(cid)] = inc.point
         for lo, hi in split_curve_at(c, list(cuts)):
             loop = c.closed and hi - lo == c.n_segments
             mid = (lo + hi) / 2

@@ -113,9 +113,9 @@ class SweepRow:
 def _sweep_row(family: CurveFamily) -> SweepRow:
     fi = compute_incidences(family)
     row = check_thm4(family, fi)
-    sep = string_separator(family)
+    sep = string_separator(family, fi)
     try:
-        report = recursive_decompose(reduce_degree(family))
+        report = recursive_decompose(reduce_degree(family, fi))
         pieces: Optional[int] = len(report.pieces)
     except DegenerateError:
         pieces = None

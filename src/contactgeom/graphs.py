@@ -1,9 +1,8 @@
-"""Intersection and contact graphs, biclique search, planarity, KST yardstick."""
+"""Intersection and contact graphs, biclique search, planarity."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -182,43 +181,6 @@ def max_common_neighborhood(g: SimpleGraph, s: int,
     return best[0], best[1]
 
 
-def _integer_kth_root(x: int, k: int) -> int:
-    """floor(x**(1/k)) by binary search; exact integer arithmetic."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x in (0, 1) or k == 1:
-        return x
-    hi = 1 << (x.bit_length() // k + 2)
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** k <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-_KST_SCALE = 10 ** 40
-
-
-def kst_bound(n: int, s: int, t: int, c: Fraction) -> Fraction:
-    """Yardstick c * n^(2 - 1/s), computed to 40 decimal digits.
-
-    Exact whenever n^(2s-1) is a perfect s-th power; otherwise rounded down
-    at the scale. t is part of the contract (the bound's constant depends on
-    it) but does not enter the formula; callers fold it into c.
-    """
-    if n < 1 or s < 1 or t < 1:
-        raise ValueError("n, s, t must be >= 1")
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    radicand = n ** (2 * s - 1) * _KST_SCALE ** s
-    root = _integer_kth_root(radicand, s)
-    return c * Fraction(root, _KST_SCALE)
-
-
 def check_planarity(g: SimpleGraph) -> bool:
     """True iff g is planar. Fast Euler-count rejection, then a certified
     planarity algorithm; the two must agree on the rejection side."""
@@ -232,10 +194,3 @@ def check_planarity(g: SimpleGraph) -> bool:
         check(g.n_edges <= 3 * g.n - 6, "planar graph exceeds 3n - 6 edges")
     return planar
 
-
-def dump_edges(g: SimpleGraph) -> str:
-    """Edge-list export: 'n=<count>' then one 'u v' line per edge, ascending."""
-    lines = [f"n={g.n}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"

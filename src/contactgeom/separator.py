@@ -8,7 +8,7 @@ every remaining piece is smaller than the threshold M = C n^2 d^3 / T^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,8 +27,12 @@ class ReducedFamily(CurveFamily):
     """A family of sub-curves produced by reduce_degree.
 
     parent_of maps each piece id to the id of the curve it was cut from.
+    incidences is the catalogue of the pieces from reduce_degree's
+    post-check, for recursive_decompose; it is left out of eq and repr.
     """
     parent_pairs: Tuple[Tuple[int, int], ...]
+    incidences: Optional[FamilyIncidences] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def parent_of(self) -> Dict[int, int]:
@@ -57,18 +61,21 @@ def _piece_intervals(c: Curve, params: Sequence[Fraction], d: int):
     return out
 
 
-def reduce_degree(family: CurveFamily) -> CurveFamily:
+def reduce_degree(family: CurveFamily,
+                  fi: Optional[FamilyIncidences] = None) -> CurveFamily:
     """Cut every curve into sub-curves carrying at most d = X // n contact
     points each, where X is the family's total contact count.
 
     The cuts land strictly inside contact-free parameter gaps, two per gap at
     the one-third and two-thirds positions, so the pieces of one curve are
     pairwise disjoint and every contact point survives on exactly one piece.
-    Returns the input unchanged when d would be 0.
+    Returns the input unchanged when d would be 0. fi is the family's
+    catalogue, computed when not given.
     """
     if family.n == 0:
         raise PreconditionError("reduce_degree needs at least one curve")
-    fi = compute_incidences(family)
+    if fi is None:
+        fi = compute_incidences(family)
     d = fi.X // family.n
     if d == 0:
         return family
@@ -93,7 +100,7 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
     check({i.point for i in fo.all_incidences()}
           == {i.point for i in fi.all_incidences()},
           "degree reduction moved a contact point")
-    return out
+    return replace(out, incidences=fo)
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,11 @@ def weighted_graph(vertices: Sequence[VertexId],
         if any(x < 0 for x in wmap.values()):
             raise PreconditionError("vertex weights must be nonnegative")
     es = frozenset(tuple(sorted((u, v))) for u, v in edges if u != v)
+    # networkx runs on the positions 0..V-1, so it hashes no label
+    index = {v: k for k, v in enumerate(vs)}
     g = networkx.Graph()
-    g.add_nodes_from(vs)
-    g.add_edges_from(es)
+    g.add_nodes_from(range(len(vs)))
+    g.add_edges_from((index[u], index[v]) for u, v in es)
     planar, _ = networkx.check_planarity(g)
     return WeightedPlanarGraph(vs, tuple(sorted(wmap.items())),
                                es, bool(planar))
@@ -324,8 +333,9 @@ class StringSeparatorResult:
     c_measured: float
 
 
-def _curve_components(family: CurveFamily, fi: FamilyIncidences,
-                      removed: FrozenSet[int]) -> Tuple[FrozenSet[int], ...]:
+def _curve_components(family: CurveFamily, fi: FamilyIncidences):
+    """The components of the family's intersection graph minus a removed
+    curve set, as a function of that set; the adjacency is built once."""
     ids = sorted(c.id for c in family.curves)
     index = {cid: i for i, cid in enumerate(ids)}
     nbrs: List[List[int]] = [[] for _ in ids]
@@ -333,22 +343,29 @@ def _curve_components(family: CurveFamily, fi: FamilyIncidences,
         if incs:
             nbrs[index[a]].append(index[b])
             nbrs[index[b]].append(index[a])
-    comps = _components(nbrs, [index[cid] for cid in removed])[0]
-    return tuple(frozenset(ids[i] for i in c) for c in comps)
+
+    def components(removed=()) -> Tuple[FrozenSet[int], ...]:
+        comps = _components(nbrs, [index[cid] for cid in removed])[0]
+        return tuple(frozenset(ids[i] for i in c) for c in comps)
+    return components
 
 
-def string_separator(family: CurveFamily) -> StringSeparatorResult:
+def string_separator(family: CurveFamily,
+                     fi: Optional[FamilyIncidences] = None,
+                     ) -> StringSeparatorResult:
     """Lift a planar separator of the arrangement graph to a curve set.
 
     Curves weigh 1/n each, spread over their graph vertices; a curve joins
     the separator when any of its vertices does. Disjoint families return an
-    empty separator before any planar machinery runs.
+    empty separator before any planar machinery runs. fi is the family's
+    catalogue, computed when not given.
     """
-    fi = compute_incidences(family)
+    if fi is None:
+        fi = compute_incidences(family)
     n = family.n
+    components = _curve_components(family, fi)
     if fi.X == 0:
-        comps = _curve_components(family, fi, frozenset())
-        return StringSeparatorResult(frozenset(), comps, 0.0)
+        return StringSeparatorResult(frozenset(), components(), 0.0)
     g = arrangement_to_planar_graph(family, fi=fi)
     res = planar_separator(g)
     on_point: Dict[VertexId, List[int]] = {}
@@ -364,11 +381,9 @@ def string_separator(family: CurveFamily) -> StringSeparatorResult:
     # the vertex-level lift can be wasteful (one contact vertex drags in two
     # curves); drop members that the balance guarantee does not need
     for cid in sorted(sep):
-        trial = frozenset(sep - {cid})
-        if all(3 * len(c) <= 2 * n
-               for c in _curve_components(family, fi, trial)):
+        if all(3 * len(c) <= 2 * n for c in components(sep - {cid})):
             sep.discard(cid)
-    comps = _curve_components(family, fi, frozenset(sep))
+    comps = components(sep)
     check(n <= 1 or all(3 * len(c) <= 2 * n for c in comps),
           "lifted separator lost the balance guarantee")
     return StringSeparatorResult(frozenset(sep), comps,
@@ -430,14 +445,13 @@ def recursive_decompose(family: CurveFamily,
     if n == 0:
         raise PreconditionError("decomposition needs at least one curve")
     C_const = Fraction(C_const)
-    fi = compute_incidences(family)
+    fi = getattr(family, "incidences", None) or compute_incidences(family)
     T = fi.T
     d = fi.X // n
     if d == 0:
         # too sparse for the threshold formula: fall back to the connected
         # components of the intersection graph, which nothing can separate
-        pieces = tuple(sorted(_curve_components(family, fi, frozenset()),
-                              key=min))
+        pieces = tuple(sorted(_curve_components(family, fi)(), key=min))
         return DecompositionReport(0, Fraction(0), C_const, frozenset(),
                                    pieces, T, T, ())
     if T == 0:
@@ -459,7 +473,7 @@ def recursive_decompose(family: CurveFamily,
             pieces.append(ids)
             return
         sub = CurveFamily(tuple(by_id[i] for i in sorted(ids)), family.m)
-        res = string_separator(sub)
+        res = string_separator(sub, fi.restrict(sub))
         sep.update(res.separator)
         level_sizes[depth] = level_sizes.get(depth, 0) + len(res.separator)
         for comp in sorted(res.components, key=min):

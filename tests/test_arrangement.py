@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from contactgeom import arrangement
 from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
                                      boundary_edge_cycle, build_arrangement,
                                      build_mixed_arrangement, cells_of_pair,
@@ -182,6 +183,31 @@ def test_split_arcs_by_pair_on_chain():
         assert sa.endpoint_kinds == ()
     # sub-arc ids are renumbered densely
     assert sorted(sa.geometry.id for sa in subs) == list(range(len(subs)))
+
+
+def test_split_arcs_by_pair_runs_the_engine_once_per_member_and_ground(
+        monkeypatch):
+    fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=1))
+    calls = []
+    engine = arrangement.curve_pair_incidences
+    monkeypatch.setattr(arrangement, "curve_pair_incidences",
+                        lambda a, b: calls.append((a.id, b.id)) or engine(a, b))
+    subs = split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, UNBOUNDED_FACE)
+    # one run per member curve and ground curve: 8, where 12 were made
+    assert sorted(calls) == [(c, g) for c in (1, 3, 4, 6) for g in (2, 5)]
+    # each member touches its ground curve once, so each piece is the
+    # whole curve, cut at that touching and rotated to start there
+    want = [(1, 0, pt(1, 0)), (3, 4, pt(3, 0)), (4, 0, pt(7, 0)),
+            (6, 4, pt(9, 0))]
+    assert [(sa.parent, sa.interval, sa.endpoint_kinds, sa.cut_points)
+            for sa in subs] == [(cid, (lo, lo + 8), (), (p,))
+                                for cid, lo, p in want]
+    for sa, (cid, lo, _) in zip(subs, want):
+        pts = fam.curve(cid).points
+        assert sa.geometry.points == pts[lo:] + pts[:lo]
+    arr = pair_arrangement(fam, 2, 5)
+    assert all(split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, cell) == []
+               for cell in range(1, arr.F))
 
 
 # ------------------------------------------ integer view against Fractions

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactgeom import experiments, incidence
 from contactgeom.errors import FitError
 from contactgeom.experiments import (BoundCheckRow, check_thm3, check_thm4,
                                      fit_exponent, run_sweep, sweep_csv,
@@ -121,3 +122,19 @@ def test_summary_reports_fit_failure():
     data = json.loads(sweep_summary("TangentChain", rows))
     assert data["alpha"] is None and data["r2"] is None
     assert "at least three rows" in data["fit_error"]
+
+
+def test_sweep_row_runs_the_engine_once_per_curve_set(monkeypatch):
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=50, m=1, seed=42))
+    want = experiments._sweep_row(fam)
+    seen = []
+    engine = incidence._run_engine
+
+    def counted(curves, *args):
+        seen.append(len(curves))
+        return engine(curves, *args)
+
+    monkeypatch.setattr(incidence, "_run_engine", counted)
+    assert experiments._sweep_row(fam) == want
+    # one run for the input family, one for the degree-reduced family
+    assert len(seen) == 2 and seen[0] == fam.n and seen[1] > fam.n

@@ -1,11 +1,16 @@
 """Round trips and error paths of the family file format."""
 
-import pytest
+from fractions import Fraction
 
-from contactgeom.errors import ParseError
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from contactgeom.errors import ParseError, ValidationError
 from contactgeom.familyio import (dumps_family, loads_family, read_family,
                                   write_family)
 from contactgeom.generators import GeneratorSpec, generate
+from contactgeom.geometry import Curve, CurveFamily, Point
 
 
 def test_roundtrip_preserves_everything():
@@ -23,6 +28,36 @@ def test_roundtrip_open_arcs():
     assert any(not c.closed for c in fam.curves)
     again = loads_family(dumps_family(fam))
     assert [c.closed for c in again.curves] == [c.closed for c in fam.curves]
+
+
+# negative coordinates and mixed denominators, integers among them
+_COORDS = st.builds(Fraction, st.integers(-60, 60),
+                    st.sampled_from((1, 2, 3, 5, 12)))
+
+
+@st.composite
+def families(draw):
+    """Open and closed polylines with distinct ids, in a drawn order."""
+    curves = []
+    for cid in draw(st.lists(st.integers(-3, 10**6), unique=True,
+                             max_size=5)):
+        closed = draw(st.booleans())
+        pts = draw(st.lists(st.builds(Point, _COORDS, _COORDS),
+                            min_size=3 if closed else 2, max_size=6))
+        try:
+            curves.append(Curve(id=cid, points=tuple(pts), closed=closed))
+        except ValidationError:      # a zero-length segment or collinear
+            assume(False)
+    return CurveFamily(tuple(curves), draw(st.integers(1, 50)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(families())
+def test_roundtrip_property(fam):
+    text = dumps_family(fam)
+    again = loads_family(text)
+    assert again == fam
+    assert dumps_family(again) == text
 
 
 def test_file_roundtrip(tmp_path):

@@ -1,18 +1,14 @@
 """Graph layer: contact/intersection graphs, planarity, biclique search."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.graphs import (build_contact_graph,
                                 build_intersection_graph, check_planarity,
-                                dump_edges, family_stats, find_biclique,
-                                graph_from_edges, kst_bound,
-                                max_common_neighborhood)
+                                family_stats, find_biclique,
+                                graph_from_edges, max_common_neighborhood)
 from contactgeom.incidence import compute_incidences
-
-F = Fraction
 
 
 def complete(n):
@@ -39,11 +35,6 @@ def test_simple_graph_accessors():
     assert set(g.neighbors(2)) == {1, 3}
     sub = g.subgraph({1, 2})
     assert sub.n == 2 and sub.n_edges == 1
-
-
-def test_dump_edges_is_sorted_and_stable():
-    g = graph_from_edges([(3, 1), (2, 1)])
-    assert dump_edges(g) == "n=3\n1 2\n1 3\n"
 
 
 def test_planarity_on_known_graphs():
@@ -120,13 +111,3 @@ def test_biclique_budget_exhaustion_is_reported():
     else:
         raise AssertionError("tiny budget should not complete on K14")
 
-
-def test_kst_bound_values_and_growth():
-    assert kst_bound(100, 2, 2, F(1)) == 1000      # 100^(3/2)
-    assert kst_bound(16, 2, 2, F(1)) == 64
-    a = kst_bound(100, 2, 2, F(1))
-    b = kst_bound(400, 2, 2, F(1))
-    assert b == 8 * a                              # n^(3/2) quadruples twice
-    # the exponent 2 - 1/s grows with s
-    assert kst_bound(100, 3, 3, F(1)) > kst_bound(100, 2, 3, F(1))
-    assert kst_bound(50, 2, 2, F(3)) == 3 * kst_bound(50, 2, 2, F(1))

@@ -2,12 +2,14 @@
 
 import pytest
 from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom import incidence
-from contactgeom.errors import DegeneracyError
+from contactgeom.errors import (DegeneracyError, PreconditionError,
+                                ValidationError)
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom.incidence import (compute_incidences, curve_pair_incidences,
@@ -216,3 +218,66 @@ def test_validate_flags_intersection_budget():
     rep = validate_general_position(fam)
     assert not rep.ok
     assert any(v.kind == "intersection_budget" for v in rep.violations)
+
+
+# ------------------------------------------- catalogues of sub-families
+
+_RESTRICT_SPECS = (("UnitCirclesGrid", 12, 2), ("RandomCircles", 10, 2),
+                   ("TangentChain", 7, 1), ("PseudoParabolas", 6, 1),
+                   ("PerturbedPencil", 5, 1))
+
+
+@lru_cache(maxsize=None)
+def _generated(spec):
+    kind, n, m = spec
+    return generate(GeneratorSpec(kind=kind, n=n, m=m, seed=3))
+
+
+def _outcome(fn, family):
+    """The catalogue fn gives, or the type and message of what it raises."""
+    try:
+        return fn(family)
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def families_and_subsets(draw):
+    """A generated family with its curves listed in a drawn order, and a
+    subset of them in another drawn order, with the family's budget or 1."""
+    fam = _generated(draw(st.sampled_from(_RESTRICT_SPECS)))
+    curves = tuple(draw(st.permutations(fam.curves)))
+    sub = draw(st.lists(st.sampled_from(curves), unique=True))
+    m = draw(st.sampled_from((fam.m, 1)))
+    return CurveFamily(curves, fam.m), CurveFamily(tuple(sub), m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(families_and_subsets())
+def test_restrict_equals_the_engine_on_the_sub_family(fam_and_sub):
+    fam, sub = fam_and_sub
+    fi = compute_incidences(fam)
+    got = _outcome(fi.restrict, sub)
+    want = _outcome(compute_incidences, sub)
+    assert got == want
+    if not isinstance(want, tuple):
+        # same keys, key orientation, dict order and Incidence objects
+        assert list(got.pairs.items()) == list(want.pairs.items())
+        assert (got.m, got.curve_ids) == (want.m, want.curve_ids)
+
+
+def test_restrict_swaps_the_sides_of_a_flipped_pair():
+    fam = generate(GeneratorSpec(kind="TangentChain", n=3, m=1, seed=0))
+    flipped = CurveFamily(tuple(reversed(fam.curves)), 1)
+    got = compute_incidences(fam).restrict(flipped)
+    assert list(got.pairs) == [(3, 2), (2, 1)]
+    assert got.pairs == compute_incidences(flipped).pairs
+    inc = got.pairs[3, 2][0]
+    assert inc.pattern == "ABBA" and (inc.a, inc.b) == (3, 2)
+
+
+def test_restrict_rejects_a_curve_the_catalogue_lacks():
+    fam = generate(GeneratorSpec(kind="TangentChain", n=4, m=1, seed=0))
+    fi = compute_incidences(CurveFamily(fam.curves[:3], 1))
+    with pytest.raises(PreconditionError):
+        fi.restrict(fam)

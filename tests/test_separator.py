@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import networkx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactgeom import separator
+from contactgeom import incidence, separator
 from contactgeom.errors import (DegenerateError, InvariantError,
                                 PreconditionError)
 from contactgeom.generators import GeneratorSpec, generate
@@ -58,6 +59,19 @@ def test_reduce_degree_same_parent_pieces_are_disjoint():
             assert par[a] != par[b]
 
 
+def test_reduced_family_carries_its_catalogue():
+    fam = grid9()
+    red = reduce_degree(fam, compute_incidences(fam))
+    fo = compute_incidences(red)
+    assert red.incidences == fo
+    assert list(red.incidences.pairs.items()) == list(fo.pairs.items())
+    # the catalogue takes no part in equality, hashing or repr
+    bare = ReducedFamily(red.curves, red.m, red.parent_pairs)
+    assert bare.incidences is None
+    assert bare == red and hash(bare) == hash(red) and repr(bare) == repr(red)
+    assert reduce_degree(fam) == red
+
+
 def test_reduce_degree_identity_when_sparse():
     fam = chain9()           # X = 8 < n, so the per-curve budget is zero
     assert reduce_degree(fam) is fam
@@ -102,6 +116,31 @@ def test_weighted_graph_rejects_negative_weight():
 def test_weighted_graph_drops_self_loops():
     g = weighted_graph((1, 2), ((1, 1), (1, 2)))
     assert g.edges == frozenset({(1, 2)})
+
+
+def _labelled(edges, kind):
+    """The integer edge list with ("a", id) or ("p", x, y) labels."""
+    label = {"a": lambda v: ("a", 10 - v),
+             "p": lambda v: ("p", F(v, 3), F(-v * v, 7))}[kind]
+    return [(label(u), label(v)) for u, v in edges]
+
+
+@pytest.mark.parametrize("kind", ["a", "p"])
+@pytest.mark.parametrize("name,edges", [
+    ("K5", [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+    ("K33", [(i, j) for i in range(3) for j in range(3, 6)]),
+    ("grid", [(4 * i + j, 4 * i + j + 1) for i in range(4) for j in range(3)]
+     + [(4 * i + j, 4 * i + j + 4) for i in range(3) for j in range(4)])])
+def test_weighted_graph_planarity_matches_networkx_on_labels(kind, name,
+                                                             edges):
+    es = _labelled(edges, kind)
+    g = networkx.Graph(es)
+    want, _ = networkx.check_planarity(g)
+    assert want == (name == "grid")
+    got = weighted_graph(list(g.nodes), es)
+    assert got.planar == want
+    assert set(got.vertices) == set(g.nodes)
+    assert got.edges == {tuple(sorted(e)) for e in es}
 
 
 def test_arrangement_graph_shape():
@@ -282,6 +321,24 @@ def test_decompose_grid_family():
     assert rep.touchings_total == fi.T
     assert sum(rep.per_level) == len(rep.separator)
     assert rep.separator_ratio == F(len(rep.separator) * rep.d, fi.T)
+
+
+def test_decompose_runs_the_engine_once_per_family(monkeypatch):
+    fam = grid9()
+    want = recursive_decompose(fam)
+    assert want.per_level                # the recursion splits
+    red = reduce_degree(fam)
+    want_red = recursive_decompose(CurveFamily(red.curves, red.m))
+    runs = []
+    engine = incidence._run_engine
+    monkeypatch.setattr(incidence, "_run_engine",
+                        lambda *args: runs.append(args) or engine(*args))
+    # the recursion nodes read restrictions of the family's catalogue
+    assert recursive_decompose(fam) == want
+    assert len(runs) == 1
+    # a reduced family's decomposition reads the catalogue it carries
+    assert recursive_decompose(red) == want_red
+    assert len(runs) == 1
 
 
 def test_decompose_sparse_family_uses_components():
