@@ -345,10 +345,12 @@ def pair_arrangement(family: CurveFamily, i: int, j: int,
         m=fi.m, curve_ids=(i, j), pairs={(i, j): incs} if incs else {}))
 
 
-def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
+def cells_of_pair(family: CurveFamily, i: int, j: int,
+                  fi: Optional[FamilyIncidences] = None) -> List[Face]:
     """Faces of the two-curve arrangement. For a closed-closed pair the count
-    is at most m+2; open-arc pairs are measured, not constrained."""
-    arr = pair_arrangement(family, i, j)
+    is at most m+2; open-arc pairs are measured, not constrained. `fi` is
+    handed to pair_arrangement."""
+    arr = pair_arrangement(family, i, j, fi)
     a, b = family.curve(i), family.curve(j)
     if a.closed and b.closed:
         check(arr.F <= family.m + 2,

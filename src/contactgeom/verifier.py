@@ -15,10 +15,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import ConstructionError, PreconditionError, check
-from .geometry import Curve, CurveFamily, Point, midpoint, segment_intersection
+from .errors import (ConstructionError, PreconditionError, ValidationError,
+                     check)
+from .geometry import (Curve, CurveFamily, Point, coordinate_scale, lift,
+                       lift_point, midpoint, on_polyline, seg_events)
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import (FamilyIncidences, compute_incidences,
                         curve_pair_incidences, is_touching_pair)
@@ -261,20 +264,44 @@ def _canon(seq: Tuple[int, ...]) -> Tuple[int, ...]:
     return seq[k:] + seq[:k]
 
 
-def _vec(a: Point, b: Point) -> Point:
-    return Point(b.x - a.x, b.y - a.y)
+def _table(pts: Sequence[Tuple[int, int]]):
+    """A lifted polyline as (closed box, segments), each segment being
+    (a, b, xmin, xmax, ymin, ymax) with its own closed box."""
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    return ((min(xs), max(xs), min(ys), max(ys)),
+            [(a, b, min(a[0], b[0]), max(a[0], b[0]),
+              min(a[1], b[1]), max(a[1], b[1]))
+             for a, b in zip(pts, pts[1:])])
 
 
-def _left_of_wedge(u: Point, v: Point, w: Point) -> bool:
+def _events(a, b, table):
+    """seg_events of the integer segment ab against each segment of a lifted
+    polyline, in polyline order, skipping "none". The polyline's box is
+    tested first, then each segment's; boxes are closed, so a shared edge or
+    corner still reaches the kernel."""
+    x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+    y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+    (bx0, bx1, by0, by1), segs = table
+    if bx1 < x0 or bx0 > x1 or by1 < y0 or by0 > y1:
+        return
+    for c, d, sx0, sx1, sy0, sy1 in segs:
+        if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
+            continue
+        ev = seg_events(a, b, c, d)
+        if ev[0] != "none":
+            yield ev
+
+
+def _left_of_wedge(u, v, w) -> bool:
     """Is displacement w strictly on the left of the oriented kink (u, v)?
 
     u is the incoming and v the outgoing direction; a straight angle reduces
     to one half-plane test, a convex left kink to an intersection of two, a
     reflex one to a union.
     """
-    cu = u.x * w.y - u.y * w.x
-    cv = v.x * w.y - v.y * w.x
-    turn = u.x * v.y - u.y * v.x
+    cu = u[0] * w[1] - u[1] * w[0]
+    cv = v[0] * w[1] - v[1] * w[0]
+    turn = u[0] * v[1] - u[1] * v[0]
     if turn > 0:
         return cu > 0 and cv > 0
     if turn < 0:
@@ -282,14 +309,24 @@ def _left_of_wedge(u: Point, v: Point, w: Point) -> bool:
     return cu > 0
 
 
-def _polyline_position(g: Tuple[Point, ...], p: Point):
-    """(chain param, incoming dir, outgoing dir) of p on polyline g, or None.
+def _vec(a, b) -> Tuple[int, int]:
+    return (b[0] - a[0], b[1] - a[1])
 
-    A missing direction (p at the polyline's first or last point) is None.
+
+def _polyline_position(g: Sequence[Tuple[int, int]], p: Tuple[int, int, int]):
+    """(chain param, incoming dir, outgoing dir) of the lifted point
+    p = (X, Y, D) on the integer polyline g, read on the first segment that
+    holds p, or None when p is off g. A missing direction (p at g's first
+    or last point) is None.
     """
-    s = chain_param(g, p)
-    if s is None:
+    k = next((k for k in range(len(g) - 1)
+              if on_polyline(p, g[k:k + 2], False)), None)
+    if k is None:
         return None
+    X, Y, D = p
+    (ax, ay), (bx, by) = g[k], g[k + 1]
+    s = k + (Fraction(X - ax * D, (bx - ax) * D) if bx != ax
+             else Fraction(Y - ay * D, (by - ay) * D))
     k = int(s)
     if s != k:
         d = _vec(g[k], g[k + 1])
@@ -304,7 +341,10 @@ class FaceContext:
     oriented so that the face interior stays on the right.
 
     The input arcs are ordered by geometry id before assembly, so half-edge
-    labels do not depend on the caller's input order.
+    labels do not depend on the caller's input order. The walk's half-edges,
+    the surrounding arcs and the face's interior point lie on the integer
+    grid of step 1/scale, and the walk is kept lifted onto it. Each arc's
+    signature is computed once and kept, keyed by the arc's geometry.
     """
 
     def __init__(self, lambda1: Sequence[SubArc], face: int):
@@ -322,6 +362,16 @@ class FaceContext:
                 f"face {face} has {len(walks)} boundary components; need one")
         self.walk: Tuple[int, ...] = walks[0]
         self._step: Dict[int, int] = {h: i for i, h in enumerate(self.walk)}
+        # one grid for the walk, the surrounding arcs and the interior probe
+        half = self.arrangement.half_edges
+        pts = [p for h in self.walk for p in half[h].geometry]
+        pts += [p for sa in self.lambda1 for p in sa.geometry.points]
+        pts += [q for q in (self.arrangement.faces[face].interior,)
+                if q is not None]
+        self.scale = lcm(*(v.denominator for p in pts for v in (p.x, p.y)))
+        self._lifted = {h: lift(half[h].geometry, self.scale)
+                        for h in self.walk}
+        self._signatures: Dict[Curve, tuple] = {}
 
     def boundary_position(self, p: Point, approach: Sequence[Point]):
         """(walk step, within-step order, label) of boundary point p.
@@ -334,17 +384,18 @@ class FaceContext:
         """
         if not approach:
             raise PreconditionError(f"no approach directions at {p}")
+        lifted = lift_point(p, self.scale)
+        away = [(q.x - p.x, q.y - p.y) for q in approach]
         candidates = []
         for label in self.walk:
-            g = self.arrangement.half_edges[label].geometry
-            pos = _polyline_position(g, p)
+            pos = _polyline_position(self._lifted[label], lifted)
             if pos is None:
                 continue
             s_stored, u, v = pos
             if u is None or v is None:
                 raise PreconditionError(
                     f"touching at arrangement vertex {p} is not supported")
-            if all(_left_of_wedge(u, v, _vec(p, q)) for q in approach):
+            if all(_left_of_wedge(u, v, w) for w in away):
                 candidates.append((label, s_stored))
         if not candidates:
             raise PreconditionError(
@@ -389,11 +440,13 @@ def _approach_points(c: Curve, p: Point) -> List[Point]:
 
 
 def _signature_keyed(ctx: FaceContext, lam: SubArc):
-    """Canonical label sequence plus per-label walk keys and touch points."""
-    touches = _touch_points_on(lam, ctx.lambda1)
-    keyed = []
-    point_of: Dict[int, Point] = {}
-    for mu_id, p in touches.items():
+    """Canonical label sequence plus per-label walk keys and touch points,
+    computed once per context and arc geometry."""
+    memo = ctx._signatures.get(lam.geometry)
+    if memo is not None:
+        return memo
+    keyed, point_of = [], {}
+    for p in _touch_points_on(lam, ctx.lambda1).values():
         key = ctx.boundary_position(p, _approach_points(lam.geometry, p))
         keyed.append(key)
         point_of[key[2]] = p
@@ -403,7 +456,8 @@ def _signature_keyed(ctx: FaceContext, lam: SubArc):
         raise PreconditionError(
             f"arc {lam.geometry.id} touches one boundary edge twice")
     pos = {key[2]: key for key in keyed}
-    return _canon(seq), pos, point_of
+    memo = ctx._signatures[lam.geometry] = (_canon(seq), pos, point_of)
+    return memo
 
 
 def circular_signature(F: int, lambda1: Sequence[SubArc], lam: SubArc,
@@ -454,67 +508,68 @@ def _polyline(c: Curve) -> Tuple[Point, ...]:
     return c.points + c.points[:1] if c.closed else c.points
 
 
-def _meetings(g1: Sequence[Point], g2: Sequence[Point]):
-    """segment_intersection of every segment of polyline g1 with every
-    segment of polyline g2, g1's segments in the outer loop."""
-    for i in range(len(g1) - 1):
-        for j in range(len(g2) - 1):
-            yield segment_intersection(g1[i], g1[i + 1], g2[j], g2[j + 1])
+def _event_points(ev, a, b, scale: int) -> Tuple[Point, ...]:
+    """The points of a non-"none" seg_events result for the integer segment
+    ab, back on the rational plane."""
+    if ev[0] == "proper":
+        t = ev[1]
+        return (Point((a[0] + t * (b[0] - a[0])) / scale,
+                      (a[1] + t * (b[1] - a[1])) / scale),)
+    return tuple(Point(Fraction(x, scale), Fraction(y, scale))
+                 for x, y in ev[1:])
 
 
-def _segment_hits(a: Point, b: Point, c: Curve) -> Optional[List[Point]]:
-    """Proper crossings of segment ab with curve c; None on dirty contact
-    (endpoint touch or collinear overlap)."""
-    out = []
-    for kind, data in _meetings((a, b), _polyline(c)):
-        if kind == "proper":
-            out.append(data)
-        elif kind != "none":
-            return None
-    return out
+def _meeting_points(g1: Sequence[Point], g2: Sequence[Point],
+                    overlaps: bool) -> Set[Point]:
+    """Points where polylines g1 and g2 meet, found on one integer grid; a
+    collinear overlap contributes its two ends only when overlaps is set."""
+    scale = lcm(*(v.denominator for p in (*g1, *g2) for v in (p.x, p.y)))
+    pts1 = lift(g1, scale)
+    table2 = _table(lift(g2, scale))
+    return {q for a, b in zip(pts1, pts1[1:]) for ev in _events(a, b, table2)
+            if overlaps or ev[0] != "overlap"
+            for q in _event_points(ev, a, b, scale)}
 
 
-def _route_candidates(ctx: FaceContext, q1: Point, q2: Point):
+def _route_candidates(ctx: FaceContext, q1: Point, q2: Point, scale: int):
     """Deterministic via-point menu for the imaginary closing arc, coarse
-    routes first, then blends pulled toward the face interior."""
+    routes first, then blends pulled toward the face interior.
+
+    Via points come lazily, as integer pairs on the grid of step 1/scale.
+    Each one is an anchor w pulled to w + (pull - w)(1 - 2^-k), k <= 6, or
+    a detour of the unbounded face, so scale must be 64 times a multiple of
+    every anchor denominator and must clear q1, q2 and the surrounding arcs.
+    """
     yield ()
     f = ctx.arrangement.faces[ctx.face]
     pull = f.interior if f.interior is not None else midpoint(q1, q2)
-    anchors: List[Point] = [pull, midpoint(q1, q2)]
-    for label in ctx.walk:
-        g = ctx.arrangement.half_edges[label].geometry
-        anchors.append(midpoint(g[0], g[1]))
-    for shrink in (Fraction(1), Fraction(1, 2), Fraction(1, 4),
-                   Fraction(1, 8), Fraction(1, 16), Fraction(1, 64)):
-        for w in anchors:
-            yield (Point(w.x + (pull.x - w.x) * (1 - shrink),
-                         w.y + (pull.y - w.y) * (1 - shrink)),)
-    for shrink in (Fraction(1, 2), Fraction(1, 8)):
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                blend = []
-                for w in (anchors[i], anchors[j]):
-                    blend.append(Point(w.x + (pull.x - w.x) * (1 - shrink),
-                                       w.y + (pull.y - w.y) * (1 - shrink)))
-                yield tuple(blend)
-                yield tuple(reversed(blend))
+    ws = lift([pull, midpoint(q1, q2)] + [
+        midpoint(*ctx.arrangement.half_edges[h].geometry[:2])
+        for h in ctx.walk], scale)
+    px, py = ws[0]
+
+    def toward(w, k):
+        # exact: pull - w is a multiple of 64 on this grid
+        return (w[0] + (px - w[0]) * (k - 1) // k,
+                w[1] + (py - w[1]) * (k - 1) // k)
+
+    for k in (1, 2, 4, 8, 16, 64):
+        yield from ((toward(w, k),) for w in ws)
+    for k in (2, 8):
+        for w1, w2 in combinations(ws, 2):
+            blend = (toward(w1, k), toward(w2, k))
+            yield from (blend, blend[::-1])
     if f.interior is None:
         # the unbounded face also admits detours outside the drawing's bounds
-        xs = [q1.x, q2.x]
-        ys = [q1.y, q2.y]
-        for sa in ctx.lambda1:
-            for p in sa.geometry.points:
-                xs.append(p.x)
-                ys.append(p.y)
-        margin = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(1))
-        for level in (min(ys) - margin, max(ys) + margin):
-            yield (Point(q1.x, level),)
-            yield (Point(q2.x, level),)
-            yield (Point(q1.x, level), Point(q2.x, level))
-        for level in (min(xs) - margin, max(xs) + margin):
-            yield (Point(level, q1.y),)
-            yield (Point(level, q2.y),)
-            yield (Point(level, q1.y), Point(level, q2.y))
+        (x1, y1), (x2, y2) = ends = lift((q1, q2), scale)
+        pts = ends + lift([p for sa in ctx.lambda1
+                           for p in sa.geometry.points], scale)
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        margin = max(max(xs) - min(xs), max(ys) - min(ys), scale)
+        for lv in (min(ys) - margin, max(ys) + margin):
+            yield from (((x1, lv),), ((x2, lv),), ((x1, lv), (x2, lv)))
+        for lv in (min(xs) - margin, max(xs) + margin):
+            yield from (((lv, y1),), ((lv, y2),), ((lv, y1), (lv, y2)))
 
 
 def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
@@ -525,42 +580,48 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
     closed arc comes back unchanged with interval None. The imaginary part
     must not meet the surrounding arcs, may meet lam's own real part only
     at the two junctions, and must cross `other` transversally while
-    avoiding every point in `forbidden`.
+    avoiding every point in `forbidden`. The surrounding arcs, lam, `other`
+    and the route menu share one integer grid, lifted once per call.
     """
     g = lam.geometry
     if g.closed:
         return g, None
-    q_end, q_start = g.points[-1], g.points[0]
-    lam1_curves = [sa.geometry for sa in ctx.lambda1]
+    # anchors are midpoints (a factor 2) pulled by up to 1 - 2^-6 (a factor 64)
+    scale = 128 * lcm(ctx.scale, coordinate_scale((g, other)))
+    wall_tables = [_table(lift(_polyline(sa.geometry), scale))
+                   for sa in ctx.lambda1]
+    own_pts = lift(g.points, scale)
+    own = _table(own_pts)
+    ends = (own_pts[-1], own_pts[0])
+    other_table = _table(lift(_polyline(other), scale))
 
-    def crossings_with_other(path) -> Optional[List[Point]]:
-        """Proper crossings of path with `other`; None when the path leaves
-        the face, grazes its boundary, touches `other` or meets lam away
-        from the two junctions."""
-        out: List[Point] = []
+    def passes(path) -> bool:
+        """False when the path leaves the face, grazes its boundary, meets
+        lam away from the two junctions, or meets `other` other than by a
+        proper crossing off `forbidden`."""
         for a, b in zip(path, path[1:]):
-            if any(_segment_hits(a, b, mu) != [] for mu in lam1_curves):
-                return None
-            hits = _segment_hits(a, b, other)
-            if hits is None:
-                return None
-            out.extend(hits)
-            if any(kind != "none"
-                   and not (kind == "endpoint" and data in (q_end, q_start))
-                   for kind, data in _meetings((a, b), g.points)):
-                return None
-        return out
+            for table in wall_tables:
+                for _ in _events(a, b, table):
+                    return False
+            for ev in _events(a, b, own):
+                if ev[0] != "touch" or ev[1] not in ends:
+                    return False
+            for ev in _events(a, b, other_table):
+                if (ev[0] != "proper"
+                        or _event_points(ev, a, b, scale)[0] in forbidden):
+                    return False
+        return True
 
-    for via in _route_candidates(ctx, q_end, q_start):
-        path = (q_end,) + tuple(via) + (q_start,)
-        if any(path[i] == path[i + 1] for i in range(len(path) - 1)):
-            continue
-        crossings = crossings_with_other(path)
-        if crossings is None or any(p in forbidden for p in crossings):
+    for via in _route_candidates(ctx, g.points[-1], g.points[0], scale):
+        path = (ends[0],) + via + (ends[1],)
+        if (any(path[i] == path[i + 1] for i in range(len(path) - 1))
+                or not passes(path)):
             continue
         try:
-            closed = Curve(id=g.id, points=g.points + tuple(via), closed=True)
-        except Exception:
+            closed = Curve(id=g.id, points=g.points + tuple(
+                Point(Fraction(x, scale), Fraction(y, scale)) for x, y in via),
+                closed=True)
+        except ValidationError:
             continue
         return closed, (Fraction(g.n_segments), Fraction(closed.n_segments))
     raise ConstructionError(
@@ -573,8 +634,7 @@ def _piece_intersections(c1: Curve, lo1: Fraction, hi1: Fraction,
     """Intersection points interior to two chain-parameter portions."""
     poly1 = curve_portion(c1, lo1, hi1)
     poly2 = curve_portion(c2, lo2, hi2)
-    pts = {data for kind, data in _meetings(poly1, poly2)
-           if kind in ("proper", "endpoint")}
+    pts = _meeting_points(poly1, poly2, False)
     return sorted(pts - {poly1[0], poly1[-1], poly2[0], poly2[-1]})
 
 
@@ -615,13 +675,8 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
     if sig1 != seq or sig2 != seq:
         raise PreconditionError("arcs do not share the given signature")
 
-    existing: Set[Point] = set()
-    for kind, data in _meetings(_polyline(lam1.geometry),
-                                _polyline(lam2.geometry)):
-        if kind == "overlap":
-            existing.update(data)
-        elif kind != "none":
-            existing.add(data)
+    existing = _meeting_points(_polyline(lam1.geometry),
+                               _polyline(lam2.geometry), True)
     closed1, imag1 = _close_arc(ctx, lam1, lam2.geometry, existing)
     closed2, imag2 = _close_arc(ctx, lam2, closed1, existing)
 

@@ -635,3 +635,188 @@ def monte_carlo_ground(family, trials, seed):
 
     return {"seed": seed, "trials": trials,
             **{name: stat(xs) for name, xs in seen.items()}}
+
+
+# ---------------------------------------------------------------- charging
+# The imaginary-closure search as the verifier ran it on Fraction points.
+# Segment meets come from seg_meet, one segment pair at a time; a pair is
+# skipped only when the closed boxes of its two curves or two segments are
+# disjoint, which no meeting survives, and a route segment that several
+# routes share is checked once, as its verdict is the same in each. The
+# face context is read as plain data.
+
+def segment_kind(a, b, c, d):
+    """("none", None), ("proper", P), ("endpoint", P) or ("overlap",
+    (P, Q)) for closed segments ab and cd: a single meeting point is
+    proper only when it is an endpoint of neither segment."""
+    kind, data = seg_meet(a, b, c, d)
+    if kind == "none":
+        return "none", None
+    if kind == "overlap":
+        r = _d(a, b)
+        return "overlap", tuple(Point(a.x + s * r[0], a.y + s * r[1])
+                                for s in data)
+    return ("endpoint" if data in (a, b, c, d) else "proper"), data
+
+
+def _ring(c):
+    return c.points + c.points[:1] if c.closed else c.points
+
+
+def _seg_box(a, b):
+    return min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
+
+
+class _Boxed:
+    """A polyline with the closed box of the whole and of each segment."""
+
+    def __init__(self, pts):
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        self.box = min(xs), min(ys), max(xs), max(ys)
+        self.segs = [(a, b, _seg_box(a, b)) for a, b in zip(pts, pts[1:])]
+
+    def meetings(self, a, b):
+        """segment_kind of segment ab with each segment of the polyline."""
+        box = _seg_box(a, b)
+        if not _boxes_meet(box, self.box):
+            return
+        for c, d, seg_box in self.segs:
+            if _boxes_meet(box, seg_box):
+                yield segment_kind(a, b, c, d)
+
+
+def _segment_hits(a, b, boxed):
+    """Proper crossings of segment ab with a curve; None on dirty contact."""
+    out = []
+    for kind, data in boxed.meetings(a, b):
+        if kind == "proper":
+            out.append(data)
+        elif kind != "none":
+            return None
+    return out
+
+
+def route_candidates(ctx, q1, q2):
+    """The via-point menu, in order, as Fraction points."""
+    yield ()
+    f = ctx.arrangement.faces[ctx.face]
+    pull = f.interior if f.interior is not None else _mid(q1, q2)
+    anchors = [pull, _mid(q1, q2)]
+    for label in ctx.walk:
+        g = ctx.arrangement.half_edges[label].geometry
+        anchors.append(_mid(g[0], g[1]))
+    for shrink in (F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 64)):
+        for w in anchors:
+            yield (Point(w.x + (pull.x - w.x) * (1 - shrink),
+                         w.y + (pull.y - w.y) * (1 - shrink)),)
+    for shrink in (F(1, 2), F(1, 8)):
+        for i in range(len(anchors)):
+            for j in range(i + 1, len(anchors)):
+                blend = [Point(w.x + (pull.x - w.x) * (1 - shrink),
+                               w.y + (pull.y - w.y) * (1 - shrink))
+                         for w in (anchors[i], anchors[j])]
+                yield tuple(blend)
+                yield tuple(reversed(blend))
+    if f.interior is None:
+        xs = [q1.x, q2.x]
+        ys = [q1.y, q2.y]
+        for sa in ctx.lambda1:
+            for p in sa.geometry.points:
+                xs.append(p.x)
+                ys.append(p.y)
+        margin = max(max(xs) - min(xs), max(ys) - min(ys), F(1))
+        for level in (min(ys) - margin, max(ys) + margin):
+            yield (Point(q1.x, level),)
+            yield (Point(q2.x, level),)
+            yield (Point(q1.x, level), Point(q2.x, level))
+        for level in (min(xs) - margin, max(xs) + margin):
+            yield (Point(level, q1.y),)
+            yield (Point(level, q2.y),)
+            yield (Point(level, q1.y), Point(level, q2.y))
+
+
+def _simple_ring(pts):
+    """No zero-length segment and no collinear vertex triple, cyclically."""
+    n = len(pts)
+    for i in range(n):
+        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+        if a == b or _orient(a, b, c) == 0:
+            return False
+    return True
+
+
+def close_arc(ctx, lam, other, forbidden):
+    """(closed points, imaginary interval) joining lam's free ends inside
+    the face; (lam's points, None) for a closed arc, None when no route of
+    the menu works."""
+    g = lam.geometry
+    if g.closed:
+        return g.points, None
+    q_end, q_start = g.points[-1], g.points[0]
+    walls = [_Boxed(_ring(sa.geometry)) for sa in ctx.lambda1]
+    own = _Boxed(g.points)
+    crossed = _Boxed(_ring(other))
+
+    checked = {}  # routes share segments; each one is checked once
+
+    def segment_check(a, b):
+        if any(_segment_hits(a, b, mu) != [] for mu in walls):
+            return None
+        hits = _segment_hits(a, b, crossed)
+        if hits is None:
+            return None
+        if any(kind != "none"
+               and not (kind == "endpoint" and data in (q_end, q_start))
+               for kind, data in own.meetings(a, b)):
+            return None
+        return hits
+
+    def crossings_with_other(path):
+        out = []
+        for a, b in zip(path, path[1:]):
+            if (a, b) not in checked:
+                checked[a, b] = segment_check(a, b)
+            if checked[a, b] is None:
+                return None
+            out.extend(checked[a, b])
+        return out
+
+    for via in route_candidates(ctx, q_end, q_start):
+        path = (q_end,) + tuple(via) + (q_start,)
+        if any(path[i] == path[i + 1] for i in range(len(path) - 1)):
+            continue
+        crossings = crossings_with_other(path)
+        if crossings is None or any(p in forbidden for p in crossings):
+            continue
+        points = g.points + tuple(via)
+        if not _simple_ring(points):
+            continue
+        return points, (F(g.n_segments), F(len(points)))
+    return None
+
+
+def _all_meetings(g1, g2):
+    boxed = _Boxed(g2)
+    for a, b in zip(g1, g1[1:]):
+        yield from boxed.meetings(a, b)
+
+
+def meeting_points(c1, c2):
+    """Every point where curves c1 and c2 meet, overlap ends included."""
+    out = set()
+    for kind, data in _all_meetings(_ring(c1), _ring(c2)):
+        if kind == "overlap":
+            out.update(data)
+        elif kind != "none":
+            out.add(data)
+    return out
+
+
+def piece_intersections(c1, lo1, hi1, c2, lo2, hi2):
+    """Sorted meeting points interior to two chain-parameter portions."""
+    poly1 = _portion(c1, lo1, hi1)
+    poly2 = _portion(c2, lo2, hi2)
+    pts = {data for kind, data in _all_meetings(poly1, poly2)
+           if kind in ("proper", "endpoint")}
+    return sorted(pts - {poly1[0], poly1[-1], poly2[0], poly2[-1]})

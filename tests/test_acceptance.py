@@ -195,7 +195,7 @@ def test_criterion_5_pair_cell_counts():
                 a, b = ids[i], ids[j]
                 if a in closed and b in closed:
                     closed_pairs += 1
-                    cells = len(cells_of_pair(fam, a, b))
+                    cells = len(cells_of_pair(fam, a, b, rec["fi"]))
                     worst = max(worst, cells - fam.m)
                     if cells > fam.m + 2:
                         violations += 1

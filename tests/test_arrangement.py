@@ -141,6 +141,10 @@ def test_cells_of_pair_counts():
     fam2 = generate(GeneratorSpec(kind="TangentChain", n=4, m=1, seed=1))
     cells = cells_of_pair(fam2, 1, 2)
     assert len(cells) <= fam2.m + 2
+    # with the family's catalogue the same faces come back
+    for f in (fam, fam2):
+        assert (cells_of_pair(f, 1, 2, compute_incidences(f))
+                == cells_of_pair(f, 1, 2))
 
 
 def test_chain_point_and_portion():

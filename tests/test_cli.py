@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import contactgeom
-from contactgeom import cli
+from contactgeom import cli, incidence
 from contactgeom.cli import main
 from contactgeom.familyio import read_family, write_family
 from contactgeom.generators import GeneratorSpec, generate
@@ -192,6 +192,30 @@ def test_verify_prop9_charges_a_collision(tmp_path, capsys):
     assert len(entry["alt_edges"]) == 6 and entry["hat_edges"] == []
     assert entry["real"] == 5 and entry["imaginary"] == 1
     assert len(entry["charges"]) == 6
+
+
+def test_verify_prop9_analyses_each_arc_pair_once(tmp_path, monkeypatch,
+                                                 capsys):
+    # signatures are kept on the face context, so the CLI loop, the
+    # uniqueness check and the charging share one engine run per arc pair
+    fam = fence_family(instances.comb_subarc(102, 6, ("el2",) * 6, 1), m=40)
+    path = tmp_path / "fencev.family"
+    write_family(path, fam)
+    runs = []
+    run_engine = incidence._run_engine
+
+    def counting(curves, m, mode):
+        runs.append(frozenset(c.id for c in curves))
+        return run_engine(curves, m, mode)
+
+    monkeypatch.setattr(incidence, "_run_engine", counting)
+    assert main(["verify-prop9", str(path),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    pairs = [r for r in runs if len(r) == 2]
+    # 6 pickets touched by each of the two combs
+    assert len(pairs) >= 12
+    assert len(pairs) == len(set(pairs))
+    assert len(runs) <= 16
 
 
 def test_verify_prop9_bails_politely(chain_file, tmp_path, capsys):

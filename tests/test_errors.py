@@ -19,3 +19,21 @@ def test_no_module_has_assert():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_verifier_does_not_use_segment_intersection():
+    # charging lifts each curve set once; a per-call Fraction lift in the
+    # route search is what made it slow
+    tree = ast.parse(inspect.getsource(
+        importlib.import_module("contactgeom.verifier")))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names
+                      if a.name == "segment_intersection"]
+        elif isinstance(node, ast.Name) and node.id == "segment_intersection":
+            found.append(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and node.attr == "segment_intersection"):
+            found.append(node.attr)
+    assert not found

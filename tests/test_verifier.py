@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from contactgeom import verifier
 from contactgeom.arrangement import build_mixed_arrangement
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.geometry import Curve, pt
+from contactgeom.geometry import Curve, Point, pt, seg_events
 from contactgeom.incidence import compute_incidences, curve_pair_incidences
 from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
                                   circular_signature, enumerate_ground_pairs,
@@ -171,6 +173,146 @@ def test_unroutable_closure_is_reported():
     sig = circular_signature(lens, (a, b), lam1, context=ctx)
     with pytest.raises(ConstructionError):
         alt_hat_charging(lens, lam1, lam2, sig, context=ctx)
+
+
+# ------------------------------------------------------------ box rejection
+
+_GRID = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_GRID, b=_GRID, pts=st.lists(_GRID, min_size=2, max_size=6))
+@example(a=(0, 0), b=(2, 2), pts=[(2, 2), (4, 4)])           # corner only
+@example(a=(1, -2), b=(1, 2), pts=[(-1, 0), (1, 0), (1, 3)])  # zero width
+@example(a=(-3, 1), b=(3, 1), pts=[(0, 1), (0, 4)])           # zero height
+@example(a=(-3, 0), b=(1, 0), pts=[(0, 0), (3, 0), (3, -2)])  # overlap
+@example(a=(-4, -4), b=(-1, -1), pts=[(-1, -1), (-1, -3)])    # shared end
+def test_box_rejection_keeps_every_event(a, b, pts):
+    # curves and routes have no zero-length segment
+    assume(a != b and all(c != d for c, d in zip(pts, pts[1:])))
+    want = [ev for c, d in zip(pts, pts[1:])
+            if (ev := seg_events(a, b, c, d))[0] != "none"]
+    assert list(verifier._events(a, b, verifier._table(pts))) == want
+
+
+# ------------------------------------- closure against the Fraction search
+
+def _charging_cases():
+    """(note, surrounding arcs, face, lam1, lam2) for every violator, hat
+    and lens fixture."""
+    cases = [(note, fence, 0, lam1, lam2)
+             for _, fence, lam1, lam2, note in instances.violator_pairs()]
+    for m in (1, 2, 3):
+        fence, lam1, lam2 = instances.hat_variant_pair(m)
+        cases.append((f"hat m={m}", fence, 0, lam1, lam2))
+    lens = instances.lens_arcs()
+    cases += [("lens flank", lens, None, *instances.lens_flank_pair()),
+              ("lens diagonal", lens, None, *instances.lens_diagonal_pair())]
+    return cases
+
+
+def _mapped(sa, a, bx, by):
+    """The arc under the exact map (x, y) -> (a*x + bx, a*y + by)."""
+    g = sa.geometry
+    return free_arc(g.id, tuple(Point(a * p.x + bx, a * p.y + by)
+                                for p in g.points), closed=g.closed)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ConstructionError, PreconditionError) as e:
+        return type(e).__name__
+
+
+def _check_closure_against_fraction_search(surround, face, lam1, lam2):
+    if face is None:
+        # the bounded face between the two lens arcs
+        arr = build_mixed_arrangement([sa.geometry for sa in surround])
+        face = next(i for i in range(arr.F)
+                    if arr.faces[i].interior is not None)
+    ctx = FaceContext(surround, face)
+    sig = circular_signature(face, surround, lam1, context=ctx)
+    close, menu = verifier._close_arc, verifier._route_candidates
+    calls, menus = [], []
+
+    def recording(ctx_, lam, other, forbidden):
+        calls.append([lam, other, forbidden])
+        calls[-1].append(close(ctx_, lam, other, forbidden))
+        return calls[-1][-1]
+
+    def recording_menu(*args):
+        menus.append(args)
+        return menu(*args)
+
+    def charge():
+        return _outcome(lambda: alt_hat_charging(face, lam1, lam2, sig,
+                                                 context=ctx))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_close_arc", recording)
+        mp.setattr(verifier, "_route_candidates", recording_menu)
+        got = charge()
+    assert calls
+    # the whole menu, not only the winning route, is the one of the search
+    for ctx_, q1, q2, scale in menus:
+        lifted = [tuple(Point(F(x, scale), F(y, scale)) for x, y in via)
+                  for via in menu(ctx_, q1, q2, scale)]
+        ref = list(oracles.route_candidates(ctx_, q1, q2))
+        differ = [i for i, (u, v) in enumerate(zip(lifted, ref)) if u != v]
+        assert (len(lifted), differ[:1]) == (len(ref), [])
+    assert calls[0][2] == oracles.meeting_points(lam1.geometry,
+                                                 lam2.geometry)
+    want = {}
+    for lam, other, forbidden, *result in calls:
+        ref = want[lam.geometry] = oracles.close_arc(ctx, lam, other,
+                                                     forbidden)
+        if ref is None:
+            assert result == []        # ConstructionError on both sides
+            continue
+        closed, interval = result[0]
+        assert (closed.id, closed.closed) == (lam.geometry.id, True)
+        assert (closed.points, interval) == ref
+
+    def fraction_close(ctx_, lam, other, forbidden):
+        ref = want[lam.geometry]
+        if ref is None:
+            raise ConstructionError("no route")
+        return Curve(id=lam.geometry.id, points=ref[0], closed=True), ref[1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_close_arc", fraction_close)
+        mp.setattr(verifier, "_piece_intersections",
+                   oracles.piece_intersections)
+        assert charge() == got
+    return got
+
+
+def test_closure_matches_fraction_search_on_fixtures():
+    outcomes = {}
+    for note, surround, face, lam1, lam2 in _charging_cases():
+        got = _check_closure_against_fraction_search(surround, face,
+                                                     lam1, lam2)
+        outcomes[note] = got if isinstance(got, str) else "report"
+    assert outcomes["lens diagonal"] == "ConstructionError"
+    assert outcomes["lens flank"] == "PreconditionError"
+    assert list(outcomes.values()).count("report") == 9
+
+
+_DENOMS = st.integers(1, 12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(range(11)),
+       a=st.builds(F, st.integers(1, 48), _DENOMS),
+       bx=st.builds(F, st.integers(-60, 60), _DENOMS),
+       by=st.builds(F, st.integers(-60, 60), _DENOMS))
+def test_closure_matches_fraction_search_on_mapped_fixtures(case, a, bx, by):
+    # a rational map moves the grid scale of every lifted curve set
+    _, surround, face, lam1, lam2 = _charging_cases()[case]
+    _check_closure_against_fraction_search(
+        tuple(_mapped(sa, a, bx, by) for sa in surround), face,
+        _mapped(lam1, a, bx, by), _mapped(lam2, a, bx, by))
 
 
 # ----------------------------------------------------------------- sampling
