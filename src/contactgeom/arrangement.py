@@ -28,17 +28,21 @@ UNBOUNDED_FACE = 0
 
 def chain_point(c: Curve, s: Fraction) -> Point:
     """Point at chain parameter s (segment index + in-segment fraction)."""
-    n = c.n_segments
+    # s = k + p/q, and u + (p/q)(v - u) is one fraction over u, v's
+    # denominators, so the point costs one normalisation per coordinate
+    k, p = divmod(s.numerator, s.denominator)
+    q = s.denominator
     if c.closed:
-        s = s % n
-    elif s == n:
+        k %= c.n_segments
+    elif k == c.n_segments:
         return c.points[-1]
-    k = int(s)
     a, b = c.segment(k)
-    if s == k:  # a vertex, typed as a + 0 * (b - a) would be
-        return Point(Fraction(a.x), Fraction(a.y))
-    t = s - k
-    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+    def at(u, v):
+        du, dv = u.denominator, v.denominator
+        return Fraction(u.numerator * dv * (q - p) + v.numerator * du * p,
+                        du * dv * q)
+    return Point(at(a.x, b.x), at(a.y, b.y))
 
 
 def chain_param(g: Sequence[Point], p: Point) -> Optional[Fraction]:

@@ -101,7 +101,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 def _cmd_generate(cfg: RunConfig) -> int:
     spec = GeneratorSpec(kind=cfg.kind, n=cfg.n, m=cfg.m,
                          resolution=cfg.resolution, seed=cfg.seed)
-    family = generate(spec)
+    # the catalogue generate keeps is dropped before the write: held
+    # through it, it raised the process's peak memory
+    family = CurveFamily(generate(spec).curves, spec.m)
     write_family(cfg.output, family)
     print(f"wrote {cfg.output}")
     return 0

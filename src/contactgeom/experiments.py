@@ -111,7 +111,7 @@ class SweepRow:
 
 
 def _sweep_row(family: CurveFamily) -> SweepRow:
-    fi = compute_incidences(family)
+    fi = family.incidences or compute_incidences(family)
     row = check_thm4(family, fi)
     sep = string_separator(family, fi)
     try:

@@ -10,7 +10,7 @@ validator and returns the first valid one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Tuple
@@ -153,13 +153,14 @@ _BUILDERS = {
 
 
 def generate(spec: GeneratorSpec) -> CurveFamily:
-    """The first valid candidate of the spec's builder; the seeded builders
-    draw a fresh placement per candidate, up to 20 of them."""
+    """The first valid candidate of the spec's builder, carrying the
+    catalogue its validation computed; the seeded builders draw a fresh
+    placement per candidate, up to 20 of them."""
     candidates = islice(_BUILDERS[spec.kind](spec), 20)
     for tried, family in enumerate(candidates, 1):
         report = validate_general_position(family)
         if report.ok:
-            return family
+            return replace(family, incidences=report.incidences)
     raise GenerationError(
         f"{spec.kind} n={spec.n} seed={spec.seed}: no valid family in "
         f"{tried} attempt(s); last violations: {', '.join(report.kinds())}")

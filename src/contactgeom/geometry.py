@@ -8,13 +8,16 @@ sign is decided by integer arithmetic, never by floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from .incidence import FamilyIncidences
 
 
 def frac(value) -> Fraction:
@@ -133,8 +136,9 @@ def seg_events(pa, pb, pc, pd):
         if d4 == 0 and _between(pd, pa, pb):
             return ("touch", pd)
         return ("none",)
-    # a zero-length ab still has a direction to sort along when cd has one
-    axis = 0 if ax != bx or cx != dx else 1
+    # the four points lie on one line (or ab or cd is a point): sort along
+    # x unless all four share it, so two points apart never "touch"
+    axis = 0 if ax != bx or cx != dx or ax != cx else 1
     s1 = sorted((pa, pb), key=lambda p: p[axis])
     s2 = sorted((pc, pd), key=lambda p: p[axis])
     lo = max(s1[0], s2[0], key=lambda p: p[axis])
@@ -255,9 +259,12 @@ class Curve:
 
 @dataclass(frozen=True)
 class CurveFamily:
-    """Curves with a declared pairwise intersection budget m."""
+    """Curves with a declared pairwise intersection budget m, and the strict
+    catalogue (incidences) when its maker kept one; not part of eq or repr."""
     curves: Tuple[Curve, ...]
     m: int
+    incidences: Optional[FamilyIncidences] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))

@@ -71,10 +71,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """incidences: a valid family's catalogue, not part of eq or repr."""
     ok: bool
     n: int
     m: int
     violations: Tuple[Violation, ...]
+    incidences: Optional[FamilyIncidences] = field(
+        default=None, compare=False, repr=False)
 
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted({v.kind for v in self.violations}))
@@ -465,10 +468,13 @@ def _swap_sides(inc: Incidence) -> Incidence:
 
 
 def validate_general_position(family: CurveFamily) -> ValidationReport:
-    """Check the whole strict family model, collecting every violation."""
-    _, violations = _run_engine(family.curves, family.m, "strict")
-    return ValidationReport(
-        ok=not violations, n=family.n, m=family.m, violations=tuple(violations))
+    """Check the whole strict family model, collecting every violation; a
+    valid family's report keeps the catalogue compute_incidences would give."""
+    pairs, violations = _run_engine(family.curves, family.m, "strict")
+    fi = None if violations else FamilyIncidences(
+        family.m, tuple(c.id for c in family.curves), pairs)
+    return ValidationReport(ok=not violations, n=family.n, m=family.m,
+                            violations=tuple(violations), incidences=fi)
 
 
 def compute_incidences(family: CurveFamily, mode: str = "strict") -> FamilyIncidences:

@@ -16,7 +16,7 @@ import networkx
 
 from .arrangement import curve_portion
 from .errors import DegenerateError, PreconditionError, check
-from .geometry import Curve, CurveFamily
+from .geometry import Curve, CurveFamily, lift
 from .incidence import FamilyIncidences, compute_incidences
 
 VertexId = Tuple
@@ -27,12 +27,9 @@ class ReducedFamily(CurveFamily):
     """A family of sub-curves produced by reduce_degree.
 
     parent_of maps each piece id to the id of the curve it was cut from.
-    incidences is the catalogue of the pieces from reduce_degree's
-    post-check, for recursive_decompose; it is left out of eq and repr.
+    Its incidences are the pieces' catalogue from reduce_degree's post-check.
     """
-    parent_pairs: Tuple[Tuple[int, int], ...]
-    incidences: Optional[FamilyIncidences] = field(
-        default=None, compare=False, repr=False)
+    parent_pairs: Tuple[Tuple[int, int], ...] = field(kw_only=True)
 
     @property
     def parent_of(self) -> Dict[int, int]:
@@ -94,7 +91,7 @@ def reduce_degree(family: CurveFamily,
             pieces.append(Curve(next_id, curve_portion(c, lo, hi), closed=False))
             parent.append((next_id, c.id))
             next_id += 1
-    out = ReducedFamily(tuple(pieces), family.m, tuple(parent))
+    out = ReducedFamily(tuple(pieces), family.m, parent_pairs=tuple(parent))
     fo = compute_incidences(out)
     check(fo.X == fi.X and fo.T == fi.T, "degree reduction changed the stats")
     check({i.point for i in fo.all_incidences()}
@@ -147,37 +144,48 @@ def weighted_graph(vertices: Sequence[VertexId],
                                es, bool(planar))
 
 
+def _vertex_chains(family: CurveFamily, fi: FamilyIncidences):
+    """Each curve's graph vertices along it, anchor first, and the vertex
+    count. Vertices are numbered as the labels ("a", curve id) and ("p", x,
+    y) sort, with points compared exactly on one integer grid, unhashed."""
+    incs = [fi.on_curve(c.id) for c in family.curves]
+    scale = math.lcm(*(v.denominator for on_c in incs for inc in on_c
+                       for v in (inc.point.x, inc.point.y)))
+    lifted = [lift((inc.point for inc in on_c), scale) for on_c in incs]
+    points = sorted({q for qs in lifted for q in qs})
+    index = {q: k for k, q in enumerate(points, family.n)}
+    anchor = {cid: k for k, cid in enumerate(sorted(c.id for c in family))}
+    chains = [[anchor[c.id]] + [index[q] for q in qs]
+              for c, qs in zip(family.curves, lifted)]
+    return chains, family.n + len(points)
+
+
 def arrangement_to_planar_graph(family: CurveFamily,
                                 weights: Optional[Mapping[int, Fraction]] = None,
                                 fi: Optional[FamilyIncidences] = None,
                                 ) -> WeightedPlanarGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
-    Vertices are the contact points plus one anchor per curve; edges join
-    vertices consecutive along a curve. Each curve's weight is spread evenly
-    over the vertices lying on it; contact vertices collect a share from both
-    curves through them. Planarity is certified, not assumed: the graph ships
-    through check_planarity.
+    Vertices 0..V-1 are one anchor per curve, then the contact points (see
+    _vertex_chains); edges join vertices consecutive along a curve. Each
+    curve's weight is spread evenly over the vertices lying on it. Planarity
+    is certified, not assumed: the graph ships through check_planarity.
     """
     if fi is None:
         fi = compute_incidences(family)
-    n = family.n
     if weights is None:
-        weights = {c.id: Fraction(1, n) for c in family.curves}
-    verts: Dict[VertexId, Fraction] = {}
-    edges: List[Tuple[VertexId, VertexId]] = []
-    for c in family.curves:
-        chain: List[VertexId] = [("a", c.id)]
-        for inc in fi.on_curve(c.id):
-            chain.append(("p", inc.point.x, inc.point.y))
+        weights = {c.id: Fraction(1, family.n) for c in family.curves}
+    chains, nv = _vertex_chains(family, fi)
+    vw = [Fraction(0)] * nv
+    edges: List[Tuple[int, int]] = []
+    for c, chain in zip(family.curves, chains):
         share = Fraction(weights[c.id]) / len(chain)
         for v in chain:
-            verts[v] = verts.get(v, Fraction(0)) + share
-        for i in range(1, len(chain)):
-            edges.append((chain[i - 1], chain[i]))
+            vw[v] += share
+        edges += zip(chain, chain[1:])
         if c.closed and len(chain) > 1:
             edges.append((chain[-1], chain[0]))
-    g = weighted_graph(tuple(verts), edges, verts)
+    g = weighted_graph(range(nv), edges, dict(enumerate(vw)))
     check(g.planar, "arrangement graph failed the planarity check")
     return g
 
@@ -197,13 +205,15 @@ _CYCLE_CAP = 200
 _CUT_CAP = 1024
 
 
-def _components(nbrs: Sequence[Sequence[int]], removed: Sequence[int] = ()):
+def _components(nbrs: Sequence[Sequence[int]], removed: Sequence[int] = (),
+                w: Sequence[int] = (), bound: Optional[int] = None):
     """Components of the graph on 0..V-1 (sorted neighbour lists) minus
     `removed`, and the breadth-first parent of every vertex reached.
 
     Each component is a BFS order from its smallest vertex, and components
     come in order of that vertex. A root is its own parent, and a removed
-    vertex has parent -2.
+    vertex has parent -2. Given vertex weights w and a bound, the walk
+    returns None as soon as a component is heavy (3 * weight > bound).
     """
     parent = [-1] * len(nbrs)
     for v in removed:
@@ -213,14 +223,49 @@ def _components(nbrs: Sequence[Sequence[int]], removed: Sequence[int] = ()):
         if parent[root] != -1:
             continue
         parent[root] = root
-        comp = [root]
+        comp, cw = [root], 0
         for u in comp:
             for v in nbrs[u]:
                 if parent[v] == -1:
                     parent[v] = u
                     comp.append(v)
+            if bound is not None:
+                cw += w[u]
+                if 3 * cw > bound:
+                    return None
         out.append(comp)
     return out, parent
+
+
+def _articulation_points(nbrs: Sequence[Sequence[int]]) -> List[int]:
+    """The cut vertices of the graph on 0..V-1, in order, by an iterative
+    depth-first low-link search (components can be thousands deep)."""
+    nv = len(nbrs)
+    disc, low, splits = [-1] * nv, [0] * nv, [0] * nv
+    clock = 0
+    for root in range(nv):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(nbrs[root]))]
+        while stack:
+            u, p, it = stack[-1]
+            for v in it:
+                if disc[v] < 0:
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    stack.append((v, u, iter(nbrs[v])))
+                    break
+                if v != p:
+                    low[u] = min(low[u], disc[v])
+            else:
+                stack.pop()
+                if p >= 0:  # p splits off u's subtree unless it reaches above
+                    low[p] = min(low[p], low[u])
+                    splits[p] += low[u] >= disc[p]
+        splits[root] -= 1   # a root cuts only with two depth-first children
+    return [v for v in range(nv) if splits[v] > 0]
 
 
 def _fundamental_cycles(nbrs, comp, parent, depth) -> List[set]:
@@ -255,10 +300,12 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
     Candidates come from BFS levels and fundamental cycles of a BFS tree of
     each component, articulation points, and a greedy fallback; the smallest
     candidate that passes the exact balance test wins (ties by balance, then
-    lexicographically). The search runs on the vertices relabelled to their
-    positions in sorted order, with weights scaled to integers over their
-    common denominator; both maps are monotone, so every comparison and
-    tie-break is the one the original labels and weights would give.
+    lexicographically). A candidate's walk stops at its first heavy
+    component, and the greedy peel, tried last, stops once it is longer
+    than the best candidate. The search runs on the vertices relabelled to
+    their positions in sorted order, with weights scaled to integers over
+    their common denominator; both maps are monotone, so every comparison
+    and tie-break is the one the original labels and weights would give.
     """
     if not g.planar:
         raise PreconditionError("separator needs a planar graph")
@@ -294,33 +341,34 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
         candidates += levels
         candidates += _fundamental_cycles(nbrs, comp, parent, depth)
         candidates.append(comp)
-    cuts = sorted(networkx.articulation_points(networkx.Graph(edges)))
-    candidates += [(v,) for v in cuts[:_CUT_CAP]]
-    # greedy fallback: peel heaviest vertices out of overweight components
+    candidates += [(v,) for v in _articulation_points(nbrs)[:_CUT_CAP]]
+    best = None
+    for cand in candidates:
+        if best is not None and len(cand) > best[0]:
+            continue             # its key loses on length alone
+        walk = _components(nbrs, cand, w, bound)
+        if walk is not None:
+            heaviest = max((sum(w[v] for v in c) for c in walk[0]), default=0)
+            key = (len(cand), heaviest, sorted(cand))
+            if best is None or key < best:
+                best = key
+    # greedy fallback: peel the heaviest vertex out of the heaviest
+    # component; a peel longer than the best candidate loses on length
     greedy: List[int] = []
-    while True:
+    while best is None or len(greedy) <= best[0]:
         comps = _components(nbrs, greedy)[0]
         cw = [sum(w[v] for v in c) for c in comps]
         if 3 * max(cw, default=0) <= bound:
+            key = (len(greedy), max(cw, default=0), sorted(greedy))
+            if best is None or key < best:
+                best = key
             break
         worst = comps[cw.index(max(cw))]
         greedy.append(max(worst, key=lambda v: (w[v], v)))
-    candidates.append(greedy)
-
-    best = None
-    for cand in candidates:
-        if best is not None and len(cand) > best[0][0]:
-            continue             # its key loses on length alone
-        comps = _components(nbrs, cand)[0]
-        heaviest = max((sum(w[v] for v in c) for c in comps), default=0)
-        if 3 * heaviest > bound:
-            continue
-        key = (len(cand), heaviest, sorted(cand))
-        if best is None or key < best[0]:
-            best = (key, cand, comps)
     check(best is not None, "greedy fallback did not validate")
-    _, sep, comps = best
-    return SeparatorResult(labels(sep), tuple(map(labels, comps)),
+    sep = best[2]
+    return SeparatorResult(labels(sep),
+                           tuple(map(labels, _components(nbrs, sep)[0])),
                            len(sep) / math.sqrt(nv))
 
 
@@ -366,18 +414,10 @@ def string_separator(family: CurveFamily,
     components = _curve_components(family, fi)
     if fi.X == 0:
         return StringSeparatorResult(frozenset(), components(), 0.0)
-    g = arrangement_to_planar_graph(family, fi=fi)
-    res = planar_separator(g)
-    on_point: Dict[VertexId, List[int]] = {}
-    for (a, b), incs in fi.pairs.items():
-        for inc in incs:
-            on_point.setdefault(("p", inc.point.x, inc.point.y), []).extend((a, b))
-    sep: set = set()
-    for v in res.separator:
-        if v[0] == "a":
-            sep.add(v[1])
-        else:
-            sep.update(on_point[v])
+    res = planar_separator(arrangement_to_planar_graph(family, fi=fi))
+    sep = {c.id for c, chain in zip(family.curves,
+                                    _vertex_chains(family, fi)[0])
+           if not res.separator.isdisjoint(chain)}
     # the vertex-level lift can be wasteful (one contact vertex drags in two
     # curves); drop members that the balance guarantee does not need
     for cid in sorted(sep):
@@ -445,7 +485,7 @@ def recursive_decompose(family: CurveFamily,
     if n == 0:
         raise PreconditionError("decomposition needs at least one curve")
     C_const = Fraction(C_const)
-    fi = getattr(family, "incidences", None) or compute_incidences(family)
+    fi = family.incidences or compute_incidences(family)
     T = fi.T
     d = fi.X // n
     if d == 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -595,27 +596,27 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
     ends = (own_pts[-1], own_pts[0])
     other_table = _table(lift(_polyline(other), scale))
 
-    def passes(path) -> bool:
-        """False when the path leaves the face, grazes its boundary, meets
+    @cache   # routes share segments, so each is tested once per call
+    def passes(a, b) -> bool:
+        """False when segment ab leaves the face, grazes its boundary, meets
         lam away from the two junctions, or meets `other` other than by a
         proper crossing off `forbidden`."""
-        for a, b in zip(path, path[1:]):
-            for table in wall_tables:
-                for _ in _events(a, b, table):
-                    return False
-            for ev in _events(a, b, own):
-                if ev[0] != "touch" or ev[1] not in ends:
-                    return False
-            for ev in _events(a, b, other_table):
-                if (ev[0] != "proper"
-                        or _event_points(ev, a, b, scale)[0] in forbidden):
-                    return False
+        for table in wall_tables:
+            for _ in _events(a, b, table):
+                return False
+        for ev in _events(a, b, own):
+            if ev[0] != "touch" or ev[1] not in ends:
+                return False
+        for ev in _events(a, b, other_table):
+            if (ev[0] != "proper"
+                    or _event_points(ev, a, b, scale)[0] in forbidden):
+                return False
         return True
 
     for via in _route_candidates(ctx, g.points[-1], g.points[0], scale):
         path = (ends[0],) + via + (ends[1],)
         if (any(path[i] == path[i + 1] for i in range(len(path) - 1))
-                or not passes(path)):
+                or not all(map(passes, path, path[1:]))):
             continue
         try:
             closed = Curve(id=g.id, points=g.points + tuple(

@@ -42,8 +42,10 @@ def seg_meet(a, b, u, v):
         return "none", None
     # collinear: compare parameter intervals along r
     rr = r[0] * r[0] + r[1] * r[1]
-    if rr == 0:
-        return ("point", a) if (a.x, a.y) == (u.x, u.y) else ("none", None)
+    if rr == 0:  # ab is the point a: it meets uv iff it lies on uv
+        on = (_cross(au, s) == 0 and min(u.x, v.x) <= a.x <= max(u.x, v.x)
+              and min(u.y, v.y) <= a.y <= max(u.y, v.y))
+        return ("point", a) if on else ("none", None)
     t0 = F(au[0] * r[0] + au[1] * r[1], rr)
     t1 = t0 + F(s[0] * r[0] + s[1] * r[1], rr)
     lo, hi = min(t0, t1), max(t0, t1)
@@ -396,6 +398,61 @@ def planar_separator(g):
             best = (key, cand, tuple(comps))
     _, sep, comps = best
     return sep, comps, len(sep) / math.sqrt(nv)
+
+
+def tuple_arrangement_graph(family, fi):
+    """The arrangement graph with ("a", curve id) and ("p", x, y) vertex
+    labels, as (vertices, edges, weights): each curve's chain is its anchor,
+    then its catalogue contacts by chain parameter; every curve weighs 1/n,
+    shared evenly by its chain. Reads only the catalogue's plain data."""
+    along = {c.id: [] for c in family.curves}
+    for (a, b), incs in fi.pairs.items():
+        for inc in incs:
+            along[a].append((inc.s_a, b, inc.point))
+            along[b].append((inc.s_b, a, inc.point))
+    weights, edges = {}, set()
+    for c in family.curves:
+        chain = [("a", c.id)] + [("p", p.x, p.y)
+                                 for _, _, p in sorted(along[c.id])]
+        for v in chain:
+            weights[v] = weights.get(v, F(0)) + F(1, family.n) / len(chain)
+        ring = list(zip(chain, chain[1:]))
+        if c.closed and len(chain) > 1:
+            ring.append((chain[-1], chain[0]))
+        edges |= {tuple(sorted(e)) for e in ring if e[0] != e[1]}
+    return set(weights), edges, weights
+
+
+def tuple_string_separator(family, fi):
+    """(separator, components, c_measured) of the string separator lifted
+    from planar_separator above on tuple_arrangement_graph: a curve joins
+    when its anchor or a contact point on it does, then members the 2n/3
+    balance does not need are dropped in id order."""
+    import math
+    from types import SimpleNamespace
+
+    verts, edges, weights = tuple_arrangement_graph(family, fi)
+    g = SimpleNamespace(vertices=tuple(sorted(verts)), edges=edges,
+                        weight_items=tuple(sorted(weights.items())))
+    sep = set()
+    for v in planar_separator(g)[0]:
+        if v[0] == "a":
+            sep.add(v[1])
+        else:
+            sep |= {cid for pair, incs in fi.pairs.items() for inc in incs
+                    if (inc.point.x, inc.point.y) == v[1:] for cid in pair}
+    adj = {c.id: [] for c in family.curves}
+    for (a, b), incs in fi.pairs.items():
+        if incs:
+            adj[a].append(b)
+            adj[b].append(a)
+    balanced = lambda removed: all(3 * len(c) <= 2 * family.n
+                                   for c in _sep_components(adj, removed))
+    for cid in sorted(sep):
+        if balanced(sep - {cid}):
+            sep.discard(cid)
+    return (frozenset(sep), tuple(_sep_components(adj, sep)),
+            len(sep) / math.sqrt(sum(map(len, fi.pairs.values()))))
 
 
 # ------------------------------------------------------------ arrangement

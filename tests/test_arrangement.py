@@ -158,6 +158,22 @@ def test_chain_point_and_portion():
         (F(1, 2), F(2)), (F(2), F(9, 2))]
 
 
+@settings(max_examples=200, deadline=None)
+@given(cx=st.fractions(-5, 5, max_denominator=12),
+       cy=st.fractions(-5, 5, max_denominator=12),
+       resolution=st.sampled_from((8, 12)), keep=st.integers(2, 12),
+       closed=st.booleans(), den=st.integers(1, 12), data=st.data())
+def test_chain_point_matches_fraction_arithmetic(cx, cy, resolution, keep,
+                                                 closed, den, data):
+    pts = rational_circle(Point(cx, cy), resolution)
+    c = Curve(1, pts if closed else pts[:keep], closed=closed)
+    turns = 2 if closed else 1      # closed curves wrap their parameter
+    s = F(data.draw(st.integers(0, turns * c.n_segments * den)), den)
+    got = chain_point(c, s)
+    assert got == oracles._chain_point(c, s)
+    assert type(got.x) is F and type(got.y) is F
+
+
 def test_chain_param_is_exact_on_integer_points():
     assert chain_param((Point(0, 0), Point(2, 0)), Point(1, 0)) == F(1, 2)
     assert type(chain_param((Point(0, 0), Point(2, 0)), Point(1, 0))) is F

@@ -21,6 +21,24 @@ def test_no_module_has_assert():
     assert not found
 
 
+def test_separator_calls_networkx_only_to_check_planarity():
+    # the separator search runs on integer adjacency lists; networkx only
+    # certifies planarity, on the one Graph built as its input
+    tree = ast.parse(inspect.getsource(
+        importlib.import_module("contactgeom.separator")))
+    used = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "networkx"]
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "networkx"]
+    assert sorted(used) == ["Graph", "check_planarity"]
+    assert len(names) == len(used)   # the module is never passed around
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module.startswith("networkx")]
+
+
 def test_verifier_does_not_use_segment_intersection():
     # charging lifts each curve set once; a per-call Fraction lift in the
     # route search is what made it slow

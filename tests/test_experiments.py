@@ -13,6 +13,7 @@ from contactgeom.experiments import (BoundCheckRow, check_thm3, check_thm4,
                                      sweep_summary, thm3_exponent,
                                      thm4_exponent)
 from contactgeom.generators import GeneratorSpec, generate
+from contactgeom.geometry import CurveFamily
 from contactgeom.incidence import compute_incidences
 
 F = Fraction
@@ -126,6 +127,7 @@ def test_summary_reports_fit_failure():
 
 def test_sweep_row_runs_the_engine_once_per_curve_set(monkeypatch):
     fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=50, m=1, seed=42))
+    assert fam.incidences == compute_incidences(fam)
     want = experiments._sweep_row(fam)
     seen = []
     engine = incidence._run_engine
@@ -135,6 +137,29 @@ def test_sweep_row_runs_the_engine_once_per_curve_set(monkeypatch):
         return engine(curves, *args)
 
     monkeypatch.setattr(incidence, "_run_engine", counted)
+    # a generated family carries the catalogue its validation computed, so
+    # only the degree-reduced family runs the engine
     assert experiments._sweep_row(fam) == want
-    # one run for the input family, one for the degree-reduced family
-    assert len(seen) == 2 and seen[0] == fam.n and seen[1] > fam.n
+    assert len(seen) == 1 and seen[0] > fam.n
+    # a family without one runs it once more
+    bare = CurveFamily(fam.curves, fam.m)
+    assert experiments._sweep_row(bare) == want
+    assert seen[1:] == [fam.n, seen[0]]
+
+
+def test_run_sweep_runs_the_engine_twice_per_row(monkeypatch):
+    want = run_sweep("UnitCirclesGrid", [9, 16, 25], m=1, seed=42)
+    assert all(r.d >= 1 for r in want)   # every row reduces its degree
+    seen = []
+    engine = incidence._run_engine
+
+    def counted(curves, *args):
+        seen.append(len(curves))
+        return engine(curves, *args)
+
+    monkeypatch.setattr(incidence, "_run_engine", counted)
+    assert run_sweep("UnitCirclesGrid", [9, 16, 25], m=1, seed=42) == want
+    # per row: the validation inside generate, then the post-check of
+    # reduce_degree on the pieces
+    assert seen[::2] == [9, 16, 25]
+    assert len(seen) == 6 and all(p > n for n, p in zip(seen[::2], seen[1::2]))

@@ -36,7 +36,12 @@ def test_generate_validates_each_family_once(kind, monkeypatch):
     monkeypatch.setattr(generators, "validate_general_position", counted)
     n = 6 if kind == "PerturbedPencil" else 10
     fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=3))
-    assert len(calls) == 1 and calls[0] is fam
+    assert len(calls) == 1 and calls[0] == fam
+    # the family carries the catalogue of that one validation
+    fi = compute_incidences(fam)
+    assert fam.incidences == fi
+    assert list(fam.incidences.pairs.items()) == list(fi.pairs.items())
+    assert fam.incidences.curve_ids == fi.curve_ids
 
 
 @pytest.mark.parametrize("kind", KINDS)

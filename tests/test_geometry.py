@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactgeom.errors import ValidationError
 from contactgeom.geometry import (Curve, Point, angle_cmp, angle_key,
                                   coordinate_scale, cross, frac, lift,
                                   lift_point, midpoint, on_polyline,
                                   on_segment, orientation,
-                                  point_segment_position, pt,
+                                  point_segment_position, pt, seg_events,
                                   segment_intersection, signed_area2,
                                   winding_parity)
 
@@ -105,8 +107,6 @@ def test_segment_intersection_matches_reference_on_random_grid(dens):
     seen = set()
     for _ in range(400):
         a, b, c, d = _random_quadruple(rng, dens)
-        if a == b or c == d:
-            continue
         kind, data = segment_intersection(a, b, c, d)
         seen.add(kind)
         ref_kind, ref = oracles.seg_meet(a, b, c, d)
@@ -120,6 +120,26 @@ def test_segment_intersection_matches_reference_on_random_grid(dens):
             assert data == ref
             assert kind == ("endpoint" if ref in (a, b, c, d) else "proper")
     assert seen == {"none", "proper", "endpoint", "overlap"}
+
+
+_SMALL = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_SMALL, c=_SMALL, d=_SMALL)
+@example(p=(0, 0), c=(1, 0), d=(1, 0))       # two points at one height
+@example(p=(0, 0), c=(0, 2), d=(0, 2))       # two points on one vertical
+@example(p=(1, 0), c=(0, 0), d=(2, 0))       # a point inside a segment
+def test_point_segment_meets_what_it_lies_on(p, c, d):
+    # direct rule: p is on the closed segment cd, or equals it when c = d
+    cross_ = (d[0] - c[0]) * (p[1] - c[1]) - (d[1] - c[1]) * (p[0] - c[0])
+    on = (cross_ == 0 and min(c[0], d[0]) <= p[0] <= max(c[0], d[0])
+          and min(c[1], d[1]) <= p[1] <= max(c[1], d[1]))
+    want = ("touch", p) if on else ("none",)
+    assert seg_events(p, p, c, d) == want
+    assert seg_events(c, d, p, p) == want
+    kind, _ = oracles.seg_meet(*(Point(*q) for q in (p, p, c, d)))
+    assert kind == ("point" if on else "none")
 
 
 def test_angle_order_is_counterclockwise():

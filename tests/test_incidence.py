@@ -187,6 +187,7 @@ def test_validate_general_position_accepts_generated():
     fam = generate(GeneratorSpec(kind="RandomCircles", n=6, m=2, seed=11))
     rep = validate_general_position(fam)
     assert rep.ok and not rep.violations
+    assert rep.incidences == compute_incidences(fam)
 
 
 def test_validate_flags_triple_point():
@@ -196,7 +197,7 @@ def test_validate_flags_triple_point():
         Curve(id=2, points=(pt(0, -3), pt(0, 3)), closed=False),
         Curve(id=3, points=(pt(-3, -3), pt(3, 3)), closed=False)), m=3)
     rep = validate_general_position(fam)
-    assert not rep.ok
+    assert not rep.ok and rep.incidences is None
     assert any(v.kind == "triple_point" for v in rep.violations)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import networkx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom import incidence, separator
@@ -14,6 +14,7 @@ from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import Curve, CurveFamily, pt
 from contactgeom.incidence import FamilyIncidences, compute_incidences
 from contactgeom.separator import (ReducedFamily, SeparatorResult,
+                                   StringSeparatorResult,
                                    arrangement_to_planar_graph,
                                    planar_separator, recursive_decompose,
                                    reduce_degree, string_separator,
@@ -66,7 +67,7 @@ def test_reduced_family_carries_its_catalogue():
     assert red.incidences == fo
     assert list(red.incidences.pairs.items()) == list(fo.pairs.items())
     # the catalogue takes no part in equality, hashing or repr
-    bare = ReducedFamily(red.curves, red.m, red.parent_pairs)
+    bare = ReducedFamily(red.curves, red.m, parent_pairs=red.parent_pairs)
     assert bare.incidences is None
     assert bare == red and hash(bare) == hash(red) and repr(bare) == repr(red)
     assert reduce_degree(fam) == red
@@ -147,12 +148,37 @@ def test_arrangement_graph_shape():
     fam = grid9()
     fi = compute_incidences(fam)
     g = arrangement_to_planar_graph(fam)
-    anchors = [v for v in g.vertices if v[0] == "a"]
-    points = [v for v in g.vertices if v[0] == "p"]
-    assert len(anchors) == fam.n
-    assert len(points) == len({i.point for i in fi.all_incidences()})
+    points = {i.point for i in fi.all_incidences()}
+    # anchors 0..n-1 in curve-id order, then the contact points
+    assert g.vertices == tuple(range(fam.n + len(points)))
+    ids = sorted(c.id for c in fam)
+    for k, cid in enumerate(ids):
+        # an anchor only meets the contacts of its own curve
+        assert all(v >= fam.n for e in g.edges if k in e for v in e if v != k)
+        assert g.weights[k] == F(1, fam.n) / (1 + len(fi.on_curve(cid)))
+    assert all(u < v for u, v in g.edges)
     assert g.planar
     assert g.total_weight == 1
+
+
+ARRANGEMENT_FAMILIES = [
+    ("UnitCirclesGrid", 16, 1), ("UnitCirclesGrid", 30, 2),
+    ("RandomCircles", 12, 3), ("RandomCircles", 40, 4),
+    ("TangentChain", 9, 1)]
+
+
+@pytest.mark.parametrize("kind,n,seed", ARRANGEMENT_FAMILIES)
+def test_integer_graph_is_the_tuple_graph_relabelled(kind, n, seed):
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
+    fi = compute_incidences(fam)
+    verts, edges, weights = oracles.tuple_arrangement_graph(fam, fi)
+    pos = {v: k for k, v in enumerate(sorted(verts))}
+    g = arrangement_to_planar_graph(fam, fi=fi)
+    assert g.vertices == tuple(range(len(verts)))
+    assert g.edges == {tuple(sorted((pos[u], pos[v]))) for u, v in edges}
+    assert g.weights == {pos[v]: w for v, w in weights.items()}
+    assert string_separator(fam, fi) == StringSeparatorResult(
+        *oracles.tuple_string_separator(fam, fi))
 
 
 # -------------------------------------------------------- planar separator
@@ -242,6 +268,92 @@ def planar_graphs(draw):
                           else dict(zip(label, weights)))
 
 
+@st.composite
+def weighted_trees(draw):
+    """Stars and random trees with a few heavy vertices: there the greedy
+    peel often wins, sometimes tied in length with a BFS level."""
+    nv = draw(st.integers(2, 14))
+    if draw(st.booleans()):
+        edges = [(0, k) for k in range(1, nv)]
+    else:
+        edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, nv)]
+    weights = draw(st.lists(st.sampled_from((0, 1, 1, 2, 3, 7, 20)),
+                            min_size=nv, max_size=nv))
+    return weighted_graph(range(nv), edges, dict(enumerate(weights)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_trees())
+@example(weighted_graph(range(4), [(0, 1), (0, 2), (0, 3)],
+                        {0: 1, 1: 7, 2: 1, 3: 2}))
+@example(weighted_graph(range(5), [(0, 1), (0, 2), (2, 3), (3, 4)],
+                        {0: 7, 1: 20, 2: 1, 3: 0, 4: 7}))
+def test_planar_separator_matches_reference_on_weighted_trees(g):
+    assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
+
+
+def test_greedy_peel_wins_a_length_tie():
+    # the cut vertex 0 balances this spider, but the peeled heavy leaf 1,
+    # neither a cut vertex nor a BFS level, leaves a lighter heaviest part
+    g = weighted_graph(range(5), [(0, 1), (0, 2), (2, 3), (3, 4)],
+                       {0: 7, 1: 20, 2: 1, 3: 0, 4: 7})
+    res = planar_separator(g)
+    assert res == SeparatorResult(*oracles.planar_separator(g))
+    assert res.separator == frozenset({1})
+    assert res.components == (frozenset({0, 2, 3, 4}),)
+
+
+def test_component_of_exactly_two_thirds_is_balanced():
+    g = weighted_graph(range(3), [(0, 1)], {0: 1, 1: 1, 2: 1})
+    res = planar_separator(g)
+    assert res.separator == frozenset()
+    assert res.components == (frozenset({0, 1}), frozenset({2}))
+    # in a triangle every vertex leaves an edge of weight 2/3; the root's
+    # BFS level wins the tie, where the greedy peel would take vertex 2
+    res = planar_separator(weighted_graph(range(3), [(0, 1), (1, 2), (2, 0)]))
+    assert res.separator == frozenset({0})
+    assert res.components == (frozenset({1, 2}),)
+
+
+@st.composite
+def plain_graphs(draw):
+    """(V, edges) on 0..V-1: the planar parts above, or a random graph on
+    up to 12 vertices, often non-planar."""
+    if draw(st.booleans()):
+        return _planar_parts(draw)
+    nv = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return nv, [e for e, k in zip(pairs, keep) if k]
+
+
+def _adjacency(nv, edges):
+    nbrs = [set() for _ in range(nv)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [sorted(vs) for vs in nbrs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(plain_graphs())
+def test_articulation_points_match_networkx(graph):
+    nv, edges = graph
+    g = networkx.Graph()
+    g.add_nodes_from(range(nv))
+    g.add_edges_from(edges)
+    assert (separator._articulation_points(_adjacency(nv, edges))
+            == sorted(networkx.articulation_points(g)))
+
+
+def test_articulation_points_of_a_long_path():
+    # deeper than the recursion limit: the search must not recurse
+    nv = 5000
+    path = _adjacency(nv, [(k, k + 1) for k in range(nv - 1)])
+    assert separator._articulation_points(path) == list(range(1, nv - 1))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(planar_graphs())
 def test_planar_separator_matches_reference(g):
@@ -249,10 +361,7 @@ def test_planar_separator_matches_reference(g):
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
 
-@pytest.mark.parametrize("kind,n,seed", [
-    ("UnitCirclesGrid", 16, 1), ("UnitCirclesGrid", 30, 2),
-    ("RandomCircles", 12, 3), ("RandomCircles", 40, 4),
-    ("TangentChain", 9, 1)])
+@pytest.mark.parametrize("kind,n,seed", ARRANGEMENT_FAMILIES)
 def test_planar_separator_matches_reference_on_arrangements(kind, n, seed):
     fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
     g = arrangement_to_planar_graph(fam)
@@ -325,7 +434,8 @@ def test_decompose_grid_family():
 
 def test_decompose_runs_the_engine_once_per_family(monkeypatch):
     fam = grid9()
-    want = recursive_decompose(fam)
+    bare = CurveFamily(fam.curves, fam.m)
+    want = recursive_decompose(bare)
     assert want.per_level                # the recursion splits
     red = reduce_degree(fam)
     want_red = recursive_decompose(CurveFamily(red.curves, red.m))
@@ -334,9 +444,10 @@ def test_decompose_runs_the_engine_once_per_family(monkeypatch):
     monkeypatch.setattr(incidence, "_run_engine",
                         lambda *args: runs.append(args) or engine(*args))
     # the recursion nodes read restrictions of the family's catalogue
-    assert recursive_decompose(fam) == want
+    assert recursive_decompose(bare) == want
     assert len(runs) == 1
-    # a reduced family's decomposition reads the catalogue it carries
+    # generated and reduced families read the catalogue they carry
+    assert recursive_decompose(fam) == want
     assert recursive_decompose(red) == want_red
     assert len(runs) == 1
 
