@@ -7,16 +7,16 @@ from .errors import (ConstructionError, ContactGeomError, DegeneracyError,
                      GenerationError, OnCurveError, ParseError,
                      PreconditionError, ResourceError, ValidationError)
 from .geometry import Curve, CurveFamily, Point
-from .incidence import (FamilyIncidences, Incidence, compute_incidences,
-                        curve_pair_incidences, is_touching_pair,
-                        validate_general_position)
+from .incidence import (FamilyIncidences, Incidence, catalogue,
+                        compute_incidences, curve_pair_incidences,
+                        is_touching_pair, validate_general_position)
 from .arrangement import (Arrangement, SubArc, boundary_edge_cycle,
                           build_arrangement, build_mixed_arrangement,
                           cells_of_pair, locate_cell, pair_arrangement,
                           split_arcs_by_pair)
 from .familyio import (dumps_family, loads_family, read_family, write_family)
 from .generators import KINDS, GeneratorSpec, generate
-from .graphs import SimpleGraph, find_biclique, max_common_neighborhood
+from .graphs import SimpleGraph, max_common_neighborhood
 from .verifier import (CircularSignature, FaceContext, GroundPairSample,
                        RichPoorReport, alt_hat_charging, check_lemma8,
                        circular_signature, enumerate_ground_pairs, free_arc,
@@ -27,7 +27,7 @@ from .separator import (DecompositionReport, ReducedFamily, SeparatorResult,
                         arrangement_to_planar_graph, planar_separator,
                         recursive_decompose, reduce_degree, string_separator,
                         weighted_graph)
-from .experiments import (BoundCheckRow, SweepRow, check_thm3, check_thm4,
+from .experiments import (BoundCheckRow, SweepRow, check_thm4,
                           fit_exponent, run_sweep, sweep_csv, sweep_summary,
                           thm3_exponent, thm4_exponent)
 

@@ -19,8 +19,7 @@ from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
                        coordinate_scale, lift, lift_point, on_polyline,
                        on_segment, signed_area2, winding_parity)
-from .incidence import (FamilyIncidences, compute_incidences,
-                        curve_pair_incidences, mixed_contacts)
+from .incidence import FamilyIncidences, catalogue, mixed_contacts
 
 # the unbounded face's id in every Arrangement
 UNBOUNDED_FACE = 0
@@ -153,14 +152,14 @@ class Arrangement:
         return len(self.faces)
 
 
-def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
+def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangement:
     curves = tuple(curves)
 
     # chain parameters carrying a vertex, per curve
     param_points: Dict[int, Dict[Fraction, Point]] = {}
     for c in curves:
         got: Dict[Fraction, Point] = {}
-        for inc in fi.on_curve(c.id):
+        for inc in contacts.on_curve(c.id):
             got[inc.s_on(c.id)] = inc.point
         if not c.closed:
             got.setdefault(Fraction(0), c.points[0])
@@ -326,7 +325,7 @@ def _assemble(curves: Sequence[Curve], fi: FamilyIncidences) -> Arrangement:
 
 def build_arrangement(family: CurveFamily) -> Arrangement:
     """Arrangement of a validated family (strict contact model)."""
-    return _assemble(family.curves, compute_incidences(family))
+    return _assemble(family.curves, catalogue(family))
 
 
 def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
@@ -335,26 +334,19 @@ def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
     return _assemble(curves, mixed_contacts(curves))
 
 
-def pair_arrangement(family: CurveFamily, i: int, j: int,
-                     fi: Optional[FamilyIncidences] = None) -> Arrangement:
-    """Arrangement of curves i and j of the family. `fi`, the family's
-    contact catalogue, spares running the engine on the pair; only its
-    contacts between i and j are read."""
+def pair_arrangement(family: CurveFamily, i: int, j: int) -> Arrangement:
+    """Arrangement of curves i and j of the family, from the contacts
+    between them in the family's catalogue."""
     a, b = family.curve(i), family.curve(j)
-    if fi is None:
-        return _assemble((a, b), compute_incidences(
-            CurveFamily(curves=(a, b), m=family.m)))
-    incs = fi.between(i, j)
+    incs = catalogue(family).between(i, j)
     return _assemble((a, b), FamilyIncidences(
-        m=fi.m, curve_ids=(i, j), pairs={(i, j): incs} if incs else {}))
+        m=family.m, curve_ids=(i, j), pairs={(i, j): incs} if incs else {}))
 
 
-def cells_of_pair(family: CurveFamily, i: int, j: int,
-                  fi: Optional[FamilyIncidences] = None) -> List[Face]:
+def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
     """Faces of the two-curve arrangement. For a closed-closed pair the count
-    is at most m+2; open-arc pairs are measured, not constrained. `fi` is
-    handed to pair_arrangement."""
-    arr = pair_arrangement(family, i, j, fi)
+    is at most m+2; open-arc pairs are measured, not constrained."""
+    arr = pair_arrangement(family, i, j)
     a, b = family.curve(i), family.curve(j)
     if a.closed and b.closed:
         check(arr.F <= family.m + 2,
@@ -411,8 +403,9 @@ class SubArc:
 def split_arcs_by_pair(family: CurveFamily, i: int, j: int,
                        A: Set[int], B: Set[int], cell: int) -> List[SubArc]:
     """Cut every curve of A and B at its contacts with the ground pair and
-    keep the pieces lying inside the closure of the given cell."""
-    gi, gj = family.curve(i), family.curve(j)
+    keep the pieces lying inside the closure of the given cell. Contacts
+    are read from the family's catalogue."""
+    fi = catalogue(family)
     arr = pair_arrangement(family, i, j)
     if cell < 0 or cell >= arr.F:
         raise PreconditionError(f"no face {cell} in the pair arrangement")
@@ -423,13 +416,13 @@ def split_arcs_by_pair(family: CurveFamily, i: int, j: int,
         if cid in (i, j):
             raise PreconditionError("ground curves cannot be split members")
         c = family.curve(cid)
-        ground, other = (gi, gj) if cid in A else (gj, gi)
-        incs_g = curve_pair_incidences(c, ground)
+        ground, other = (i, j) if cid in A else (j, i)
+        incs_g = fi.between(cid, ground)
         if not (len(incs_g) == 1 and incs_g[0].kind == "tangency"):
             raise PreconditionError(
-                f"curve {cid} does not touch its ground curve {ground.id}")
+                f"curve {cid} does not touch its ground curve {ground}")
         cuts: Dict[Fraction, Point] = {}
-        for inc in incs_g + curve_pair_incidences(c, other):
+        for inc in incs_g + fi.between(cid, other):
             cuts[inc.s_on(cid)] = inc.point
         for lo, hi in split_curve_at(c, list(cuts)):
             loop = c.closed and hi - lo == c.n_segments

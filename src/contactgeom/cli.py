@@ -23,7 +23,7 @@ from .experiments import run_sweep, sweep_csv, sweep_summary
 from .familyio import read_family, write_family
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import CurveFamily, midpoint
-from .incidence import compute_incidences, validate_general_position
+from .incidence import catalogue, validate_general_position
 from .separator import ReducedFamily, recursive_decompose, reduce_degree
 from .verifier import (FaceContext, alt_hat_charging, circular_signature,
                        free_arc, monte_carlo_ground, rich_poor_partition,
@@ -85,7 +85,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_analyze(cfg: RunConfig) -> int:
     family = read_family(cfg.inputs[0])
-    fi = compute_incidences(family)
+    fi = catalogue(family)
     parts = [f"n={family.n}", f"m={family.m}", f"T={fi.T}", f"X={fi.X}",
              f"crossings={fi.crossing_count}"]
     if fi.T > 0:
@@ -151,11 +151,11 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-def _instance_sides(family: CurveFamily, fi) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _instance_sides(family: CurveFamily) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Split the ids into two sides that touch completely across and never
     within; None when the touching graph has no such shape."""
     touch: Dict[int, set] = {c.id: set() for c in family}
-    for a, b in fi.touching_pairs():
+    for a, b in catalogue(family).touching_pairs():
         touch[a].add(b)
         touch[b].add(a)
     active = [cid for cid in sorted(touch) if touch[cid]]
@@ -193,7 +193,6 @@ def _pick_face(family: CurveFamily, lambda1_ids: Sequence[int],
 
 def _cmd_verify_prop9(cfg: RunConfig) -> int:
     family = read_family(cfg.inputs[0])
-    fi = compute_incidences(family)
     m = family.m
     data: Dict[str, object] = {"m": m, "n": family.n, "expected_lambda1": m + 5}
 
@@ -204,7 +203,7 @@ def _cmd_verify_prop9(cfg: RunConfig) -> int:
         print(f"wrote {cfg.report}")
         return 0
 
-    sides = _instance_sides(family, fi)
+    sides = _instance_sides(family)
     if sides is None:
         return bail("touching graph is not complete bipartite")
     # orient the split: the surrounding side hosts an arrangement with one
@@ -274,11 +273,11 @@ def _cmd_verify_prop9(cfg: RunConfig) -> int:
 
 def _cmd_sample_lemma(cfg: RunConfig) -> int:
     family = read_family(cfg.inputs[0])
-    fi = compute_incidences(family)
+    fi = catalogue(family)
     data: Dict[str, object] = {"n": family.n, "m": family.m,
                                "T": fi.T, "X": fi.X}
     if fi.T >= 1:
-        rp = rich_poor_partition(family, fi)
+        rp = rich_poor_partition(family)
         data["rich_poor"] = {
             "threshold": str(rp.threshold),
             "poor_arcs": sorted(rp.poor_arcs),
@@ -287,7 +286,7 @@ def _cmd_sample_lemma(cfg: RunConfig) -> int:
         }
     else:
         data["rich_poor"] = None
-    data["monte_carlo"] = monte_carlo_ground(family, cfg.trials, cfg.seed, fi)
+    data["monte_carlo"] = monte_carlo_ground(family, cfg.trials, cfg.seed)
     _write_text(cfg.report, _json_text(data))
     mc = data["monte_carlo"]
     print(f"trials={cfg.trials} seed={cfg.seed} "

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import DegenerateError, FitError, check
 from .generators import GeneratorSpec, generate
 from .geometry import CurveFamily
-from .incidence import FamilyIncidences, compute_incidences
+from .incidence import catalogue
 from .separator import recursive_decompose, reduce_degree, string_separator
 
 
@@ -43,34 +43,21 @@ class BoundCheckRow:
     thm4_ratio: Optional[float]  # None when T < n
 
 
-def _make_row(family: CurveFamily, fi: FamilyIncidences) -> BoundCheckRow:
+def check_thm4(family: CurveFamily) -> BoundCheckRow:
+    """The family's row: the touching count normalized by the predicted
+    growth (logged, not judged: the bound's constant is unknown), and the
+    intersection count normalized by the predicted lower bound, defined
+    only for touching-heavy families (T >= n)."""
+    fi = catalogue(family)
     n, m = family.n, family.m
     T, X = fi.T, fi.X
+    check(X >= T, "intersections cannot undercount touchings")
     thm3 = T / n ** float(thm3_exponent(m))
     if T >= n:
         thm4 = X / (T * (T / n) ** float(thm4_exponent(m)))
     else:
         thm4 = None
     return BoundCheckRow(n=n, m=m, T=T, X=X, thm3_ratio=thm3, thm4_ratio=thm4)
-
-
-def check_thm3(family: CurveFamily,
-               fi: Optional[FamilyIncidences] = None) -> BoundCheckRow:
-    """Touching count normalized by the predicted growth; logged, not judged
-    (the bound's constant is unknown)."""
-    if fi is None:
-        fi = compute_incidences(family)
-    return _make_row(family, fi)
-
-
-def check_thm4(family: CurveFamily,
-               fi: Optional[FamilyIncidences] = None) -> BoundCheckRow:
-    """Intersection count normalized by the predicted lower bound; the ratio
-    is only defined for touching-heavy families (T >= n)."""
-    if fi is None:
-        fi = compute_incidences(family)
-    check(fi.X >= fi.T, "intersections cannot undercount touchings")
-    return _make_row(family, fi)
 
 
 def fit_exponent(rows: Sequence[BoundCheckRow]) -> Dict[str, float]:
@@ -111,16 +98,15 @@ class SweepRow:
 
 
 def _sweep_row(family: CurveFamily) -> SweepRow:
-    fi = family.incidences or compute_incidences(family)
-    row = check_thm4(family, fi)
-    sep = string_separator(family, fi)
+    row = check_thm4(family)
+    sep = string_separator(family)
     try:
-        report = recursive_decompose(reduce_degree(family, fi))
+        report = recursive_decompose(reduce_degree(family))
         pieces: Optional[int] = len(report.pieces)
     except DegenerateError:
         pieces = None
     return SweepRow(
-        n=row.n, m=row.m, T=row.T, X=row.X, d=fi.X // family.n,
+        n=row.n, m=row.m, T=row.T, X=row.X, d=row.X // family.n,
         f=None if row.T == 0 else row.X / row.T,
         thm3_ratio=row.thm3_ratio, thm4_ratio=row.thm4_ratio,
         sep_size=len(sep.separator), pieces=pieces)

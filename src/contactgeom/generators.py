@@ -10,14 +10,14 @@ validator and returns the first valid one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Tuple
 
 from .errors import GenerationError, PreconditionError
 from .geometry import Curve, CurveFamily, Point, pt
-from .incidence import validate_general_position
+from .incidence import keep_catalogue, validate_general_position
 
 KINDS = ("UnitCirclesGrid", "TangentChain", "RandomCircles",
          "PseudoParabolas", "PerturbedPencil")
@@ -160,7 +160,7 @@ def generate(spec: GeneratorSpec) -> CurveFamily:
     for tried, family in enumerate(candidates, 1):
         report = validate_general_position(family)
         if report.ok:
-            return replace(family, incidences=report.incidences)
+            return keep_catalogue(family, report.incidences)
     raise GenerationError(
         f"{spec.kind} n={spec.n} seed={spec.seed}: no valid family in "
         f"{tried} attempt(s); last violations: {', '.join(report.kinds())}")

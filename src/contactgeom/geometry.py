@@ -186,13 +186,6 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
     return ("overlap", (unlift(res[1]), unlift(res[2])))
 
 
-def point_segment_position(p: Point, a: Point, b: Point) -> str:
-    """'off', 'interior', or 'vertex' (p coincides with a or b)."""
-    if p == a or p == b:
-        return "vertex"
-    return "interior" if on_segment(p, a, b) else "off"
-
-
 @dataclass(frozen=True)
 class Curve:
     """A simple polyline curve, open (arc) or closed (Jordan curve).
@@ -259,12 +252,16 @@ class Curve:
 
 @dataclass(frozen=True)
 class CurveFamily:
-    """Curves with a declared pairwise intersection budget m, and the strict
-    catalogue (incidences) when its maker kept one; not part of eq or repr."""
+    """Curves with a declared pairwise intersection budget m.
+
+    incidences is the strict contact catalogue once a reader has computed
+    or kept it (incidence.catalogue, incidence.keep_catalogue). It takes no
+    part in eq, hash or repr, and dataclasses.replace does not copy it.
+    """
     curves: Tuple[Curve, ...]
     m: int
     incidences: Optional[FamilyIncidences] = field(
-        default=None, compare=False, repr=False)
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))

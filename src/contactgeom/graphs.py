@@ -1,4 +1,5 @@
-"""Intersection and contact graphs, biclique search, planarity."""
+"""Intersection and contact graphs of a catalogue, biclique search,
+planarity."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import networkx as nx
 
 from .errors import ResourceError, check
-from .geometry import CurveFamily
-from .incidence import FamilyIncidences, compute_incidences
+from .incidence import FamilyIncidences
 
 
 @dataclass(frozen=True)
@@ -71,87 +71,25 @@ def graph_from_edges(edges: Iterable[Tuple[int, int]], vertices: Iterable[int] =
         (min(u, v), max(u, v)) for u, v in es))
 
 
-@dataclass(frozen=True)
-class FamilyStats:
-    """Headline counts: curves, touching pairs, intersection points, degree."""
-    n: int
-    T: int
-    X: int
-    d: int
-
-
-def intersection_graph_from(fi: FamilyIncidences) -> SimpleGraph:
-    return SimpleGraph(
-        vertices=fi.curve_ids,
-        edges=frozenset(pair for pair, incs in fi.pairs.items() if incs))
-
-
-def contact_graph_from(fi: FamilyIncidences) -> SimpleGraph:
-    return SimpleGraph(vertices=fi.curve_ids, edges=frozenset(fi.touching_pairs()))
-
-
-def build_intersection_graph(family: CurveFamily) -> SimpleGraph:
+def intersection_graph_from(incidences: FamilyIncidences) -> SimpleGraph:
     """Edge {i,j} iff curves i and j meet at least once."""
-    return intersection_graph_from(compute_incidences(family))
+    return SimpleGraph(
+        vertices=incidences.curve_ids,
+        edges=frozenset(pair for pair, incs in incidences.pairs.items() if incs))
 
 
-def build_contact_graph(family: CurveFamily) -> SimpleGraph:
+def contact_graph_from(incidences: FamilyIncidences) -> SimpleGraph:
     """Edge {i,j} iff i and j form a touching pair."""
-    return contact_graph_from(compute_incidences(family))
-
-
-def stats_from(fi: FamilyIncidences, n: int) -> FamilyStats:
-    X = len(fi.all_incidences())
-    return FamilyStats(n=n, T=fi.T, X=X, d=X // n if n else 0)
-
-
-def family_stats(family: CurveFamily) -> FamilyStats:
-    """n, touching-pair count T, total intersection points X, d = floor(X/n)."""
-    return stats_from(compute_incidences(family), family.n)
-
-
-def find_biclique(g: SimpleGraph, s: int, t: int,
-                  budget: int = 5_000_000) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Lexicographically first complete bipartite K_{s,t} witness, or None.
-
-    Exhaustive over s-subsets of the vertex set with common-neighborhood
-    pruning. The right side returned is the t lexicographically least common
-    neighbors.
-    """
-    if s < 1 or t < 1:
-        raise ValueError("s and t must be positive")
-    if comb(g.n, s) > budget:
-        raise ResourceError(f"C({g.n},{s}) exceeds biclique budget {budget}")
-    order = g.vertices
-
-    def extend(start: int, chosen: List[int], common: Optional[FrozenSet[int]]):
-        if len(chosen) == s:
-            rest = sorted(common - set(chosen))
-            if len(rest) >= t:
-                return (tuple(chosen), tuple(rest[:t]))
-            return None
-        need = s - len(chosen)
-        for idx in range(start, len(order) - need + 1):
-            v = order[idx]
-            nxt = g.neighbors(v) if common is None else (common & g.neighbors(v))
-            # the right side must stay disjoint from the left
-            if len(nxt.difference(chosen, (v,))) < t:
-                continue
-            chosen.append(v)
-            hit = extend(idx + 1, chosen, nxt)
-            if hit:
-                return hit
-            chosen.pop()
-        return None
-
-    return extend(0, [], None)
+    return SimpleGraph(vertices=incidences.curve_ids,
+                       edges=frozenset(incidences.touching_pairs()))
 
 
 def max_common_neighborhood(g: SimpleGraph, s: int,
                             budget: int = 5_000_000) -> Tuple[int, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
     """Largest t with K_{s,t} in g, plus one witness; (0, None) when none.
 
-    Same search as find_biclique but maximizing the right side.
+    Exhaustive over s-subsets of the vertex set in order, pruning a branch
+    whose common neighbourhood cannot beat the best right side so far.
     """
     if s < 1:
         raise ValueError("s must be positive")

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegeneracyError, EndpointError, PreconditionError,
-                     ValidationError)
+                     ValidationError, check)
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
                        coordinate_scale, lift, seg_events)
 
@@ -366,12 +366,12 @@ def _raise_first(violations: Sequence[Violation]):
     raise exc(f"{v.kind} involving curves {v.curves}: {v.detail}")
 
 
-def curve_pair_incidences(a: Curve, b: Curve, mode: str = "strict") -> Tuple[Incidence, ...]:
+def curve_pair_incidences(a: Curve, b: Curve) -> Tuple[Incidence, ...]:
     """Contacts between two individually simple curves, ordered by point.
 
-    Raises on any configuration outside the chosen mode's model.
+    Raises on any configuration outside the strict model.
     """
-    pairs, violations = _run_engine([a, b], None, mode)
+    pairs, violations = _run_engine([a, b], None, "strict")
     _raise_first(violations)
     incs = pairs.get((a.id, b.id), ())
     return tuple(sorted(incs, key=lambda inc: (inc.point.x, inc.point.y)))
@@ -477,15 +477,36 @@ def validate_general_position(family: CurveFamily) -> ValidationReport:
                             violations=tuple(violations), incidences=fi)
 
 
-def compute_incidences(family: CurveFamily, mode: str = "strict") -> FamilyIncidences:
-    """Contact catalog of a family; raises if the model is violated."""
-    budget = family.m if mode == "strict" else None
-    pairs, violations = _run_engine(family.curves, budget, mode)
+def compute_incidences(family: CurveFamily) -> FamilyIncidences:
+    """Contact catalog of a family; raises if the model is violated. Layers
+    read a family's catalogue through catalogue(family), which runs this
+    once per family."""
+    pairs, violations = _run_engine(family.curves, family.m, "strict")
     _raise_first(violations)
     return FamilyIncidences(
         m=family.m,
         curve_ids=tuple(c.id for c in family.curves),
         pairs=pairs)
+
+
+def catalogue(family: CurveFamily) -> FamilyIncidences:
+    """The family's strict contact catalogue: the one it carries, else
+    compute_incidences(family), kept on the family for the next reader.
+    Raises, as compute_incidences does, on a family outside the model."""
+    if family.incidences is None:
+        keep_catalogue(family, compute_incidences(family))
+    return family.incidences
+
+
+def keep_catalogue(family: CurveFamily,
+                   incidences: FamilyIncidences) -> CurveFamily:
+    """Keep the family's catalogue, computed elsewhere, on the family, and
+    return the family."""
+    check(incidences.m == family.m
+          and incidences.curve_ids == tuple(c.id for c in family),
+          "a catalogue kept on a family must be its own")
+    object.__setattr__(family, "incidences", incidences)
+    return family
 
 
 def mixed_contacts(curves: Sequence[Curve]) -> FamilyIncidences:

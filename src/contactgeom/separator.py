@@ -8,7 +8,7 @@ every remaining piece is smaller than the threshold M = C n^2 d^3 / T^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -17,7 +17,7 @@ import networkx
 from .arrangement import curve_portion
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, lift
-from .incidence import FamilyIncidences, compute_incidences
+from .incidence import catalogue, compute_incidences, keep_catalogue
 
 VertexId = Tuple
 
@@ -58,21 +58,20 @@ def _piece_intervals(c: Curve, params: Sequence[Fraction], d: int):
     return out
 
 
-def reduce_degree(family: CurveFamily,
-                  fi: Optional[FamilyIncidences] = None) -> CurveFamily:
+def reduce_degree(family: CurveFamily) -> CurveFamily:
     """Cut every curve into sub-curves carrying at most d = X // n contact
     points each, where X is the family's total contact count.
 
     The cuts land strictly inside contact-free parameter gaps, two per gap at
     the one-third and two-thirds positions, so the pieces of one curve are
     pairwise disjoint and every contact point survives on exactly one piece.
-    Returns the input unchanged when d would be 0. fi is the family's
-    catalogue, computed when not given.
+    Returns the input unchanged when d would be 0. The pieces' catalogue is
+    computed afresh, as a check that every contact survived, and kept on
+    the result.
     """
     if family.n == 0:
         raise PreconditionError("reduce_degree needs at least one curve")
-    if fi is None:
-        fi = compute_incidences(family)
+    fi = catalogue(family)
     d = fi.X // family.n
     if d == 0:
         return family
@@ -97,7 +96,7 @@ def reduce_degree(family: CurveFamily,
     check({i.point for i in fo.all_incidences()}
           == {i.point for i in fi.all_incidences()},
           "degree reduction moved a contact point")
-    return replace(out, incidences=fo)
+    return keep_catalogue(out, fo)
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,11 @@ def weighted_graph(vertices: Sequence[VertexId],
                                es, bool(planar))
 
 
-def _vertex_chains(family: CurveFamily, fi: FamilyIncidences):
+def _vertex_chains(family: CurveFamily):
     """Each curve's graph vertices along it, anchor first, and the vertex
     count. Vertices are numbered as the labels ("a", curve id) and ("p", x,
     y) sort, with points compared exactly on one integer grid, unhashed."""
+    fi = catalogue(family)
     incs = [fi.on_curve(c.id) for c in family.curves]
     scale = math.lcm(*(v.denominator for on_c in incs for inc in on_c
                        for v in (inc.point.x, inc.point.y)))
@@ -162,7 +162,6 @@ def _vertex_chains(family: CurveFamily, fi: FamilyIncidences):
 
 def arrangement_to_planar_graph(family: CurveFamily,
                                 weights: Optional[Mapping[int, Fraction]] = None,
-                                fi: Optional[FamilyIncidences] = None,
                                 ) -> WeightedPlanarGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
@@ -171,11 +170,9 @@ def arrangement_to_planar_graph(family: CurveFamily,
     curve's weight is spread evenly over the vertices lying on it. Planarity
     is certified, not assumed: the graph ships through check_planarity.
     """
-    if fi is None:
-        fi = compute_incidences(family)
     if weights is None:
         weights = {c.id: Fraction(1, family.n) for c in family.curves}
-    chains, nv = _vertex_chains(family, fi)
+    chains, nv = _vertex_chains(family)
     vw = [Fraction(0)] * nv
     edges: List[Tuple[int, int]] = []
     for c, chain in zip(family.curves, chains):
@@ -381,13 +378,13 @@ class StringSeparatorResult:
     c_measured: float
 
 
-def _curve_components(family: CurveFamily, fi: FamilyIncidences):
+def _curve_components(family: CurveFamily):
     """The components of the family's intersection graph minus a removed
     curve set, as a function of that set; the adjacency is built once."""
     ids = sorted(c.id for c in family.curves)
     index = {cid: i for i, cid in enumerate(ids)}
     nbrs: List[List[int]] = [[] for _ in ids]
-    for (a, b), incs in fi.pairs.items():
+    for (a, b), incs in catalogue(family).pairs.items():
         if incs:
             nbrs[index[a]].append(index[b])
             nbrs[index[b]].append(index[a])
@@ -398,25 +395,21 @@ def _curve_components(family: CurveFamily, fi: FamilyIncidences):
     return components
 
 
-def string_separator(family: CurveFamily,
-                     fi: Optional[FamilyIncidences] = None,
-                     ) -> StringSeparatorResult:
+def string_separator(family: CurveFamily) -> StringSeparatorResult:
     """Lift a planar separator of the arrangement graph to a curve set.
 
     Curves weigh 1/n each, spread over their graph vertices; a curve joins
     the separator when any of its vertices does. Disjoint families return an
-    empty separator before any planar machinery runs. fi is the family's
-    catalogue, computed when not given.
+    empty separator before any planar machinery runs.
     """
-    if fi is None:
-        fi = compute_incidences(family)
+    fi = catalogue(family)
     n = family.n
-    components = _curve_components(family, fi)
+    components = _curve_components(family)
     if fi.X == 0:
         return StringSeparatorResult(frozenset(), components(), 0.0)
-    res = planar_separator(arrangement_to_planar_graph(family, fi=fi))
+    res = planar_separator(arrangement_to_planar_graph(family))
     sep = {c.id for c, chain in zip(family.curves,
-                                    _vertex_chains(family, fi)[0])
+                                    _vertex_chains(family)[0])
            if not res.separator.isdisjoint(chain)}
     # the vertex-level lift can be wasteful (one contact vertex drags in two
     # curves); drop members that the balance guarantee does not need
@@ -485,13 +478,13 @@ def recursive_decompose(family: CurveFamily,
     if n == 0:
         raise PreconditionError("decomposition needs at least one curve")
     C_const = Fraction(C_const)
-    fi = family.incidences or compute_incidences(family)
+    fi = catalogue(family)
     T = fi.T
     d = fi.X // n
     if d == 0:
         # too sparse for the threshold formula: fall back to the connected
         # components of the intersection graph, which nothing can separate
-        pieces = tuple(sorted(_curve_components(family, fi)(), key=min))
+        pieces = tuple(sorted(_curve_components(family)(), key=min))
         return DecompositionReport(0, Fraction(0), C_const, frozenset(),
                                    pieces, T, T, ())
     if T == 0:
@@ -513,7 +506,7 @@ def recursive_decompose(family: CurveFamily,
             pieces.append(ids)
             return
         sub = CurveFamily(tuple(by_id[i] for i in sorted(ids)), family.m)
-        res = string_separator(sub, fi.restrict(sub))
+        res = string_separator(keep_catalogue(sub, fi.restrict(sub)))
         sep.update(res.separator)
         level_sizes[depth] = level_sizes.get(depth, 0) + len(res.separator)
         for comp in sorted(res.components, key=min):

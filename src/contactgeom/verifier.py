@@ -24,8 +24,7 @@ from .errors import (ConstructionError, PreconditionError, ValidationError,
 from .geometry import (Curve, CurveFamily, Point, coordinate_scale, lift,
                        lift_point, midpoint, on_polyline, seg_events)
 from .graphs import SimpleGraph, max_common_neighborhood
-from .incidence import (FamilyIncidences, compute_incidences,
-                        curve_pair_incidences, is_touching_pair)
+from .incidence import catalogue, curve_pair_incidences, is_touching_pair
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
                           boundary_edge_cycle, build_mixed_arrangement,
                           chain_param, curve_portion, locate_cell,
@@ -42,12 +41,9 @@ class RichPoorReport:
     T_rich: int
 
 
-def rich_poor_partition(family: CurveFamily,
-                        fi: Optional[FamilyIncidences] = None) -> RichPoorReport:
+def rich_poor_partition(family: CurveFamily) -> RichPoorReport:
     """Split arcs by whether they carry at least T/(1000n) touchings."""
-    if fi is None:
-        fi = compute_incidences(family)
-    touching = fi.touching_pairs()
+    touching = catalogue(family).touching_pairs()
     T = len(touching)
     if T < 1:
         raise PreconditionError("rich/poor split needs at least one touching")
@@ -78,19 +74,16 @@ class GroundPairSample:
     t_prime: int
 
 
-def _ground_pairs(family: CurveFamily, fi: Optional[FamilyIncidences]):
-    """(catalogue, touching adjacency, candidate ground pairs) of a family:
-    the adjacency maps a curve id to the ids it touches, and the catalogue
-    is computed when fi is None."""
+def _ground_pairs(family: CurveFamily):
+    """(touching adjacency, candidate ground pairs) of a family: the
+    adjacency maps a curve id to the ids it touches."""
     if family.n < 2:
         raise PreconditionError("need at least two curves")
-    if fi is None:
-        fi = compute_incidences(family)
     touching: Dict[int, Set[int]] = {}
-    for a, b in fi.touching_pairs():
+    for a, b in catalogue(family).touching_pairs():
         touching.setdefault(a, set()).add(b)
         touching.setdefault(b, set()).add(a)
-    return fi, touching, list(combinations(sorted(c.id for c in family), 2))
+    return touching, list(combinations(sorted(c.id for c in family), 2))
 
 
 class _PairContext:
@@ -98,9 +91,9 @@ class _PairContext:
     the adjacency from _ground_pairs, built once per call. The pair
     arrangement is built only when a touching of T* has to be located."""
 
-    def __init__(self, family: CurveFamily, fi: FamilyIncidences,
-                 touching: Dict[int, Set[int]], g1: int, g2: int):
-        self.family, self.fi = family, fi
+    def __init__(self, family: CurveFamily, touching: Dict[int, Set[int]],
+                 g1: int, g2: int):
+        self.family = family
         self.g1, self.g2 = g1, g2
         A = self.A_prime = frozenset(touching.get(g1, ())) - {g2}
         B = self.B_prime = frozenset(touching.get(g2, ())) - {g1}
@@ -108,6 +101,7 @@ class _PairContext:
         self.t_prime_pairs = tuple(
             (a, b) for a in sorted(A | B) for b in sorted(touching[a])
             if a < b and ((a in A and b in B) or (a in B and b in A)))
+        fi = catalogue(family)
         self._touch_point = {pair: fi.between(*pair)[0].point
                              for pair in self.t_prime_pairs}
         self._arr: Optional[Arrangement] = None
@@ -117,8 +111,7 @@ class _PairContext:
         p = self._touch_point[pair]
         if p not in self._face_of:
             if self._arr is None:
-                self._arr = pair_arrangement(self.family, self.g1, self.g2,
-                                             self.fi)
+                self._arr = pair_arrangement(self.family, self.g1, self.g2)
             self._face_of[p] = locate_cell(self._arr, p)
         return self._face_of[p]
 
@@ -156,13 +149,12 @@ class _PairContext:
         return sample
 
 
-def sample_ground_pair(family: CurveFamily, seed: int,
-                       fi: Optional[FamilyIncidences] = None) -> GroundPairSample:
+def sample_ground_pair(family: CurveFamily, seed: int) -> GroundPairSample:
     """One random draw: uniform pair, fair coin per doubly-touching arc."""
-    fi, touching, pairs = _ground_pairs(family, fi)
+    touching, pairs = _ground_pairs(family)
     rng = random.Random(seed)
     g1, g2 = pairs[rng.randrange(len(pairs))]
-    ctx = _PairContext(family, fi, touching, g1, g2)
+    ctx = _PairContext(family, touching, g1, g2)
     to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
     return ctx.resolve(to_A)
 
@@ -181,12 +173,12 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
     Each pair contributes the average over its 2^s coin assignments, then
     pairs are averaged uniformly, matching the two-stage random draw.
     """
-    fi, touching, pairs = _ground_pairs(family, None)
+    touching, pairs = _ground_pairs(family)
     pair_stars: List[Fraction] = []
     pair_deltas: List[Fraction] = []
     pair_primes: List[Fraction] = []
     for g1, g2 in pairs:
-        ctx = _PairContext(family, fi, touching, g1, g2)
+        ctx = _PairContext(family, touching, g1, g2)
         stars = 0
         deltas = 0
         s = len(ctx.shared)
@@ -206,12 +198,11 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
         mean_t_prime=sum(pair_primes) / k)
 
 
-def monte_carlo_ground(family: CurveFamily, trials: int, seed: int,
-                       fi: Optional[FamilyIncidences] = None) -> dict:
+def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
     """Repeated random draws, summarized for the JSON report."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    fi, touching, pairs = _ground_pairs(family, fi)
+    touching, pairs = _ground_pairs(family)
     ctxs: Dict[Tuple[int, int], _PairContext] = {}
     rng = random.Random(seed)
     seen: Dict[str, List[int]] = {"t_star": [], "t_star_in_delta": [],
@@ -219,7 +210,7 @@ def monte_carlo_ground(family: CurveFamily, trials: int, seed: int,
     for _ in range(trials):
         g = pairs[rng.randrange(len(pairs))]
         if g not in ctxs:
-            ctxs[g] = _PairContext(family, fi, touching, g[0], g[1])
+            ctxs[g] = _PairContext(family, touching, g[0], g[1])
         ctx = ctxs[g]
         to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
         sample = ctx.resolve(to_A)

@@ -12,12 +12,13 @@ from fractions import Fraction
 from contactgeom.arrangement import (build_mixed_arrangement, cells_of_pair,
                                      locate_cell)
 from contactgeom.errors import GenerationError
-from contactgeom.experiments import (check_thm3, check_thm4, fit_exponent,
-                                     thm3_exponent, thm4_exponent)
+from contactgeom.experiments import (check_thm4, fit_exponent, thm3_exponent,
+                                     thm4_exponent)
 from contactgeom.cli import main as cli_main
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.graphs import check_planarity, contact_graph_from
-from contactgeom.incidence import compute_incidences, curve_pair_incidences
+from contactgeom.incidence import (catalogue, compute_incidences,
+                                   curve_pair_incidences)
 from contactgeom.separator import (recursive_decompose, reduce_degree,
                                    string_separator)
 from contactgeom.verifier import (FaceContext, circular_signature,
@@ -195,7 +196,7 @@ def test_criterion_5_pair_cell_counts():
                 a, b = ids[i], ids[j]
                 if a in closed and b in closed:
                     closed_pairs += 1
-                    cells = len(cells_of_pair(fam, a, b, rec["fi"]))
+                    cells = len(cells_of_pair(fam, a, b))
                     worst = max(worst, cells - fam.m)
                     if cells > fam.m + 2:
                         violations += 1
@@ -222,9 +223,9 @@ def test_criterion_6_ground_pair_expectations():
         assert 2 * rep.mean_t_star >= rep.mean_t_prime
         assert (fam.m + 2) * rep.mean_t_star_in_delta >= rep.mean_t_star
         assert isinstance(rep.mean_t_star, F)
-        fi = compute_incidences(fam)
+        fi = catalogue(fam)
         if fi.T >= 1:
-            rp = rich_poor_partition(fam, fi)
+            rp = rich_poor_partition(fam)
             assert 1000 * rp.T_poor <= fi.T
             split_checked += 1
     _verdict(6, families >= 10 and split_checked >= 8,
@@ -280,15 +281,16 @@ def sweep():
         runs = []
         for kind in ("UnitCirclesGrid", "RandomCircles"):
             for n in SWEEP_NS:
+                # every step reads the catalogues fam and red carry, so
+                # the engine runs once per family: reduce_degree's check
                 fam = generate(GeneratorSpec(kind=kind, n=n, m=1, seed=42))
-                fi = compute_incidences(fam)
                 sep = string_separator(fam)
                 red = reduce_degree(fam)
                 dec = recursive_decompose(red, C_const=F(8))
-                fo = compute_incidences(red) if red is not fam else fi
-                runs.append({"kind": kind, "n": n, "family": fam, "fi": fi,
-                             "sep": sep, "red": red, "dec": dec, "fo": fo,
-                             "row": check_thm4(fam, fi)})
+                runs.append({"kind": kind, "n": n, "family": fam,
+                             "fi": catalogue(fam), "sep": sep, "red": red,
+                             "dec": dec, "fo": catalogue(red),
+                             "row": check_thm4(fam)})
         _SWEEP = {"runs": runs, "elapsed": time.time() - t0}
     return _SWEEP
 
@@ -345,7 +347,7 @@ def test_criterion_9_touching_growth_exponent():
         bound = float(thm3_exponent(m)) + 0.05
         assert alpha <= bound
         fits.append(f"{kind} alpha={alpha:.3f} <= {bound:.3f}")
-    chain_rows = [check_thm3(generate(GeneratorSpec(
+    chain_rows = [check_thm4(generate(GeneratorSpec(
         kind="TangentChain", n=n, m=1, seed=42))) for n in SWEEP_NS]
     alpha = fit_exponent(chain_rows)["alpha"]
     assert alpha <= float(thm3_exponent(1)) + 0.05

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import arrangement
 from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
                                      boundary_edge_cycle, build_arrangement,
                                      build_mixed_arrangement, cells_of_pair,
                                      chain_param, chain_point, curve_portion,
                                      locate_cell, pair_arrangement,
                                      split_arcs_by_pair, split_curve_at)
-from contactgeom.errors import ContactGeomError, OnCurveError
+from contactgeom.errors import ContactGeomError, DegeneracyError, OnCurveError
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
+from contactgeom import incidence
 from contactgeom.incidence import compute_incidences, mixed_contacts
 
 import oracles
@@ -141,10 +141,18 @@ def test_cells_of_pair_counts():
     fam2 = generate(GeneratorSpec(kind="TangentChain", n=4, m=1, seed=1))
     cells = cells_of_pair(fam2, 1, 2)
     assert len(cells) <= fam2.m + 2
-    # with the family's catalogue the same faces come back
-    for f in (fam, fam2):
-        assert (cells_of_pair(f, 1, 2, compute_incidences(f))
-                == cells_of_pair(f, 1, 2))
+
+
+def test_pair_queries_read_the_whole_family():
+    # curves 1 and 2 are a valid pair, but 3 shares an edge with 2: the
+    # family's catalogue, and so every pair query on it, raises
+    fam = CurveFamily(curves=(sq(1, 0, 0), sq(2, 2, 2), sq(3, 6, 2)), m=2)
+    assert len(cells_of_pair(CurveFamily(fam.curves[:2], 2), 1, 2)) == 4
+    for query in (pair_arrangement, cells_of_pair):
+        with pytest.raises(DegeneracyError, match="overlap"):
+            query(fam, 1, 2)
+    with pytest.raises(DegeneracyError, match="overlap"):
+        split_arcs_by_pair(fam, 1, 2, set(), set(), UNBOUNDED_FACE)
 
 
 def test_chain_point_and_portion():
@@ -205,16 +213,15 @@ def test_split_arcs_by_pair_on_chain():
     assert sorted(sa.geometry.id for sa in subs) == list(range(len(subs)))
 
 
-def test_split_arcs_by_pair_runs_the_engine_once_per_member_and_ground(
-        monkeypatch):
+def test_split_arcs_by_pair_reads_the_family_catalogue(monkeypatch):
     fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=1))
-    calls = []
-    engine = arrangement.curve_pair_incidences
-    monkeypatch.setattr(arrangement, "curve_pair_incidences",
-                        lambda a, b: calls.append((a.id, b.id)) or engine(a, b))
+    runs = []
+    engine = incidence._run_engine
+    monkeypatch.setattr(incidence, "_run_engine",
+                        lambda *args: runs.append(args) or engine(*args))
     subs = split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, UNBOUNDED_FACE)
-    # one run per member curve and ground curve: 8, where 12 were made
-    assert sorted(calls) == [(c, g) for c in (1, 3, 4, 6) for g in (2, 5)]
+    # the generated family carries its catalogue: no engine run at all
+    assert runs == []
     # each member touches its ground curve once, so each piece is the
     # whole curve, cut at that touching and rotated to start there
     want = [(1, 0, pt(1, 0)), (3, 4, pt(3, 0)), (4, 0, pt(7, 0)),
@@ -302,20 +309,21 @@ def test_assemble_matches_fraction_reference(curves):
 
 
 def test_pair_arrangement_reads_the_given_catalogue(monkeypatch):
-    from contactgeom import arrangement
-
     fam = generate(GeneratorSpec(kind="RandomCircles", n=7, m=2, seed=3))
-    fi = compute_incidences(fam)
     ids = sorted(c.id for c in fam)
     pairs = [(i, j) for i in ids for j in ids if i != j]
-    built = {pair: pair_arrangement(fam, *pair) for pair in pairs}
+    # the arrangement of the pair as a family of its own
+    built = {(i, j): _assemble((fam.curve(i), fam.curve(j)),
+                               compute_incidences(CurveFamily(
+                                   (fam.curve(i), fam.curve(j)), fam.m)))
+             for i, j in pairs}
 
     def no_engine(*args, **kwargs):
         raise AssertionError("the engine ran again")
 
-    monkeypatch.setattr(arrangement, "compute_incidences", no_engine)
+    monkeypatch.setattr(incidence, "_run_engine", no_engine)
     for pair in pairs:
-        got, want = pair_arrangement(fam, *pair, fi), built[pair]
+        got, want = pair_arrangement(fam, *pair), built[pair]
         assert [v.point for v in got.vertices] == [v.point for v in want.vertices]
         assert [v.out for v in got.vertices] == [v.out for v in want.vertices]
         assert [(f.cycles, f.depth, f.interior) for f in got.faces] == [

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import contactgeom
 
@@ -19,6 +20,57 @@ def test_no_module_has_assert():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_layers_read_the_catalogue_through_one_reader():
+    # a family's catalogue reaches every layer through
+    # incidence.catalogue; no function takes it as an optional argument,
+    # and only the reader and reduce_degree's post-check run the engine
+    params, callers = [], set()
+    for m in pkgutil.iter_modules(contactgeom.__path__):
+        name = m.name
+        tree = ast.parse(inspect.getsource(
+            importlib.import_module(f"contactgeom.{name}")))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params += [f"{name}.{fn.name}" for arg in
+                       a.posonlyargs + a.args + a.kwonlyargs if arg.arg == "fi"]
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None))
+                        == "compute_incidences"):
+                    callers.add(f"{name}.{fn.name}")
+    assert params == []
+    assert {c for c in callers if not c.startswith("incidence.")} == {
+        "separator.reduce_degree"}
+    assert "incidence.catalogue" in callers
+
+
+def _tracing_table(name):
+    """The literal value of a top-level assignment in perfbench/tracing.py,
+    read without running the file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == [name]):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer wraps these by name and fails at its getattr
+    # when one is gone
+    missing = [f"{mod}.{fn}" for mod, names in
+               _tracing_table("LAYERS").values() for fn in names
+               if not hasattr(importlib.import_module(f"contactgeom.{mod}"),
+                              fn)]
+    geometry = importlib.import_module("contactgeom.geometry")
+    missing += [f"geometry.{fn}" for fn in _tracing_table("COUNTED")
+                if not hasattr(geometry, fn)]
+    assert missing == []
 
 
 def test_separator_calls_networkx_only_to_check_planarity():

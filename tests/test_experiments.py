@@ -8,7 +8,7 @@ import pytest
 
 from contactgeom import experiments, incidence
 from contactgeom.errors import FitError
-from contactgeom.experiments import (BoundCheckRow, check_thm3, check_thm4,
+from contactgeom.experiments import (BoundCheckRow, check_thm4,
                                      fit_exponent, run_sweep, sweep_csv,
                                      sweep_summary, thm3_exponent,
                                      thm4_exponent)
@@ -29,7 +29,7 @@ def test_exponent_constants_are_exact():
 
 def test_touching_ratio_row():
     fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=9, m=2, seed=1))
-    row = check_thm3(fam)
+    row = check_thm4(fam)
     assert (row.n, row.m, row.T, row.X) == (9, 2, 12, 12)
     assert row.thm3_ratio == 12 / 9 ** float(thm3_exponent(2))
 
@@ -37,7 +37,7 @@ def test_touching_ratio_row():
 def test_intersection_ratio_defined_when_touching_heavy():
     fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=9, m=2, seed=1))
     fi = compute_incidences(fam)
-    row = check_thm4(fam, fi)
+    row = check_thm4(fam)
     assert fi.T >= fam.n
     assert row.thm4_ratio == fi.X / (fi.T * (fi.T / fam.n)
                                      ** float(thm4_exponent(2)))

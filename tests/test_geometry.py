@@ -11,8 +11,7 @@ from contactgeom.errors import ValidationError
 from contactgeom.geometry import (Curve, Point, angle_cmp, angle_key,
                                   coordinate_scale, cross, frac, lift,
                                   lift_point, midpoint, on_polyline,
-                                  on_segment, orientation,
-                                  point_segment_position, pt, seg_events,
+                                  on_segment, orientation, pt, seg_events,
                                   segment_intersection, signed_area2,
                                   winding_parity)
 
@@ -49,14 +48,6 @@ def test_on_segment_boundaries():
     assert on_segment(a, a, b) and on_segment(b, a, b)
     assert not on_segment(pt(5, 5), a, b)
     assert not on_segment(pt(2, 3), a, b)
-
-
-def test_point_segment_position_classes():
-    a, b = pt(0, 0), pt(4, 4)
-    assert point_segment_position(pt(2, 2), a, b) == "interior"
-    assert point_segment_position(a, a, b) == "vertex"
-    assert point_segment_position(pt(2, 3), a, b) == "off"
-    assert point_segment_position(pt(5, 5), a, b) == "off"
 
 
 def test_segment_intersection_kinds():

@@ -4,11 +4,10 @@ import random
 from itertools import combinations
 
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.graphs import (build_contact_graph,
-                                build_intersection_graph, check_planarity,
-                                family_stats, find_biclique,
-                                graph_from_edges, max_common_neighborhood)
-from contactgeom.incidence import compute_incidences
+from contactgeom.graphs import (check_planarity, contact_graph_from,
+                                graph_from_edges, intersection_graph_from,
+                                max_common_neighborhood)
+from contactgeom.incidence import catalogue
 
 
 def complete(n):
@@ -49,7 +48,7 @@ def test_planarity_on_known_graphs():
 
 def test_contact_graph_of_chain_is_a_path():
     fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=0))
-    g = build_contact_graph(fam)
+    g = contact_graph_from(catalogue(fam))
     assert g.n == 6 and g.n_edges == 5
     degrees = sorted(g.degree(v) for v in g.vertices)
     assert degrees == [1, 1, 2, 2, 2, 2]
@@ -58,23 +57,15 @@ def test_contact_graph_of_chain_is_a_path():
 
 def test_intersection_graph_includes_crossings():
     fam = generate(GeneratorSpec(kind="RandomCircles", n=7, m=2, seed=5))
-    fi = compute_incidences(fam)
-    gi = build_intersection_graph(fam)
-    gc = build_contact_graph(fam)
+    fi = catalogue(fam)
+    gi = intersection_graph_from(fi)
+    gc = contact_graph_from(fi)
     assert gi.n_edges == len(fi.pairs)
     assert gc.n_edges == fi.T
     assert set(gc.edges) <= set(gi.edges)
 
 
-def test_family_stats_match_incidences():
-    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=9, m=1, seed=2))
-    fi = compute_incidences(fam)
-    st = family_stats(fam)
-    assert (st.n, st.T, st.X) == (fam.n, fi.T, fi.X)
-    assert st.d == fi.X // fam.n
-
-
-def test_find_biclique_against_exhaustive_search():
+def test_max_common_neighborhood_against_exhaustive_search():
     rng = random.Random(4)
     for trial in range(12):
         n = rng.randrange(6, 11)
@@ -87,25 +78,16 @@ def test_find_biclique_against_exhaustive_search():
             assert got == want, (trial, s, edges)
             if witness is not None:
                 left, right = witness
-                assert len(right) == got
+                assert len(left) == s and len(right) == got
                 for v in left:
                     for u in right:
                         assert g.has_edge(v, u)
-            for t in (1, 2, 3):
-                hit = find_biclique(g, s, t, 5_000_000)
-                assert (hit is not None) == (want >= t), (trial, s, t)
-                if hit is not None:
-                    left, right = hit
-                    assert len(left) == s and len(right) >= t
-                    for v in left:
-                        for u in right:
-                            assert g.has_edge(v, u)
 
 
 def test_biclique_budget_exhaustion_is_reported():
     g = complete(14)
     try:
-        find_biclique(g, 5, 5, 3)
+        max_common_neighborhood(g, 5, budget=3)
     except Exception as e:
         assert "budget" in str(e).lower()
     else:

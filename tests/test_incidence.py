@@ -1,6 +1,7 @@
 """Pairwise contact classification against the recomputed reference."""
 
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,13 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom import incidence
-from contactgeom.errors import (DegeneracyError, PreconditionError,
-                                ValidationError)
+from contactgeom.errors import (DegeneracyError, InvariantError,
+                                PreconditionError, ValidationError)
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
-from contactgeom.incidence import (compute_incidences, curve_pair_incidences,
-                                   is_touching_pair,
-                                   validate_general_position)
+from contactgeom.incidence import (catalogue, compute_incidences,
+                                   curve_pair_incidences, is_touching_pair,
+                                   keep_catalogue, validate_general_position)
 
 import oracles
 
@@ -188,6 +189,62 @@ def test_validate_general_position_accepts_generated():
     rep = validate_general_position(fam)
     assert rep.ok and not rep.violations
     assert rep.incidences == compute_incidences(fam)
+
+
+def test_catalogue_is_computed_once_per_family(monkeypatch):
+    gen = generate(GeneratorSpec(kind="RandomCircles", n=6, m=2, seed=11))
+    fam = CurveFamily(gen.curves, gen.m)
+    runs = []
+    engine = incidence._run_engine
+    monkeypatch.setattr(incidence, "_run_engine",
+                        lambda *args: runs.append(args) or engine(*args))
+    fi = catalogue(fam)
+    assert catalogue(fam) is fi and fam.incidences is fi
+    assert len(runs) == 1 and fi == compute_incidences(fam)
+    # a generated family carries the catalogue its validation computed
+    assert catalogue(gen) is gen.incidences and gen.incidences == fi
+    assert len(runs) == 2
+    # the catalogue takes no part in equality, hashing or repr
+    bare = CurveFamily(gen.curves, gen.m)
+    assert bare.incidences is None
+    assert bare == fam and hash(bare) == hash(fam) and repr(bare) == repr(fam)
+    # replace makes a family that computes its own
+    for other in (replace(fam, m=3), replace(fam, curves=fam.curves[:4]),
+                  replace(fam)):
+        assert other.incidences is None
+        assert (catalogue(other).m, catalogue(other).curve_ids) == (
+            other.m, tuple(c.id for c in other))
+    assert len(runs) == 5
+
+
+def test_a_family_keeps_only_its_own_catalogue():
+    fam = generate(GeneratorSpec(kind="RandomCircles", n=6, m=2, seed=11))
+    for other in (CurveFamily(fam.curves[:4], fam.m),
+                  CurveFamily(fam.curves, fam.m + 1)):
+        with pytest.raises(InvariantError):
+            keep_catalogue(other, fam.incidences)
+        assert other.incidences is None
+
+
+@pytest.mark.parametrize("kind,n,m", [
+    ("TangentChain", 8, 1), ("UnitCirclesGrid", 9, 1),
+    ("RandomCircles", 10, 2), ("PseudoParabolas", 8, 2),
+    ("PerturbedPencil", 5, 1)])
+def test_between_is_the_pair_engine(kind, n, m):
+    # a pair's contacts read from the family's catalogue are the ones the
+    # engine finds on the pair alone, in the same order
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=m, seed=1))
+    fi = catalogue(fam)
+    for a in fam:
+        for b in fam:
+            if a.id == b.id:
+                continue
+            want = curve_pair_incidences(a, b)
+            got = fi.between(a.id, b.id)
+            assert ([(i.point, i.kind, i.s_on(a.id), i.s_on(b.id))
+                     for i in got]
+                    == [(i.point, i.kind, i.s_on(a.id), i.s_on(b.id))
+                        for i in want])
 
 
 def test_validate_flags_triple_point():

@@ -62,7 +62,7 @@ def test_reduce_degree_same_parent_pieces_are_disjoint():
 
 def test_reduced_family_carries_its_catalogue():
     fam = grid9()
-    red = reduce_degree(fam, compute_incidences(fam))
+    red = reduce_degree(fam)
     fo = compute_incidences(red)
     assert red.incidences == fo
     assert list(red.incidences.pairs.items()) == list(fo.pairs.items())
@@ -81,20 +81,19 @@ def test_reduce_degree_identity_when_sparse():
 def test_reduce_degree_post_check_raises_invariant_error(monkeypatch):
     calls = []
 
-    def lossy(family, *args):
-        # the second call is the post-check on the pieces: drop one pair
-        fi = compute_incidences(family, *args)
+    def lossy(family):
+        # the generated family carries its catalogue, so the one call is
+        # the post-check on the pieces: drop one pair
+        fi = compute_incidences(family)
         calls.append(family)
-        if len(calls) == 2:
-            pairs = dict(fi.pairs)
-            pairs.pop(min(pairs))
-            fi = FamilyIncidences(fi.m, fi.curve_ids, pairs)
-        return fi
+        pairs = dict(fi.pairs)
+        pairs.pop(min(pairs))
+        return FamilyIncidences(fi.m, fi.curve_ids, pairs)
 
     monkeypatch.setattr(separator, "compute_incidences", lossy)
     with pytest.raises(InvariantError, match="changed the stats"):
         reduce_degree(grid9())
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------- planar graphs
@@ -173,11 +172,11 @@ def test_integer_graph_is_the_tuple_graph_relabelled(kind, n, seed):
     fi = compute_incidences(fam)
     verts, edges, weights = oracles.tuple_arrangement_graph(fam, fi)
     pos = {v: k for k, v in enumerate(sorted(verts))}
-    g = arrangement_to_planar_graph(fam, fi=fi)
+    g = arrangement_to_planar_graph(fam)
     assert g.vertices == tuple(range(len(verts)))
     assert g.edges == {tuple(sorted((pos[u], pos[v]))) for u, v in edges}
     assert g.weights == {pos[v]: w for v, w in weights.items()}
-    assert string_separator(fam, fi) == StringSeparatorResult(
+    assert string_separator(fam) == StringSeparatorResult(
         *oracles.tuple_string_separator(fam, fi))
 
 
@@ -434,8 +433,7 @@ def test_decompose_grid_family():
 
 def test_decompose_runs_the_engine_once_per_family(monkeypatch):
     fam = grid9()
-    bare = CurveFamily(fam.curves, fam.m)
-    want = recursive_decompose(bare)
+    want = recursive_decompose(CurveFamily(fam.curves, fam.m))
     assert want.per_level                # the recursion splits
     red = reduce_degree(fam)
     want_red = recursive_decompose(CurveFamily(red.curves, red.m))
@@ -443,7 +441,10 @@ def test_decompose_runs_the_engine_once_per_family(monkeypatch):
     engine = incidence._run_engine
     monkeypatch.setattr(incidence, "_run_engine",
                         lambda *args: runs.append(args) or engine(*args))
-    # the recursion nodes read restrictions of the family's catalogue
+    # the recursion nodes read restrictions of the family's catalogue, and
+    # the family keeps the one it computed
+    bare = CurveFamily(fam.curves, fam.m)
+    assert recursive_decompose(bare) == want
     assert recursive_decompose(bare) == want
     assert len(runs) == 1
     # generated and reduced families read the catalogue they carry

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import verifier
+from contactgeom import incidence, verifier
 from contactgeom.arrangement import build_mixed_arrangement
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.geometry import Curve, Point, pt, seg_events
+from contactgeom.geometry import Curve, CurveFamily, Point, pt, seg_events
 from contactgeom.incidence import compute_incidences, curve_pair_incidences
 from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
                                   circular_signature, enumerate_ground_pairs,
@@ -350,14 +350,16 @@ def test_monte_carlo_agrees_with_exhaustive_bounds():
 
 def test_monte_carlo_reuses_the_given_catalogue(monkeypatch):
     fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=9, m=1, seed=0))
-    fi = compute_incidences(fam)
-    fresh = monte_carlo_ground(fam, trials=64, seed=3)
+    bare = CurveFamily(fam.curves, fam.m)
+    fresh = monte_carlo_ground(bare, trials=64, seed=3)
 
-    def recompute(family):
+    def recompute(*args):
         raise AssertionError("catalogue computed again")
 
-    monkeypatch.setattr(verifier, "compute_incidences", recompute)
-    assert monte_carlo_ground(fam, trials=64, seed=3, fi=fi) == fresh
+    # both families now carry their catalogue
+    monkeypatch.setattr(incidence, "_run_engine", recompute)
+    assert monte_carlo_ground(fam, trials=64, seed=3) == fresh
+    assert monte_carlo_ground(bare, trials=64, seed=3) == fresh
 
 
 def test_monte_carlo_builds_arrangements_only_to_locate_touchings(
@@ -366,9 +368,9 @@ def test_monte_carlo_builds_arrangements_only_to_locate_touchings(
     built, located = [], set()
     build, resolve = verifier.pair_arrangement, verifier._PairContext.resolve
 
-    def counting_build(family, i, j, fi=None):
+    def counting_build(family, i, j):
         built.append((i, j))
-        return build(family, i, j, fi)
+        return build(family, i, j)
 
     def recording_resolve(ctx, to_A):
         sample = resolve(ctx, to_A)
