@@ -9,7 +9,7 @@ from .errors import (ConstructionError, ContactGeomError, DegeneracyError,
 from .geometry import Curve, CurveFamily, Point
 from .incidence import (FamilyIncidences, Incidence, catalogue,
                         compute_incidences, curve_pair_incidences,
-                        is_touching_pair, validate_general_position)
+                        validate_general_position)
 from .arrangement import (Arrangement, SubArc, boundary_edge_cycle,
                           build_arrangement, build_mixed_arrangement,
                           cells_of_pair, locate_cell, pair_arrangement,

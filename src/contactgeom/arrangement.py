@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
                        coordinate_scale, lift, lift_point, on_polyline,
-                       on_segment, signed_area2, winding_parity)
+                       signed_area2, winding_parity)
 from .incidence import FamilyIncidences, catalogue, mixed_contacts
 
 # the unbounded face's id in every Arrangement
@@ -42,18 +42,6 @@ def chain_point(c: Curve, s: Fraction) -> Point:
         return Fraction(u.numerator * dv * (q - p) + v.numerator * du * p,
                         du * dv * q)
     return Point(at(a.x, b.x), at(a.y, b.y))
-
-
-def chain_param(g: Sequence[Point], p: Point) -> Optional[Fraction]:
-    """Chain parameter of p along the polyline g, read on the first segment
-    that holds p, or None when p is off g. The inverse of chain_point."""
-    for k in range(len(g) - 1):
-        a, b = g[k], g[k + 1]
-        if on_segment(p, a, b):
-            if b.x != a.x:
-                return k + Fraction(p.x - a.x) / (b.x - a.x)
-            return k + Fraction(p.y - a.y) / (b.y - a.y)
-    return None
 
 
 def curve_portion(c: Curve, s0: Fraction, s1: Fraction) -> Tuple[Point, ...]:
@@ -331,6 +319,8 @@ def build_arrangement(family: CurveFamily) -> Arrangement:
 def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
     """Arrangement of an ad-hoc curve set; open-arc endpoints may rest on
     other curves (T-joints become degree-3 vertices)."""
+    if len({c.id for c in curves}) != len(curves):
+        raise PreconditionError("curves must have distinct ids")
     return _assemble(curves, mixed_contacts(curves))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arrangement import build_mixed_arrangement, locate_cell
+from .arrangement import Arrangement, build_mixed_arrangement, locate_cell
 from .errors import (ConstructionError, ContactGeomError, DegenerateError,
                      DegeneracyError, ParseError, PreconditionError,
                      ValidationError)
@@ -171,9 +171,10 @@ def _instance_sides(family: CurveFamily) -> Optional[Tuple[Tuple[int, ...], Tupl
 
 
 def _pick_face(family: CurveFamily, lambda1_ids: Sequence[int],
-               lambdaF_ids: Sequence[int]) -> Optional[int]:
-    """Face of the surrounding arrangement holding every candidate arc, or
-    None when the arcs do not share one."""
+               lambdaF_ids: Sequence[int]
+               ) -> Optional[Tuple[Arrangement, int]]:
+    """(arrangement of the lambda1 curves in the given order, its face
+    holding every candidate arc), or None when the arcs do not share one."""
     by_id = {c.id: c for c in family}
     arr = build_mixed_arrangement([by_id[i] for i in lambda1_ids])
     face: Optional[int] = None
@@ -188,7 +189,7 @@ def _pick_face(family: CurveFamily, lambda1_ids: Sequence[int],
             face = f
         elif f != face:
             return None
-    return face
+    return arr, face
 
 
 def _cmd_verify_prop9(cfg: RunConfig) -> int:
@@ -210,19 +211,18 @@ def _cmd_verify_prop9(cfg: RunConfig) -> int:
     # face holding every arc of the other side
     options = []
     for lam1_ids, lamF_ids in (sides, sides[::-1]):
-        face = _pick_face(family, lam1_ids, lamF_ids)
-        if face is not None:
+        picked = _pick_face(family, lam1_ids, lamF_ids)
+        if picked is not None:
             options.append((len(lam1_ids) != m + 5,
                             len(lam1_ids) < len(lamF_ids),
-                            lam1_ids, lamF_ids, face))
+                            lam1_ids, lamF_ids, picked))
     if not options:
         return bail("no face of either side holds all arcs of the other")
-    _, _, lam1_ids, lamF_ids, face = min(options)
+    _, _, lam1_ids, lamF_ids, (arr, face) = min(options)
     by_id = {c.id: c for c in family}
-    lambda1 = [free_arc(i, by_id[i].points, by_id[i].closed) for i in lam1_ids]
     lambdaF = [free_arc(i, by_id[i].points, by_id[i].closed) for i in lamF_ids]
     try:
-        ctx = FaceContext(lambda1, face)
+        ctx = FaceContext(arr, face)
     except PreconditionError as e:
         return bail(f"face {face}: {e}")
 
@@ -232,14 +232,14 @@ def _cmd_verify_prop9(cfg: RunConfig) -> int:
     sig_of = {}
     for lam in lambdaF:
         try:
-            sig = circular_signature(face, lambda1, lam, context=ctx)
+            sig = circular_signature(ctx, lam)
             sig_of[lam.geometry.id] = sig
             signatures[str(lam.geometry.id)] = list(sig.sequence)
         except PreconditionError as e:
             signatures[str(lam.geometry.id)] = {"error": str(e)}
     data["signatures"] = signatures
     ok_arcs = [lam for lam in lambdaF if lam.geometry.id in sig_of]
-    rep = verify_signature_uniqueness(face, lambda1, ok_arcs, context=ctx)
+    rep = verify_signature_uniqueness(ctx, ok_arcs)
     data.update({
         "distinct": rep.distinct,
         "colliding": [list(p) for p in rep.colliding],
@@ -250,8 +250,8 @@ def _cmd_verify_prop9(cfg: RunConfig) -> int:
     for i, j in rep.colliding:
         entry: Dict[str, object] = {"pair": [i, j]}
         try:
-            ch = alt_hat_charging(face, arcs_by_id[i], arcs_by_id[j],
-                                  sig_of[i], context=ctx)
+            ch = alt_hat_charging(ctx, arcs_by_id[i], arcs_by_id[j],
+                                  sig_of[i])
             entry.update({
                 "alt_edges": list(ch.alt_edges),
                 "hat_edges": list(ch.hat_edges),

@@ -100,13 +100,16 @@ class SweepRow:
 def _sweep_row(family: CurveFamily) -> SweepRow:
     row = check_thm4(family)
     sep = string_separator(family)
-    try:
-        report = recursive_decompose(reduce_degree(family))
-        pieces: Optional[int] = len(report.pieces)
-    except DegenerateError:
-        pieces = None
+    d = row.X // family.n
+    pieces: Optional[int] = None
+    # past the d = 0 fallback to components, decomposing needs a touching
+    if row.T or not d:
+        try:
+            pieces = len(recursive_decompose(reduce_degree(family)).pieces)
+        except DegenerateError:
+            pass
     return SweepRow(
-        n=row.n, m=row.m, T=row.T, X=row.X, d=row.X // family.n,
+        n=row.n, m=row.m, T=row.T, X=row.X, d=d,
         f=None if row.T == 0 else row.X / row.T,
         thm3_ratio=row.thm3_ratio, thm4_ratio=row.thm4_ratio,
         sep_size=len(sep.separator), pieces=pieces)

@@ -10,11 +10,13 @@ Layout::
 
 Coordinates are written as reduced fractions, ``num/den`` with the
 denominator omitted when it is 1, so writing and re-reading a family is
-byte-identical.
+byte-identical. The reader takes exactly that grammar, ``-?[0-9]+`` with an
+optional ``/[0-9]+``; decimals, exponents and ``+`` signs are parse errors.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -37,11 +39,20 @@ def dumps_family(family: CurveFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
+
+
 def _parse_fraction(tok: str, line_no: int, offset: int) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {tok!r}", line=line_no, offset=offset)
+    """A coordinate token of the written grammar; anything else, such as an
+    exponent that would ask for a huge integer, is refused unevaluated."""
+    match = _RATIONAL.fullmatch(tok)
+    if match is not None:
+        num, den = match.groups()
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):
+            pass   # a zero denominator, or more digits than int() reads
+    raise ParseError(f"bad rational {tok!r}", line=line_no, offset=offset)
 
 
 def _parse_kv(tok: str, key: str, line_no: int, offset: int) -> int:

@@ -50,27 +50,10 @@ def midpoint(a: Point, b: Point) -> Point:
     return Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
 
 
-def cross(o: Point, a: Point, b: Point) -> Fraction:
-    """Signed area x2 of triangle o,a,b."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def orientation(o: Point, a: Point, b: Point) -> int:
     """+1 counterclockwise, -1 clockwise, 0 collinear."""
-    c = cross(o, a, b)
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    return 0
-
-
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """True when p lies on the closed segment ab (collinearity included)."""
-    if orientation(a, b, p) != 0:
-        return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+    c = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    return (c > 0) - (c < 0)
 
 
 def _quadrant(d) -> int:
@@ -320,6 +303,20 @@ def on_polyline(p: Tuple[int, int, int], pts: Sequence[Tuple[int, int]],
             return True
         ax, ay = bx, by
     return False
+
+
+def chain_param(p: Tuple[int, int, int],
+                pts: Sequence[Tuple[int, int]]) -> Optional[Fraction]:
+    """Chain parameter (segment index + in-segment fraction) of the lifted
+    point p = (X, Y, D) along the open integer polyline pts, read on the
+    first segment that holds p, or None when p is off pts."""
+    for k in range(len(pts) - 1):
+        if on_polyline(p, pts[k:k + 2], False):
+            X, Y, D = p
+            (ax, ay), (bx, by) = pts[k], pts[k + 1]
+            return k + (Fraction(X - ax * D, (bx - ax) * D) if bx != ax
+                        else Fraction(Y - ay * D, (by - ay) * D))
+    return None
 
 
 def winding_parity(p: Tuple[int, int, int],

@@ -377,12 +377,6 @@ def curve_pair_incidences(a: Curve, b: Curve) -> Tuple[Incidence, ...]:
     return tuple(sorted(incs, key=lambda inc: (inc.point.x, inc.point.y)))
 
 
-def is_touching_pair(a: Curve, b: Curve) -> bool:
-    """True iff the pair meets exactly once and that contact is a tangency."""
-    incs = curve_pair_incidences(a, b)
-    return len(incs) == 1 and incs[0].kind == "tangency"
-
-
 @dataclass(frozen=True)
 class FamilyIncidences:
     """All pairwise contacts of a family plus the headline counts."""

@@ -2,11 +2,12 @@
 
 The sampling side draws a random pair of curves, partitions the arcs
 touching them, and measures how many cross-touchings land in the richest
-cell of the two-curve arrangement. The signature side works inside a face
-of an arrangement of a small arc set: each surrounding arc is fingerprinted
-by the cyclic list of boundary edges where its touchings sit, and two arcs
-with an identical fingerprint are driven through the alternating/hat edge
-charging that certifies a quota of genuine intersections between them.
+cell of the two-curve arrangement. The signature side works in a face of
+the caller's arrangement of surrounding arcs, a FaceContext: each arc in
+the face is fingerprinted by the cyclic list of boundary edges where its
+touchings sit, and two arcs with an identical fingerprint are driven through
+the alternating/hat edge charging that certifies a quota of genuine
+intersections between them.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
-from .geometry import (Curve, CurveFamily, Point, coordinate_scale, lift,
-                       lift_point, midpoint, on_polyline, seg_events)
+from .geometry import (Curve, CurveFamily, Point, chain_param,
+                       coordinate_scale, lift, lift_point, midpoint,
+                       on_polyline, seg_events)
 from .graphs import SimpleGraph, max_common_neighborhood
-from .incidence import catalogue, curve_pair_incidences, is_touching_pair
+from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
-                          boundary_edge_cycle, build_mixed_arrangement,
-                          chain_param, curve_portion, locate_cell,
+                          boundary_edge_cycle, curve_portion, locate_cell,
                           pair_arrangement, split_arcs_by_pair)
 
 
@@ -305,50 +306,25 @@ def _vec(a, b) -> Tuple[int, int]:
     return (b[0] - a[0], b[1] - a[1])
 
 
-def _polyline_position(g: Sequence[Tuple[int, int]], p: Tuple[int, int, int]):
-    """(chain param, incoming dir, outgoing dir) of the lifted point
-    p = (X, Y, D) on the integer polyline g, read on the first segment that
-    holds p, or None when p is off g. A missing direction (p at g's first
-    or last point) is None.
-    """
-    k = next((k for k in range(len(g) - 1)
-              if on_polyline(p, g[k:k + 2], False)), None)
-    if k is None:
-        return None
-    X, Y, D = p
-    (ax, ay), (bx, by) = g[k], g[k + 1]
-    s = k + (Fraction(X - ax * D, (bx - ax) * D) if bx != ax
-             else Fraction(Y - ay * D, (by - ay) * D))
-    k = int(s)
-    if s != k:
-        d = _vec(g[k], g[k + 1])
-        return s, d, d
-    u = None if k == 0 else _vec(g[k - 1], g[k])
-    v = None if k == len(g) - 1 else _vec(g[k], g[k + 1])
-    return s, u, v
-
-
 class FaceContext:
-    """A face of the arrangement of a small arc set, with its boundary walk
-    oriented so that the face interior stays on the right.
+    """A face of an arrangement of surrounding arcs (the arrangement's
+    curves), with its boundary walk oriented so that the face interior stays
+    on the right.
 
-    The input arcs are ordered by geometry id before assembly, so half-edge
-    labels do not depend on the caller's input order. The walk's half-edges,
-    the surrounding arcs and the face's interior point lie on the integer
-    grid of step 1/scale, and the walk is kept lifted onto it. Each arc's
-    signature is computed once and kept, keyed by the arc's geometry.
+    The walk's half-edge ids are the signature labels, so callers build the
+    arrangement from the arcs in id order to keep labels independent of
+    their input order. The walk's half-edges, the surrounding arcs and the
+    face's interior point lie on the integer grid of step 1/scale, and the
+    walk is kept lifted onto it. Each arc's signature is computed once and
+    kept, keyed by the arc's geometry.
     """
 
-    def __init__(self, lambda1: Sequence[SubArc], face: int):
-        self.lambda1 = tuple(sorted(lambda1, key=lambda sa: sa.geometry.id))
-        if len({sa.geometry.id for sa in self.lambda1}) != len(self.lambda1):
-            raise PreconditionError("surrounding arcs must have distinct ids")
-        self.arrangement = build_mixed_arrangement(
-            [sa.geometry for sa in self.lambda1])
-        if face < 0 or face >= self.arrangement.F:
+    def __init__(self, arrangement: Arrangement, face: int):
+        if face < 0 or face >= arrangement.F:
             raise PreconditionError(f"no face {face} in the arrangement")
+        self.arrangement = arrangement
         self.face = face
-        walks = boundary_edge_cycle(self.arrangement, face)
+        walks = boundary_edge_cycle(arrangement, face)
         if len(walks) != 1:
             raise PreconditionError(
                 f"face {face} has {len(walks)} boundary components; need one")
@@ -357,7 +333,7 @@ class FaceContext:
         # one grid for the walk, the surrounding arcs and the interior probe
         half = self.arrangement.half_edges
         pts = [p for h in self.walk for p in half[h].geometry]
-        pts += [p for sa in self.lambda1 for p in sa.geometry.points]
+        pts += [p for c in arrangement.curves for p in c.points]
         pts += [q for q in (self.arrangement.faces[face].interior,)
                 if q is not None]
         self.scale = lcm(*(v.denominator for p in pts for v in (p.x, p.y)))
@@ -380,11 +356,16 @@ class FaceContext:
         away = [(q.x - p.x, q.y - p.y) for q in approach]
         candidates = []
         for label in self.walk:
-            pos = _polyline_position(self._lifted[label], lifted)
-            if pos is None:
+            g = self._lifted[label]
+            s_stored = chain_param(lifted, g)
+            if s_stored is None:
                 continue
-            s_stored, u, v = pos
-            if u is None or v is None:
+            k = int(s_stored)
+            if k != s_stored:
+                u = v = _vec(g[k], g[k + 1])
+            elif 0 < k < len(g) - 1:
+                u, v = _vec(g[k - 1], g[k]), _vec(g[k], g[k + 1])
+            else:
                 raise PreconditionError(
                     f"touching at arrangement vertex {p} is not supported")
             if all(_left_of_wedge(u, v, w) for w in away):
@@ -401,15 +382,15 @@ class FaceContext:
 
 
 def _touch_points_on(lam: SubArc,
-                     lambda1: Sequence[SubArc]) -> Dict[int, Point]:
+                     surround: Sequence[Curve]) -> Dict[int, Point]:
     """Surrounding arc id -> the single touching point with lam."""
     out = {}
-    for mu in lambda1:
-        incs = curve_pair_incidences(lam.geometry, mu.geometry)
+    for mu in surround:
+        incs = curve_pair_incidences(lam.geometry, mu)
         if len(incs) != 1 or incs[0].kind != "tangency":
             raise PreconditionError(
-                f"arc {lam.geometry.id} does not touch arc {mu.geometry.id}")
-        out[mu.geometry.id] = incs[0].point
+                f"arc {lam.geometry.id} does not touch arc {mu.id}")
+        out[mu.id] = incs[0].point
     return out
 
 
@@ -438,7 +419,7 @@ def _signature_keyed(ctx: FaceContext, lam: SubArc):
     if memo is not None:
         return memo
     keyed, point_of = [], {}
-    for p in _touch_points_on(lam, ctx.lambda1).values():
+    for p in _touch_points_on(lam, ctx.arrangement.curves).values():
         key = ctx.boundary_position(p, _approach_points(lam.geometry, p))
         keyed.append(key)
         point_of[key[2]] = p
@@ -452,13 +433,9 @@ def _signature_keyed(ctx: FaceContext, lam: SubArc):
     return memo
 
 
-def circular_signature(F: int, lambda1: Sequence[SubArc], lam: SubArc,
-                       context: Optional[FaceContext] = None
-                       ) -> CircularSignature:
+def circular_signature(ctx: FaceContext, lam: SubArc) -> CircularSignature:
     """Cyclic list of the face-boundary edges carrying lam's touchings, in
     walk order, rotated to start at the least label."""
-    ctx = context if context is not None else FaceContext(lambda1, F)
-    check(ctx.face == F, f"context is for face {ctx.face}, not {F}")
     seq, _, _ = _signature_keyed(ctx, lam)
     return CircularSignature(arc=lam.geometry.id, sequence=seq)
 
@@ -470,15 +447,11 @@ class UniquenessReport:
     reflection_colliding: Tuple[Tuple[int, int], ...]
 
 
-def verify_signature_uniqueness(F: int, lambda1: Sequence[SubArc],
-                                lambdaF: Sequence[SubArc],
-                                context: Optional[FaceContext] = None
+def verify_signature_uniqueness(ctx: FaceContext, lambdaF: Sequence[SubArc]
                                 ) -> UniquenessReport:
     """Pairwise-compare signatures up to rotation; reflection matches are
     reported on the side, not counted as collisions."""
-    ctx = context if context is not None else FaceContext(lambda1, F)
-    sigs = [circular_signature(F, lambda1, lam, context=ctx)
-            for lam in lambdaF]
+    sigs = [circular_signature(ctx, lam) for lam in lambdaF]
     colliding = []
     reflecting = []
     for i in range(len(sigs)):
@@ -554,8 +527,8 @@ def _route_candidates(ctx: FaceContext, q1: Point, q2: Point, scale: int):
     if f.interior is None:
         # the unbounded face also admits detours outside the drawing's bounds
         (x1, y1), (x2, y2) = ends = lift((q1, q2), scale)
-        pts = ends + lift([p for sa in ctx.lambda1
-                           for p in sa.geometry.points], scale)
+        pts = ends + lift([p for c in ctx.arrangement.curves
+                           for p in c.points], scale)
         xs, ys = [p[0] for p in pts], [p[1] for p in pts]
         margin = max(max(xs) - min(xs), max(ys) - min(ys), scale)
         for lv in (min(ys) - margin, max(ys) + margin):
@@ -580,8 +553,8 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
         return g, None
     # anchors are midpoints (a factor 2) pulled by up to 1 - 2^-6 (a factor 64)
     scale = 128 * lcm(ctx.scale, coordinate_scale((g, other)))
-    wall_tables = [_table(lift(_polyline(sa.geometry), scale))
-                   for sa in ctx.lambda1]
+    wall_tables = [_table(lift(_polyline(c), scale))
+                   for c in ctx.arrangement.curves]
     own_pts = lift(g.points, scale)
     own = _table(own_pts)
     ends = (own_pts[-1], own_pts[0])
@@ -640,10 +613,8 @@ class ChargeReport:
     imaginary_count: int
 
 
-def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
-                     sig: CircularSignature,
-                     lambda1: Optional[Sequence[SubArc]] = None,
-                     context: Optional[FaceContext] = None) -> ChargeReport:
+def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
+                     sig: CircularSignature) -> ChargeReport:
     """Charge every edge of the shared signature to a distinct intersection
     of the two closed-up arcs and count the genuine ones.
 
@@ -652,12 +623,6 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
     order makes a hat edge, charging against the previous piece of
     whichever arc comes second.
     """
-    if context is None:
-        if lambda1 is None:
-            raise PreconditionError(
-                "need the surrounding arcs or a prebuilt context")
-        context = FaceContext(lambda1, F)
-    ctx = context
     seq = _canon(sig.sequence)
     L = len(seq)
     if L < 2:
@@ -675,10 +640,11 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
     def alignment(closed: Curve, point_of: Dict[int, Point]):
         """Contact params on the closed curve; fails unless the contact
         cycle realizes the signature forwards or backwards."""
-        ring = _polyline(closed)
+        scale = coordinate_scale((closed,))
+        ring = lift(_polyline(closed), scale)
         params = {}
         for lbl, p in point_of.items():
-            params[lbl] = chain_param(ring, p)
+            params[lbl] = chain_param(lift_point(p, scale), ring)
             if params[lbl] is None:
                 raise PreconditionError(f"{p} not on curve {closed.id}")
         cyc = tuple(lbl for _, lbl in sorted(
@@ -721,6 +687,10 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
         raise PreconditionError(
             "length-2 signature with opposite contact orders is not chargeable")
 
+    # the real parts of the two closed-up arcs, on one grid
+    real_scale = coordinate_scale((lam1.geometry, lam2.geometry))
+    reals = [(lift(g.points, real_scale), g.closed)
+             for g in (lam1.geometry, lam2.geometry)]
     alt_edges = []
     hat_edges = []
     charges: List[Tuple[int, Point, bool]] = []
@@ -744,8 +714,8 @@ def alt_hat_charging(F: int, lam1: SubArc, lam2: SubArc,
                 f"edge {lbl}: piece {k1} of arc {lam1.geometry.id} misses "
                 f"piece {k2} of arc {lam2.geometry.id}")
         p = pts[0]
-        real = (chain_param(_polyline(lam1.geometry), p) is not None
-                and chain_param(_polyline(lam2.geometry), p) is not None)
+        q = lift_point(p, real_scale)
+        real = all(on_polyline(q, pts, closed) for pts, closed in reals)
         if not real:
             check(piece_has_imag(i1, imag1, closed1.n_segments)
                   or piece_has_imag(i2, imag2, closed2.n_segments),
@@ -773,13 +743,13 @@ class BicliqueAbsenceReport:
 
 
 def subarc_contact_graph(arcs: Sequence[SubArc]) -> SimpleGraph:
-    ids = tuple(sa.geometry.id for sa in arcs)
-    edges = set()
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if is_touching_pair(arcs[i].geometry, arcs[j].geometry):
-                edges.add(tuple(sorted((ids[i], ids[j]))))
-    return SimpleGraph(vertices=ids, edges=frozenset(edges))
+    """Touching graph of the arcs, read from one arrangement-mode catalogue:
+    two pieces of one curve sharing a cut point meet in a joint, which is
+    not a touching."""
+    curves = [sa.geometry for sa in arcs]
+    touching = mixed_contacts(curves).touching_pairs()
+    return SimpleGraph(vertices=tuple(c.id for c in curves),
+                       edges=frozenset(tuple(sorted(p)) for p in touching))
 
 
 def check_lemma8(family: CurveFamily, delta_context: GroundPairSample,

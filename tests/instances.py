@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from contactgeom import Point
+from contactgeom.arrangement import build_mixed_arrangement
 from contactgeom.verifier import (FaceContext, alt_hat_charging,
                                   circular_signature, free_arc)
 
@@ -181,6 +182,13 @@ def hat_variant_pair(m, j=2):
     return fence, lam1, lam2
 
 
+def face_context(arcs, face):
+    """FaceContext of a face of the arcs' arrangement, built from the arcs in
+    id order as the CLI builds it."""
+    curves = sorted((sa.geometry for sa in arcs), key=lambda c: c.id)
+    return FaceContext(build_mixed_arrangement(curves), face)
+
+
 @lru_cache(maxsize=None)
 def fence_charging(fence, lam1, lam2):
     """(context, lam1's signature, charge report) for a colliding pair in
@@ -189,9 +197,9 @@ def fence_charging(fence, lam1, lam2):
     The imaginary-closure route search is the costliest step of a charging,
     so test modules that check the same pair share one run.
     """
-    ctx = FaceContext(fence, 0)
-    sig = circular_signature(0, fence, lam1, context=ctx)
-    return ctx, sig, alt_hat_charging(0, lam1, lam2, sig, context=ctx)
+    ctx = face_context(fence, 0)
+    sig = circular_signature(ctx, lam1)
+    return ctx, sig, alt_hat_charging(ctx, lam1, lam2, sig)
 
 
 # ------------------------------------------------------------ lens fixtures

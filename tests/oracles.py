@@ -778,8 +778,8 @@ def route_candidates(ctx, q1, q2):
     if f.interior is None:
         xs = [q1.x, q2.x]
         ys = [q1.y, q2.y]
-        for sa in ctx.lambda1:
-            for p in sa.geometry.points:
+        for c in ctx.arrangement.curves:
+            for p in c.points:
                 xs.append(p.x)
                 ys.append(p.y)
         margin = max(max(xs) - min(xs), max(ys) - min(ys), F(1))
@@ -811,7 +811,7 @@ def close_arc(ctx, lam, other, forbidden):
     if g.closed:
         return g.points, None
     q_end, q_start = g.points[-1], g.points[0]
-    walls = [_Boxed(_ring(sa.geometry)) for sa in ctx.lambda1]
+    walls = [_Boxed(_ring(c)) for c in ctx.arrangement.curves]
     own = _Boxed(g.points)
     crossed = _Boxed(_ring(other))
 

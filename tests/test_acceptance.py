@@ -21,8 +21,8 @@ from contactgeom.incidence import (catalogue, compute_incidences,
                                    curve_pair_incidences)
 from contactgeom.separator import (recursive_decompose, reduce_degree,
                                    string_separator)
-from contactgeom.verifier import (FaceContext, circular_signature,
-                                  enumerate_ground_pairs, rich_poor_partition,
+from contactgeom.verifier import (circular_signature, enumerate_ground_pairs,
+                                  rich_poor_partition,
                                   verify_signature_uniqueness)
 
 import instances
@@ -234,13 +234,12 @@ def test_criterion_6_ground_pair_expectations():
 
 
 def test_criterion_7_face_signatures_and_charging():
-    contexts = {m: FaceContext(instances.fence_subarcs(m + 5), 0)
-                for m in (1, 2, 3)}
+    fences = {m: instances.fence_subarcs(m + 5) for m in (1, 2, 3)}
+    contexts = {m: instances.face_context(fences[m], 0) for m in fences}
     distinct_ok = 0
     cases = instances.uniqueness_instances()
     for m, fence, lams, note in cases:
-        rep = verify_signature_uniqueness(0, fence, lams,
-                                          context=contexts[m])
+        rep = verify_signature_uniqueness(contexts[m], lams)
         assert rep.distinct, note
         assert len(fence) == m + 5
         distinct_ok += 1
@@ -249,9 +248,8 @@ def test_criterion_7_face_signatures_and_charging():
     pairs += [(m, *instances.hat_variant_pair(m)[1:]) for m in (1, 2, 3)]
     charged = 0
     for m, lam1, lam2 in pairs:
-        ctx = contexts[m]
-        _, sig, ch = instances.fence_charging(ctx.lambda1, lam1, lam2)
-        sig2 = circular_signature(0, ctx.lambda1, lam2, context=ctx)
+        _, sig, ch = instances.fence_charging(fences[m], lam1, lam2)
+        sig2 = circular_signature(contexts[m], lam2)
         assert sig.sequence == sig2.sequence
         assert ch.real_count >= m + 1
         assert ch.imaginary_count <= 4

@@ -1,6 +1,5 @@
 """Arrangement construction, face topology, and point location."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
                                      boundary_edge_cycle, build_arrangement,
                                      build_mixed_arrangement, cells_of_pair,
-                                     chain_param, chain_point, curve_portion,
+                                     chain_point, curve_portion,
                                      locate_cell, pair_arrangement,
                                      split_arcs_by_pair, split_curve_at)
 from contactgeom.errors import ContactGeomError, DegeneracyError, OnCurveError
@@ -180,23 +179,6 @@ def test_chain_point_matches_fraction_arithmetic(cx, cy, resolution, keep,
     got = chain_point(c, s)
     assert got == oracles._chain_point(c, s)
     assert type(got.x) is F and type(got.y) is F
-
-
-def test_chain_param_is_exact_on_integer_points():
-    assert chain_param((Point(0, 0), Point(2, 0)), Point(1, 0)) == F(1, 2)
-    assert type(chain_param((Point(0, 0), Point(2, 0)), Point(1, 0))) is F
-    rng = random.Random(7)
-    for _ in range(300):
-        # a vertical or sloped segment with an integer point strictly inside
-        ax, ay = (rng.randrange(-2 ** 60, 2 ** 60) for _ in range(2))
-        dx, dy = rng.choice((0, 1, 3)), rng.randrange(1, 9)
-        k = rng.randrange(1, 2 ** 40)
-        g = (Point(ax, ay), Point(ax + dx * k * 7, ay + dy * k * 7))
-        p = Point(ax + dx * k * 3, ay + dy * k * 3)
-        exact = chain_param(tuple(Point(F(q.x), F(q.y)) for q in g),
-                            Point(F(p.x), F(p.y)))
-        got = chain_param(g, p)
-        assert exact == F(3, 7) and type(got) is F and got == exact
 
 
 def test_split_arcs_by_pair_on_chain():

@@ -60,7 +60,11 @@ def test_missing_file_exits_2(tmp_path, capsys):
 def test_malformed_file_exits_1(tmp_path, capsys):
     path = tmp_path / "garbage.family"
     # a bad header, then bytes that are not UTF-8 (a UTF-16 byte-order mark)
-    for data in (b"not a family header\n", b"\xff\xfefamily m=1\n"):
+    # and a coordinate outside the written grammar, refused before it asks
+    # for an integer of about 415 MB
+    for data in (b"not a family header\n", b"\xff\xfefamily m=1\n",
+                 b"family m=1\ncurve id=1 closed=1 nv=3\n"
+                 b"1e999999999 0\n4 0\n0 4\n"):
         path.write_bytes(data)
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
@@ -215,7 +219,36 @@ def test_verify_prop9_analyses_each_arc_pair_once(tmp_path, monkeypatch,
     # 6 pickets touched by each of the two combs
     assert len(pairs) >= 12
     assert len(pairs) == len(set(pairs))
-    assert len(runs) <= 16
+    # the surrounding arrangement is built once too
+    assert len(runs) == len(set(runs)) <= 16
+
+
+def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
+    fence = tmp_path / "fence.family"
+    write_family(fence, fence_family(
+        instances.comb_subarc(102, 6, ("el2",) * 6, 1), m=40))
+    grid = tmp_path / "grid.family"
+    write_family(grid, generate(GeneratorSpec(kind="UnitCirclesGrid", n=36,
+                                              m=1, seed=42)))
+    code = ("import sys\n"
+            "from contactgeom.cli import main\n"
+            f"sys.exit(main(['verify-prop9', {str(fence)!r},"
+            " '--report', 'prop9.json'])"
+            f" or main(['decompose', {str(grid)!r},"
+            " '--report', 'decompose.json']))\n")
+    src = Path(contactgeom.__file__).resolve().parents[1]
+    reports = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=out,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append([(out / name).read_bytes()
+                        for name in ("prop9.json", "decompose.json")])
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][0])["charging"][0]["real"] == 5
 
 
 def test_verify_prop9_bails_politely(chain_file, tmp_path, capsys):

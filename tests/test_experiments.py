@@ -89,6 +89,19 @@ def test_sweep_orders_and_dedupes():
         assert r.pieces == 1          # sparse fallback: one component
 
 
+def test_sweep_leaves_pieces_empty_without_touchings():
+    # pseudo-parabolas only cross (T = 0, d > 0), so the decomposition does
+    # not apply; PerturbedPencil stays out until it generates past small n
+    rows = run_sweep("PseudoParabolas", [10, 20, 40], m=2, seed=42)
+    assert [r.n for r in rows] == [10, 20, 40]
+    for r in rows:
+        assert r.T == 0 and r.d > 0
+        assert r.f is None and r.pieces is None
+    # the pieces column is the last one, and empty
+    assert all(line.endswith(",")
+               for line in sweep_csv(rows).splitlines()[1:])
+
+
 def test_sweep_is_deterministic():
     a = run_sweep("UnitCirclesGrid", [9, 16], m=2, seed=7)
     b = run_sweep("UnitCirclesGrid", [9, 16], m=2, seed=7)

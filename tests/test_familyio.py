@@ -82,6 +82,11 @@ def test_exact_fractions_survive():
     "family m=1\ncurve id=1 closed=1 nv=4\n0 0\n1 0\n0 1\n",
     "family m=1\ncurve id=1 closed=1 nv=3\n0 0\nx 0\n0 1\n",
     "family m=0\ncurve id=1 closed=1 nv=3\n0 0\n1 0\n0 1\n",
+] + [
+    # coordinates outside the written grammar -?\d+(/\d+)?, refused from the
+    # token alone: 1e999999999 would ask for an integer of about 415 MB
+    f"family m=1\ncurve id=1 closed=1 nv=3\n{tok} 0\n4 0\n0 4\n"
+    for tok in ("1e999999999", "1.5", "+1", "1_000", "1/0", "-1/-2", "٣")
 ])
 def test_malformed_inputs_raise(text):
     with pytest.raises(ParseError):

@@ -14,8 +14,8 @@ from contactgeom.errors import (DegeneracyError, InvariantError,
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom.incidence import (catalogue, compute_incidences,
-                                   curve_pair_incidences, is_touching_pair,
-                                   keep_catalogue, validate_general_position)
+                                   curve_pair_incidences, keep_catalogue,
+                                   validate_general_position)
 
 import oracles
 
@@ -50,7 +50,6 @@ def test_tangency_at_shared_vertex():
     assert len(incs) == 1
     assert incs[0].kind == "tangency"
     assert incs[0].point == pt(2, 0)
-    assert is_touching_pair(a, b)
 
 
 def test_vertex_resting_on_edge_interior_rejected():

@@ -1,13 +1,14 @@
 """Boundary fingerprints, the charging argument, and ground-pair sampling."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom import incidence, verifier
-from contactgeom.arrangement import build_mixed_arrangement
+from contactgeom.arrangement import build_mixed_arrangement, split_arcs_by_pair
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import Curve, CurveFamily, Point, pt, seg_events
@@ -39,26 +40,27 @@ def test_free_arc_wraps_polyline():
 def test_face_context_rejects_bad_faces():
     fence = instances.fence_subarcs(6)
     with pytest.raises(PreconditionError):
-        FaceContext(fence, 7)
+        instances.face_context(fence, 7)
     two = (free_arc(1, (pt(-2, -2), pt(2, -2), pt(2, 2), pt(-2, 2)),
                     closed=True),
            free_arc(2, (pt(10, -2), pt(14, -2), pt(14, 2), pt(10, 2)),
                     closed=True))
     # the unbounded face of two disjoint loops has two boundary pieces
     with pytest.raises(PreconditionError):
-        FaceContext(two, 0)
+        instances.face_context(two, 0)
 
 
 def test_face_context_rejects_duplicate_ids():
+    # the arrangement the context is built on refuses them
     a = free_arc(1, (pt(0, 0), pt(2, 1), pt(4, 0)))
     b = free_arc(1, (pt(0, 4), pt(2, 5), pt(4, 4)))
     with pytest.raises(PreconditionError):
-        FaceContext((a, b), 0)
+        instances.face_context((a, b), 0)
 
 
 def test_fence_arrangement_is_one_face():
     for s in (6, 7, 8):
-        ctx = FaceContext(instances.fence_subarcs(s), 0)
+        ctx = instances.face_context(instances.fence_subarcs(s), 0)
         assert ctx.arrangement.F == 1
         # one walk covering both sides of every edge
         assert len(ctx.walk) == 2 * ctx.arrangement.E
@@ -78,10 +80,9 @@ def test_combs_touch_each_picket_once():
 
 def test_same_side_spots_share_a_signature():
     fence = instances.fence_subarcs(6)
-    ctx = FaceContext(fence, 0)
+    ctx = instances.face_context(fence, 0)
     seqs = {tokens: circular_signature(
-                0, fence, instances.comb_subarc(101, 6, (tokens,) * 6),
-                context=ctx).sequence
+                ctx, instances.comb_subarc(101, 6, (tokens,) * 6)).sequence
             for tokens in ("elbow", "el2", "el3", "sh1e", "sh2w")}
     assert seqs["elbow"] == seqs["el2"] == seqs["el3"]
     assert len({seqs["elbow"], seqs["sh1e"], seqs["sh2w"]}) == 3
@@ -92,23 +93,25 @@ def test_same_side_spots_share_a_signature():
 
 def test_signature_is_rotation_invariant_by_canon():
     fence = instances.fence_subarcs(6)
-    ctx = FaceContext(fence, 0)
+    ctx = instances.face_context(fence, 0)
     lam = instances.comb_subarc(101, 6, ("elbow",) * 6)
-    sig = circular_signature(0, fence, lam, context=ctx)
+    sig = circular_signature(ctx, lam)
     assert sig.sequence == min(sig.rotations())
     assert sig.sequence[0] == min(sig.sequence)
 
 
 def test_uniqueness_across_comb_shapes():
     for m, fence, lams, note in instances.uniqueness_instances(ms=(1,)):
-        rep = verify_signature_uniqueness(0, fence, lams)
+        rep = verify_signature_uniqueness(instances.face_context(fence, 0),
+                                          lams)
         assert rep.distinct, note
         assert rep.colliding == ()
 
 
 def test_collision_detected_for_same_side_combs():
     m, fence, lam1, lam2, _ = instances.violator_pairs(ms=(1,))[0]
-    rep = verify_signature_uniqueness(0, fence, (lam1, lam2))
+    rep = verify_signature_uniqueness(instances.face_context(fence, 0),
+                                      (lam1, lam2))
     assert not rep.distinct
     assert rep.colliding == ((101, 102),)
 
@@ -144,7 +147,7 @@ def test_closed_violators_charge_fully_real():
 def test_spot_order_flip_produces_hat_edges():
     fence, lam1, lam2 = instances.hat_variant_pair(2)
     ctx, sig, ch = instances.fence_charging(fence, lam1, lam2)
-    sig2 = circular_signature(0, fence, lam2, context=ctx)
+    sig2 = circular_signature(ctx, lam2)
     assert sig.sequence == sig2.sequence
     assert len(ch.hat_edges) == 2
     assert len(ch.alt_edges) == len(sig.sequence) - 2
@@ -155,24 +158,24 @@ def test_two_label_flip_pair_is_rejected():
     a, b = instances.lens_arcs()
     arr = build_mixed_arrangement([a.geometry, b.geometry])
     lens = next(i for i in range(arr.F) if arr.faces[i].interior is not None)
-    ctx = FaceContext((a, b), lens)
+    ctx = FaceContext(arr, lens)
     lam7, lam8 = instances.lens_flank_pair()
-    sig = circular_signature(lens, (a, b), lam7, context=ctx)
-    sig8 = circular_signature(lens, (a, b), lam8, context=ctx)
+    sig = circular_signature(ctx, lam7)
+    sig8 = circular_signature(ctx, lam8)
     assert sig.sequence == sig8.sequence
     with pytest.raises(PreconditionError):
-        alt_hat_charging(lens, lam7, lam8, sig, context=ctx)
+        alt_hat_charging(ctx, lam7, lam8, sig)
 
 
 def test_unroutable_closure_is_reported():
     a, b = instances.lens_arcs()
     arr = build_mixed_arrangement([a.geometry, b.geometry])
     lens = next(i for i in range(arr.F) if arr.faces[i].interior is not None)
-    ctx = FaceContext((a, b), lens)
+    ctx = FaceContext(arr, lens)
     lam1, lam2 = instances.lens_diagonal_pair()
-    sig = circular_signature(lens, (a, b), lam1, context=ctx)
+    sig = circular_signature(ctx, lam1)
     with pytest.raises(ConstructionError):
-        alt_hat_charging(lens, lam1, lam2, sig, context=ctx)
+        alt_hat_charging(ctx, lam1, lam2, sig)
 
 
 # ------------------------------------------------------------ box rejection
@@ -226,13 +229,13 @@ def _outcome(run):
 
 
 def _check_closure_against_fraction_search(surround, face, lam1, lam2):
+    arr = build_mixed_arrangement([sa.geometry for sa in surround])
     if face is None:
         # the bounded face between the two lens arcs
-        arr = build_mixed_arrangement([sa.geometry for sa in surround])
         face = next(i for i in range(arr.F)
                     if arr.faces[i].interior is not None)
-    ctx = FaceContext(surround, face)
-    sig = circular_signature(face, surround, lam1, context=ctx)
+    ctx = FaceContext(arr, face)
+    sig = circular_signature(ctx, lam1)
     close, menu = verifier._close_arc, verifier._route_candidates
     calls, menus = [], []
 
@@ -246,8 +249,7 @@ def _check_closure_against_fraction_search(surround, face, lam1, lam2):
         return menu(*args)
 
     def charge():
-        return _outcome(lambda: alt_hat_charging(face, lam1, lam2, sig,
-                                                 context=ctx))
+        return _outcome(lambda: alt_hat_charging(ctx, lam1, lam2, sig))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "_close_arc", recording)
@@ -420,3 +422,23 @@ def test_check_lemma8_reports_shape():
     if rep.biclique_found is not None:
         left, right = rep.biclique_found
         assert len(left) == rep.s
+
+
+def test_check_lemma8_with_pieces_sharing_a_cut_point():
+    # a curve touching its ground curve leaves two pieces in the sampled
+    # cell that share their cut point: a joint, not a touching, and no error
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=36, m=1, seed=42))
+    sample = sample_ground_pair(fam, 11)
+    arcs = split_arcs_by_pair(fam, sample.gamma1, sample.gamma2,
+                              set(sample.A), set(sample.B), sample.delta)
+    parents = [sa.parent for sa in arcs]
+    assert len(set(parents)) < len(parents)
+    want = set()
+    for a, b in combinations(arcs, 2):
+        if a.parent != b.parent:
+            incs = curve_pair_incidences(a.geometry, b.geometry)
+            if [x.kind for x in incs] == ["tangency"]:
+                want.add((a.geometry.id, b.geometry.id))
+    assert verifier.subarc_contact_graph(arcs).edges == want
+    rep = check_lemma8(fam, sample)
+    assert rep.s == fam.m + 5 and rep.l_observed >= 0
