@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +19,7 @@ from .errors import (ConstructionError, ContactGeomError, DegenerateError,
                      DegeneracyError, ParseError, PreconditionError,
                      ValidationError)
 from .experiments import run_sweep, sweep_csv, sweep_summary
-from .familyio import read_family, write_family
+from .familyio import parse_rational, read_family, write_family
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import CurveFamily, midpoint
 from .incidence import catalogue, validate_general_position
@@ -42,24 +41,6 @@ _VIOLATION_TAGS = {
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    inputs: Tuple[str, ...] = ()
-    output: Optional[str] = None
-    report: Optional[str] = None
-    graphs: Optional[str] = None
-    kind: Optional[str] = None
-    n: int = 0
-    m: int = 1
-    resolution: int = 8
-    seed: int = DEFAULT_SEED
-    c_const: Fraction = Fraction(8)
-    trials: int = 100
-    sweep: Tuple[int, ...] = ()
-    verbosity: int = 0
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -69,8 +50,8 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    family = read_family(cfg.inputs[0])
+def _cmd_validate(ns: argparse.Namespace) -> int:
+    family = read_family(ns.family)
     report = validate_general_position(family)
     if report.ok:
         print("ok")
@@ -83,48 +64,52 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 1
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    family = read_family(cfg.inputs[0])
+def _cmd_analyze(ns: argparse.Namespace) -> int:
+    family = read_family(ns.family)
     fi = catalogue(family)
     parts = [f"n={family.n}", f"m={family.m}", f"T={fi.T}", f"X={fi.X}",
              f"crossings={fi.crossing_count}"]
     if fi.T > 0:
         parts.append(f"f={Fraction(fi.X, fi.T)}")
     print(" ".join(parts))
-    if cfg.graphs is not None:
+    if ns.graphs is not None:
         lines = [f"{a} {b}" for a, b in fi.touching_pairs()]
-        _write_text(cfg.graphs, "\n".join(lines) + ("\n" if lines else ""))
-        print(f"wrote {cfg.graphs}")
+        _write_text(ns.graphs, "\n".join(lines) + ("\n" if lines else ""))
+        print(f"wrote {ns.graphs}")
     return 0
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    spec = GeneratorSpec(kind=cfg.kind, n=cfg.n, m=cfg.m,
-                         resolution=cfg.resolution, seed=cfg.seed)
+def _cmd_generate(ns: argparse.Namespace) -> int:
+    spec = GeneratorSpec(kind=ns.kind, n=ns.n, m=ns.m,
+                         resolution=ns.resolution, seed=ns.seed)
     # the catalogue generate keeps is dropped before the write: held
     # through it, it raised the process's peak memory
     family = CurveFamily(generate(spec).curves, spec.m)
-    write_family(cfg.output, family)
-    print(f"wrote {cfg.output}")
+    write_family(ns.output, family)
+    print(f"wrote {ns.output}")
     return 0
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    family = read_family(cfg.inputs[0])
+def _cmd_decompose(ns: argparse.Namespace) -> int:
+    try:
+        c_const = parse_rational(ns.cconst)
+    except ParseError as e:
+        raise PreconditionError(f"--cconst: {e}")
+    family = read_family(ns.family)
     reduced = reduce_degree(family)
     data: Dict[str, object] = {
         "input_n": family.n,
         "m": family.m,
         "reduced_n": reduced.n,
-        "C_const": str(cfg.c_const),
+        "C_const": str(c_const),
     }
     try:
-        report = recursive_decompose(reduced, C_const=cfg.c_const)
+        report = recursive_decompose(reduced, C_const=c_const)
     except DegenerateError as e:
         data.update({"degenerate": True, "reason": str(e)})
-        _write_text(cfg.report, _json_text(data))
+        _write_text(ns.report, _json_text(data))
         print(f"degenerate: {e}")
-        print(f"wrote {cfg.report}")
+        print(f"wrote {ns.report}")
         return 0
     ratio = report.separator_ratio
     data.update({
@@ -144,10 +129,10 @@ def _cmd_decompose(cfg: RunConfig) -> int:
         parent = reduced.parent_of
         data["parent_pieces"] = [sorted({parent[i] for i in p})
                                  for p in report.pieces]
-    _write_text(cfg.report, _json_text(data))
+    _write_text(ns.report, _json_text(data))
     print(f"pieces={len(report.pieces)} separator={len(report.separator)} "
           f"surviving={report.touchings_surviving}/{report.touchings_total}")
-    print(f"wrote {cfg.report}")
+    print(f"wrote {ns.report}")
     return 0
 
 
@@ -192,16 +177,16 @@ def _pick_face(family: CurveFamily, lambda1_ids: Sequence[int],
     return arr, face
 
 
-def _cmd_verify_prop9(cfg: RunConfig) -> int:
-    family = read_family(cfg.inputs[0])
+def _cmd_verify_prop9(ns: argparse.Namespace) -> int:
+    family = read_family(ns.family)
     m = family.m
     data: Dict[str, object] = {"m": m, "n": family.n, "expected_lambda1": m + 5}
 
     def bail(reason: str) -> int:
         data.update({"applicable": False, "reason": reason})
-        _write_text(cfg.report, _json_text(data))
+        _write_text(ns.report, _json_text(data))
         print(f"not applicable: {reason}")
-        print(f"wrote {cfg.report}")
+        print(f"wrote {ns.report}")
         return 0
 
     sides = _instance_sides(family)
@@ -264,15 +249,15 @@ def _cmd_verify_prop9(cfg: RunConfig) -> int:
             entry["error"] = str(e)
         charging.append(entry)
     data["charging"] = charging
-    _write_text(cfg.report, _json_text(data))
+    _write_text(ns.report, _json_text(data))
     print(f"lambda1={len(lam1_ids)} lambdaF={len(lamF_ids)} face={face} "
           f"distinct={rep.distinct} collisions={len(rep.colliding)}")
-    print(f"wrote {cfg.report}")
+    print(f"wrote {ns.report}")
     return 0
 
 
-def _cmd_sample_lemma(cfg: RunConfig) -> int:
-    family = read_family(cfg.inputs[0])
+def _cmd_sample_lemma(ns: argparse.Namespace) -> int:
+    family = read_family(ns.family)
     fi = catalogue(family)
     data: Dict[str, object] = {"n": family.n, "m": family.m,
                                "T": fi.T, "X": fi.X}
@@ -286,24 +271,28 @@ def _cmd_sample_lemma(cfg: RunConfig) -> int:
         }
     else:
         data["rich_poor"] = None
-    data["monte_carlo"] = monte_carlo_ground(family, cfg.trials, cfg.seed)
-    _write_text(cfg.report, _json_text(data))
+    data["monte_carlo"] = monte_carlo_ground(family, ns.trials, ns.seed)
+    _write_text(ns.report, _json_text(data))
     mc = data["monte_carlo"]
-    print(f"trials={cfg.trials} seed={cfg.seed} "
+    print(f"trials={ns.trials} seed={ns.seed} "
           f"mean_t_star={mc['t_star']['mean']} "
           f"mean_in_delta={mc['t_star_in_delta']['mean']}")
-    print(f"wrote {cfg.report}")
+    print(f"wrote {ns.report}")
     return 0
 
 
-def _cmd_experiment(cfg: RunConfig) -> int:
-    rows = run_sweep(cfg.kind, cfg.sweep, m=cfg.m, seed=cfg.seed,
-                     resolution=cfg.resolution)
-    _write_text(cfg.output, sweep_csv(rows))
-    stem = os.path.splitext(cfg.output)[0]
+def _cmd_experiment(ns: argparse.Namespace) -> int:
+    try:
+        sweep = [int(tok) for tok in ns.sweep.split(",")] if ns.sweep else []
+    except ValueError:
+        raise PreconditionError(f"bad sweep list {ns.sweep!r}")
+    rows = run_sweep(ns.kind, sweep, m=ns.m, seed=ns.seed,
+                     resolution=ns.resolution)
+    _write_text(ns.out, sweep_csv(rows))
+    stem = os.path.splitext(ns.out)[0]
     summary_path = stem + ".summary.json"
-    _write_text(summary_path, sweep_summary(cfg.kind, rows))
-    print(f"wrote {cfg.output}")
+    _write_text(summary_path, sweep_summary(ns.kind, rows))
+    print(f"wrote {ns.out}")
     print(f"wrote {summary_path}")
     return 0
 
@@ -317,10 +306,6 @@ _HANDLERS = {
     "sample-lemma": _cmd_sample_lemma,
     "experiment": _cmd_experiment,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    return _HANDLERS[cfg.subcommand](cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="reduce degree and decompose recursively")
     p.add_argument("family")
-    p.add_argument("--cconst", type=Fraction, default=Fraction(8))
+    p.add_argument("--cconst", default="8", metavar="RATIONAL",
+                   help="an integer or num/den, as in family files")
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("verify-prop9",
@@ -374,39 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    sweep: Tuple[int, ...] = ()
-    if getattr(ns, "sweep", None):
-        try:
-            sweep = tuple(int(tok) for tok in ns.sweep.split(","))
-        except ValueError:
-            raise PreconditionError(f"bad sweep list {ns.sweep!r}")
-    inputs = ()
-    if getattr(ns, "family", None):
-        inputs = (ns.family,)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        inputs=inputs,
-        output=getattr(ns, "output", None) or getattr(ns, "out", None),
-        report=getattr(ns, "report", None),
-        graphs=getattr(ns, "graphs", None),
-        kind=getattr(ns, "kind", None),
-        n=getattr(ns, "n", 0),
-        m=getattr(ns, "m", 1),
-        resolution=getattr(ns, "resolution", 8),
-        seed=getattr(ns, "seed", DEFAULT_SEED),
-        c_const=getattr(ns, "cconst", Fraction(8)),
-        trials=getattr(ns, "trials", 100),
-        sweep=sweep,
-        verbosity=ns.verbose,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(ns)
-        return run(cfg)
+        return _HANDLERS[ns.subcommand](ns)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1

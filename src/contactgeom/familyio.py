@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ParseError
 from .geometry import Curve, CurveFamily, Point
@@ -42,8 +42,9 @@ def dumps_family(family: CurveFamily) -> str:
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
-def _parse_fraction(tok: str, line_no: int, offset: int) -> Fraction:
-    """A coordinate token of the written grammar; anything else, such as an
+def parse_rational(tok: str, line_no: Optional[int] = None,
+                   offset: Optional[int] = None) -> Fraction:
+    """A rational token of the written grammar; anything else, such as an
     exponent that would ask for a huge integer, is refused unevaluated."""
     match = _RATIONAL.fullmatch(tok)
     if match is not None:
@@ -110,8 +111,8 @@ def loads_family(text: str) -> CurveFamily:
             toks = vline.split()
             if len(toks) != 2:
                 raise ParseError("expected '<x> <y>'", line=vline_no, offset=voff)
-            x = _parse_fraction(toks[0], vline_no, voff)
-            y = _parse_fraction(toks[1], vline_no, voff)
+            x = parse_rational(toks[0], vline_no, voff)
+            y = parse_rational(toks[1], vline_no, voff)
             pts.append(Point(x, y))
             pos += 1
         try:

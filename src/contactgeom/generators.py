@@ -125,22 +125,23 @@ def _pseudo_parabolas(spec: GeneratorSpec) -> Iterator[CurveFamily]:
 
 
 def _perturbed_pencil(spec: GeneratorSpec) -> Iterator[CurveFamily]:
-    rng = random.Random(spec.seed)
+    # Curves i and j differ by a linear function, so with slopes i and
+    # shifts i^3 / 2^k they cross once, at x = -(i^2 + ij + j^2) / 2^k in
+    # (-1, 0) since 2^k > 3n^2: a dyadic, never an odd-denominator vertex
+    # abscissa. Pairs (i, j) and (i, l) cross at one x only if i + j + l = 0,
+    # so there are no triple points.
     r = spec.resolution + (0 if spec.resolution % 2 else 1)
     bend = Fraction(1, 4)
-    scale = spec.n ** 3 + 1
-    while True:
-        order = rng.sample(range(1, spec.n + 1), spec.n)
-        curves = []
-        for i in range(spec.n):
-            slope = i + 1
-            shift = Fraction(order[i], scale)
-            pts = []
-            for kk in range(r + 1):
-                x = Fraction(2 * kk, r) - 1
-                pts.append(Point(x, bend * x * x + slope * x + shift))
-            curves.append(Curve(id=i + 1, points=tuple(pts), closed=False))
-        yield CurveFamily(curves=tuple(curves), m=spec.m)
+    scale = 1 << (3 * spec.n * spec.n).bit_length()
+    curves = []
+    for i in range(1, spec.n + 1):
+        shift = Fraction(i ** 3, scale)
+        pts = []
+        for kk in range(r + 1):
+            x = Fraction(2 * kk, r) - 1
+            pts.append(Point(x, bend * x * x + i * x + shift))
+        curves.append(Curve(id=i, points=tuple(pts), closed=False))
+    yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
 _BUILDERS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
@@ -149,24 +149,18 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
     The four points are lifted onto one integer grid and decided by
     seg_events.
     """
-    coords = (a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
-    scale = lcm(*(v.denominator for v in coords))
-    ax, ay, bx, by, cx, cy, dx, dy = (
-        v.numerator * (scale // v.denominator) for v in coords)
-    res = seg_events((ax, ay), (bx, by), (cx, cy), (dx, dy))
+    scale = lcm(*(v.denominator for p in (a, b, c, d) for v in (p.x, p.y)))
+    ab = lift((a, b), scale)
+    res = seg_events(*ab, *lift((c, d), scale))
     tag = res[0]
     if tag == "none":
         return ("none", None)
     if tag == "proper":
-        t = res[1]
-        return ("proper", Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-
-    def unlift(q) -> Point:
-        return Point(Fraction(q[0], scale), Fraction(q[1], scale))
-
+        return ("proper", unlift(grid_point(ab, res[1]), scale))
     if tag == "touch":
-        return ("endpoint", unlift(res[1]))
-    return ("overlap", (unlift(res[1]), unlift(res[2])))
+        return ("endpoint", unlift((*res[1], 1), scale))
+    return ("overlap", (unlift((*res[1], 1), scale),
+                        unlift((*res[2], 1), scale)))
 
 
 @dataclass(frozen=True)
@@ -287,6 +281,80 @@ def lift_point(p: Point, scale: int) -> Tuple[int, int, int]:
     D > 0: the lifted point is (X / D, Y / D)."""
     d = lcm(p.x.denominator, p.y.denominator)
     return (*lift((p,), scale * d)[0], d)
+
+
+def grid_point(seg, t: Fraction) -> Tuple[int, int, int]:
+    """The point at parameter t on the integer segment seg, as a reduced
+    (X, Y, D) with D > 0: the point is (X / D, Y / D)."""
+    (ax, ay), (bx, by) = seg
+    n, d = t.numerator, t.denominator
+    x, y = ax * d + n * (bx - ax), ay * d + n * (by - ay)
+    g = gcd(x, y, d)
+    return (x // g, y // g, d // g)
+
+
+def unlift(key: Tuple[int, int, int], scale: int) -> Point:
+    """The rational point of a lifted (X, Y, D) on the grid of step
+    1/scale."""
+    d = key[2] * scale
+    return Point(Fraction(key[0], d), Fraction(key[1], d))
+
+
+class Polyline:
+    """An integer polyline on a lifted grid: its vertices pts, whether a
+    closing segment pts[-1] -> pts[0] follows, each segment as
+    (a, b, xmin, ymin, xmax, ymax) with its closed box, and the closed box
+    (xmin, ymin, xmax, ymax) of the whole. Boxes are closed, so a shared
+    edge or corner still reaches seg_events."""
+
+    __slots__ = ("pts", "closed", "segs", "box")
+
+    def __init__(self, pts: List[Tuple[int, int]], closed: bool = False):
+        self.pts = pts
+        self.closed = closed
+        ring = pts + pts[:1] if closed else pts
+        self.segs = [(a, b, min(a[0], b[0]), min(a[1], b[1]),
+                      max(a[0], b[0]), max(a[1], b[1]))
+                     for a, b in zip(ring, ring[1:])]
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        self.box = (min(xs), min(ys), max(xs), max(ys))
+
+    def seg(self, i: int):
+        return self.segs[i][:2]
+
+    def hits(self, a, b):
+        """seg_events of the integer segment ab against each segment, in
+        segment order, skipping "none"; the whole box is tested first."""
+        x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+        y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+        bx0, by0, bx1, by1 = self.box
+        if bx1 < x0 or bx0 > x1 or by1 < y0 or by0 > y1:
+            return
+        for c, d, sx0, sy0, sx1, sy1 in self.segs:
+            if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
+                continue
+            ev = seg_events(a, b, c, d)
+            if ev[0] != "none":
+                yield ev
+
+
+def meetings(p: Polyline, q: Polyline) -> List[tuple]:
+    """(i, j, event) for every segment i of p and j of q that meet, in
+    segment order of p then q, event being their seg_events result. Each
+    segment of p is tested against q's whole box first."""
+    out = []
+    qx0, qy0, qx1, qy1 = q.box
+    qsegs = q.segs
+    for i, (a, b, x0, y0, x1, y1) in enumerate(p.segs):
+        if qx1 < x0 or qx0 > x1 or qy1 < y0 or qy0 > y1:
+            continue
+        for j, (c, d, sx0, sy0, sx1, sy1) in enumerate(qsegs):
+            if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
+                continue
+            ev = seg_events(a, b, c, d)
+            if ev[0] != "none":
+                out.append((i, j, ev))
+    return out
 
 
 def on_polyline(p: Tuple[int, int, int], pts: Sequence[Tuple[int, int]],

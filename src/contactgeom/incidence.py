@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegeneracyError, EndpointError, PreconditionError,
                      ValidationError, check)
-from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
-                       coordinate_scale, lift, seg_events)
+from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
+                       angle_key, coordinate_scale, grid_point, lift, meetings,
+                       seg_events, unlift)
 
 
 @dataclass(frozen=True)
@@ -83,33 +83,18 @@ class ValidationReport:
         return tuple(sorted({v.kind for v in self.violations}))
 
 
-class _ScaledCurve:
-    """Integer-coordinate view of a curve plus lookup tables."""
+class _ScaledCurve(Polyline):
+    """A curve lifted to an integer Polyline, plus its vertex lookups."""
 
-    __slots__ = ("curve", "pts", "nseg", "closed", "vmap", "segbox", "box")
+    __slots__ = ("curve", "vmap")
 
     def __init__(self, curve: Curve, scale: int):
+        super().__init__(lift(curve.points, scale), curve.closed)
         self.curve = curve
-        self.pts = pts = lift(curve.points, scale)
-        self.closed = curve.closed
-        self.nseg = curve.n_segments
         vmap: Dict[Tuple[int, int], int] = {}
-        for k, q in enumerate(pts):
+        for k, q in enumerate(self.pts):
             vmap.setdefault(q, k)
         self.vmap = vmap
-        boxes = []
-        for i in range(self.nseg):
-            (ax, ay), (bx, by) = self.seg(i)
-            boxes.append((min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
-        self.segbox = boxes
-        self.box = (
-            min(b[0] for b in boxes), min(b[1] for b in boxes),
-            max(b[2] for b in boxes), max(b[3] for b in boxes),
-        )
-
-    def seg(self, i: int):
-        pts = self.pts
-        return pts[i], pts[(i + 1) % len(pts)]
 
     def is_endpoint_vertex(self, k: int) -> bool:
         return (not self.closed) and (k == 0 or k == len(self.pts) - 1)
@@ -139,10 +124,6 @@ def _locate_on(sc: _ScaledCurve, seg_index: int, p) -> Fraction:
     return seg_index + t
 
 
-def _boxes_meet(b1, b2) -> bool:
-    return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
-
-
 def _meeting_pairs(boxes) -> List[Tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, whose closed boxes meet, by a
     sort-and-sweep along x: O(n log n) plus the pairs whose x ranges meet."""
@@ -162,57 +143,31 @@ def _meeting_pairs(boxes) -> List[Tuple[int, int]]:
     return out
 
 
-def _crossing_key(seg, t: Fraction) -> Tuple[int, int, int]:
-    """Grid point at parameter t on the integer segment seg, as a reduced
-    (X, Y, D) with D > 0: the point is (X / D, Y / D)."""
-    (ax, ay), (bx, by) = seg
-    n, d = t.numerator, t.denominator
-    x, y = ax * d + n * (bx - ax), ay * d + n * (by - ay)
-    g = gcd(x, y, d)
-    return (x // g, y // g, d // g)
-
-
 def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
     """All meeting points of two scaled curves, grouped by point.
 
     Returns (events, overlaps): events maps a grid point key (X, Y, D), see
-    _crossing_key, to {"proper": count, "sa": set of chain params, "sb":
-    set}, and overlaps lists collinear shared pieces as (lo, hi) integer
-    pairs.
+    grid_point, to {"proper": count, "sa": set of chain params, "sb": set},
+    and overlaps lists collinear shared pieces as (lo, hi) integer pairs.
     """
     events: Dict[Tuple[int, int, int], dict] = {}
     overlaps: List[tuple] = []
-    for i in range(sa.nseg):
-        ib = sa.segbox[i]
-        if not _boxes_meet(ib, sb.box):
+    for i, j, res in meetings(sa, sb):
+        tag = res[0]
+        if tag == "overlap":
+            overlaps.append((res[1], res[2]))
             continue
-        for j in range(sb.nseg):
-            if not _boxes_meet(ib, sb.segbox[j]):
-                continue
-            res = seg_events(*sa.seg(i), *sb.seg(j))
-            tag = res[0]
-            if tag == "none":
-                continue
-            if tag == "overlap":
-                overlaps.append((res[1], res[2]))
-                continue
-            if tag == "proper":
-                t, u = res[1], res[2]
-                key, s_a, s_b = _crossing_key(sa.seg(i), t), i + t, j + u
-            else:
-                p = res[1]
-                key, s_a, s_b = (p[0], p[1], 1), _locate_on(sa, i, p), _locate_on(sb, j, p)
-            ev = events.setdefault(key, {"proper": 0, "sa": set(), "sb": set()})
-            ev["proper"] += tag == "proper"
-            ev["sa"].add(s_a)
-            ev["sb"].add(s_b)
+        if tag == "proper":
+            t, u = res[1], res[2]
+            key, s_a, s_b = grid_point(sa.seg(i), t), i + t, j + u
+        else:
+            p = res[1]
+            key, s_a, s_b = (p[0], p[1], 1), _locate_on(sa, i, p), _locate_on(sb, j, p)
+        ev = events.setdefault(key, {"proper": 0, "sa": set(), "sb": set()})
+        ev["proper"] += tag == "proper"
+        ev["sa"].add(s_a)
+        ev["sb"].add(s_b)
     return events, overlaps
-
-
-def _unscale(key, scale: int) -> Point:
-    """The Fraction point of a grid key (X, Y, D) on the grid of 1/scale."""
-    d = key[2] * scale
-    return Point(Fraction(key[0], d), Fraction(key[1], d))
 
 
 def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
@@ -225,10 +180,10 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
 
     for lo, hi in overlaps:
         violations.append(Violation(
-            "overlap", (ida, idb), _unscale((lo[0], lo[1], 1), scale),
+            "overlap", (ida, idb), unlift((lo[0], lo[1], 1), scale),
             "curves share a collinear piece"))
 
-    for point, key in sorted((_unscale(key, scale), key) for key in events):
+    for point, key in sorted((unlift(key, scale), key) for key in events):
         ev = events[key]
         if len(ev["sa"]) > 1 or len(ev["sb"]) > 1:
             violations.append(Violation(
@@ -297,7 +252,7 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
 
 def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
     viols: List[Violation] = []
-    n = sc.nseg
+    n = len(sc.segs)
     cid = sc.curve.id
     for i in range(n):
         for j in range(i + 1, n):
@@ -308,11 +263,11 @@ def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
             if tag == "none":
                 continue
             if tag == "proper":
-                pkey = _crossing_key(sc.seg(i), res[1])
+                pkey = grid_point(sc.seg(i), res[1])
             else:
                 pkey = (res[1][0], res[1][1], 1)
             viols.append(Violation(
-                "self_intersection", (cid,), _unscale(pkey, scale),
+                "self_intersection", (cid,), unlift(pkey, scale),
                 f"segments {i} and {j} meet"))
     return viols
 
@@ -343,7 +298,7 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
                 (sa.curve.id, sb.curve.id), incs[0].point,
                 f"{len(incs)} contacts exceed budget {m}"))
 
-    triples = sorted((_unscale(key, scale), tuple(sorted(owners)))
+    triples = sorted((unlift(key, scale), tuple(sorted(owners)))
                      for key, owners in point_owners.items() if len(owners) >= 3)
     for point, owners in triples:
         violations.append(Violation(

@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
-from .geometry import (Curve, CurveFamily, Point, chain_param,
-                       coordinate_scale, lift, lift_point, midpoint,
-                       on_polyline, seg_events)
+from .geometry import (Curve, CurveFamily, Point, Polyline, chain_param,
+                       coordinate_scale, grid_point, lift, lift_point,
+                       meetings, midpoint, on_polyline, unlift)
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
@@ -257,34 +257,6 @@ def _canon(seq: Tuple[int, ...]) -> Tuple[int, ...]:
     return seq[k:] + seq[:k]
 
 
-def _table(pts: Sequence[Tuple[int, int]]):
-    """A lifted polyline as (closed box, segments), each segment being
-    (a, b, xmin, xmax, ymin, ymax) with its own closed box."""
-    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-    return ((min(xs), max(xs), min(ys), max(ys)),
-            [(a, b, min(a[0], b[0]), max(a[0], b[0]),
-              min(a[1], b[1]), max(a[1], b[1]))
-             for a, b in zip(pts, pts[1:])])
-
-
-def _events(a, b, table):
-    """seg_events of the integer segment ab against each segment of a lifted
-    polyline, in polyline order, skipping "none". The polyline's box is
-    tested first, then each segment's; boxes are closed, so a shared edge or
-    corner still reaches the kernel."""
-    x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-    y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-    (bx0, bx1, by0, by1), segs = table
-    if bx1 < x0 or bx0 > x1 or by1 < y0 or by0 > y1:
-        return
-    for c, d, sx0, sx1, sy0, sy1 in segs:
-        if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
-            continue
-        ev = seg_events(a, b, c, d)
-        if ev[0] != "none":
-            yield ev
-
-
 def _left_of_wedge(u, v, w) -> bool:
     """Is displacement w strictly on the left of the oriented kink (u, v)?
 
@@ -473,27 +445,19 @@ def _polyline(c: Curve) -> Tuple[Point, ...]:
     return c.points + c.points[:1] if c.closed else c.points
 
 
-def _event_points(ev, a, b, scale: int) -> Tuple[Point, ...]:
-    """The points of a non-"none" seg_events result for the integer segment
-    ab, back on the rational plane."""
-    if ev[0] == "proper":
-        t = ev[1]
-        return (Point((a[0] + t * (b[0] - a[0])) / scale,
-                      (a[1] + t * (b[1] - a[1])) / scale),)
-    return tuple(Point(Fraction(x, scale), Fraction(y, scale))
-                 for x, y in ev[1:])
-
-
 def _meeting_points(g1: Sequence[Point], g2: Sequence[Point],
                     overlaps: bool) -> Set[Point]:
     """Points where polylines g1 and g2 meet, found on one integer grid; a
     collinear overlap contributes its two ends only when overlaps is set."""
     scale = lcm(*(v.denominator for p in (*g1, *g2) for v in (p.x, p.y)))
-    pts1 = lift(g1, scale)
-    table2 = _table(lift(g2, scale))
-    return {q for a, b in zip(pts1, pts1[1:]) for ev in _events(a, b, table2)
-            if overlaps or ev[0] != "overlap"
-            for q in _event_points(ev, a, b, scale)}
+    p1 = Polyline(lift(g1, scale))
+    out = set()
+    for i, _, ev in meetings(p1, Polyline(lift(g2, scale))):
+        if ev[0] == "proper":
+            out.add(unlift(grid_point(p1.seg(i), ev[1]), scale))
+        elif overlaps or ev[0] != "overlap":
+            out.update(unlift((*q, 1), scale) for q in ev[1:])
+    return out
 
 
 def _route_candidates(ctx: FaceContext, q1: Point, q2: Point, scale: int):
@@ -553,27 +517,26 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
         return g, None
     # anchors are midpoints (a factor 2) pulled by up to 1 - 2^-6 (a factor 64)
     scale = 128 * lcm(ctx.scale, coordinate_scale((g, other)))
-    wall_tables = [_table(lift(_polyline(c), scale))
-                   for c in ctx.arrangement.curves]
-    own_pts = lift(g.points, scale)
-    own = _table(own_pts)
-    ends = (own_pts[-1], own_pts[0])
-    other_table = _table(lift(_polyline(other), scale))
+    walls = [Polyline(lift(c.points, scale), c.closed)
+             for c in ctx.arrangement.curves]
+    own = Polyline(lift(g.points, scale))
+    ends = (own.pts[-1], own.pts[0])
+    crossed = Polyline(lift(other.points, scale), other.closed)
 
     @cache   # routes share segments, so each is tested once per call
     def passes(a, b) -> bool:
         """False when segment ab leaves the face, grazes its boundary, meets
         lam away from the two junctions, or meets `other` other than by a
         proper crossing off `forbidden`."""
-        for table in wall_tables:
-            for _ in _events(a, b, table):
+        for wall in walls:
+            for _ in wall.hits(a, b):
                 return False
-        for ev in _events(a, b, own):
+        for ev in own.hits(a, b):
             if ev[0] != "touch" or ev[1] not in ends:
                 return False
-        for ev in _events(a, b, other_table):
+        for ev in crossed.hits(a, b):
             if (ev[0] != "proper"
-                    or _event_points(ev, a, b, scale)[0] in forbidden):
+                    or unlift(grid_point((a, b), ev[1]), scale) in forbidden):
                 return False
         return True
 

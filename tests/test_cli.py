@@ -163,6 +163,20 @@ def test_decompose_degenerate_threshold(tmp_path, capsys):
     assert "reason" in data
 
 
+@pytest.mark.parametrize("token", ["1e999999999", "1.5", "1/0"])
+def test_cconst_takes_only_the_family_grammar(token, chain_file, tmp_path,
+                                              capsys):
+    # the exponent would ask for an integer of about 415 MB if evaluated,
+    # and a zero denominator escaped as a traceback
+    report = tmp_path / "dec.json"
+    rc = main(["decompose", chain_file, "--cconst", token,
+               "--report", str(report)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--cconst" in err and token in err
+    assert not report.exists()
+
+
 # ---------------------------------------------------------- verify-prop9
 
 def test_verify_prop9_distinct_combs(tmp_path, capsys):

@@ -93,17 +93,17 @@ def test_separator_calls_networkx_only_to_check_planarity():
 
 def test_verifier_does_not_use_segment_intersection():
     # charging lifts each curve set once; a per-call Fraction lift in the
-    # route search is what made it slow
+    # route search is what made it slow. Its segment scans are
+    # geometry.Polyline's, so it calls the segment kernel nowhere itself.
     tree = ast.parse(inspect.getsource(
         importlib.import_module("contactgeom.verifier")))
+    banned = ("segment_intersection", "seg_events")
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            found += [a.name for a in node.names
-                      if a.name == "segment_intersection"]
-        elif isinstance(node, ast.Name) and node.id == "segment_intersection":
+            found += [a.name for a in node.names if a.name in banned]
+        elif isinstance(node, ast.Name) and node.id in banned:
             found.append(node.id)
-        elif (isinstance(node, ast.Attribute)
-              and node.attr == "segment_intersection"):
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
             found.append(node.attr)
     assert not found

@@ -90,16 +90,17 @@ def test_sweep_orders_and_dedupes():
 
 
 def test_sweep_leaves_pieces_empty_without_touchings():
-    # pseudo-parabolas only cross (T = 0, d > 0), so the decomposition does
-    # not apply; PerturbedPencil stays out until it generates past small n
-    rows = run_sweep("PseudoParabolas", [10, 20, 40], m=2, seed=42)
-    assert [r.n for r in rows] == [10, 20, 40]
-    for r in rows:
-        assert r.T == 0 and r.d > 0
-        assert r.f is None and r.pieces is None
-    # the pieces column is the last one, and empty
-    assert all(line.endswith(",")
-               for line in sweep_csv(rows).splitlines()[1:])
+    # pseudo-parabolas and perturbed pencils only cross (T = 0, d > 0), so
+    # the decomposition does not apply
+    for kind in ("PseudoParabolas", "PerturbedPencil"):
+        rows = run_sweep(kind, [10, 20, 40], m=2, seed=42)
+        assert [r.n for r in rows] == [10, 20, 40]
+        for r in rows:
+            assert r.T == 0 and r.d > 0
+            assert r.f is None and r.pieces is None
+        # the pieces column is the last one, and empty
+        assert all(line.endswith(",")
+                   for line in sweep_csv(rows).splitlines()[1:])
 
 
 def test_sweep_is_deterministic():

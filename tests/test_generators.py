@@ -6,6 +6,7 @@ from contactgeom import generators
 from contactgeom.errors import GenerationError
 from contactgeom.familyio import dumps_family
 from contactgeom.generators import KINDS, GeneratorSpec, generate
+from contactgeom.geometry import Curve, CurveFamily, pt
 from contactgeom.incidence import compute_incidences, validate_general_position
 
 
@@ -102,6 +103,24 @@ def test_unknown_kind_raises():
         generate(GeneratorSpec(kind="NoSuchKind", n=4, m=1, seed=0))
 
 
-def test_impossible_spec_raises_generation_error():
-    with pytest.raises(GenerationError):
+def test_impossible_spec_raises_generation_error(monkeypatch):
+    # a builder whose every candidate breaks the model: two equal triangles
+    tri = (pt(0, 0), pt(2, 0), pt(0, 2))
+
+    def invalid(spec):
+        while True:
+            yield CurveFamily((Curve(1, tri, True), Curve(2, tri, True)),
+                              spec.m)
+
+    monkeypatch.setitem(generators._BUILDERS, "PerturbedPencil", invalid)
+    with pytest.raises(GenerationError, match="20 attempt"):
         generate(GeneratorSpec(kind="PerturbedPencil", n=30, m=1, seed=0))
+
+
+def test_perturbed_pencil_generates_at_any_n():
+    # every pair crosses once, at its own point, on the first candidate
+    for n in (10, 40, 100):
+        fi = generate(GeneratorSpec(kind="PerturbedPencil", n=n, m=1)
+                      ).incidences
+        assert fi.X == fi.crossing_count == n * (n - 1) // 2
+        assert fi.T == 0

@@ -179,7 +179,7 @@ def boxes_from(corner_and_size):
           (-2, -2, -1, 0), (1, 0, 1, 3)])
 def test_meeting_pairs_are_the_pairs_whose_boxes_meet(boxes):
     want = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
-            if incidence._boxes_meet(boxes[i], boxes[j])]
+            if oracles._boxes_meet(boxes[i], boxes[j])]
     assert incidence._meeting_pairs(boxes) == want
 
 

@@ -1,5 +1,6 @@
 """Degree reduction, planar separators, and the recursive decomposition."""
 
+import random
 from fractions import Fraction
 
 import networkx
@@ -353,8 +354,33 @@ def test_articulation_points_of_a_long_path():
     assert separator._articulation_points(path) == list(range(1, nv - 1))
 
 
+def apollonian_network(n, shuffled):
+    """A random stacked triangulation on n >= 3 vertices (Andrade et al.,
+    PRL 94, 2005): each new vertex goes into a face drawn uniformly and is
+    joined to its three corners. Labels follow insertion, or are shuffled."""
+    rng = random.Random(n)
+    edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    label = list(range(n))
+    if shuffled:
+        rng.shuffle(label)
+    return weighted_graph(label, [(label[u], label[v]) for u, v in edges])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(planar_graphs())
+# on triangulations the fundamental-cycle candidates carry the result
+@example(apollonian_network(30, shuffled=False))
+@example(apollonian_network(30, shuffled=True))
+@example(apollonian_network(60, shuffled=False))
+@example(apollonian_network(60, shuffled=True))
+@example(apollonian_network(120, shuffled=False))
+@example(apollonian_network(120, shuffled=True))
+@example(apollonian_network(250, shuffled=False))
+@example(apollonian_network(250, shuffled=True))
 def test_planar_separator_matches_reference(g):
     assert g.planar
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))

@@ -11,7 +11,8 @@ from contactgeom import incidence, verifier
 from contactgeom.arrangement import build_mixed_arrangement, split_arcs_by_pair
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.geometry import Curve, CurveFamily, Point, pt, seg_events
+from contactgeom.geometry import (Curve, CurveFamily, Point, Polyline,
+                                  meetings, pt, seg_events)
 from contactgeom.incidence import compute_incidences, curve_pair_incidences
 from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
                                   circular_signature, enumerate_ground_pairs,
@@ -184,18 +185,24 @@ _GRID = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @settings(max_examples=400, deadline=None)
-@given(a=_GRID, b=_GRID, pts=st.lists(_GRID, min_size=2, max_size=6))
-@example(a=(0, 0), b=(2, 2), pts=[(2, 2), (4, 4)])           # corner only
-@example(a=(1, -2), b=(1, 2), pts=[(-1, 0), (1, 0), (1, 3)])  # zero width
-@example(a=(-3, 1), b=(3, 1), pts=[(0, 1), (0, 4)])           # zero height
-@example(a=(-3, 0), b=(1, 0), pts=[(0, 0), (3, 0), (3, -2)])  # overlap
-@example(a=(-4, -4), b=(-1, -1), pts=[(-1, -1), (-1, -3)])    # shared end
-def test_box_rejection_keeps_every_event(a, b, pts):
+@given(a=_GRID, b=_GRID, pts=st.lists(_GRID, min_size=2, max_size=6),
+       closed=st.booleans())
+# corner only, zero width, zero height, overlap, shared end, closing segment
+@example(a=(0, 0), b=(2, 2), pts=[(2, 2), (4, 4)], closed=False)
+@example(a=(1, -2), b=(1, 2), pts=[(-1, 0), (1, 0), (1, 3)], closed=False)
+@example(a=(-3, 1), b=(3, 1), pts=[(0, 1), (0, 4)], closed=False)
+@example(a=(-3, 0), b=(1, 0), pts=[(0, 0), (3, 0), (3, -2)], closed=False)
+@example(a=(-4, -4), b=(-1, -1), pts=[(-1, -1), (-1, -3)], closed=False)
+@example(a=(-2, 0), b=(2, 0), pts=[(0, -1), (1, 1), (-1, 1)], closed=True)
+def test_box_rejection_keeps_every_event(a, b, pts, closed):
     # curves and routes have no zero-length segment
-    assume(a != b and all(c != d for c, d in zip(pts, pts[1:])))
-    want = [ev for c, d in zip(pts, pts[1:])
+    ring = pts + pts[:1] if closed else pts
+    assume(a != b and all(c != d for c, d in zip(ring, ring[1:])))
+    want = [(j, ev) for j, (c, d) in enumerate(zip(ring, ring[1:]))
             if (ev := seg_events(a, b, c, d))[0] != "none"]
-    assert list(verifier._events(a, b, verifier._table(pts))) == want
+    line = Polyline(pts, closed)
+    assert list(line.hits(a, b)) == [ev for _, ev in want]
+    assert meetings(Polyline([a, b]), line) == [(0, j, ev) for j, ev in want]
 
 
 # ------------------------------------- closure against the Fraction search
