@@ -251,19 +251,24 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
 
 
 def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
+    """Every meeting of two non-adjacent segments of one curve, in segment
+    order; a pair whose closed segment boxes miss each other is skipped."""
     viols: List[Violation] = []
-    n = len(sc.segs)
+    segs = sc.segs
+    n = len(segs)
     cid = sc.curve.id
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (sc.closed and i == 0 and j == n - 1):
+    for i, (a, b, x0, y0, x1, y1) in enumerate(segs):
+        # the closing segment n - 1 is adjacent to segment 0
+        for j in range(i + 2, n - 1 if sc.closed and i == 0 else n):
+            c, d, sx0, sy0, sx1, sy1 = segs[j]
+            if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
                 continue
-            res = seg_events(*sc.seg(i), *sc.seg(j))
+            res = seg_events(a, b, c, d)
             tag = res[0]
             if tag == "none":
                 continue
             if tag == "proper":
-                pkey = grid_point(sc.seg(i), res[1])
+                pkey = grid_point((a, b), res[1])
             else:
                 pkey = (res[1][0], res[1][1], 1)
             viols.append(Violation(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (ConstructionError, PreconditionError, ValidationError,
@@ -76,15 +76,33 @@ class GroundPairSample:
 
 
 def _ground_pairs(family: CurveFamily):
-    """(touching adjacency, candidate ground pairs) of a family: the
-    adjacency maps a curve id to the ids it touches."""
+    """(touching adjacency, sorted curve ids) of a family: the adjacency
+    maps a curve id to the ids it touches. The candidate ground pairs are
+    combinations(ids, 2), drawn by rank with _draw_pair."""
     if family.n < 2:
         raise PreconditionError("need at least two curves")
     touching: Dict[int, Set[int]] = {}
     for a, b in catalogue(family).touching_pairs():
         touching.setdefault(a, set()).add(b)
         touching.setdefault(b, set()).add(a)
-    return touching, list(combinations(sorted(c.id for c in family), 2))
+    return touching, sorted(c.id for c in family)
+
+
+def _pair_at(ids: Sequence[int], k: int) -> Tuple[int, int]:
+    """list(combinations(ids, 2))[k] without the list. Row i holds the
+    pairs (ids[i], ids[j]), j > i, so the last t rows hold t(t + 1)/2
+    pairs; with r pairs after k, k lies in the row just before the last t
+    rows for the largest t with t(t + 1)/2 <= r, which isqrt finds."""
+    n = len(ids)
+    r = n * (n - 1) // 2 - 1 - k
+    i = n - 2 - (isqrt(8 * r + 1) - 1) // 2
+    return ids[i], ids[k - i * (2 * n - i - 1) // 2 + i + 1]
+
+
+def _draw_pair(rng: random.Random, ids: Sequence[int]) -> Tuple[int, int]:
+    """A uniform ground pair: one rng.randrange over the pair ranks."""
+    n = len(ids)
+    return _pair_at(ids, rng.randrange(n * (n - 1) // 2))
 
 
 class _PairContext:
@@ -152,9 +170,9 @@ class _PairContext:
 
 def sample_ground_pair(family: CurveFamily, seed: int) -> GroundPairSample:
     """One random draw: uniform pair, fair coin per doubly-touching arc."""
-    touching, pairs = _ground_pairs(family)
+    touching, ids = _ground_pairs(family)
     rng = random.Random(seed)
-    g1, g2 = pairs[rng.randrange(len(pairs))]
+    g1, g2 = _draw_pair(rng, ids)
     ctx = _PairContext(family, touching, g1, g2)
     to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
     return ctx.resolve(to_A)
@@ -174,11 +192,11 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
     Each pair contributes the average over its 2^s coin assignments, then
     pairs are averaged uniformly, matching the two-stage random draw.
     """
-    touching, pairs = _ground_pairs(family)
+    touching, ids = _ground_pairs(family)
     pair_stars: List[Fraction] = []
     pair_deltas: List[Fraction] = []
     pair_primes: List[Fraction] = []
-    for g1, g2 in pairs:
+    for g1, g2 in combinations(ids, 2):
         ctx = _PairContext(family, touching, g1, g2)
         stars = 0
         deltas = 0
@@ -203,13 +221,13 @@ def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
     """Repeated random draws, summarized for the JSON report."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    touching, pairs = _ground_pairs(family)
+    touching, ids = _ground_pairs(family)
     ctxs: Dict[Tuple[int, int], _PairContext] = {}
     rng = random.Random(seed)
     seen: Dict[str, List[int]] = {"t_star": [], "t_star_in_delta": [],
                                   "t_prime": []}
     for _ in range(trials):
-        g = pairs[rng.randrange(len(pairs))]
+        g = _draw_pair(rng, ids)
         if g not in ctxs:
             ctxs[g] = _PairContext(family, touching, g[0], g[1])
         ctx = ctxs[g]

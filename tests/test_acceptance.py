@@ -56,9 +56,8 @@ def _corpus_specs():
     for n in (4, 5, 6, 7, 8):
         for seed in range(1, 11):
             specs.append(("PseudoParabolas", n, 2, seed))
-    for n in (4, 5, 6):
-        for seed in range(1, 9):
-            specs.append(("PerturbedPencil", n, 1, seed))
+    for n in range(4, 16):    # the builder reads no seed
+        specs.append(("PerturbedPencil", n, 1, 1))
     for n in (12, 20, 30, 40):
         for seed in (1, 2):
             specs.append(("TangentChain", n, 1, seed))
@@ -67,6 +66,8 @@ def _corpus_specs():
     for n in (10, 14, 18, 22, 26, 30, 34, 38):
         for seed in (1, 2, 3):
             specs.append(("RandomCircles", n, 2, seed))
+    for n in range(9, 32, 2):
+        specs.append(("RandomCircles", n, 2, 1))
     for n in (9, 10, 12, 14, 16, 20):
         for seed in (1, 2):
             specs.append(("PseudoParabolas", n, 2, seed))

@@ -22,6 +22,25 @@ def test_no_module_has_assert():
     assert not found
 
 
+def test_no_module_stores_every_pair():
+    # pairs of curves are drawn by rank or iterated lazily: a list of all
+    # n(n-1)/2 pairs of a large family is the process's memory peak
+    holders = ("list", "tuple", "set", "sorted")
+    found = []
+    for m in pkgutil.iter_modules(contactgeom.__path__):
+        tree = ast.parse(inspect.getsource(
+            importlib.import_module(f"contactgeom.{m.name}")))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in holders
+                    and any(isinstance(arg, ast.Call) and "combinations" in (
+                        getattr(arg.func, "id", None),
+                        getattr(arg.func, "attr", None))
+                        for arg in node.args)):
+                found.append(f"{m.name}:{node.lineno}")
+    assert not found
+
+
 def test_layers_read_the_catalogue_through_one_reader():
     # a family's catalogue reaches every layer through
     # incidence.catalogue; no function takes it as an optional argument,

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from contactgeom import incidence
 from contactgeom.errors import (DegeneracyError, InvariantError,
                                 PreconditionError, ValidationError)
-from contactgeom.geometry import Curve, CurveFamily, Point, pt
+from contactgeom.geometry import (Curve, CurveFamily, Point, coordinate_scale,
+                                  grid_point, pt, seg_events, unlift)
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom.incidence import (catalogue, compute_incidences,
                                    curve_pair_incidences, keep_catalogue,
@@ -181,6 +182,51 @@ def test_meeting_pairs_are_the_pairs_whose_boxes_meet(boxes):
     want = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
             if oracles._boxes_meet(boxes[i], boxes[j])]
     assert incidence._meeting_pairs(boxes) == want
+
+
+def unfiltered_self_violations(sc, scale):
+    # every non-adjacent segment pair of one curve goes to seg_events
+    n = len(sc.segs)
+    out = []
+    for i in range(n):
+        for j in range(i + 2, n):
+            if sc.closed and i == 0 and j == n - 1:
+                continue
+            res = seg_events(*sc.seg(i), *sc.seg(j))
+            if res[0] == "none":
+                continue
+            key = (grid_point(sc.seg(i), res[1]) if res[0] == "proper"
+                   else (*res[1], 1))
+            out.append(incidence.Violation(
+                "self_intersection", (sc.curve.id,), unlift(key, scale),
+                f"segments {i} and {j} meet"))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                min_size=2, max_size=9),
+       st.booleans(), st.sampled_from([1, 2]))
+# a closed bow tie (proper self-crossing)
+@example([(0, 0), (2, 2), (2, 0), (0, 2)], True, 1)
+# a vertex resting on an earlier segment, and a vertex revisited
+@example([(0, 0), (2, 0), (2, 2), (1, 0), (1, -1)], False, 1)
+@example([(0, 0), (2, 0), (2, 2), (0, 2), (2, 0), (3, 1)], False, 2)
+# collinear overlaps along a zero-height and a zero-width box
+@example([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (4, 0), (4, 3)], False, 1)
+@example([(0, 0), (0, 3), (1, 3), (1, 2), (0, 2), (0, 4)], False, 1)
+# segment boxes that meet only at a corner, with no meeting
+@example([(0, 0), (1, 1), (2, 0), (3, 1), (1, 3), (0, 2)], True, 1)
+def test_self_violations_skip_only_boxes_that_miss(coords, closed, den):
+    try:
+        curve = Curve(7, [pt(Fraction(x, den), Fraction(y, den))
+                          for x, y in coords], closed)
+    except ValidationError:
+        assume(False)
+    scale = coordinate_scale([curve])
+    sc = incidence._ScaledCurve(curve, scale)
+    assert (incidence._self_violations(sc, scale)
+            == unfiltered_self_violations(sc, scale))
 
 
 def test_validate_general_position_accepts_generated():

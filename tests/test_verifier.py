@@ -1,5 +1,7 @@
 """Boundary fingerprints, the charging argument, and ground-pair sampling."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -395,6 +397,46 @@ def test_monte_carlo_builds_arrangements_only_to_locate_touchings(
     monkeypatch.undo()
     assert report == oracles.monte_carlo_ground(fam, 400, 11)
     assert report["t_star_in_delta"]["max"] > 0
+
+
+def test_pair_at_is_the_kth_combination():
+    for n in range(2, 41):
+        ids = [k * k - 30 for k in range(n)]     # gapped, negative at first
+        assert ([verifier._pair_at(ids, k) for k in range(n * (n - 1) // 2)]
+                == list(combinations(ids, 2)))
+
+
+def test_ground_pairs_are_drawn_by_rank_over_gapped_ids():
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=36, m=1, seed=0))
+    # ids 66, 62, ..., -74: gapped, negative, against the curve order
+    fam = CurveFamily([Curve(id=70 - 4 * c.id, points=c.points,
+                             closed=c.closed) for c in fam], fam.m)
+    pairs = list(combinations(sorted(c.id for c in fam), 2))
+    for seed in range(10):
+        s = sample_ground_pair(fam, seed)
+        k = random.Random(seed).randrange(len(pairs))
+        assert (s.gamma1, s.gamma2) == pairs[k]
+    report = monte_carlo_ground(fam, trials=300, seed=5)
+    assert report == oracles.monte_carlo_ground(fam, 300, 5)
+    assert report["t_star_in_delta"]["max"] > 0
+
+
+def test_monte_carlo_keeps_no_list_of_ground_pairs():
+    # 1,500 disjoint triangles: an empty catalogue and 1,124,250 ground
+    # pairs, which as a list of tuples take about 70 MB
+    fam = CurveFamily([Curve(id=k, points=(pt(3 * x, 3 * y),
+                                           pt(3 * x + 1, 3 * y),
+                                           pt(3 * x, 3 * y + 1)), closed=True)
+                       for k in range(1500) for x, y in [divmod(k, 40)]], 1)
+    incidence.catalogue(fam)     # the engine's memory is not measured here
+    tracemalloc.start()
+    try:
+        report = monte_carlo_ground(fam, trials=50, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["t_prime"]["max"] == 0
+    assert peak < 2 * 2**20
 
 
 def test_rich_poor_partition_thresholds():
