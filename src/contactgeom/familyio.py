@@ -88,6 +88,7 @@ def loads_family(text: str) -> CurveFamily:
     pos += 1
 
     curves = []
+    memo = {}   # token -> Fraction: equal tokens share one object
     while pos < len(rows):
         line_no, off, head = rows[pos]
         parts = head.split()
@@ -111,9 +112,10 @@ def loads_family(text: str) -> CurveFamily:
             toks = vline.split()
             if len(toks) != 2:
                 raise ParseError("expected '<x> <y>'", line=vline_no, offset=voff)
-            x = parse_rational(toks[0], vline_no, voff)
-            y = parse_rational(toks[1], vline_no, voff)
-            pts.append(Point(x, y))
+            for tok in toks:
+                if tok not in memo:
+                    memo[tok] = parse_rational(tok, vline_no, voff)
+            pts.append(Point(memo[toks[0]], memo[toks[1]]))
             pos += 1
         try:
             curves.append(Curve(id=cid, points=tuple(pts), closed=bool(closed)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Tuple
@@ -40,13 +41,8 @@ class GeneratorSpec:
             raise PreconditionError("resolution must be at least 8")
 
 
-def rational_circle(center: Point, resolution: int) -> Tuple[Point, ...]:
-    """Vertices of a convex polygon inscribed in the unit circle at center.
-
-    Quarter-symmetric, so (+-1, 0) and (0, +-1) offsets are always vertices;
-    those are the only spots where grid-aligned tangencies land. The vertex
-    count is resolution rounded up to a multiple of 4.
-    """
+@lru_cache(maxsize=None)   # rational_circle's offsets, once per resolution
+def _unit_polygon(resolution: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     q = (resolution + 3) // 4
     quadrant = []
     for j in range(q):
@@ -57,7 +53,18 @@ def rational_circle(center: Point, resolution: int) -> Tuple[Point, ...]:
     pts += [(-y, x) for x, y in quadrant]
     pts += [(-x, -y) for x, y in quadrant]
     pts += [(y, -x) for x, y in quadrant]
-    return tuple(Point(center.x + x, center.y + y) for x, y in pts)
+    return tuple(pts)
+
+
+def rational_circle(center: Point, resolution: int) -> Tuple[Point, ...]:
+    """Vertices of a convex polygon inscribed in the unit circle at center.
+
+    Quarter-symmetric, so (+-1, 0) and (0, +-1) offsets are always vertices;
+    those are the only spots where grid-aligned tangencies land. The vertex
+    count is resolution rounded up to a multiple of 4.
+    """
+    return tuple(Point(center.x + x, center.y + y)
+                 for x, y in _unit_polygon(resolution))
 
 
 def _circle(cid: int, center: Point, resolution: int) -> Curve:

@@ -33,13 +33,16 @@ def frac(value) -> Fraction:
 
 @dataclass(frozen=True, order=True)
 class Point:
+    """A rational point; int coordinates are kept as Fractions."""
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
-        for v in (self.x, self.y):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"exact coordinate required, got {type(v).__name__}")
+        for name, v in (("x", self.x), ("y", self.y)):
+            if type(v) is not Fraction:
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"exact coordinate required, got {type(v).__name__}")
+                object.__setattr__(self, name, Fraction(v))
 
 
 def pt(x, y) -> Point:
@@ -182,17 +185,16 @@ class Curve:
             raise ValidationError(f"curve {self.id}: closed curve needs >= 3 vertices")
         if not self.closed and n < 2:
             raise ValidationError(f"curve {self.id}: open curve needs >= 2 vertices")
-        if self.closed and pts[0] == pts[-1]:
+        # every test runs on the integer vertices of the curve's own grid
+        ip = lift(pts, lcm(*(v.denominator for p in pts for v in (p.x, p.y))))
+        if self.closed and ip[0] == ip[-1]:
             raise ValidationError(
                 f"curve {self.id}: closed curve must not repeat its first vertex")
         for i in range(n - 1 if not self.closed else n):
-            a = pts[i]
-            b = pts[(i + 1) % n]
-            if a == b:
+            if ip[i] == ip[(i + 1) % n]:
                 raise ValidationError(f"curve {self.id}: zero-length segment at {i}")
         # Collinear triples are canonicalization errors: the middle vertex
         # carries no geometry and breaks vertex-degree reasoning.
-        ip = lift(pts, lcm(*(v.denominator for p in pts for v in (p.x, p.y))))
         limit = n if self.closed else n - 2
         for i in range(limit):
             (ax, ay), (bx, by), (cx, cy) = ip[i], ip[(i + 1) % n], ip[(i + 2) % n]
@@ -313,9 +315,12 @@ class Polyline:
         self.pts = pts
         self.closed = closed
         ring = pts + pts[:1] if closed else pts
-        self.segs = [(a, b, min(a[0], b[0]), min(a[1], b[1]),
-                      max(a[0], b[0]), max(a[1], b[1]))
-                     for a, b in zip(ring, ring[1:])]
+        self.segs = segs = []
+        for a, b in zip(ring, ring[1:]):
+            (ax, ay), (bx, by) = a, b
+            x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+            y0, y1 = (ay, by) if ay <= by else (by, ay)
+            segs.append((a, b, x0, y0, x1, y1))
         xs, ys = [p[0] for p in pts], [p[1] for p in pts]
         self.box = (min(xs), min(ys), max(xs), max(ys))
 

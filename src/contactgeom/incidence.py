@@ -17,6 +17,7 @@ is an exact integer sign test.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -111,11 +112,11 @@ class _ScaledCurve(Polyline):
         return [(nx - vx, ny - vy) for nx, ny in nbrs]
 
 
-def _locate_on(sc: _ScaledCurve, seg_index: int, p) -> Fraction:
-    """Chain parameter of integer point p, known to lie on segment seg_index."""
+def _locate_on(sc: _ScaledCurve, seg_index: int, p):
+    """Chain parameter of integer point p on segment seg_index; an int at a vertex."""
     k = sc.vmap.get(p)
     if k is not None:
-        return Fraction(k)
+        return k
     (ax, ay), (bx, by) = sc.seg(seg_index)
     if bx != ax:
         t = Fraction(p[0] - ax, bx - ax)
@@ -147,10 +148,11 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
     """All meeting points of two scaled curves, grouped by point.
 
     Returns (events, overlaps): events maps a grid point key (X, Y, D), see
-    grid_point, to {"proper": count, "sa": set of chain params, "sb": set},
-    and overlaps lists collinear shared pieces as (lo, hi) integer pairs.
+    grid_point, to [proper count, s_a, s_b, multi]: the first chain params,
+    and whether any other met there. overlaps lists collinear shared pieces
+    as (lo, hi) integer pairs.
     """
-    events: Dict[Tuple[int, int, int], dict] = {}
+    events: Dict[Tuple[int, int, int], list] = {}
     overlaps: List[tuple] = []
     for i, j, res in meetings(sa, sb):
         tag = res[0]
@@ -163,17 +165,17 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
         else:
             p = res[1]
             key, s_a, s_b = (p[0], p[1], 1), _locate_on(sa, i, p), _locate_on(sb, j, p)
-        ev = events.setdefault(key, {"proper": 0, "sa": set(), "sb": set()})
-        ev["proper"] += tag == "proper"
-        ev["sa"].add(s_a)
-        ev["sb"].add(s_b)
+        ev = events.setdefault(key, [0, s_a, s_b, False])
+        ev[0] += tag == "proper"
+        ev[3] = ev[3] or ev[1] != s_a or ev[2] != s_b
     return events, overlaps
 
 
 def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
                    scale: int, mode: str):
     """Turn one pair's grouped events (from _pair_events) into incidences
-    and violations."""
+    and violations; a vertex contact takes that curve's Point, and its
+    int chain parameters become Fractions as its Incidence is written."""
     ida, idb = sa.curve.id, sb.curve.id
     incidences: List[Incidence] = []
     violations: List[Violation] = []
@@ -183,21 +185,26 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
             "overlap", (ida, idb), unlift((lo[0], lo[1], 1), scale),
             "curves share a collinear piece"))
 
-    for point, key in sorted((unlift(key, scale), key) for key in events):
-        ev = events[key]
-        if len(ev["sa"]) > 1 or len(ev["sb"]) > 1:
+    def write(kind: str, pattern: Optional[str] = None):
+        incidences.append(Incidence(kind, point, ida, idb, Fraction(s_a),
+                                    Fraction(s_b), pattern))
+
+    # distinct keys are distinct points, so the sort never compares records
+    for point, (proper, s_a, s_b, multi) in sorted(
+            (sa.curve.points[ev[1]] if type(ev[1]) is int
+             else sb.curve.points[ev[2]] if type(ev[2]) is int
+             else unlift(key, scale), ev) for key, ev in events.items()):
+        if multi:
             violations.append(Violation(
                 "degenerate_contact", (ida, idb), point,
                 "multiple passages through one contact point"))
             continue
-        s_a = next(iter(ev["sa"]))
-        s_b = next(iter(ev["sb"]))
-        a_vertex = s_a.denominator == 1
-        b_vertex = s_b.denominator == 1
+        a_vertex = type(s_a) is int
+        b_vertex = type(s_b) is int
 
         if not a_vertex and not b_vertex:
-            if ev["proper"] >= 1:
-                incidences.append(Incidence("crossing", point, ida, idb, s_a, s_b))
+            if proper:
+                write("crossing")
             else:
                 violations.append(Violation(
                     "degenerate_contact", (ida, idb), point,
@@ -205,11 +212,10 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
             continue
 
         if a_vertex != b_vertex:
-            vc, other_id = (sa, idb) if a_vertex else (sb, ida)
-            k = int(s_a if a_vertex else s_b)
+            vc, k = (sa, s_a) if a_vertex else (sb, s_b)
             if vc.is_endpoint_vertex(k):
                 if mode == "arrangement":
-                    incidences.append(Incidence("tjoint", point, ida, idb, s_a, s_b))
+                    write("tjoint")
                 else:
                     violations.append(Violation(
                         "endpoint_contact", (ida, idb), point,
@@ -220,21 +226,19 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
                     "polyline vertex rests on another curve interior"))
             continue
 
-        ka, kb = int(s_a), int(s_b)
-        a_end = sa.is_endpoint_vertex(ka)
-        b_end = sb.is_endpoint_vertex(kb)
+        a_end = sa.is_endpoint_vertex(s_a)
+        b_end = sb.is_endpoint_vertex(s_b)
         if a_end or b_end:
             if mode == "arrangement":
-                kind = "joint" if (a_end and b_end) else "tjoint"
-                incidences.append(Incidence(kind, point, ida, idb, s_a, s_b))
+                write("joint" if (a_end and b_end) else "tjoint")
             else:
                 violations.append(Violation(
                     "endpoint_contact", (ida, idb), point,
                     "arc endpoint meets another curve at a vertex"))
             continue
 
-        dirs = sorted([(d, "A") for d in sa.vertex_directions(ka)]
-                      + [(d, "B") for d in sb.vertex_directions(kb)],
+        dirs = sorted([(d, "A") for d in sa.vertex_directions(s_a)]
+                      + [(d, "B") for d in sb.vertex_directions(s_b)],
                       key=lambda item: angle_key(item[0]))
         if any(angle_cmp(dirs[k - 1][0], dirs[k][0]) == 0 for k in range(1, 4)):
             violations.append(Violation(
@@ -242,10 +246,7 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
                 "parallel germs at a shared vertex"))
             continue
         owners = "".join(owner for _, owner in dirs)
-        alternating = owners in ("ABAB", "BABA")
-        incidences.append(Incidence(
-            "crossing" if alternating else "tangency",
-            point, ida, idb, s_a, s_b, pattern=owners))
+        write("crossing" if owners in ("ABAB", "BABA") else "tangency", owners)
 
     return incidences, violations
 
@@ -286,13 +287,12 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
         violations.extend(_self_violations(sc, scale))
 
     pairs: Dict[Tuple[int, int], Tuple[Incidence, ...]] = {}
-    point_owners: Dict[Tuple[int, int, int], set] = {}
+    point_owners: Dict[Tuple[int, int, int], set] = defaultdict(set)
     for i, j in _meeting_pairs([sc.box for sc in scaled]):
         sa, sb = scaled[i], scaled[j]
         events, overlaps = _pair_events(sa, sb)
         for key in events:
-            point_owners.setdefault(key, set()).update(
-                (sa.curve.id, sb.curve.id))
+            point_owners[key].update((sa.curve.id, sb.curve.id))
         incs, viols = _classify_pair(sa, sb, events, overlaps, scale, mode)
         violations.extend(viols)
         if incs:

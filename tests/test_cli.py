@@ -1,18 +1,26 @@
 """End-to-end runs of every subcommand through cli.main."""
 
+import builtins
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactgeom
 from contactgeom import cli, incidence
 from contactgeom.cli import main
-from contactgeom.familyio import read_family, write_family
+from contactgeom.familyio import dumps_family, read_family, write_family
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import Curve, CurveFamily, frac, pt
 
@@ -356,3 +364,121 @@ def test_console_entry_point(chain_file):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "ok"
+
+
+# ------------------------------------------------------- mutated inputs
+
+def _mutation_sources():
+    specs = [("UnitCirclesGrid", 9, 1, 42), ("TangentChain", 5, 1, 42),
+             ("RandomCircles", 8, 2, 3), ("PseudoParabolas", 5, 2, 42),
+             ("PerturbedPencil", 5, 1, 42)]
+    fams = [generate(GeneratorSpec(kind=k, n=n, m=m, seed=seed))
+            for k, n, m, seed in specs]
+    fams.append(fence_family(instances.comb_subarc(102, 6, ("sh1e",) * 6, 0),
+                             m=1))
+    return tuple(dumps_family(fam).splitlines() for fam in fams)
+
+
+_SOURCES = _mutation_sources()
+# replacement tokens for a vertex line and for a header line
+_COORDS = ("0", "-1", "3", "1/2", "2/4", "-3/7", "1/0", "x", "1.5", "+1")
+_WORDS = ("family", "curve", "m=0", "m=3", "id=1", "closed=2", "nv=2",
+          "nv=40", "#", "1/2")
+_NUDGES = (Fraction(1), Fraction(-1, 2), Fraction(1, 7), Fraction(1, 1000))
+# one edit set per file: geometric edits keep the file readable, token
+# edits put a token of another kind or outside the grammar in one place
+_EDITS = (("nudge", "copy"), ("token",),
+          ("nudge", "copy", "delete", "duplicate", "swap", "token", "garbage",
+           "truncate", "not-utf8"))
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _is_vertex(line):
+    return len(line.split()) == 2 and "=" not in line
+
+
+@st.composite
+def mutated_files(draw):
+    """The bytes of a generated family file after one to three random
+    edits from one edit set: a coordinate nudged or a vertex moved onto
+    another; a token replaced; or any of those, lines deleted, repeated,
+    swapped or replaced by garbage, the text cut short, or bytes that are
+    not UTF-8."""
+    lines = list(draw(st.sampled_from(_SOURCES)))
+    ops = draw(st.sampled_from(_EDITS))
+    tail = b""
+    for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        toks = lines[k].split()
+        i = draw(st.integers(0, len(toks) - 1)) if toks else 0
+        if (op == "nudge" and _is_vertex(lines[k])
+                and _RATIONAL.fullmatch(toks[i])):
+            v = Fraction(toks[i]) + draw(st.sampled_from(_NUDGES))
+            toks[i] = f"{v.numerator}/{v.denominator}"
+            lines[k] = " ".join(toks)
+        elif op == "copy" and _is_vertex(lines[k]) and _is_vertex(lines[j]):
+            lines[k] = lines[j]
+        elif op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == "token" and toks:
+            toks[i] = draw(st.sampled_from(
+                _COORDS if _is_vertex(lines[k]) else _WORDS))
+            lines[k] = " ".join(toks)
+        elif op == "garbage":
+            lines[k] = draw(st.text(st.characters(
+                blacklist_categories=("Cs",)), max_size=12))
+        elif op == "truncate":
+            lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+            del lines[k + 1:]
+        elif op == "not-utf8":
+            tail = b"\xff\xfe"
+    return ("\n".join(lines) + "\n").encode("utf8") + tail
+
+
+def _names_a_foreign_exception(err):
+    """Does an `error:` line name an exception type, as main's last
+    resort does for an exception from outside the package?"""
+    named = re.match(r"error: (\w+): ", err)
+    return named is not None and (
+        named[1].endswith(("Error", "Exception"))
+        or isinstance(getattr(builtins, named[1], None), type))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_files())
+def test_mutated_files_keep_the_exit_contract(data):
+    """Every file command on a mutated family file exits 0, 1 or 2 with at
+    most one line on stderr (validate: one per violation), and an exit 2
+    comes from the package."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.family")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        report = os.path.join(tmp, "report.json")
+        for argv in (["validate", path], ["analyze", path],
+                     ["decompose", path, "--report", report],
+                     ["sample-lemma", path, "--trials", "5",
+                      "--report", report],
+                     ["verify-prop9", path, "--report", report]):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            err = err.getvalue()
+            assert rc in (0, 1, 2), (argv[0], rc, err)
+            lines = err.splitlines()
+            if argv[0] == "validate" and rc == 1 and len(lines) > 1:
+                # validate lists every violation of a family it could read
+                assert all(ln.startswith("violation ") for ln in lines), err
+            else:
+                assert len(lines) <= 1, (argv[0], err)
+            assert not (rc == 2 and _names_a_foreign_exception(err)), (
+                argv[0], err)

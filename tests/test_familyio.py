@@ -99,3 +99,43 @@ def test_duplicate_ids_rejected():
     loads_family(good)
     with pytest.raises(ParseError):
         loads_family(dup)
+
+
+def test_equal_tokens_share_one_fraction():
+    fam = loads_family("family m=1\ncurve id=1 closed=1 nv=3\n"
+                       "0 0\n4 0\n0 4\ncurve id=2 closed=0 nv=2\n4 1/2\n0 1/2\n")
+    (a0, a1, a2), (b0, b1) = (c.points for c in fam.curves)
+    assert a0.x is a0.y is a1.y is a2.x is b1.x
+    assert a1.x is a2.y is b0.x
+    assert b0.y is b1.y == Fraction(1, 2)
+
+
+def test_unreduced_tokens_read_as_their_value():
+    fam = loads_family("family m=1\ncurve id=1 closed=0 nv=3\n"
+                       "2/4 0\n1/2 1\n3/2 -6/3\n")
+    xs = [p.x for p in fam.curves[0].points]
+    assert xs[0] == xs[1] == Fraction(1, 2) and xs[2] == Fraction(3, 2)
+    assert fam.curves[0].points[2].y == -2
+    assert dumps_family(fam).splitlines()[2:] == ["1/2 0", "1/2 1", "3/2 -2"]
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", "1.5"])
+def test_a_bad_token_after_repeats_reports_its_own_line(bad):
+    head = "family m=1\ncurve id=1 closed=0 nv=4\n1/2 0\n1/2 4\n"
+    text = head + f"1/2 {bad}\n0 0\n"
+    with pytest.raises(ParseError) as info:
+        loads_family(text)
+    assert (info.value.line, info.value.offset) == (5, len(head))
+    # the same bad token twice: the first one is reported
+    with pytest.raises(ParseError) as info:
+        loads_family(head + f"{bad} 3\n{bad} 0\n")
+    assert (info.value.line, info.value.offset) == (5, len(head))
+
+
+def test_zero_length_segment_spelled_two_ways_is_refused():
+    text = "family m=1\ncurve id=1 closed=0 nv=3\n1/2 0\n2/4 0\n3 3\n"
+    with pytest.raises(ParseError, match="zero-length segment at 0"):
+        loads_family(text)
+    closed = "family m=1\ncurve id=1 closed=1 nv=3\n1/2 0\n4 0\n2/4 0\n"
+    with pytest.raises(ParseError, match="must not repeat its first vertex"):
+        loads_family(closed)

@@ -1,5 +1,7 @@
 """Pairwise contact classification against the recomputed reference."""
 
+import math
+
 import pytest
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +18,7 @@ from contactgeom.geometry import (Curve, CurveFamily, Point, coordinate_scale,
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom.incidence import (catalogue, compute_incidences,
                                    curve_pair_incidences, keep_catalogue,
-                                   validate_general_position)
+                                   mixed_contacts, validate_general_position)
 
 import oracles
 
@@ -160,11 +162,85 @@ def rational_circle_families(draw):
     return CurveFamily(curves=curves, m=12)
 
 
+def _point_at(curve, s):
+    """The point at chain parameter s along curve, in Fractions."""
+    k = math.floor(s)
+    if s == k:
+        return curve.points[k]
+    (a, b), t = curve.segment(k), s - k
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def assert_written_exactly(fi, curves):
+    """Every incidence holds Fraction chain parameters and a Point of
+    Fractions, and each parameter locates the point on its curve."""
+    by_id = {c.id: c for c in curves}
+    incs = fi.all_incidences()
+    for inc in incs:
+        assert type(inc.s_a) is Fraction and type(inc.s_b) is Fraction
+        assert type(inc.point.x) is Fraction and type(inc.point.y) is Fraction
+        assert _point_at(by_id[inc.a], inc.s_a) == inc.point
+        assert _point_at(by_id[inc.b], inc.s_b) == inc.point
+    return incs
+
+
+def int_curve(cid, coords, closed=True):
+    return Curve(cid, tuple(Point(x, y) for x, y in coords), closed)
+
+
+def test_incidences_hold_fractions_from_int_coordinates():
+    curves = (int_curve(1, [(-2, -2), (2, -2), (2, 2), (-2, 2)]),
+              int_curve(2, [(1, 1), (5, 1), (5, 5), (1, 5)]),
+              int_curve(3, [(-2, 20), (0, 18), (2, 20), (0, 22)]),
+              int_curve(4, [(2, 20), (4, 18), (6, 20), (4, 22)]),
+              int_curve(5, [(-4, 40), (0, 40), (4, 41)], closed=False),
+              int_curve(6, [(-2, 42), (0, 40), (2, 42)], closed=False))
+    incs = assert_written_exactly(compute_incidences(CurveFamily(curves, 2)),
+                                  curves)
+    assert [(i.a, i.b, i.kind, i.s_a, i.s_b) for i in incs] == [
+        (1, 2, "crossing", F(9, 4), F(15, 4)),
+        (1, 2, "crossing", F(7, 4), F(1, 4)),
+        (3, 4, "tangency", F(2), F(0)),
+        (5, 6, "tangency", F(1), F(1))]
+
+
+def test_joints_hold_fractions_from_int_coordinates():
+    arcs = (int_curve(10, [(-4, 0), (4, 0)], closed=False),
+            int_curve(11, [(0, 0), (0, 3)], closed=False),
+            int_curve(12, [(4, 0), (6, 2), (8, 0)], closed=False),
+            int_curve(13, [(6, 2), (6, 5)], closed=False))
+    incs = assert_written_exactly(mixed_contacts(arcs), arcs)
+    assert [(i.a, i.b, i.kind, i.s_a, i.s_b) for i in incs] == [
+        (10, 11, "tjoint", F(1, 2), F(0)),
+        (10, 12, "joint", F(1), F(0)),
+        (12, 13, "tjoint", F(1), F(0))]
+
+
+def _halves(curve):
+    """The closed curve cut at vertices 1 and n/2 + 1 into two arcs, ids
+    2 * id and 2 * id + 1; no contact of a valid circle family lies there."""
+    pts, h = curve.points, len(curve.points) // 2 + 1
+    return (Curve(2 * curve.id, pts[1:h + 1], False),
+            Curve(2 * curve.id + 1, pts[h:] + pts[:2], False))
+
+
+_ORACLE_KIND = {"tjoint": "endpoint", "joint": "endpoint"}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rational_circle_families())
 def test_random_circle_families_match_reference(fam):
+    """The catalogue, and the arrangement-mode one of the circles cut into
+    arcs, equal the reference; every incidence holds exact parameters."""
     assume(validate_general_position(fam).ok)
     assert contact_table(fam) == oracles.family_contacts(fam)
+    assert_written_exactly(compute_incidences(fam), fam.curves)
+    arcs = tuple(arc for c in fam for arc in _halves(c))
+    fi = mixed_contacts(arcs)
+    assert_written_exactly(fi, arcs)
+    got = {pair: sorted(((x.point.x, x.point.y), _ORACLE_KIND.get(x.kind, x.kind))
+                        for x in incs) for pair, incs in fi.pairs.items()}
+    assert got == oracles.family_contacts(CurveFamily(arcs, 1))
 
 
 def boxes_from(corner_and_size):
