@@ -122,14 +122,14 @@ def seg_events(pa, pb, pc, pd):
         if d4 == 0 and _between(pd, pa, pb):
             return ("touch", pd)
         return ("none",)
-    # the four points lie on one line (or ab or cd is a point): sort along
-    # x unless all four share it, so two points apart never "touch"
-    axis = 0 if ax != bx or cx != dx or ax != cx else 1
-    s1 = sorted((pa, pb), key=lambda p: p[axis])
-    s2 = sorted((pc, pd), key=lambda p: p[axis])
-    lo = max(s1[0], s2[0], key=lambda p: p[axis])
-    hi = min(s1[1], s2[1], key=lambda p: p[axis])
-    if lo[axis] > hi[axis]:
+    # the four points lie on one line (or both segments are points): on a
+    # line, (x, y) order is the order along it, so two points apart never
+    # "touch"
+    a0, a1 = (pa, pb) if pa <= pb else (pb, pa)
+    c0, c1 = (pc, pd) if pc <= pd else (pd, pc)
+    lo = a0 if a0 >= c0 else c0
+    hi = a1 if a1 <= c1 else c1
+    if lo > hi:
         return ("none",)
     if lo == hi:
         return ("touch", lo)
@@ -171,11 +171,16 @@ class Curve:
     """A simple polyline curve, open (arc) or closed (Jordan curve).
 
     For closed curves the vertex list does NOT repeat the first point; the
-    closing segment points[-1] -> points[0] is implicit.
+    closing segment points[-1] -> points[0] is implicit. grid holds the
+    vertices lifted onto the curve's own grid of step 1/grid_scale (the LCM
+    of its denominators); neither takes part in eq, hash or repr.
     """
     id: int
     points: Tuple[Point, ...]
     closed: bool
+    grid: Tuple[Tuple[int, int], ...] = field(
+        init=False, compare=False, repr=False)
+    grid_scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -186,7 +191,10 @@ class Curve:
         if not self.closed and n < 2:
             raise ValidationError(f"curve {self.id}: open curve needs >= 2 vertices")
         # every test runs on the integer vertices of the curve's own grid
-        ip = lift(pts, lcm(*(v.denominator for p in pts for v in (p.x, p.y))))
+        scale = lcm(*(v.denominator for p in pts for v in (p.x, p.y)))
+        ip = tuple(lift(pts, scale))
+        object.__setattr__(self, "grid", ip)
+        object.__setattr__(self, "grid_scale", scale)
         if self.closed and ip[0] == ip[-1]:
             raise ValidationError(
                 f"curve {self.id}: closed curve must not repeat its first vertex")
@@ -265,10 +273,10 @@ class CurveFamily:
 
 
 def coordinate_scale(curves: Sequence[Curve]) -> int:
-    """LCM of all coordinate denominators: multiplying by it makes every
-    coordinate an integer, enabling pure-int predicate evaluation."""
-    return lcm(*(v.denominator for c in curves for p in c.points
-                 for v in (p.x, p.y)))
+    """LCM of all coordinate denominators (of the curves' grid scales):
+    multiplying by it makes every coordinate an integer, enabling pure-int
+    predicate evaluation."""
+    return lcm(*(c.grid_scale for c in curves))
 
 
 def lift(points: Iterable[Point], scale: int) -> List[Tuple[int, int]]:
@@ -345,15 +353,18 @@ class Polyline:
 
 def meetings(p: Polyline, q: Polyline) -> List[tuple]:
     """(i, j, event) for every segment i of p and j of q that meet, in
-    segment order of p then q, event being their seg_events result. Each
-    segment of p is tested against q's whole box first."""
+    segment order of p then q, event being their seg_events result. Only
+    the segments of q that meet p's box are paired, and each segment of p
+    is tested against q's whole box first."""
     out = []
+    px0, py0, px1, py1 = p.box
+    qsegs = [(j, s) for j, s in enumerate(q.segs)
+             if not (s[4] < px0 or s[2] > px1 or s[5] < py0 or s[3] > py1)]
     qx0, qy0, qx1, qy1 = q.box
-    qsegs = q.segs
     for i, (a, b, x0, y0, x1, y1) in enumerate(p.segs):
         if qx1 < x0 or qx0 > x1 or qy1 < y0 or qy0 > y1:
             continue
-        for j, (c, d, sx0, sy0, sx1, sy1) in enumerate(qsegs):
+        for j, (c, d, sx0, sy0, sx1, sy1) in qsegs:
             if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
                 continue
             ev = seg_events(a, b, c, d)

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from .errors import ResourceError, check
 from .incidence import FamilyIncidences
 
@@ -124,6 +122,7 @@ def check_planarity(g: SimpleGraph) -> bool:
     planarity algorithm; the two must agree on the rejection side."""
     if g.n >= 3 and g.n_edges > 3 * g.n - 6:
         return False
+    import networkx as nx  # loaded at the first certificate, not at start-up
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
     ng.add_edges_from(g.edges)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (DegeneracyError, EndpointError, PreconditionError,
                      ValidationError, check)
 from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
-                       angle_key, coordinate_scale, grid_point, lift, meetings,
+                       angle_key, coordinate_scale, grid_point, meetings,
                        seg_events, unlift)
 
 
@@ -85,12 +85,15 @@ class ValidationReport:
 
 
 class _ScaledCurve(Polyline):
-    """A curve lifted to an integer Polyline, plus its vertex lookups."""
+    """A curve lifted to an integer Polyline, plus its vertex lookups; its
+    own grid vertices are scaled up, so no Fraction is read again."""
 
     __slots__ = ("curve", "vmap")
 
     def __init__(self, curve: Curve, scale: int):
-        super().__init__(lift(curve.points, scale), curve.closed)
+        f = scale // curve.grid_scale
+        super().__init__([(x * f, y * f) for x, y in curve.grid],
+                         curve.closed)
         self.curve = curve
         vmap: Dict[Tuple[int, int], int] = {}
         for k, q in enumerate(self.pts):

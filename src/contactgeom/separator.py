@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-import networkx
-
 from .arrangement import curve_portion
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, lift
@@ -133,7 +131,9 @@ def weighted_graph(vertices: Sequence[VertexId],
         if any(x < 0 for x in wmap.values()):
             raise PreconditionError("vertex weights must be nonnegative")
     es = frozenset(tuple(sorted((u, v))) for u, v in edges if u != v)
-    # networkx runs on the positions 0..V-1, so it hashes no label
+    # networkx runs on the positions 0..V-1, so it hashes no label; it is
+    # loaded at the first certificate, so commands without one never load it
+    import networkx
     index = {v: k for k, v in enumerate(vs)}
     g = networkx.Graph()
     g.add_nodes_from(range(len(vs)))

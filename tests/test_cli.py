@@ -151,17 +151,21 @@ def test_decompose_report_fields(tmp_path, capsys):
     assert all(set(p) <= orig for p in data["parent_pieces"])
 
 
-def test_decompose_degenerate_threshold(tmp_path, capsys):
-    # a zigzag crossing two shallow arcs that share one tangency: dense
-    # enough that the cut-up family keeps average degree one
+def zigzag_family():
+    """A zigzag crossing two shallow arcs that share one tangency: dense
+    enough that the cut-up family keeps average degree one."""
     zig = Curve(1, (pt(1, 5), pt(2, 0), pt(3, 5), pt(4, 0), pt(5, 5)),
                 closed=False)
     hi = Curve(2, (pt(0, 3), pt(3, frac("7/2")), pt(6, 3), pt(9, frac("7/2")),
                    pt(12, 3)), closed=False)
     lo = Curve(3, (pt(0, 1), pt(5, frac("3/2")), pt(6, 3), pt(7, frac("3/2")),
                    pt(12, 1)), closed=False)
+    return CurveFamily((zig, hi, lo), 4)
+
+
+def test_decompose_degenerate_threshold(tmp_path, capsys):
     path = tmp_path / "zigzag.family"
-    write_family(path, CurveFamily((zig, hi, lo), 4))
+    write_family(path, zigzag_family())
     report = tmp_path / "degen.json"
     rc = main(["decompose", str(path), "--cconst", "1/100",
                "--report", str(report)])
@@ -169,6 +173,22 @@ def test_decompose_degenerate_threshold(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["degenerate"] is True
     assert "reason" in data
+
+
+@pytest.mark.parametrize("kind, m", [("PseudoParabolas", 2),
+                                     ("PerturbedPencil", 1)])
+def test_decompose_without_touchings_reports_degenerate(kind, m, tmp_path,
+                                                        capsys):
+    # d > 0 and T = 0: outside the threshold formula's precondition, an
+    # input condition, so a report and exit 0, not an exit 2
+    path = tmp_path / "dense.family"
+    write_family(path, generate(GeneratorSpec(kind=kind, n=5, m=m, seed=42)))
+    report = tmp_path / "dense.json"
+    assert main(["decompose", str(path), "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["degenerate"] is True
+    assert data["reason"] == "decomposition needs a touching pair"
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("token", ["1e999999999", "1.5", "1/0"])
@@ -334,6 +354,36 @@ def test_bad_sweep_list_exits_2(tmp_path, capsys):
     rc = main(["experiment", "--kind", "TangentChain", "--sweep", "6,x",
                "--out", str(tmp_path / "bad.csv")])
     assert rc == 2
+
+
+def test_only_the_planarity_certificate_loads_networkx(chain_file,
+                                                       tmp_path):
+    # networkx only certifies planarity, so importing the package and the
+    # commands without a certificate leave it unloaded; decompose loads it
+    # once its recursion reaches a separator (at --cconst 1/10 here)
+    fence, zigzag = tmp_path / "fence.family", tmp_path / "zigzag.family"
+    write_family(fence, fence_family(
+        instances.comb_subarc(102, 6, ("el2",) * 6, 1), m=40))
+    write_family(zigzag, zigzag_family())
+    runs = [["validate", chain_file], ["analyze", chain_file],
+            ["generate", "--kind", "TangentChain", "--n", "4",
+             "-o", "gen.family"],
+            ["sample-lemma", chain_file, "--trials", "3",
+             "--report", "sample.json"],
+            ["verify-prop9", str(fence), "--report", "prop9.json"]]
+    code = ("import sys\n"
+            "from contactgeom.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert 'networkx' not in sys.modules, argv\n"
+            f"assert main(['decompose', {str(zigzag)!r}, '--cconst', '1/10',"
+            " '--report', 'dec.json']) == 0\n"
+            "assert 'networkx' in sys.modules\n")
+    src = Path(contactgeom.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -------------------------------------------------------- console script

@@ -125,6 +125,44 @@ def test_point_segment_meets_what_it_lies_on(p, c, d):
     assert kind == ("point" if on else "none")
 
 
+def _collinear_events_by_axis(pa, pb, pc, pd):
+    """seg_events' all-collinear branch as it was first written: sort along
+    x unless all four points share it, then along y."""
+    axis = 0 if pa[0] != pb[0] or pc[0] != pd[0] or pa[0] != pc[0] else 1
+    s1 = sorted((pa, pb), key=lambda p: p[axis])
+    s2 = sorted((pc, pd), key=lambda p: p[axis])
+    lo = max(s1[0], s2[0], key=lambda p: p[axis])
+    hi = min(s1[1], s2[1], key=lambda p: p[axis])
+    if lo[axis] > hi[axis]:
+        return ("none",)
+    if lo == hi:
+        return ("touch", lo)
+    return ("overlap", lo, hi)
+
+
+def test_collinear_branch_matches_the_axis_sort():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(2000):
+        # four points at integer steps along one lattice direction, vertical
+        # and horizontal included, so zero-length, touching, overlapping
+        # and disjoint pairs all occur
+        ux, uy = rng.choice([(0, 1), (1, 0), (1, 1), (2, -3), (-1, 2)])
+        ox, oy = rng.randint(-5, 5), rng.randint(-5, 5)
+        a, b, c, d = [(ox + k * ux, oy + k * uy)
+                      for k in (rng.randint(-4, 4) for _ in range(4))]
+        if rng.random() < 0.1:
+            b = a
+        got = seg_events(a, b, c, d)
+        assert got == _collinear_events_by_axis(a, b, c, d)
+        seen.add(got[0])
+    # two zero-length segments apart: any two points are collinear
+    for a, c in (((0, 0), (1, 0)), ((0, 0), (0, 2)), ((0, 0), (3, -1))):
+        assert seg_events(a, a, c, c) == ("none",)
+        assert seg_events(a, a, c, c) == _collinear_events_by_axis(a, a, c, c)
+    assert seen == {"none", "touch", "overlap"}
+
+
 def test_angle_order_is_counterclockwise():
     dirs = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 0),
             (-2, -1), (0, -1), (1, -1)]
