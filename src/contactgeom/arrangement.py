@@ -115,14 +115,13 @@ class Arrangement:
     point.
     """
 
-    def __init__(self, curves, vertices, half_edges, faces, components,
-                 scale, curve_pts, cycle_polygons):
+    def __init__(self, curves, vertices, half_edges, faces, scale,
+                 curve_pts, cycle_polygons):
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self.vertices: List[ArrVertex] = vertices
         self.half_edges: List[HalfEdge] = half_edges
         self.faces: List[Face] = faces
         self.unbounded_face_id = UNBOUNDED_FACE
-        self.components = components
         self.scale: int = scale
         self._curve_pts: List[List[Tuple[int, int]]] = curve_pts
         self._cycle_polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = cycle_polygons
@@ -293,22 +292,8 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
             for hid in cyc:
                 half_edges[hid].face = f.id
 
-    # connected components of the curve union
-    root: Dict[int, int] = {c.id: c.id for c in curves}
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for v in vertices:  # the curves through a vertex are joined there
-        for hid in v.out[1:]:
-            root[find(half_edges[v.out[0]].curve)] = find(half_edges[hid].curve)
-    components = len({find(c.id) for c in curves})
-
-    return Arrangement(curves, vertices, half_edges, faces, components,
-                       scale, curve_pts, polygons)
+    return Arrangement(curves, vertices, half_edges, faces, scale,
+                       curve_pts, polygons)
 
 
 def build_arrangement(family: CurveFamily) -> Arrangement:

@@ -111,12 +111,23 @@ def _random_circles(spec: GeneratorSpec) -> Iterator[CurveFamily]:
         curves: List[Curve] = []
         for idx, (a, b) in enumerate(sites):
             curves.append(_circle(idx + 1, pt(2 * a, 2 * b), spec.resolution))
+        # free circles sharing a host site, or on edge-adjacent hosts, meet
+        # at triple points; a host is redrawn until its site is open, and a
+        # candidate whose every site is closed is given up
+        open_sites = set(sites)
         for j in range(n_free):
+            if not open_sites:
+                break
             a, b = sites[rng.randrange(len(sites))]
+            while (a, b) not in open_sites:
+                a, b = sites[rng.randrange(len(sites))]
+            open_sites -= {(a, b), (a - 1, b), (a + 1, b), (a, b - 1),
+                           (a, b + 1)}
             ux, uy = _FREE_OFFSETS[rng.randrange(len(_FREE_OFFSETS))]
             center = Point(2 * a + ux, 2 * b + uy)
             curves.append(_circle(n_lat + j + 1, center, spec.resolution))
-        yield CurveFamily(curves=tuple(curves), m=spec.m)
+        else:
+            yield CurveFamily(curves=tuple(curves), m=spec.m)
 
 
 def _pseudo_parabolas(spec: GeneratorSpec) -> Iterator[CurveFamily]:

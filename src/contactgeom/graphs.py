@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Collection, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import ResourceError, check
 from .incidence import FamilyIncidences
@@ -45,28 +46,6 @@ class SimpleGraph:
 
     def neighbors(self, v: int) -> FrozenSet[int]:
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def subgraph(self, keep: Iterable[int]) -> "SimpleGraph":
-        ks = set(keep)
-        return SimpleGraph(
-            vertices=tuple(v for v in self.vertices if v in ks),
-            edges=frozenset(e for e in self.edges if e[0] in ks and e[1] in ks))
-
-
-def graph_from_edges(edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()) -> SimpleGraph:
-    es = [tuple(e) for e in edges]
-    vs = set(vertices)
-    for u, v in es:
-        vs.add(u)
-        vs.add(v)
-    return SimpleGraph(vertices=tuple(sorted(vs)), edges=frozenset(
-        (min(u, v), max(u, v)) for u, v in es))
 
 
 def intersection_graph_from(incidences: FamilyIncidences) -> SimpleGraph:
@@ -117,17 +96,25 @@ def max_common_neighborhood(g: SimpleGraph, s: int,
     return best[0], best[1]
 
 
-def check_planarity(g: SimpleGraph) -> bool:
-    """True iff g is planar. Fast Euler-count rejection, then a certified
-    planarity algorithm; the two must agree on the rejection side."""
-    if g.n >= 3 and g.n_edges > 3 * g.n - 6:
+def is_planar(vertices: Sequence[int],
+              edges: Collection[Tuple[int, int]]) -> bool:
+    """True iff the graph on integer `vertices` with these distinct,
+    loop-free `edges` is planar. An Euler count rejects E > 3V - 6 first,
+    then networkx certifies the rest; the two must agree on the rejection
+    side."""
+    nv = len(vertices)
+    if nv >= 3 and len(edges) > 3 * nv - 6:
         return False
-    import networkx as nx  # loaded at the first certificate, not at start-up
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges)
-    planar, _ = nx.check_planarity(ng)
-    if planar and g.n >= 3:
-        check(g.n_edges <= 3 * g.n - 6, "planar graph exceeds 3n - 6 edges")
-    return planar
+    import networkx  # loaded at the first certificate, not at start-up
+    g = networkx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    ok, _ = networkx.check_planarity(g)
+    check(not ok or nv < 3 or len(edges) <= 3 * nv - 6,
+          "planar graph exceeds 3n - 6 edges")
+    return bool(ok)
 
+
+def check_planarity(g: SimpleGraph) -> bool:
+    """True iff g is planar, by the certificate `is_planar`."""
+    return is_planar(g.vertices, g.edges)

@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from .arrangement import curve_portion
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, lift
+from .graphs import is_planar
 from .incidence import catalogue, compute_incidences, keep_catalogue
 
 VertexId = Tuple
@@ -99,48 +100,52 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
 
 @dataclass(frozen=True)
 class WeightedPlanarGraph:
-    """A planar graph with nonnegative rational vertex weights."""
+    """A graph with nonnegative rational vertex weights, in the dense form
+    the separator search reads: position k stands for the k-th label of
+    `vertices` in sorted order, nbrs[k] holds its neighbours' positions in
+    order, and its weight is scaled[k] / scale. `planar` is certified."""
     vertices: Tuple[VertexId, ...]
-    weight_items: Tuple[Tuple[VertexId, Fraction], ...]
-    edges: FrozenSet[Tuple[VertexId, VertexId]]
+    nbrs: Tuple[Tuple[int, ...], ...]
+    scaled: Tuple[int, ...]
+    scale: int
     planar: bool
 
     @property
-    def weights(self) -> Dict[VertexId, Fraction]:
-        return dict(self.weight_items)
+    def edges(self) -> FrozenSet[Tuple[VertexId, VertexId]]:
+        vs = self.vertices
+        return frozenset((vs[u], vs[v]) for u, nb in enumerate(self.nbrs)
+                         for v in nb if u < v)
 
     @property
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.weight_items), Fraction(0))
+    def weights(self) -> Dict[VertexId, Fraction]:
+        return {v: Fraction(x, self.scale)
+                for v, x in zip(self.vertices, self.scaled)}
 
 
 def weighted_graph(vertices: Sequence[VertexId],
                    edges: Sequence[Tuple[VertexId, VertexId]],
                    weights: Optional[Mapping[VertexId, Fraction]] = None,
                    ) -> WeightedPlanarGraph:
-    """Build a WeightedPlanarGraph from explicit data, certifying planarity.
-
-    Default weights are uniform 1/|V|.
-    """
+    """Build a WeightedPlanarGraph from explicit data, dropping loops and
+    certifying planarity on the positions, so the certificate hashes no
+    label. Default weights are uniform 1/|V|. Relabelling and scaling are
+    monotone, so the search compares what the labels and weights would."""
     vs = tuple(sorted(set(vertices)))
-    if weights is None:
-        w = Fraction(1, len(vs)) if vs else Fraction(0)
-        wmap = {v: w for v in vs}
-    else:
-        wmap = {v: Fraction(weights[v]) for v in vs}
-        if any(x < 0 for x in wmap.values()):
-            raise PreconditionError("vertex weights must be nonnegative")
-    es = frozenset(tuple(sorted((u, v))) for u, v in edges if u != v)
-    # networkx runs on the positions 0..V-1, so it hashes no label; it is
-    # loaded at the first certificate, so commands without one never load it
-    import networkx
     index = {v: k for k, v in enumerate(vs)}
-    g = networkx.Graph()
-    g.add_nodes_from(range(len(vs)))
-    g.add_edges_from((index[u], index[v]) for u, v in es)
-    planar, _ = networkx.check_planarity(g)
-    return WeightedPlanarGraph(vs, tuple(sorted(wmap.items())),
-                               es, bool(planar))
+    nbrs: List[set] = [set() for _ in vs]
+    for u, v in edges:
+        if u != v:
+            nbrs[index[u]].add(index[v])
+            nbrs[index[v]].add(index[u])
+    ws = [Fraction(1, len(vs)) if weights is None else Fraction(weights[v])
+          for v in vs]
+    if any(x < 0 for x in ws):
+        raise PreconditionError("vertex weights must be nonnegative")
+    scale = math.lcm(*(x.denominator for x in ws))
+    es = [(u, v) for u, nb in enumerate(nbrs) for v in nb if u < v]
+    return WeightedPlanarGraph(vs, tuple(tuple(sorted(nb)) for nb in nbrs),
+                               tuple(int(x * scale) for x in ws), scale,
+                               is_planar(range(len(vs)), es))
 
 
 def _vertex_chains(family: CurveFamily):
@@ -160,23 +165,19 @@ def _vertex_chains(family: CurveFamily):
     return chains, family.n + len(points)
 
 
-def arrangement_to_planar_graph(family: CurveFamily,
-                                weights: Optional[Mapping[int, Fraction]] = None,
-                                ) -> WeightedPlanarGraph:
+def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
     Vertices 0..V-1 are one anchor per curve, then the contact points (see
     _vertex_chains); edges join vertices consecutive along a curve. Each
     curve's weight is spread evenly over the vertices lying on it. Planarity
-    is certified, not assumed: the graph ships through check_planarity.
+    is certified, not assumed (see weighted_graph).
     """
-    if weights is None:
-        weights = {c.id: Fraction(1, family.n) for c in family.curves}
     chains, nv = _vertex_chains(family)
     vw = [Fraction(0)] * nv
     edges: List[Tuple[int, int]] = []
     for c, chain in zip(family.curves, chains):
-        share = Fraction(weights[c.id]) / len(chain)
+        share = Fraction(1, family.n * len(chain))
         for v in chain:
             vw[v] += share
         edges += zip(chain, chain[1:])
@@ -299,30 +300,16 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
     candidate that passes the exact balance test wins (ties by balance, then
     lexicographically). A candidate's walk stops at its first heavy
     component, and the greedy peel, tried last, stops once it is longer
-    than the best candidate. The search runs on the vertices relabelled to
-    their positions in sorted order, with weights scaled to integers over
-    their common denominator; both maps are monotone, so every comparison
-    and tie-break is the one the original labels and weights would give.
+    than the best candidate. The search runs on g's positions and scaled
+    integer weights.
     """
     if not g.planar:
         raise PreconditionError("separator needs a planar graph")
-    verts = sorted(g.vertices)
-    nv = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[u], index[v]) for u, v in g.edges]
-    nbrs: List[List[int]] = [[] for _ in verts]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for lst in nbrs:
-        lst.sort()
-    labels = lambda vs: frozenset(verts[i] for i in vs)
+    nbrs, w, nv = g.nbrs, g.scaled, len(g.vertices)
+    labels = lambda vs: frozenset(g.vertices[i] for i in vs)
     if nv <= 1:
         return SeparatorResult(frozenset(),
                                tuple(map(labels, _components(nbrs)[0])), 0.0)
-    wmap = g.weights
-    scale = math.lcm(*(x.denominator for x in wmap.values()))
-    w = [int(wmap[v] * scale) for v in verts]
     bound = 2 * sum(w)       # a component is heavy when 3 * weight > bound
 
     comps, parent = _components(nbrs)

@@ -362,7 +362,7 @@ def planar_separator(g):
     nv = len(g.vertices)
     if nv <= 1:
         return frozenset(), tuple(_sep_components(adj, ())), 0.0
-    wmap = dict(g.weight_items)
+    wmap = g.weights
     bound = F(2, 3) * sum(wmap.values(), F(0))
 
     def weight(vs):
@@ -433,7 +433,7 @@ def tuple_string_separator(family, fi):
 
     verts, edges, weights = tuple_arrangement_graph(family, fi)
     g = SimpleNamespace(vertices=tuple(sorted(verts)), edges=edges,
-                        weight_items=tuple(sorted(weights.items())))
+                        weights=weights)
     sep = set()
     for v in planar_separator(g)[0]:
         if v[0] == "a":

@@ -92,22 +92,54 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-def test_separator_calls_networkx_only_to_check_planarity():
-    # the separator search runs on integer adjacency lists; networkx only
-    # certifies planarity, on the one Graph built as its input
-    tree = ast.parse(inspect.getsource(
-        importlib.import_module("contactgeom.separator")))
-    used = [node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "networkx"]
-    names = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "networkx"]
+def test_only_graphs_calls_networkx_to_check_planarity():
+    # every search runs on integer adjacency lists; networkx only certifies
+    # planarity, in graphs, on the one Graph built as its input
+    importers, used, names = [], [], []
+    for m in pkgutil.iter_modules(contactgeom.__path__):
+        tree = ast.parse(inspect.getsource(
+            importlib.import_module(f"contactgeom.{m.name}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                importers += [(m.name, a.name, a.asname) for a in node.names
+                              if a.name.split(".")[0] == "networkx"]
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("networkx")
+            elif isinstance(node, ast.Name) and node.id == "networkx":
+                names.append(m.name)
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "networkx"):
+                used.append(node.attr)
+    assert importers == [("graphs", "networkx", None)]
     assert sorted(used) == ["Graph", "check_planarity"]
-    assert len(names) == len(used)   # the module is never passed around
-    assert not [node for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
-                and node.module.startswith("networkx")]
+    assert names == ["graphs"] * len(used)  # the module is never passed on
+
+
+def test_every_public_name_in_src_is_used():
+    # a public top-level function or class is called or named elsewhere in
+    # the package, exported by contactgeom, or wrapped by the benchmark's
+    # tracer; anything else is a helper nothing reads
+    traced = {fn for _, fns in _tracing_table("LAYERS").values()
+              for fn in fns} | set(_tracing_table("COUNTED"))
+    defined, used = [], set()
+    for m in pkgutil.iter_modules(contactgeom.__path__):
+        module = importlib.import_module(f"contactgeom.{m.name}")
+        for top in ast.parse(inspect.getsource(module)).body:
+            own = (top.name if isinstance(top, (ast.FunctionDef,
+                                                ast.ClassDef)) else None)
+            if own is not None and not own.startswith("_"):
+                defined.append((module, own))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    unused = [f"{module.__name__}.{name}" for module, name in defined
+              if name not in used and name not in traced
+              and getattr(contactgeom, name, None)
+              is not getattr(module, name)]
+    assert unused == []
 
 
 def test_verifier_does_not_use_segment_intersection():

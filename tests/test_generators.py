@@ -124,3 +124,18 @@ def test_perturbed_pencil_generates_at_any_n():
                       ).incidences
         assert fi.X == fi.crossing_count == n * (n - 1) // 2
         assert fi.T == 0
+
+
+def test_random_circles_with_free_circles_generate_at_large_n(monkeypatch):
+    # n // 5 free circles, on hosts that share no site and are not
+    # edge-adjacent, so the first candidate has no triple point
+    calls = []
+
+    def counted(family):
+        calls.append(family)
+        return validate_general_position(family)
+
+    monkeypatch.setattr(generators, "validate_general_position", counted)
+    fam = generate(GeneratorSpec(kind="RandomCircles", n=800, m=2, seed=42))
+    assert fam.n == 800 and len({c.id for c in fam.curves}) == 800
+    assert len(calls) == 1 and fam.incidences.m == 2

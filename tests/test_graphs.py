@@ -3,16 +3,17 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.graphs import (check_planarity, contact_graph_from,
-                                graph_from_edges, intersection_graph_from,
+from contactgeom.graphs import (SimpleGraph, check_planarity,
+                                contact_graph_from, intersection_graph_from,
                                 max_common_neighborhood)
 from contactgeom.incidence import catalogue
 
 
 def complete(n):
-    return graph_from_edges([(i, j) for i in range(n)
-                             for j in range(i + 1, n)])
+    return SimpleGraph(tuple(range(n)), frozenset(combinations(range(n), 2)))
 
 
 def brute_max_common(g, s):
@@ -27,30 +28,33 @@ def brute_max_common(g, s):
 
 
 def test_simple_graph_accessors():
-    g = graph_from_edges([(1, 2), (2, 3)])
+    g = SimpleGraph((3, 1, 2, 1), frozenset({(2, 1), (2, 3)}))
+    assert g.vertices == (1, 2, 3) and g.edges == {(1, 2), (2, 3)}
     assert g.n == 3 and g.n_edges == 2
-    assert g.has_edge(2, 1) and not g.has_edge(1, 3)
-    assert g.degree(2) == 2
-    assert set(g.neighbors(2)) == {1, 3}
-    sub = g.subgraph({1, 2})
-    assert sub.n == 2 and sub.n_edges == 1
+    assert 1 in g.neighbors(2) and 3 not in g.neighbors(1)
+    assert set(g.neighbors(2)) == {1, 3} and g.neighbors(1) == {2}
+    with pytest.raises(ValueError, match="loop"):
+        SimpleGraph((1,), frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match="not a vertex"):
+        SimpleGraph((1,), frozenset({(1, 2)}))
 
 
 def test_planarity_on_known_graphs():
     assert check_planarity(complete(4))
     assert not check_planarity(complete(5))
-    k33 = graph_from_edges([(i, j + 3) for i in range(3) for j in range(3)])
+    k33 = SimpleGraph(tuple(range(6)), frozenset(
+        (i, j + 3) for i in range(3) for j in range(3)))
     assert not check_planarity(k33)
     # K5 minus one edge embeds fine
-    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)][1:]
-    assert check_planarity(graph_from_edges(edges))
+    k5 = complete(5)
+    assert check_planarity(SimpleGraph(k5.vertices, k5.edges - {(0, 1)}))
 
 
 def test_contact_graph_of_chain_is_a_path():
     fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=0))
     g = contact_graph_from(catalogue(fam))
     assert g.n == 6 and g.n_edges == 5
-    degrees = sorted(g.degree(v) for v in g.vertices)
+    degrees = sorted(len(g.neighbors(v)) for v in g.vertices)
     assert degrees == [1, 1, 2, 2, 2, 2]
     assert check_planarity(g)
 
@@ -71,7 +75,7 @@ def test_max_common_neighborhood_against_exhaustive_search():
         n = rng.randrange(6, 11)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.45]
-        g = graph_from_edges(edges, vertices=range(n))
+        g = SimpleGraph(tuple(range(n)), frozenset(edges))
         for s in (1, 2, 3):
             want = brute_max_common(g, s)
             got, witness = max_common_neighborhood(g, s)
@@ -81,7 +85,7 @@ def test_max_common_neighborhood_against_exhaustive_search():
                 assert len(left) == s and len(right) == got
                 for v in left:
                     for u in right:
-                        assert g.has_edge(v, u)
+                        assert u in g.neighbors(v)
 
 
 def test_biclique_budget_exhaustion_is_reported():

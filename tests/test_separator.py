@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import incidence, separator
+from contactgeom import graphs, incidence, separator
 from contactgeom.errors import (DegenerateError, InvariantError,
                                 PreconditionError)
 from contactgeom.generators import GeneratorSpec, generate
+from contactgeom.graphs import SimpleGraph, check_planarity
 from contactgeom.geometry import Curve, CurveFamily, pt
 from contactgeom.incidence import FamilyIncidences, compute_incidences
 from contactgeom.separator import (ReducedFamily, SeparatorResult,
@@ -103,7 +104,7 @@ def test_weighted_graph_defaults_and_flags():
     g = weighted_graph((1, 2, 3, 4),
                        ((1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)))
     assert g.planar                      # K4 embeds in the plane
-    assert g.total_weight == 1
+    assert sum(g.weights.values()) == 1
     assert all(w == F(1, 4) for w in g.weights.values())
     k5_edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert not weighted_graph(range(5), k5_edges).planar
@@ -158,7 +159,7 @@ def test_arrangement_graph_shape():
         assert g.weights[k] == F(1, fam.n) / (1 + len(fi.on_curve(cid)))
     assert all(u < v for u, v in g.edges)
     assert g.planar
-    assert g.total_weight == 1
+    assert sum(g.weights.values()) == 1
 
 
 ARRANGEMENT_FAMILIES = [
@@ -253,7 +254,8 @@ def _planar_parts(draw):
 
 
 @st.composite
-def planar_graphs(draw):
+def planar_graph_inputs(draw):
+    """(labels, edges, weights or None) of a planar graph."""
     nv, edges = _planar_parts(draw)
     # mixed anchor and point labels, in an order unrelated to 0..V-1
     perm = draw(st.permutations(range(nv)))
@@ -263,9 +265,34 @@ def planar_graphs(draw):
         st.none(), st.just([0] * nv),
         st.lists(st.sampled_from((0, 1, 3, F(1, 2), F(2, 3), F(5, 7),
                                   F(11, 12))), min_size=nv, max_size=nv)))
-    return weighted_graph(label, [(label[u], label[v]) for u, v in edges],
-                          None if weights is None
-                          else dict(zip(label, weights)))
+    return (label, [(label[u], label[v]) for u, v in edges],
+            None if weights is None else dict(zip(label, weights)))
+
+
+def planar_graphs():
+    return planar_graph_inputs().map(lambda args: weighted_graph(*args))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(planar_graph_inputs(), st.data())
+def test_weighted_graph_views_are_its_input(inputs, data):
+    label, edges, weights = inputs
+    loops = data.draw(st.lists(st.sampled_from(label), max_size=3))
+    # loops are dropped, and an edge given twice or reversed counts once
+    g = weighted_graph(label, edges + [(v, u) for u, v in edges]
+                       + [(v, v) for v in loops], weights)
+    assert g.vertices == tuple(sorted(label))
+    assert g.edges == {tuple(sorted(e)) for e in edges}
+    assert g.weights == {v: F(1, len(label)) if weights is None
+                         else F(weights[v]) for v in label}
+    # the dense form the search reads: positions, sorted neighbour tuples,
+    # integer weights over one scale
+    pos = {v: k for k, v in enumerate(g.vertices)}
+    assert g.nbrs == tuple(
+        tuple(sorted(pos[u] for e in g.edges if v in e for u in e if u != v))
+        for v in g.vertices)
+    assert [F(x, g.scale) for x in g.scaled] == [g.weights[v]
+                                                  for v in g.vertices]
 
 
 @st.composite
@@ -359,15 +386,53 @@ def apollonian_network(n, shuffled):
     PRL 94, 2005): each new vertex goes into a face drawn uniformly and is
     joined to its three corners. Labels follow insertion, or are shuffled."""
     rng = random.Random(n)
+    edges = apollonian_edges(n, rng)
+    label = list(range(n))
+    if shuffled:
+        rng.shuffle(label)
+    return weighted_graph(label, [(label[u], label[v]) for u, v in edges])
+
+
+def apollonian_edges(n, rng):
+    """The 3n - 6 edges of a stacked triangulation on 0..n-1."""
     edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
     for v in range(3, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
         edges += [(a, v), (b, v), (c, v)]
         faces += [(a, b, v), (b, c, v), (a, c, v)]
-    label = list(range(n))
-    if shuffled:
-        rng.shuffle(label)
-    return weighted_graph(label, [(label[u], label[v]) for u, v in edges])
+    return edges
+
+
+def _k(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+_APOLLONIAN = apollonian_edges(30, random.Random(30))
+
+
+@pytest.mark.parametrize("nv,edges,counted", [
+    (4, _k(4), False),                                   # E = 3V - 6
+    (5, _k(5), True),                                    # E = 3V - 5
+    (5, _k(5)[1:], False),                               # E = 3V - 6
+    (6, [(i, j) for i in range(3) for j in range(3, 6)], False),  # K3,3
+    (30, _APOLLONIAN, False),                            # E = 3V - 6
+    (30, _APOLLONIAN + [next(e for e in _k(30) if e not in _APOLLONIAN)],
+     True)], ids=["K4", "K5", "K5-e", "K33", "apollonian", "apollonian+e"])
+def test_certificate_agrees_with_networkx_at_the_euler_bound(
+        monkeypatch, nv, edges, counted):
+    g = networkx.Graph(edges)
+    want, _ = networkx.check_planarity(g)
+    calls = []
+    real = networkx.check_planarity
+    monkeypatch.setattr(networkx, "check_planarity",
+                        lambda *a: calls.append(a) or real(*a))
+    # an edge count above 3V - 6 rejects before networkx is asked
+    assert graphs.is_planar(range(nv), edges) == want
+    assert len(calls) == (0 if counted else 1)
+    assert check_planarity(SimpleGraph(tuple(range(nv)),
+                                       frozenset(edges))) == want
+    assert weighted_graph(range(nv), edges).planar == want
+    assert len(calls) == (0 if counted else 3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
