@@ -95,15 +95,12 @@ class HalfEdge:
     curve: int
     geometry: Tuple[Point, ...]  # oriented origin -> target
     next: int = -1
-    face: int = -1
 
 
 @dataclass(frozen=True)
 class Face:
     id: int
-    cycles: Tuple[Tuple[int, ...], ...]  # half-edge cycles, face on left
-    outer_index: Optional[int]  # which cycle is the outer one; None if unbounded
-    depth: int
+    cycles: Tuple[Tuple[int, ...], ...]  # face on left; bounded: outer first
     interior: Optional[Point] = None  # a point strictly inside (bounded faces)
 
 
@@ -121,7 +118,6 @@ class Arrangement:
         self.vertices: List[ArrVertex] = vertices
         self.half_edges: List[HalfEdge] = half_edges
         self.faces: List[Face] = faces
-        self.unbounded_face_id = UNBOUNDED_FACE
         self.scale: int = scale
         self._curve_pts: List[List[Tuple[int, int]]] = curve_pts
         self._cycle_polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = cycle_polygons
@@ -179,9 +175,11 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
     for c, ipts in zip(curves, curve_pts):
         keys = vkey[c.id]
         for s0, s1 in split_curve_at(c, list(keys)):
-            geom = curve_portion(c, s0, s1)
             # a closed curve's last piece ends past the seam
             ka, kb = keys[s0], keys[s1 % c.n_segments if c.closed else s1]
+            # the vertices of c strictly between s0 and s1
+            inner = [k % len(ipts) for k in range(int(s0) + 1, ceil(s1))]
+            geom = (at[ka], *(c.points[k] for k in inner), at[kb])
             a, b = vid_of[ka], vid_of[kb]
             hf = HalfEdge(id=len(half_edges), origin=a, target=b,
                           twin=len(half_edges) + 1, curve=c.id, geometry=geom)
@@ -189,8 +187,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
                           twin=len(half_edges), curve=c.id,
                           geometry=tuple(reversed(geom)))
             half_edges.extend([hf, hb])
-            # the vertices of c strictly between s0 and s1, as curve_portion
-            ig = [ka] + [ipts[k % len(ipts)] for k in range(int(s0) + 1, ceil(s1))] + [kb]
+            ig = [ka, *(ipts[k] for k in inner), kb]
             igeo.extend([ig, ig[::-1]])
 
     # rotation order at each vertex
@@ -263,8 +260,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
 
     faces: List[Face] = []
     orphan.sort(key=min)
-    faces.append(Face(id=UNBOUNDED_FACE, cycles=tuple(orphan), outer_index=None,
-                      depth=0))
+    faces.append(Face(id=UNBOUNDED_FACE, cycles=tuple(orphan)))
     for o in sorted(outers, key=min):
         holes = sorted(holes_of[o], key=min)
         # interior probe: the midpoint of the first edge pushed along its left
@@ -280,17 +276,9 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
                 break
         else:
             raise AssertionError("interior probe did not converge")
-        depth = 1 + sum(1 for o2 in outers
-                        if o2 is not o and winding_parity(q, polygons[o2]))
         d = q[2] * scale
         faces.append(Face(id=len(faces), cycles=(o,) + tuple(holes),
-                          outer_index=0, depth=depth,
                           interior=Point(Fraction(q[0], d), Fraction(q[1], d))))
-
-    for f in faces:
-        for cyc in f.cycles:
-            for hid in cyc:
-                half_edges[hid].face = f.id
 
     return Arrangement(curves, vertices, half_edges, faces, scale,
                        curve_pts, polygons)
@@ -337,18 +325,13 @@ def locate_cell(arr: Arrangement, p: Point) -> int:
             raise OnCurveError(f"point {p} lies on curve {c.id}")
     polygons = arr._cycle_polygons
     hit = None
-    for f in arr.faces:
-        if f.outer_index is None:
-            continue
-        outer = f.cycles[f.outer_index]
-        if not winding_parity(q, polygons[outer]):
-            continue
-        if any(winding_parity(q, polygons[cyc])
-               for k, cyc in enumerate(f.cycles) if k != f.outer_index):
-            continue
-        check(hit is None, "point claimed by two faces")
-        hit = f.id
-    return arr.unbounded_face_id if hit is None else hit
+    for f in arr.faces[1:]:  # the bounded faces: the unbounded one is first
+        outer, *holes = f.cycles
+        if (winding_parity(q, polygons[outer])
+                and not any(winding_parity(q, polygons[h]) for h in holes)):
+            check(hit is None, "point claimed by two faces")
+            hit = f.id
+    return UNBOUNDED_FACE if hit is None else hit
 
 
 def boundary_edge_cycle(arr: Arrangement, face_id: int) -> Tuple[Tuple[int, ...], ...]:

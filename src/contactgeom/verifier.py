@@ -28,8 +28,8 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, chain_param,
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
-                          boundary_edge_cycle, curve_portion, locate_cell,
-                          pair_arrangement, split_arcs_by_pair)
+                          boundary_edge_cycle, locate_cell, pair_arrangement,
+                          split_arcs_by_pair)
 
 
 # ---------------------------------------------------------------- sampling
@@ -458,42 +458,26 @@ def verify_signature_uniqueness(ctx: FaceContext, lambdaF: Sequence[SubArc]
 
 # ---------------------------------------------------------------- charging
 
-def _polyline(c: Curve) -> Tuple[Point, ...]:
-    """Vertices of c in order; a closed curve repeats its first vertex."""
-    return c.points + c.points[:1] if c.closed else c.points
+def _route_candidates(ctx: FaceContext, ends, walls: Sequence[Polyline],
+                      scale: int):
+    """Deterministic via-point menu for an imaginary arc from ends[0] to
+    ends[1], coarse routes first, then blends pulled toward the face interior.
 
-
-def _meeting_points(g1: Sequence[Point], g2: Sequence[Point],
-                    overlaps: bool) -> Set[Point]:
-    """Points where polylines g1 and g2 meet, found on one integer grid; a
-    collinear overlap contributes its two ends only when overlaps is set."""
-    scale = lcm(*(v.denominator for p in (*g1, *g2) for v in (p.x, p.y)))
-    p1 = Polyline(lift(g1, scale))
-    out = set()
-    for i, _, ev in meetings(p1, Polyline(lift(g2, scale))):
-        if ev[0] == "proper":
-            out.add(unlift(grid_point(p1.seg(i), ev[1]), scale))
-        elif overlaps or ev[0] != "overlap":
-            out.update(unlift((*q, 1), scale) for q in ev[1:])
-    return out
-
-
-def _route_candidates(ctx: FaceContext, q1: Point, q2: Point, scale: int):
-    """Deterministic via-point menu for the imaginary closing arc, coarse
-    routes first, then blends pulled toward the face interior.
-
-    Via points come lazily, as integer pairs on the grid of step 1/scale.
-    Each one is an anchor w pulled to w + (pull - w)(1 - 2^-k), k <= 6, or
-    a detour of the unbounded face, so scale must be 64 times a multiple of
-    every anchor denominator and must clear q1, q2 and the surrounding arcs.
+    Via points come lazily, as integer pairs on the grid of step 1/scale of
+    the ends and the lifted surrounding arcs `walls`: each is an anchor w, a
+    midpoint, pulled to w + (pull - w)(1 - 2^-k), k <= 6, or a detour of the
+    unbounded face past the walls' boxes. So scale is 128 (2 for a midpoint,
+    64 for the pull) times a multiple of ctx.scale and the ends' denominators.
     """
     yield ()
     f = ctx.arrangement.faces[ctx.face]
-    pull = f.interior if f.interior is not None else midpoint(q1, q2)
-    ws = lift([pull, midpoint(q1, q2)] + [
+    (x1, y1), (x2, y2) = ends
+    mid = ((x1 + x2) // 2, (y1 + y2) // 2)
+    pull = mid if f.interior is None else lift((f.interior,), scale)[0]
+    ws = [pull, mid] + lift([
         midpoint(*ctx.arrangement.half_edges[h].geometry[:2])
         for h in ctx.walk], scale)
-    px, py = ws[0]
+    px, py = pull
 
     def toward(w, k):
         # exact: pull - w is a multiple of 64 on this grid
@@ -508,10 +492,8 @@ def _route_candidates(ctx: FaceContext, q1: Point, q2: Point, scale: int):
             yield from (blend, blend[::-1])
     if f.interior is None:
         # the unbounded face also admits detours outside the drawing's bounds
-        (x1, y1), (x2, y2) = ends = lift((q1, q2), scale)
-        pts = ends + lift([p for c in ctx.arrangement.curves
-                           for p in c.points], scale)
-        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        xs = [x1, x2] + [v for w in walls for v in w.box[::2]]
+        ys = [y1, y2] + [v for w in walls for v in w.box[1::2]]
         margin = max(max(xs) - min(xs), max(ys) - min(ys), scale)
         for lv in (min(ys) - margin, max(ys) + margin):
             yield from (((x1, lv),), ((x2, lv),), ((x1, lv), (x2, lv)))
@@ -519,27 +501,21 @@ def _route_candidates(ctx: FaceContext, q1: Point, q2: Point, scale: int):
             yield from (((lv, y1),), ((lv, y2),), ((lv, y1), (lv, y2)))
 
 
-def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
-               forbidden: Set[Point]):
+def _close_arc(ctx: FaceContext, lam: SubArc, own: Polyline, other: Polyline,
+               forbidden: Set[tuple], walls: Sequence[Polyline], scale: int):
     """Join lam's free endpoints by an imaginary polyline inside the face.
 
-    Returns (closed curve, imaginary chain-parameter interval); an already
-    closed arc comes back unchanged with interval None. The imaginary part
-    must not meet the surrounding arcs, may meet lam's own real part only
-    at the two junctions, and must cross `other` transversally while
-    avoiding every point in `forbidden`. The surrounding arcs, lam, `other`
-    and the route menu share one integer grid, lifted once per call.
+    Returns (closed curve, imaginary chain-parameter interval, closed curve
+    lifted); an already closed arc comes back unchanged with interval None.
+    The imaginary part must not meet the surrounding arcs `walls`, may meet
+    lam's real part `own` only at the two junctions, and must cross `other`
+    transversally off `forbidden`, reduced lifted points (X, Y, D). All lie
+    on the grid of step 1/scale that _route_candidates asks for.
     """
     g = lam.geometry
     if g.closed:
-        return g, None
-    # anchors are midpoints (a factor 2) pulled by up to 1 - 2^-6 (a factor 64)
-    scale = 128 * lcm(ctx.scale, coordinate_scale((g, other)))
-    walls = [Polyline(lift(c.points, scale), c.closed)
-             for c in ctx.arrangement.curves]
-    own = Polyline(lift(g.points, scale))
+        return g, None, own
     ends = (own.pts[-1], own.pts[0])
-    crossed = Polyline(lift(other.points, scale), other.closed)
 
     @cache   # routes share segments, so each is tested once per call
     def passes(a, b) -> bool:
@@ -552,13 +528,12 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
         for ev in own.hits(a, b):
             if ev[0] != "touch" or ev[1] not in ends:
                 return False
-        for ev in crossed.hits(a, b):
-            if (ev[0] != "proper"
-                    or unlift(grid_point((a, b), ev[1]), scale) in forbidden):
+        for ev in other.hits(a, b):
+            if ev[0] != "proper" or grid_point((a, b), ev[1]) in forbidden:
                 return False
         return True
 
-    for via in _route_candidates(ctx, g.points[-1], g.points[0], scale):
+    for via in _route_candidates(ctx, ends, walls, scale):
         path = (ends[0],) + via + (ends[1],)
         if (any(path[i] == path[i + 1] for i in range(len(path) - 1))
                 or not all(map(passes, path, path[1:]))):
@@ -569,19 +544,27 @@ def _close_arc(ctx: FaceContext, lam: SubArc, other: Curve,
                 closed=True)
         except ValidationError:
             continue
-        return closed, (Fraction(g.n_segments), Fraction(closed.n_segments))
+        return (closed, (Fraction(g.n_segments), Fraction(closed.n_segments)),
+                Polyline(own.pts + list(via), True))
     raise ConstructionError(
         f"no valid imaginary closure for arc {g.id} at any routing refinement")
 
 
-def _piece_intersections(c1: Curve, lo1: Fraction, hi1: Fraction,
+def _piece_intersections(crossings, c1: Curve, lo1: Fraction, hi1: Fraction,
                          c2: Curve, lo2: Fraction, hi2: Fraction
                          ) -> List[Point]:
-    """Intersection points interior to two chain-parameter portions."""
-    poly1 = curve_portion(c1, lo1, hi1)
-    poly2 = curve_portion(c2, lo2, hi2)
-    pts = _meeting_points(poly1, poly2, False)
-    return sorted(pts - {poly1[0], poly1[-1], poly2[0], poly2[-1]})
+    """Intersection points interior to two chain-parameter portions of the
+    closed curves c1 and c2, kept from crossings: (c1 lifted, c2 lifted,
+    (reduced lifted point, point, param on c1, on c2) per scanned meeting)."""
+    ring1, ring2, events = crossings
+    n1, n2 = c1.n_segments, c2.n_segments
+    piece_ends = {grid_point(ring.seg(int(s) % n), s - int(s))
+                  for ring, n, s in ((ring1, n1, lo1), (ring1, n1, hi1),
+                                     (ring2, n2, lo2), (ring2, n2, hi2))}
+    return sorted({p for key, p, s1, s2 in events
+                   if (lo1 <= s1 <= hi1 or lo1 <= s1 + n1 <= hi1)
+                   and (lo2 <= s2 <= hi2 or lo2 <= s2 + n2 <= hi2)
+                   and key not in piece_ends})
 
 
 @dataclass(frozen=True)
@@ -613,34 +596,45 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
     if sig1 != seq or sig2 != seq:
         raise PreconditionError("arcs do not share the given signature")
 
-    existing = _meeting_points(_polyline(lam1.geometry),
-                               _polyline(lam2.geometry), True)
-    closed1, imag1 = _close_arc(ctx, lam1, lam2.geometry, existing)
-    closed2, imag2 = _close_arc(ctx, lam2, closed1, existing)
+    # one grid for the whole charging, the one _route_candidates asks for:
+    # it also holds closure 1's via points, which closure 2 must cross
+    g1, g2 = lam1.geometry, lam2.geometry
+    scale = 128 * lcm(ctx.scale, coordinate_scale((g1, g2)))
+    walls = [Polyline(lift(c.points, scale), c.closed)
+             for c in ctx.arrangement.curves]
+    real1, real2 = (Polyline(lift(g.points, scale), g.closed)
+                    for g in (g1, g2))
+    existing = set()
+    for i, _, ev in meetings(real1, real2):
+        if ev[0] == "proper":
+            existing.add(grid_point(real1.seg(i), ev[1]))
+        else:
+            existing.update((*q, 1) for q in ev[1:])
+    closed1, imag1, ring1 = _close_arc(ctx, lam1, real1, real2, existing,
+                                       walls, scale)
+    closed2, imag2, ring2 = _close_arc(ctx, lam2, real2, ring1, existing,
+                                       walls, scale)
 
-    def alignment(closed: Curve, point_of: Dict[int, Point]):
-        """Contact params on the closed curve; fails unless the contact
+    def alignment(ring: Polyline, point_of: Dict[int, Point], cid: int):
+        """Contact params on the closed ring; fails unless the contact
         cycle realizes the signature forwards or backwards."""
-        scale = coordinate_scale((closed,))
-        ring = lift(_polyline(closed), scale)
+        chain = ring.pts + ring.pts[:1]
         params = {}
         for lbl, p in point_of.items():
-            params[lbl] = chain_param(lift_point(p, scale), ring)
+            params[lbl] = chain_param(lift_point(p, scale), chain)
             if params[lbl] is None:
-                raise PreconditionError(f"{p} not on curve {closed.id}")
+                raise PreconditionError(f"{p} not on curve {cid}")
         cyc = tuple(lbl for _, lbl in sorted(
             (s, lbl) for lbl, s in params.items()))
-        if seq in tuple(cyc[i:] + cyc[:i] for i in range(L)):
-            return params, True
-        rev = tuple(reversed(cyc))
-        if seq in tuple(rev[i:] + rev[:i] for i in range(L)):
-            return params, False
-        raise PreconditionError(
-            f"contact order along arc {closed.id} does not realize the "
-            "shared signature in either direction")
+        # seq is canonical and its labels are distinct
+        if seq not in (_canon(cyc), _canon(cyc[::-1])):
+            raise PreconditionError(
+                f"contact order along arc {cid} does not realize the "
+                "shared signature in either direction")
+        return params, seq == _canon(cyc)
 
-    params1, fwd1 = alignment(closed1, pt1)
-    params2, fwd2 = alignment(closed2, pt2)
+    params1, fwd1 = alignment(ring1, pt1, g1.id)
+    params2, fwd2 = alignment(ring2, pt2, g2.id)
 
     def eta(closed: Curve, params: Dict[int, Fraction], fwd: bool, k: int):
         """Chain interval of the piece between the contacts on seq[k] and
@@ -668,10 +662,17 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
         raise PreconditionError(
             "length-2 signature with opposite contact orders is not chargeable")
 
-    # the real parts of the two closed-up arcs, on one grid
-    real_scale = coordinate_scale((lam1.geometry, lam2.geometry))
-    reals = [(lift(g.points, real_scale), g.closed)
-             for g in (lam1.geometry, lam2.geometry)]
+    # every crossing of the closed-up arcs, from one scan
+    n1, n2 = closed1.n_segments, closed2.n_segments
+    events = []
+    for i, j, ev in meetings(ring1, ring2):
+        if ev[0] != "overlap":
+            key = (grid_point(ring1.seg(i), ev[1]) if ev[0] == "proper"
+                   else (*ev[1], 1))
+            events.append((key, unlift(key, scale),
+                           (i + chain_param(key, ring1.seg(i))) % n1,
+                           (j + chain_param(key, ring2.seg(j))) % n2))
+    crossings = (ring1, ring2, events)
     alt_edges = []
     hat_edges = []
     charges: List[Tuple[int, Point, bool]] = []
@@ -688,15 +689,15 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
                 k1, k2 = (k - 1) % L, k
         i1 = eta(closed1, params1, fwd1, k1)
         i2 = eta(closed2, params2, fwd2, k2)
-        pts = _piece_intersections(closed1, i1[0], i1[1],
+        pts = _piece_intersections(crossings, closed1, i1[0], i1[1],
                                    closed2, i2[0], i2[1])
         if not pts:
             raise ConstructionError(
                 f"edge {lbl}: piece {k1} of arc {lam1.geometry.id} misses "
                 f"piece {k2} of arc {lam2.geometry.id}")
         p = pts[0]
-        q = lift_point(p, real_scale)
-        real = all(on_polyline(q, pts, closed) for pts, closed in reals)
+        q = lift_point(p, scale)
+        real = all(on_polyline(q, r.pts, r.closed) for r in (real1, real2))
         if not real:
             check(piece_has_imag(i1, imag1, closed1.n_segments)
                   or piece_has_imag(i2, imag2, closed2.n_segments),

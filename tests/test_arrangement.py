@@ -54,7 +54,7 @@ def test_single_closed_curve_topology():
     assert (arr.V, arr.E, arr.F) == (1, 1, 2)
     assert euler_holds(arr, [sq(1, 0, 0)])
     assert locate_cell(arr, pt(0, 0)) != locate_cell(arr, pt(9, 9))
-    assert locate_cell(arr, pt(9, 9)) == arr.unbounded_face_id
+    assert locate_cell(arr, pt(9, 9)) == UNBOUNDED_FACE
 
 
 def test_two_crossing_squares_topology():
@@ -64,7 +64,6 @@ def test_two_crossing_squares_topology():
     assert euler_holds(arr, curves)
     lens = locate_cell(arr, pt(1, 1))
     assert arr.faces[lens].interior is not None
-    assert arr.faces[lens].depth > 0
     # four faces, four distinct probe answers
     probes = [pt(1, 1), pt(-1, -1), pt(3, 3), pt(9, 9)]
     assert len({locate_cell(arr, p) for p in probes}) == 4
@@ -183,9 +182,7 @@ def test_chain_point_matches_fraction_arithmetic(cx, cy, resolution, keep,
 
 def test_split_arcs_by_pair_on_chain():
     fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=1))
-    arr = pair_arrangement(fam, 2, 5)
-    subs = split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6},
-                              arr.unbounded_face_id)
+    subs = split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, UNBOUNDED_FACE)
     assert {sa.parent for sa in subs} == {1, 3, 4, 6}
     # chain neighbours never cross the ground pair, so arcs stay whole
     for sa in subs:
@@ -279,9 +276,8 @@ def test_assemble_matches_fraction_reference(curves):
     assert [v.out for v in arr.vertices] == ref.rotation
     assert [(h.origin, h.target, h.curve, h.geometry)
             for h in arr.half_edges] == ref.edges
-    assert [(f.cycles, f.outer_index, f.depth, f.interior)
-            for f in arr.faces] == ref.faces
-    assert arr.unbounded_face_id == UNBOUNDED_FACE
+    assert [(f.cycles, f.interior) for f in arr.faces] == [
+        (cycles, interior) for cycles, _, _, interior in ref.faces]
     for p in _probes(curves):
         try:
             got = locate_cell(arr, p)
@@ -308,5 +304,5 @@ def test_pair_arrangement_reads_the_given_catalogue(monkeypatch):
         got, want = pair_arrangement(fam, *pair), built[pair]
         assert [v.point for v in got.vertices] == [v.point for v in want.vertices]
         assert [v.out for v in got.vertices] == [v.out for v in want.vertices]
-        assert [(f.cycles, f.depth, f.interior) for f in got.faces] == [
-            (f.cycles, f.depth, f.interior) for f in want.faces]
+        assert [(f.cycles, f.interior) for f in got.faces] == [
+            (f.cycles, f.interior) for f in want.faces]

@@ -145,10 +145,12 @@ def test_every_public_name_in_src_is_used():
 def test_verifier_does_not_use_segment_intersection():
     # charging lifts each curve set once; a per-call Fraction lift in the
     # route search is what made it slow. Its segment scans are
-    # geometry.Polyline's, so it calls the segment kernel nowhere itself.
+    # geometry.Polyline's, so it calls the segment kernel nowhere itself,
+    # and it reads each charged piece off one scan of the closed-up arcs
+    # instead of cutting it as a Fraction polyline.
     tree = ast.parse(inspect.getsource(
         importlib.import_module("contactgeom.verifier")))
-    banned = ("segment_intersection", "seg_events")
+    banned = ("segment_intersection", "seg_events", "curve_portion")
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -13,8 +13,8 @@ from contactgeom import incidence, verifier
 from contactgeom.arrangement import build_mixed_arrangement, split_arcs_by_pair
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.geometry import (Curve, CurveFamily, Point, Polyline,
-                                  meetings, pt, seg_events)
+from contactgeom.geometry import (Curve, CurveFamily, Point, Polyline, lift,
+                                  meetings, pt, seg_events, unlift)
 from contactgeom.incidence import compute_incidences, curve_pair_incidences
 from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
                                   circular_signature, enumerate_ground_pairs,
@@ -237,20 +237,30 @@ def _outcome(run):
         return type(e).__name__
 
 
-def _check_closure_against_fraction_search(surround, face, lam1, lam2):
+def _charging_face(surround, face, lam1):
+    """(face context, lam1's signature) of a charging case."""
     arr = build_mixed_arrangement([sa.geometry for sa in surround])
     if face is None:
         # the bounded face between the two lens arcs
         face = next(i for i in range(arr.F)
                     if arr.faces[i].interior is not None)
     ctx = FaceContext(arr, face)
-    sig = circular_signature(ctx, lam1)
+    return ctx, circular_signature(ctx, lam1)
+
+
+def _unlifted(pts, scale):
+    return tuple(Point(F(x, scale), F(y, scale)) for x, y in pts)
+
+
+def _check_closure_against_fraction_search(surround, face, lam1, lam2):
+    ctx, sig = _charging_face(surround, face, lam1)
     close, menu = verifier._close_arc, verifier._route_candidates
     calls, menus = [], []
 
-    def recording(ctx_, lam, other, forbidden):
-        calls.append([lam, other, forbidden])
-        calls[-1].append(close(ctx_, lam, other, forbidden))
+    def recording(ctx_, lam, own, other, forbidden, walls, scale):
+        calls.append([lam, other, forbidden, scale])
+        calls[-1].append(close(ctx_, lam, own, other, forbidden, walls,
+                               scale))
         return calls[-1][-1]
 
     def recording_menu(*args):
@@ -265,36 +275,45 @@ def _check_closure_against_fraction_search(surround, face, lam1, lam2):
         mp.setattr(verifier, "_route_candidates", recording_menu)
         got = charge()
     assert calls
+    # both closures and their menus work on one grid
+    assert len({call[3] for call in calls} | {m[-1] for m in menus}) == 1
     # the whole menu, not only the winning route, is the one of the search
-    for ctx_, q1, q2, scale in menus:
-        lifted = [tuple(Point(F(x, scale), F(y, scale)) for x, y in via)
-                  for via in menu(ctx_, q1, q2, scale)]
-        ref = list(oracles.route_candidates(ctx_, q1, q2))
+    for ctx_, ends, walls, scale in menus:
+        lifted = [_unlifted(via, scale)
+                  for via in menu(ctx_, ends, walls, scale)]
+        ref = list(oracles.route_candidates(ctx_, *_unlifted(ends, scale)))
         differ = [i for i, (u, v) in enumerate(zip(lifted, ref)) if u != v]
         assert (len(lifted), differ[:1]) == (len(ref), [])
-    assert calls[0][2] == oracles.meeting_points(lam1.geometry,
-                                                 lam2.geometry)
+    _, _, forbidden, scale = calls[0][:4]
+    assert {unlift(key, scale) for key in forbidden} == (
+        oracles.meeting_points(lam1.geometry, lam2.geometry))
     want = {}
-    for lam, other, forbidden, *result in calls:
-        ref = want[lam.geometry] = oracles.close_arc(ctx, lam, other,
-                                                     forbidden)
+    for lam, other, forbidden, scale, *result in calls:
+        other = Curve(id=-1, points=_unlifted(other.pts, scale),
+                      closed=other.closed)
+        ref = want[lam.geometry] = oracles.close_arc(
+            ctx, lam, other, {unlift(key, scale) for key in forbidden})
         if ref is None:
             assert result == []        # ConstructionError on both sides
             continue
-        closed, interval = result[0]
+        closed, interval, ring = result[0]
         assert (closed.id, closed.closed) == (lam.geometry.id, True)
         assert (closed.points, interval) == ref
+        assert (_unlifted(ring.pts, scale), ring.closed) == (ref[0], True)
 
-    def fraction_close(ctx_, lam, other, forbidden):
+    def fraction_close(ctx_, lam, own, other, forbidden, walls, scale):
         ref = want[lam.geometry]
         if ref is None:
             raise ConstructionError("no route")
-        return Curve(id=lam.geometry.id, points=ref[0], closed=True), ref[1]
+        return (Curve(id=lam.geometry.id, points=ref[0], closed=True), ref[1],
+                Polyline(lift(ref[0], scale), True))
+
+    def fraction_pieces(crossings, *pieces):
+        return oracles.piece_intersections(*pieces)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "_close_arc", fraction_close)
-        mp.setattr(verifier, "_piece_intersections",
-                   oracles.piece_intersections)
+        mp.setattr(verifier, "_piece_intersections", fraction_pieces)
         assert charge() == got
     return got
 
@@ -324,6 +343,79 @@ def test_closure_matches_fraction_search_on_mapped_fixtures(case, a, bx, by):
     _check_closure_against_fraction_search(
         tuple(_mapped(sa, a, bx, by) for sa in surround), face,
         _mapped(lam1, a, bx, by), _mapped(lam2, a, bx, by))
+
+
+def test_charging_scans_the_arcs_twice_whatever_the_signature_length():
+    # one scan finds the points both closures must avoid, one finds every
+    # piece crossing of the closed-up arcs, however many edges are charged
+    lengths = set()
+    for note, surround, face, lam1, lam2 in _charging_cases():
+        ctx, sig = _charging_face(surround, face, lam1)
+        scans = []
+
+        def counting(p, q):
+            scans.append((p, q))
+            return meetings(p, q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "meetings", counting)
+            got = _outcome(lambda: alt_hat_charging(ctx, lam1, lam2, sig))
+        if isinstance(got, str):
+            continue
+        lengths.add(len(got.sequence))
+        assert len(scans) == 2, note
+    assert len(lengths) >= 3
+
+
+def _reversed(sa):
+    g = sa.geometry
+    return free_arc(g.id, tuple(reversed(g.points)), closed=g.closed)
+
+
+def test_second_arc_charges_the_same_either_way_along_it():
+    # its contacts then run against the signature, so alignment must read
+    # the pieces backwards; on these fixtures both closures keep their route
+    for note, surround, face, lam1, lam2 in _charging_cases():
+        ctx, sig = _charging_face(surround, face, lam1)
+        assert _outcome(lambda: alt_hat_charging(ctx, lam1, lam2, sig)) == (
+            _outcome(lambda: alt_hat_charging(ctx, lam1, _reversed(lam2),
+                                              sig))), note
+
+
+def test_piece_crossings_match_fraction_portions():
+    # pieces that start or end on a crossing or hold one past the seam,
+    # which no charged piece of these fixtures does
+    rng = random.Random(5)
+    checked = 0
+    for note, surround, face, lam1, lam2 in _charging_cases():
+        ctx, sig = _charging_face(surround, face, lam1)
+        scans = []
+
+        def recording(crossings, *pieces):
+            scans.append((crossings, pieces[0], pieces[3]))
+            return piece(crossings, *pieces)
+
+        piece = verifier._piece_intersections
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "_piece_intersections", recording)
+            _outcome(lambda: alt_hat_charging(ctx, lam1, lam2, sig))
+        if not scans:
+            continue
+        crossings, c1, c2 = scans[0]
+        on1 = sorted({s for _, _, s, _ in crossings[2]} | set(range(3)))
+        on2 = sorted({s for _, _, _, s in crossings[2]} | set(range(3)))
+
+        def interval(on, n):
+            lo, hi = rng.choice(on), rng.choice(on)
+            return lo, hi + n if hi <= lo else hi
+
+        for _ in range(30):
+            (lo1, hi1), (lo2, hi2) = (interval(on1, c1.n_segments),
+                                      interval(on2, c2.n_segments))
+            assert piece(crossings, c1, lo1, hi1, c2, lo2, hi2) == (
+                oracles.piece_intersections(c1, lo1, hi1, c2, lo2, hi2)), note
+            checked += 1
+    assert checked == 9 * 30     # the nine fixtures that charge
 
 
 # ----------------------------------------------------------------- sampling
