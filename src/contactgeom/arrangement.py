@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
-                       coordinate_scale, lift, lift_point, on_polyline,
-                       signed_area2, winding_parity)
+                       coordinate_scale, grid_point, lift, lift_point,
+                       on_polyline, signed_area2, unlift, winding_parity)
 from .incidence import FamilyIncidences, catalogue, mixed_contacts
 
 # the unbounded face's id in every Arrangement
@@ -27,21 +27,14 @@ UNBOUNDED_FACE = 0
 
 def chain_point(c: Curve, s: Fraction) -> Point:
     """Point at chain parameter s (segment index + in-segment fraction)."""
-    # s = k + p/q, and u + (p/q)(v - u) is one fraction over u, v's
-    # denominators, so the point costs one normalisation per coordinate
     k, p = divmod(s.numerator, s.denominator)
-    q = s.denominator
     if c.closed:
         k %= c.n_segments
     elif k == c.n_segments:
         return c.points[-1]
-    a, b = c.segment(k)
-
-    def at(u, v):
-        du, dv = u.denominator, v.denominator
-        return Fraction(u.numerator * dv * (q - p) + v.numerator * du * p,
-                        du * dv * q)
-    return Point(at(a.x, b.x), at(a.y, b.y))
+    g = c.grid
+    return unlift(grid_point((g[k], g[(k + 1) % len(g)]),
+                             Fraction(p, s.denominator)), c.grid_scale)
 
 
 def curve_portion(c: Curve, s0: Fraction, s1: Fraction) -> Tuple[Point, ...]:
@@ -109,17 +102,18 @@ class Arrangement:
 
     Point location runs on the integer view: every curve and face cycle
     lifted onto the grid of step 1/scale, where each vertex is a lattice
-    point.
+    point. Each half-edge's chain is kept lifted there for the face side.
     """
 
     def __init__(self, curves, vertices, half_edges, faces, scale,
-                 curve_pts, cycle_polygons):
+                 curve_pts, edge_pts, cycle_polygons):
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self.vertices: List[ArrVertex] = vertices
         self.half_edges: List[HalfEdge] = half_edges
         self.faces: List[Face] = faces
         self.scale: int = scale
         self._curve_pts: List[List[Tuple[int, int]]] = curve_pts
+        self._edge_pts: List[List[Tuple[int, int]]] = edge_pts
         self._cycle_polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = cycle_polygons
 
     @property
@@ -281,7 +275,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
                           interior=Point(Fraction(q[0], d), Fraction(q[1], d))))
 
     return Arrangement(curves, vertices, half_edges, faces, scale,
-                       curve_pts, polygons)
+                       curve_pts, igeo, polygons)
 
 
 def build_arrangement(family: CurveFamily) -> Arrangement:

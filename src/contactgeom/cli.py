@@ -374,10 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, DegeneracyError) as e:
         print(f"validation: {e}", file=sys.stderr)
         return 1
-    except ContactGeomError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ContactGeomError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

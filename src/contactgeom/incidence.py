@@ -336,8 +336,8 @@ def curve_pair_incidences(a: Curve, b: Curve) -> Tuple[Incidence, ...]:
     """
     pairs, violations = _run_engine([a, b], None, "strict")
     _raise_first(violations)
-    incs = pairs.get((a.id, b.id), ())
-    return tuple(sorted(incs, key=lambda inc: (inc.point.x, inc.point.y)))
+    # _classify_pair writes a pair's incidences in point order
+    return pairs.get((a.id, b.id), ())
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
 from .geometry import (Curve, CurveFamily, Point, Polyline, chain_param,
                        coordinate_scale, grid_point, lift, lift_point,
-                       meetings, midpoint, on_polyline, unlift)
+                       meetings, on_polyline, unlift)
 from .graphs import SimpleGraph, max_common_neighborhood
 from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
@@ -265,10 +265,6 @@ class CircularSignature:
     arc: int
     sequence: Tuple[int, ...]
 
-    def rotations(self) -> Tuple[Tuple[int, ...], ...]:
-        s = self.sequence
-        return tuple(s[i:] + s[:i] for i in range(len(s)))
-
 
 def _canon(seq: Tuple[int, ...]) -> Tuple[int, ...]:
     k = seq.index(min(seq))
@@ -303,10 +299,9 @@ class FaceContext:
 
     The walk's half-edge ids are the signature labels, so callers build the
     arrangement from the arcs in id order to keep labels independent of
-    their input order. The walk's half-edges, the surrounding arcs and the
-    face's interior point lie on the integer grid of step 1/scale, and the
-    walk is kept lifted onto it. Each arc's signature is computed once and
-    kept, keyed by the arc's geometry.
+    their input order. The walk is read as the lifted half-edge chains the
+    arrangement keeps on its grid of step 1/scale. Each arc's signature is
+    computed once and kept, keyed by the arc's geometry.
     """
 
     def __init__(self, arrangement: Arrangement, face: int):
@@ -320,33 +315,23 @@ class FaceContext:
                 f"face {face} has {len(walks)} boundary components; need one")
         self.walk: Tuple[int, ...] = walks[0]
         self._step: Dict[int, int] = {h: i for i, h in enumerate(self.walk)}
-        # one grid for the walk, the surrounding arcs and the interior probe
-        half = self.arrangement.half_edges
-        pts = [p for h in self.walk for p in half[h].geometry]
-        pts += [p for c in arrangement.curves for p in c.points]
-        pts += [q for q in (self.arrangement.faces[face].interior,)
-                if q is not None]
-        self.scale = lcm(*(v.denominator for p in pts for v in (p.x, p.y)))
-        self._lifted = {h: lift(half[h].geometry, self.scale)
-                        for h in self.walk}
+        self.scale = arrangement.scale
         self._signatures: Dict[Curve, tuple] = {}
 
-    def boundary_position(self, p: Point, approach: Sequence[Point]):
+    def boundary_position(self, p: Point, away: Sequence[Tuple[int, int]]):
         """(walk step, within-step order, label) of boundary point p.
 
-        approach holds the polyline neighbours of p on the touching arc;
-        they pick the side label when both sides of an edge border the face.
-        The stored half-edge geometry keeps the face on its left, so the
-        arc must sit strictly left of the stored wedge at p. An arc leaving
-        p collinearly with the boundary cannot be sided and is rejected.
+        away holds the integer directions from p to its polyline neighbours
+        on the touching arc; they pick the side label when both sides of an
+        edge border the face. The stored half-edge geometry keeps the face
+        on its left, so the arc must sit strictly left of the stored wedge
+        at p. An arc leaving p collinearly with the boundary cannot be sided
+        and is rejected.
         """
-        if not approach:
-            raise PreconditionError(f"no approach directions at {p}")
         lifted = lift_point(p, self.scale)
-        away = [(q.x - p.x, q.y - p.y) for q in approach]
         candidates = []
         for label in self.walk:
-            g = self._lifted[label]
+            g = self.arrangement._edge_pts[label]
             s_stored = chain_param(lifted, g)
             if s_stored is None:
                 continue
@@ -371,55 +356,36 @@ class FaceContext:
         return (self._step[label], -s_stored, label)
 
 
-def _touch_points_on(lam: SubArc,
-                     surround: Sequence[Curve]) -> Dict[int, Point]:
-    """Surrounding arc id -> the single touching point with lam."""
-    out = {}
-    for mu in surround:
-        incs = curve_pair_incidences(lam.geometry, mu)
-        if len(incs) != 1 or incs[0].kind != "tangency":
-            raise PreconditionError(
-                f"arc {lam.geometry.id} does not touch arc {mu.id}")
-        out[mu.id] = incs[0].point
-    return out
-
-
-def _approach_points(c: Curve, p: Point) -> List[Point]:
-    """Polyline neighbours of p on c; p must be a vertex of c."""
-    pts = c.points
-    n = len(pts)
-    for i, q in enumerate(pts):
-        if q != p:
-            continue
-        if c.closed:
-            return [pts[(i - 1) % n], pts[(i + 1) % n]]
-        out = []
-        if i > 0:
-            out.append(pts[i - 1])
-        if i + 1 < n:
-            out.append(pts[i + 1])
-        return out
-    raise PreconditionError(f"{p} is not a vertex of curve {c.id}")
-
-
 def _signature_keyed(ctx: FaceContext, lam: SubArc):
-    """Canonical label sequence plus per-label walk keys and touch points,
-    computed once per context and arc geometry."""
+    """Canonical label sequence plus per-label walk keys and lam's vertex
+    indices of the touchings, computed once per context and arc geometry."""
     memo = ctx._signatures.get(lam.geometry)
     if memo is not None:
         return memo
-    keyed, point_of = [], {}
-    for p in _touch_points_on(lam, ctx.arrangement.curves).values():
-        key = ctx.boundary_position(p, _approach_points(lam.geometry, p))
+    g = lam.geometry
+    ip, n = g.grid, g.n_vertices
+    keyed, index_of = [], {}
+    for mu in ctx.arrangement.curves:
+        incs = curve_pair_incidences(g, mu)
+        if len(incs) != 1 or incs[0].kind != "tangency":
+            raise PreconditionError(f"arc {g.id} does not touch arc {mu.id}")
+        # a tangency sits at a vertex of both curves: s_a is lam's index
+        k = int(incs[0].s_a)
+        x, y = ip[k]
+        # at an open arc's first vertex, ip[k - 1:k] is empty
+        nbrs = ((ip[k - 1], ip[(k + 1) % n]) if g.closed
+                else ip[k - 1:k] + ip[k + 1:k + 2])
+        key = ctx.boundary_position(incs[0].point,
+                                    [(qx - x, qy - y) for qx, qy in nbrs])
         keyed.append(key)
-        point_of[key[2]] = p
+        index_of[key[2]] = incs[0].s_a
     keyed.sort()
     seq = tuple(key[2] for key in keyed)
     if len(set(seq)) != len(seq):
         raise PreconditionError(
             f"arc {lam.geometry.id} touches one boundary edge twice")
     pos = {key[2]: key for key in keyed}
-    memo = ctx._signatures[lam.geometry] = (_canon(seq), pos, point_of)
+    memo = ctx._signatures[lam.geometry] = (_canon(seq), pos, index_of)
     return memo
 
 
@@ -467,16 +433,18 @@ def _route_candidates(ctx: FaceContext, ends, walls: Sequence[Polyline],
     the ends and the lifted surrounding arcs `walls`: each is an anchor w, a
     midpoint, pulled to w + (pull - w)(1 - 2^-k), k <= 6, or a detour of the
     unbounded face past the walls' boxes. So scale is 128 (2 for a midpoint,
-    64 for the pull) times a multiple of ctx.scale and the ends' denominators.
+    64 for the pull) times a multiple of ctx.scale, the face interior's and
+    the ends' denominators.
     """
     yield ()
     f = ctx.arrangement.faces[ctx.face]
     (x1, y1), (x2, y2) = ends
     mid = ((x1 + x2) // 2, (y1 + y2) // 2)
     pull = mid if f.interior is None else lift((f.interior,), scale)[0]
-    ws = [pull, mid] + lift([
-        midpoint(*ctx.arrangement.half_edges[h].geometry[:2])
-        for h in ctx.walk], scale)
+    up = scale // ctx.scale
+    ws = [pull, mid] + [((ax + bx) * up // 2, (ay + by) * up // 2)
+                        for (ax, ay), (bx, by) in (
+                            ctx.arrangement._edge_pts[h][:2] for h in ctx.walk)]
     px, py = pull
 
     def toward(w, k):
@@ -591,17 +559,22 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
     L = len(seq)
     if L < 2:
         raise PreconditionError("need a shared signature of length >= 2")
-    sig1, pos1, pt1 = _signature_keyed(ctx, lam1)
-    sig2, pos2, pt2 = _signature_keyed(ctx, lam2)
+    sig1, pos1, params1 = _signature_keyed(ctx, lam1)
+    sig2, pos2, params2 = _signature_keyed(ctx, lam2)
     if sig1 != seq or sig2 != seq:
         raise PreconditionError("arcs do not share the given signature")
 
     # one grid for the whole charging, the one _route_candidates asks for:
     # it also holds closure 1's via points, which closure 2 must cross
     g1, g2 = lam1.geometry, lam2.geometry
-    scale = 128 * lcm(ctx.scale, coordinate_scale((g1, g2)))
-    walls = [Polyline(lift(c.points, scale), c.closed)
-             for c in ctx.arrangement.curves]
+    arr = ctx.arrangement
+    inner = arr.faces[ctx.face].interior
+    scale = 128 * lcm(ctx.scale, coordinate_scale((g1, g2)),
+                      *((inner.x.denominator, inner.y.denominator)
+                        if inner is not None else ()))
+    up = scale // ctx.scale
+    walls = [Polyline([(x * up, y * up) for x, y in pts], c.closed)
+             for c, pts in zip(arr.curves, arr._curve_pts)]
     real1, real2 = (Polyline(lift(g.points, scale), g.closed)
                     for g in (g1, g2))
     existing = set()
@@ -615,15 +588,10 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
     closed2, imag2, ring2 = _close_arc(ctx, lam2, real2, ring1, existing,
                                        walls, scale)
 
-    def alignment(ring: Polyline, point_of: Dict[int, Point], cid: int):
-        """Contact params on the closed ring; fails unless the contact
-        cycle realizes the signature forwards or backwards."""
-        chain = ring.pts + ring.pts[:1]
-        params = {}
-        for lbl, p in point_of.items():
-            params[lbl] = chain_param(lift_point(p, scale), chain)
-            if params[lbl] is None:
-                raise PreconditionError(f"{p} not on curve {cid}")
+    def alignment(params: Dict[int, Fraction], cid: int):
+        """Fails unless the contact cycle realizes the signature forwards or
+        backwards. The closed ring starts with the arc's own vertices, so a
+        contact's vertex index is its parameter on the ring."""
         cyc = tuple(lbl for _, lbl in sorted(
             (s, lbl) for lbl, s in params.items()))
         # seq is canonical and its labels are distinct
@@ -631,10 +599,9 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
             raise PreconditionError(
                 f"contact order along arc {cid} does not realize the "
                 "shared signature in either direction")
-        return params, seq == _canon(cyc)
+        return seq == _canon(cyc)
 
-    params1, fwd1 = alignment(ring1, pt1, g1.id)
-    params2, fwd2 = alignment(ring2, pt2, g2.id)
+    fwd1, fwd2 = alignment(params1, g1.id), alignment(params2, g2.id)
 
     def eta(closed: Curve, params: Dict[int, Fraction], fwd: bool, k: int):
         """Chain interval of the piece between the contacts on seq[k] and

@@ -1,5 +1,6 @@
 """Arrangement construction, face topology, and point location."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,54 @@ def test_chain_point_matches_fraction_arithmetic(cx, cy, resolution, keep,
     got = chain_point(c, s)
     assert got == oracles._chain_point(c, s)
     assert type(got.x) is F and type(got.y) is F
+
+
+def _chain_point_by_fractions(c, s):
+    """The point at chain parameter s as one fraction per coordinate over
+    the segment ends' denominators, without a lift."""
+    k, p = divmod(s.numerator, s.denominator)
+    q = s.denominator
+    if c.closed:
+        k %= c.n_segments
+    elif k == c.n_segments:
+        return c.points[-1]
+    a, b = c.segment(k)
+
+    def at(u, v):
+        du, dv = u.denominator, v.denominator
+        return Fraction(u.numerator * dv * (q - p) + v.numerator * du * p,
+                        du * dv * q)
+    return Point(at(a.x, b.x), at(a.y, b.y))
+
+
+def test_chain_point_matches_the_fraction_formula():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(1500):
+        # vertices on a parabola are in convex position, so in x order they
+        # make a simple curve, open or closed, with no collinear triple
+        xs = sorted({F(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 12)))
+                     for _ in range(rng.randint(3, 7))})
+        if len(xs) < 3:
+            continue
+        dx, dy = F(rng.randint(-9, 9), 7), F(rng.randint(-9, 9), 4)
+        closed = rng.random() < 0.5
+        c = Curve(1, tuple(Point(x + dx, x * x + dy) for x in xs), closed)
+        n = c.n_segments
+        kind = rng.choice(("vertex", "inside", "end", "seam"))
+        if kind == "end" and closed or kind == "seam" and not closed:
+            kind = "inside"
+        k = rng.randrange(n, 2 * n) if kind == "seam" else rng.randrange(n)
+        q = rng.randint(2, 13)
+        s = {"vertex": F(k), "end": F(n),
+             "inside": k + F(rng.randint(1, q - 1), q),
+             "seam": k + F(rng.randint(0, q - 1), q)}[kind]
+        got = chain_point(c, s)
+        assert got == _chain_point_by_fractions(c, s), (c, s)
+        assert type(got.x) is F and type(got.y) is F
+        seen.add((kind, closed))
+    assert seen == {("vertex", False), ("vertex", True), ("inside", False),
+                    ("inside", True), ("end", False), ("seam", True)}
 
 
 def test_split_arcs_by_pair_on_chain():

@@ -1,6 +1,7 @@
 """Pairwise contact classification against the recomputed reference."""
 
 import math
+import random
 
 import pytest
 from dataclasses import replace
@@ -43,6 +44,36 @@ def test_crossing_pair_two_proper_points():
     assert len(incs) == 2
     assert all(x.kind == "crossing" for x in incs)
     assert {x.point for x in incs} == {pt(0, 2), pt(2, 0)}
+
+
+def _sawtooth(cid, rng, dx, dy, reverse):
+    """An x-monotone zigzag: heights alternate in sign, so no three
+    consecutive vertices are collinear."""
+    pts = [Point(x + dx, (-1) ** x * rng.randint(1, 4) + dy)
+           for x in range(rng.randint(4, 12))]
+    return Curve(cid, tuple(pts[::-1] if reverse else pts), closed=False)
+
+
+def test_pair_incidences_come_back_in_point_order():
+    # three crossings on one vertical side, met top to bottom by both curves
+    box = Curve(1, (pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)), closed=True)
+    zig = Curve(2, (pt(-5, 8), pt(5, 7), pt(-5, 2), pt(5, 1)), closed=False)
+    want = [pt(0, F(3, 2)), pt(0, F(9, 2)), pt(0, F(15, 2))]
+    assert [inc.point for inc in curve_pair_incidences(box, zig)] == want
+    assert [inc.point for inc in curve_pair_incidences(zig, box)] == want
+    rng = random.Random(3)
+    many = 0
+    for _ in range(200):
+        # vertices of one at half-integer x, y off by 1/3: every contact is
+        # a proper crossing of two segment interiors
+        a = _sawtooth(1, rng, 0, 0, rng.random() < 0.5)
+        b = _sawtooth(2, rng, F(1, 2), F(1, 3), rng.random() < 0.5)
+        ab, ba = curve_pair_incidences(a, b), curve_pair_incidences(b, a)
+        keys = [(inc.point.x, inc.point.y) for inc in ab]
+        assert keys == sorted(keys)
+        assert [inc.point for inc in ba] == [inc.point for inc in ab]
+        many += len(ab) >= 3
+    assert many >= 100
 
 
 def test_tangency_at_shared_vertex():

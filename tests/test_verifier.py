@@ -69,6 +69,23 @@ def test_fence_arrangement_is_one_face():
         assert len(ctx.walk) == 2 * ctx.arrangement.E
 
 
+def test_face_context_reads_the_arrangement_grid():
+    a, b = instances.lens_arcs()
+    lens = build_mixed_arrangement([a.geometry, b.geometry])
+    face = next(f.id for f in lens.faces if f.interior is not None)
+    ctxs = [FaceContext(lens, face)]
+    assert ctxs[0].scale == lens.scale == 8
+    ctxs += [instances.face_context(instances.fence_subarcs(s), 0)
+             for s in (6, 7, 8)]
+    for ctx in ctxs:
+        arr = ctx.arrangement
+        assert ctx.scale == arr.scale
+        # the walk reads the half-edges as the arrangement lifted them
+        for h in ctx.walk:
+            assert arr._edge_pts[h] == lift(arr.half_edges[h].geometry,
+                                            arr.scale)
+
+
 def test_combs_touch_each_picket_once():
     fence = instances.fence_subarcs(6)
     for tokens in (("elbow",) * 6, ("el3",) * 6, ("sh1e",) * 6,
@@ -99,7 +116,8 @@ def test_signature_is_rotation_invariant_by_canon():
     ctx = instances.face_context(fence, 0)
     lam = instances.comb_subarc(101, 6, ("elbow",) * 6)
     sig = circular_signature(ctx, lam)
-    assert sig.sequence == min(sig.rotations())
+    seq = sig.sequence
+    assert seq == min(seq[i:] + seq[:i] for i in range(len(seq)))
     assert sig.sequence[0] == min(sig.sequence)
 
 
