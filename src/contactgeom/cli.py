@@ -197,17 +197,17 @@ def _cmd_verify_prop9(ns: argparse.Namespace) -> int:
     if sides is None:
         return bail("touching graph is not complete bipartite")
     # orient the split: the surrounding side hosts an arrangement with one
-    # face holding every arc of the other side
-    options = []
-    for lam1_ids, lamF_ids in (sides, sides[::-1]):
+    # face holding every arc of the other side; the preferred orientation
+    # is tried first, and the other only when it has no such face
+    for lam1_ids, lamF_ids in sorted(
+            (sides, sides[::-1]),
+            key=lambda o: (len(o[0]) != m + 5, len(o[0]) < len(o[1]), o[0])):
         picked = _pick_face(family, lam1_ids, lamF_ids)
         if picked is not None:
-            options.append((len(lam1_ids) != m + 5,
-                            len(lam1_ids) < len(lamF_ids),
-                            lam1_ids, lamF_ids, picked))
-    if not options:
+            break
+    else:
         return bail("no face of either side holds all arcs of the other")
-    _, _, lam1_ids, lamF_ids, (arr, face) = min(options)
+    arr, face = picked
     by_id = {c.id: c for c in family}
     lambdaF = [free_arc(i, by_id[i].points, by_id[i].closed) for i in lamF_ids]
     try:

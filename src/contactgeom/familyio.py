@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import List
 
 from .errors import ParseError
 from .geometry import Curve, CurveFamily, Point
@@ -42,8 +43,7 @@ def dumps_family(family: CurveFamily) -> str:
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
-def parse_rational(tok: str, line_no: Optional[int] = None,
-                   offset: Optional[int] = None) -> Fraction:
+def parse_rational(tok: str) -> Fraction:
     """A rational token of the written grammar; anything else, such as an
     exponent that would ask for a huge integer, is refused unevaluated."""
     match = _RATIONAL.fullmatch(tok)
@@ -53,79 +53,97 @@ def parse_rational(tok: str, line_no: Optional[int] = None,
             return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             pass   # a zero denominator, or more digits than int() reads
-    raise ParseError(f"bad rational {tok!r}", line=line_no, offset=offset)
+    raise ParseError(f"bad rational {tok!r}")
 
 
-def _parse_kv(tok: str, key: str, line_no: int, offset: int) -> int:
+class _Malformed(Exception):
+    """(line number, message) of a parse error whose byte offset
+    loads_family has yet to count."""
+
+
+def _parse_kv(tok: str, key: str, line_no: int) -> int:
     prefix = key + "="
     if not tok.startswith(prefix):
-        raise ParseError(f"expected {key}=<int>, got {tok!r}", line=line_no, offset=offset)
+        raise _Malformed(line_no, f"expected {key}=<int>, got {tok!r}")
     try:
         return int(tok[len(prefix):])
     except ValueError:
-        raise ParseError(f"bad integer in {tok!r}", line=line_no, offset=offset)
+        raise _Malformed(line_no, f"bad integer in {tok!r}")
+
+
+def _token(tok: str, line_no: int) -> Fraction:
+    try:
+        return parse_rational(tok)
+    except ParseError as exc:
+        raise _Malformed(line_no, str(exc)) from None
 
 
 def loads_family(text: str) -> CurveFamily:
-    # (line number, byte offset, content) for every meaningful line
-    rows: List[Tuple[int, int, str]] = []
-    offset = 0
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((line_no, offset, stripped))
-        offset += len(raw.encode("utf8")) + 1
+    lines = text.split("\n")
+    try:
+        return _parse(lines)
+    except _Malformed as bad:
+        line_no, message = bad.args
+        offset = sum(len(raw.encode("utf8")) + 1
+                     for raw in lines[:line_no - 1])
+        raise ParseError(message, line=line_no, offset=offset) from None
 
-    if not rows:
-        raise ParseError("empty input", line=1, offset=0)
 
-    pos = 0
-    line_no, off, header = rows[pos]
+def _parse(lines: List[str]) -> CurveFamily:
+    # (line number, content) of every meaningful line, read as it is needed
+    rows = ((line_no, stripped) for line_no, raw in enumerate(lines, start=1)
+            if (stripped := raw.partition("#")[0].strip()))
+    first = next(rows, None)
+    if first is None:
+        raise _Malformed(1, "empty input")
+    line_no, header = first
     parts = header.split()
     if len(parts) != 2 or parts[0] != "family":
-        raise ParseError("expected 'family m=<int>' header", line=line_no, offset=off)
-    m = _parse_kv(parts[1], "m", line_no, off)
-    pos += 1
+        raise _Malformed(line_no, "expected 'family m=<int>' header")
+    m = _parse_kv(parts[1], "m", line_no)
 
     curves = []
     memo = {}   # token -> Fraction: equal tokens share one object
-    while pos < len(rows):
-        line_no, off, head = rows[pos]
+    seen = {}   # vertex line -> Point: a shared vertex is read once
+    for line_no, head in rows:
         parts = head.split()
         if len(parts) != 4 or parts[0] != "curve":
-            raise ParseError("expected 'curve id=.. closed=.. nv=..'",
-                             line=line_no, offset=off)
-        cid = _parse_kv(parts[1], "id", line_no, off)
-        closed = _parse_kv(parts[2], "closed", line_no, off)
-        nv = _parse_kv(parts[3], "nv", line_no, off)
+            raise _Malformed(line_no, "expected 'curve id=.. closed=.. nv=..'")
+        cid = _parse_kv(parts[1], "id", line_no)
+        closed = _parse_kv(parts[2], "closed", line_no)
+        nv = _parse_kv(parts[3], "nv", line_no)
         if closed not in (0, 1):
-            raise ParseError("closed must be 0 or 1", line=line_no, offset=off)
+            raise _Malformed(line_no, "closed must be 0 or 1")
         if nv < 2:
-            raise ParseError("nv must be >= 2", line=line_no, offset=off)
-        pos += 1
+            raise _Malformed(line_no, "nv must be >= 2")
         pts = []
-        for _ in range(nv):
-            if pos >= len(rows):
-                raise ParseError(f"curve id={cid}: expected {nv} vertices",
-                                 line=line_no, offset=off)
-            vline_no, voff, vline = rows[pos]
-            toks = vline.split()
-            if len(toks) != 2:
-                raise ParseError("expected '<x> <y>'", line=vline_no, offset=voff)
-            for tok in toks:
-                if tok not in memo:
-                    memo[tok] = parse_rational(tok, vline_no, voff)
-            pts.append(Point(memo[toks[0]], memo[toks[1]]))
-            pos += 1
+        for vline_no, vline in islice(rows, nv):
+            p = seen.get(vline)
+            if p is None:
+                toks = vline.split()
+                if len(toks) != 2:
+                    raise _Malformed(vline_no, "expected '<x> <y>'")
+                tx, ty = toks
+                x = memo.get(tx)
+                if x is None:
+                    x = memo[tx] = _token(tx, vline_no)
+                y = memo.get(ty)
+                if y is None:
+                    y = memo[ty] = _token(ty, vline_no)
+                p = seen[vline] = Point(x, y)
+            pts.append(p)
+        if len(pts) < nv:
+            raise _Malformed(line_no,
+                             f"curve id={cid}: expected {nv} vertices")
         try:
             curves.append(Curve(id=cid, points=tuple(pts), closed=bool(closed)))
         except Exception as exc:
-            raise ParseError(f"curve id={cid}: {exc}", line=line_no, offset=off)
+            raise _Malformed(line_no, f"curve id={cid}: {exc}")
 
     try:
         return CurveFamily(curves=tuple(curves), m=m)
     except Exception as exc:
-        raise ParseError(str(exc), line=rows[0][0], offset=rows[0][1])
+        raise _Malformed(first[0], str(exc))
 
 
 def write_family(path, family: CurveFamily) -> None:

@@ -56,6 +56,13 @@ def _unit_polygon(resolution: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     return tuple(pts)
 
 
+@lru_cache(maxsize=4096)
+def _shifted(c: Fraction, resolution: int, axis: int) -> Tuple[Fraction, ...]:
+    """c plus coordinate axis (0 for x, 1 for y) of each _unit_polygon
+    vertex: circles on one grid row or column share these Fractions."""
+    return tuple(c + v[axis] for v in _unit_polygon(resolution))
+
+
 def rational_circle(center: Point, resolution: int) -> Tuple[Point, ...]:
     """Vertices of a convex polygon inscribed in the unit circle at center.
 
@@ -63,8 +70,8 @@ def rational_circle(center: Point, resolution: int) -> Tuple[Point, ...]:
     those are the only spots where grid-aligned tangencies land. The vertex
     count is resolution rounded up to a multiple of 4.
     """
-    return tuple(Point(center.x + x, center.y + y)
-                 for x, y in _unit_polygon(resolution))
+    return tuple(map(Point, _shifted(center.x, resolution, 0),
+                     _shifted(center.y, resolution, 1)))
 
 
 def _circle(cid: int, center: Point, resolution: int) -> Curve:

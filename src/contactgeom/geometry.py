@@ -38,6 +38,8 @@ class Point:
     y: Fraction
 
     def __post_init__(self):
+        if type(self.x) is Fraction and type(self.y) is Fraction:
+            return
         for name, v in (("x", self.x), ("y", self.y)):
             if type(v) is not Fraction:
                 if not isinstance(v, (int, Fraction)):
@@ -86,12 +88,6 @@ def angle_cmp(u, v) -> int:
 angle_key = cmp_to_key(angle_cmp)
 
 
-def _between(p, u, v) -> bool:
-    """p collinear with uv assumed; closed bbox membership."""
-    return (min(u[0], v[0]) <= p[0] <= max(u[0], v[0])
-            and min(u[1], v[1]) <= p[1] <= max(u[1], v[1]))
-
-
 def seg_events(pa, pb, pc, pd):
     """Classify closed integer segments ab and cd.
 
@@ -103,23 +99,31 @@ def seg_events(pa, pb, pc, pd):
     bx, by = pb
     cx, cy = pc
     dx, dy = pd
-    d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    ux, uy = bx - ax, by - ay   # ab
+    vx, vy = dx - cx, dy - cy   # cd
+    wx, wy = cx - ax, cy - ay   # ac
+    # the side of a and of b from cd, and of c and of d from ab
+    d1 = vy * wx - vx * wy
+    d2 = vx * (by - cy) - vy * (bx - cx)
+    d3 = ux * wy - uy * wx
+    d4 = ux * (dy - ay) - uy * (dx - ax)
     if d1 or d2 or d3 or d4:
         if d1 and d2 and d3 and d4 and (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
-            denom = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
-            t = Fraction((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx), denom)
-            u = Fraction((cx - ax) * (by - ay) - (cy - ay) * (bx - ax), denom)
-            return ("proper", t, u)
-        if d1 == 0 and _between(pa, pc, pd):
+            denom = ux * vy - uy * vx
+            return ("proper", Fraction(d1, denom), Fraction(-d3, denom))
+        # a point collinear with a segment touches it when it lies in the
+        # segment's closed box
+        if (d1 == 0 and (cx <= ax <= dx or dx <= ax <= cx)
+                and (cy <= ay <= dy or dy <= ay <= cy)):
             return ("touch", pa)
-        if d2 == 0 and _between(pb, pc, pd):
+        if (d2 == 0 and (cx <= bx <= dx or dx <= bx <= cx)
+                and (cy <= by <= dy or dy <= by <= cy)):
             return ("touch", pb)
-        if d3 == 0 and _between(pc, pa, pb):
+        if (d3 == 0 and (ax <= cx <= bx or bx <= cx <= ax)
+                and (ay <= cy <= by or by <= cy <= ay)):
             return ("touch", pc)
-        if d4 == 0 and _between(pd, pa, pb):
+        if (d4 == 0 and (ax <= dx <= bx or bx <= dx <= ax)
+                and (ay <= dy <= by or by <= dy <= ay)):
             return ("touch", pd)
         return ("none",)
     # the four points lie on one line (or both segments are points): on a
@@ -191,24 +195,35 @@ class Curve:
         if not self.closed and n < 2:
             raise ValidationError(f"curve {self.id}: open curve needs >= 2 vertices")
         # every test runs on the integer vertices of the curve's own grid
-        scale = lcm(*(v.denominator for p in pts for v in (p.x, p.y)))
-        ip = tuple(lift(pts, scale))
+        ratios = [(p.x.as_integer_ratio(), p.y.as_integer_ratio())
+                  for p in pts]
+        scale = lcm(*[d for (_, d), _ in ratios], *[d for _, (_, d) in ratios])
+        ip = tuple([(xn * (scale // xd), yn * (scale // yd))
+                    for (xn, xd), (yn, yd) in ratios])
         object.__setattr__(self, "grid", ip)
         object.__setattr__(self, "grid_scale", scale)
         if self.closed and ip[0] == ip[-1]:
             raise ValidationError(
                 f"curve {self.id}: closed curve must not repeat its first vertex")
-        for i in range(n - 1 if not self.closed else n):
-            if ip[i] == ip[(i + 1) % n]:
+        # One pass over the vertex triples (a, b, c) checks segment ab for
+        # zero length and the triple for collinearity; a zero-length segment
+        # anywhere is reported before the first collinear triple. Collinear
+        # triples are canonicalization errors: the middle vertex carries no
+        # geometry and breaks vertex-degree reasoning.
+        ring = ip + ip[:2] if self.closed else ip
+        bent = None
+        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(
+                zip(ring, ring[1:], ring[2:])):
+            if ax == bx and ay == by:
                 raise ValidationError(f"curve {self.id}: zero-length segment at {i}")
-        # Collinear triples are canonicalization errors: the middle vertex
-        # carries no geometry and breaks vertex-degree reasoning.
-        limit = n if self.closed else n - 2
-        for i in range(limit):
-            (ax, ay), (bx, by), (cx, cy) = ip[i], ip[(i + 1) % n], ip[(i + 2) % n]
-            if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
-                raise ValidationError(
-                    f"curve {self.id}: collinear vertex triple at {i}")
+            if bent is None and (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
+                bent = i
+        if not self.closed and ip[-2] == ip[-1]:
+            raise ValidationError(
+                f"curve {self.id}: zero-length segment at {n - 2}")
+        if bent is not None:
+            raise ValidationError(
+                f"curve {self.id}: collinear vertex triple at {bent}")
 
     @property
     def n_vertices(self) -> int:
@@ -323,13 +338,12 @@ class Polyline:
         self.pts = pts
         self.closed = closed
         ring = pts + pts[:1] if closed else pts
-        self.segs = segs = []
-        for a, b in zip(ring, ring[1:]):
-            (ax, ay), (bx, by) = a, b
-            x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
-            y0, y1 = (ay, by) if ay <= by else (by, ay)
-            segs.append((a, b, x0, y0, x1, y1))
-        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        # each end is read twice: as a point, and unpacked for the box
+        self.segs = [(a, b, ax if ax <= bx else bx, ay if ay <= by else by,
+                      bx if ax <= bx else ax, by if ay <= by else ay)
+                     for a, b, (ax, ay), (bx, by)
+                     in zip(ring, ring[1:], ring, ring[1:])]
+        xs, ys = zip(*pts)
         self.box = (min(xs), min(ys), max(xs), max(ys))
 
     def seg(self, i: int):
@@ -353,16 +367,20 @@ class Polyline:
 
 def meetings(p: Polyline, q: Polyline) -> List[tuple]:
     """(i, j, event) for every segment i of p and j of q that meet, in
-    segment order of p then q, event being their seg_events result. Only
-    the segments of q that meet p's box are paired, and each segment of p
-    is tested against q's whole box first."""
-    out = []
+    segment order of p then q, event being their seg_events result. A
+    meeting lies in both curves' boxes, so only the segments that meet the
+    overlap of the two boxes are paired."""
     px0, py0, px1, py1 = p.box
-    qsegs = [(j, s) for j, s in enumerate(q.segs)
-             if not (s[4] < px0 or s[2] > px1 or s[5] < py0 or s[3] > py1)]
     qx0, qy0, qx1, qy1 = q.box
+    ox0, oy0 = (px0 if px0 >= qx0 else qx0), (py0 if py0 >= qy0 else qy0)
+    ox1, oy1 = (px1 if px1 <= qx1 else qx1), (py1 if py1 <= qy1 else qy1)
+    qsegs = [(j, s) for j, s in enumerate(q.segs)
+             if not (s[4] < ox0 or s[2] > ox1 or s[5] < oy0 or s[3] > oy1)]
+    out = []
+    if not qsegs:
+        return out
     for i, (a, b, x0, y0, x1, y1) in enumerate(p.segs):
-        if qx1 < x0 or qx0 > x1 or qy1 < y0 or qy0 > y1:
+        if x1 < ox0 or x0 > ox1 or y1 < oy0 or y0 > oy1:
             continue
         for j, (c, d, sx0, sy0, sx1, sy1) in qsegs:
             if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:

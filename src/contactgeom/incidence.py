@@ -17,7 +17,7 @@ is an exact integer sign test.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegeneracyError, EndpointError, PreconditionError,
                      ValidationError, check)
-from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
-                       angle_key, coordinate_scale, grid_point, meetings,
-                       seg_events, unlift)
+from .geometry import (Curve, CurveFamily, Point, Polyline, coordinate_scale,
+                       grid_point, meetings, seg_events, unlift)
 
 
 @dataclass(frozen=True)
@@ -85,118 +84,155 @@ class ValidationReport:
 
 
 class _ScaledCurve(Polyline):
-    """A curve lifted to an integer Polyline, plus its vertex lookups; its
-    own grid vertices are scaled up, so no Fraction is read again."""
+    """A curve lifted to an integer Polyline, plus its vertex lookups: vmap
+    maps each vertex to its first index, and ends holds the endpoint
+    indices of an open curve. Its own grid vertices are scaled up, or taken
+    as they are when the scale is the curve's own, so no Fraction is read
+    again."""
 
-    __slots__ = ("curve", "vmap")
+    __slots__ = ("curve", "vmap", "ends")
 
     def __init__(self, curve: Curve, scale: int):
         f = scale // curve.grid_scale
-        super().__init__([(x * f, y * f) for x, y in curve.grid],
-                         curve.closed)
+        pts = (curve.grid if f == 1
+               else tuple([(x * f, y * f) for x, y in curve.grid]))
+        super().__init__(pts, curve.closed)
         self.curve = curve
-        vmap: Dict[Tuple[int, int], int] = {}
-        for k, q in enumerate(self.pts):
-            vmap.setdefault(q, k)
-        self.vmap = vmap
-
-    def is_endpoint_vertex(self, k: int) -> bool:
-        return (not self.closed) and (k == 0 or k == len(self.pts) - 1)
-
-    def vertex_directions(self, k: int):
-        """Outgoing integer directions at vertex k (1 for open endpoints,
-        2 for interior vertices)."""
-        pts = self.pts
-        if self.closed:
-            nbrs = [pts[(k + 1) % len(pts)], pts[k - 1]]
-        else:  # at k = 0, pts[k - 1:k] is empty
-            nbrs = pts[k + 1:k + 2] + pts[k - 1:k]
-        vx, vy = pts[k]
-        return [(nx - vx, ny - vy) for nx, ny in nbrs]
-
-
-def _locate_on(sc: _ScaledCurve, seg_index: int, p):
-    """Chain parameter of integer point p on segment seg_index; an int at a vertex."""
-    k = sc.vmap.get(p)
-    if k is not None:
-        return k
-    (ax, ay), (bx, by) = sc.seg(seg_index)
-    if bx != ax:
-        t = Fraction(p[0] - ax, bx - ax)
-    else:
-        t = Fraction(p[1] - ay, by - ay)
-    return seg_index + t
+        n = len(pts)
+        # built backwards, so a repeated vertex keeps its first index
+        self.vmap = dict(zip(pts[::-1], range(n - 1, -1, -1)))
+        self.ends = () if curve.closed else (0, n - 1)
 
 
 def _meeting_pairs(boxes) -> List[Tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, whose closed boxes meet, by a
     sort-and-sweep along x: O(n log n) plus the pairs whose x ranges meet."""
-    n = len(boxes)
-    order = sorted(range(n), key=lambda k: boxes[k][0])
+    order = sorted(range(len(boxes)), key=lambda k: boxes[k][0])
+    lefts = [boxes[k][0] for k in order]
     out = []
     for s, i in enumerate(order):
         _, y0, x1, y1 = boxes[i]
-        for t in range(s + 1, n):
-            j = order[t]
+        for j in order[s + 1:bisect_right(lefts, x1, s + 1)]:
             b = boxes[j]
-            if b[0] > x1:
-                break
             if b[1] <= y1 and y0 <= b[3]:
                 out.append((i, j) if i < j else (j, i))
     out.sort()
     return out
 
 
-def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve):
-    """All meeting points of two scaled curves, grouped by point.
+def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve, hits):
+    """The meetings of two scaled curves, hits = meetings(sa, sb), grouped
+    by point.
 
     Returns (events, overlaps): events maps a grid point key (X, Y, D), see
     grid_point, to [proper count, s_a, s_b, multi]: the first chain params,
-    and whether any other met there. overlaps lists collinear shared pieces
-    as (lo, hi) integer pairs.
+    an int at a vertex, and whether any other met there. overlaps lists
+    collinear shared pieces as (lo, hi) integer pairs.
     """
     events: Dict[Tuple[int, int, int], list] = {}
     overlaps: List[tuple] = []
-    for i, j, res in meetings(sa, sb):
+    vmap_a, vmap_b = sa.vmap, sb.vmap
+    for i, j, res in hits:
         tag = res[0]
-        if tag == "overlap":
+        if tag == "touch":
+            p = res[1]
+            key, proper = (p[0], p[1], 1), 0
+            s_a = vmap_a.get(p)
+            if s_a is None:
+                s_a = _segment_param(sa.segs[i], p, i)
+            s_b = vmap_b.get(p)
+            if s_b is None:
+                s_b = _segment_param(sb.segs[j], p, j)
+        elif tag == "proper":
+            t = res[1]
+            key = grid_point(sa.segs[i][:2], t)
+            s_a, s_b, proper = i + t, j + res[2], 1
+        else:
             overlaps.append((res[1], res[2]))
             continue
-        if tag == "proper":
-            t, u = res[1], res[2]
-            key, s_a, s_b = grid_point(sa.seg(i), t), i + t, j + u
+        ev = events.get(key)
+        if ev is None:
+            events[key] = [proper, s_a, s_b, False]
         else:
-            p = res[1]
-            key, s_a, s_b = (p[0], p[1], 1), _locate_on(sa, i, p), _locate_on(sb, j, p)
-        ev = events.setdefault(key, [0, s_a, s_b, False])
-        ev[0] += tag == "proper"
-        ev[3] = ev[3] or ev[1] != s_a or ev[2] != s_b
+            ev[0] += proper
+            if ev[1] != s_a or ev[2] != s_b:
+                ev[3] = True
     return events, overlaps
 
 
+def _segment_param(seg, p, seg_index: int) -> Fraction:
+    """Chain parameter of the integer point p inside segment seg_index."""
+    (ax, ay), (bx, by) = seg[0], seg[1]
+    if bx != ax:
+        return seg_index + Fraction(p[0] - ax, bx - ax)
+    return seg_index + Fraction(p[1] - ay, by - ay)
+
+
+# owner pattern of the four directions at a shared vertex, keyed by the
+# ranks of curve A's two directions in counterclockwise order from +x
+_PATTERNS = {(0, 1): "AABB", (0, 2): "ABAB", (0, 3): "ABBA",
+             (1, 2): "BAAB", (1, 3): "BABA", (2, 3): "BBAA"}
+
+
+def _shared_vertex_pattern(sa: _ScaledCurve, ka: int,
+                           sb: _ScaledCurve, kb: int) -> Optional[str]:
+    """The owner pattern ("ABAB", "AABB", ...) of the four directions from
+    a shared interior vertex, vertex ka of A and kb of B, toward each
+    curve's next and previous vertex, in counterclockwise order from +x;
+    None when two of them are parallel.
+
+    Direction u comes before w when u lies in the upper half plane (angle
+    in [0, pi)) and w in the lower, or both lie in one and u x w > 0; in
+    one half plane, u x w = 0 means parallel."""
+    pa, pb = sa.pts, sb.pts
+    vx, vy = pa[ka]
+    ax, ay = pa[(ka + 1) % len(pa)]
+    cx, cy = pa[ka - 1]
+    bx, by = pb[(kb + 1) % len(pb)]
+    dx, dy = pb[kb - 1]
+    ax, ay, cx, cy = ax - vx, ay - vy, cx - vx, cy - vy   # A: a and c
+    bx, by, dx, dy = bx - vx, by - vy, dx - vx, dy - vy   # B: b and d
+    ha = ay < 0 or (ay == 0 and ax < 0)   # lower half plane
+    hc = cy < 0 or (cy == 0 and cx < 0)
+    hb = by < 0 or (by == 0 and bx < 0)
+    hd = dy < 0 or (dy == 0 and dx < 0)
+    ac, ab, ad = ax * cy - ay * cx, ax * by - ay * bx, ax * dy - ay * dx
+    cb, cd, bd = cx * by - cy * bx, cx * dy - cy * dx, bx * dy - by * dx
+    if ((ha == hc and not ac) or (ha == hb and not ab)
+            or (ha == hd and not ad) or (hc == hb and not cb)
+            or (hc == hd and not cd) or (hb == hd and not bd)):
+        return None
+    # the rank of a and of c: how many of the other three come first
+    a_first = hc > ha if hc != ha else ac > 0
+    rank_a = ((not a_first) + (hb < ha if hb != ha else ab < 0)
+              + (hd < ha if hd != ha else ad < 0))
+    rank_c = (a_first + (hb < hc if hb != hc else cb < 0)
+              + (hd < hc if hd != hc else cd < 0))
+    return _PATTERNS[(rank_a, rank_c) if rank_a < rank_c
+                     else (rank_c, rank_a)]
+
+
 def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
-                   scale: int, mode: str):
-    """Turn one pair's grouped events (from _pair_events) into incidences
-    and violations; a vertex contact takes that curve's Point, and its
-    int chain parameters become Fractions as its Incidence is written."""
+                   scale: int, mode: str, fracs: Sequence[Fraction],
+                   violations: List[Violation]) -> List[Incidence]:
+    """Turn one pair's grouped events (from _pair_events) into incidences,
+    returned, and violations, appended to violations. A vertex contact
+    takes that curve's Point, and its int chain parameter k becomes
+    fracs[k], Fraction(k), as its Incidence is written."""
     ida, idb = sa.curve.id, sb.curve.id
     incidences: List[Incidence] = []
-    violations: List[Violation] = []
 
     for lo, hi in overlaps:
         violations.append(Violation(
             "overlap", (ida, idb), unlift((lo[0], lo[1], 1), scale),
             "curves share a collinear piece"))
 
-    def write(kind: str, pattern: Optional[str] = None):
-        incidences.append(Incidence(kind, point, ida, idb, Fraction(s_a),
-                                    Fraction(s_b), pattern))
-
+    found = [(sa.curve.points[ev[1]] if type(ev[1]) is int
+              else sb.curve.points[ev[2]] if type(ev[2]) is int
+              else unlift(key, scale), ev) for key, ev in events.items()]
     # distinct keys are distinct points, so the sort never compares records
-    for point, (proper, s_a, s_b, multi) in sorted(
-            (sa.curve.points[ev[1]] if type(ev[1]) is int
-             else sb.curve.points[ev[2]] if type(ev[2]) is int
-             else unlift(key, scale), ev) for key, ev in events.items()):
+    found.sort()
+    for point, (proper, s_a, s_b, multi) in found:
         if multi:
             violations.append(Violation(
                 "degenerate_contact", (ida, idb), point,
@@ -204,21 +240,19 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
             continue
         a_vertex = type(s_a) is int
         b_vertex = type(s_b) is int
+        kind = pattern = None
 
         if not a_vertex and not b_vertex:
             if proper:
-                write("crossing")
+                kind = "crossing"
             else:
                 violations.append(Violation(
                     "degenerate_contact", (ida, idb), point,
                     "interior contact without a proper crossing"))
-            continue
-
-        if a_vertex != b_vertex:
-            vc, k = (sa, s_a) if a_vertex else (sb, s_b)
-            if vc.is_endpoint_vertex(k):
+        elif a_vertex != b_vertex:
+            if s_a in sa.ends if a_vertex else s_b in sb.ends:
                 if mode == "arrangement":
-                    write("tjoint")
+                    kind = "tjoint"
                 else:
                     violations.append(Violation(
                         "endpoint_contact", (ida, idb), point,
@@ -227,31 +261,29 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
                 violations.append(Violation(
                     "degenerate_contact", (ida, idb), point,
                     "polyline vertex rests on another curve interior"))
-            continue
-
-        a_end = sa.is_endpoint_vertex(s_a)
-        b_end = sb.is_endpoint_vertex(s_b)
-        if a_end or b_end:
+        elif s_a in sa.ends or s_b in sb.ends:
             if mode == "arrangement":
-                write("joint" if (a_end and b_end) else "tjoint")
+                kind = ("joint" if s_a in sa.ends and s_b in sb.ends
+                        else "tjoint")
             else:
                 violations.append(Violation(
                     "endpoint_contact", (ida, idb), point,
                     "arc endpoint meets another curve at a vertex"))
-            continue
-
-        dirs = sorted([(d, "A") for d in sa.vertex_directions(s_a)]
-                      + [(d, "B") for d in sb.vertex_directions(s_b)],
-                      key=lambda item: angle_key(item[0]))
-        if any(angle_cmp(dirs[k - 1][0], dirs[k][0]) == 0 for k in range(1, 4)):
-            violations.append(Violation(
-                "overlap", (ida, idb), point,
-                "parallel germs at a shared vertex"))
-            continue
-        owners = "".join(owner for _, owner in dirs)
-        write("crossing" if owners in ("ABAB", "BABA") else "tangency", owners)
-
-    return incidences, violations
+        else:
+            pattern = _shared_vertex_pattern(sa, s_a, sb, s_b)
+            if pattern is None:
+                violations.append(Violation(
+                    "overlap", (ida, idb), point,
+                    "parallel germs at a shared vertex"))
+            else:
+                kind = ("crossing" if pattern in ("ABAB", "BABA")
+                        else "tangency")
+        if kind is not None:
+            incidences.append(Incidence(
+                kind, point, ida, idb,
+                fracs[s_a] if a_vertex else s_a,
+                fracs[s_b] if b_vertex else s_b, pattern))
+    return incidences
 
 
 def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
@@ -288,26 +320,37 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
     violations: List[Violation] = []
     for sc in scaled:
         violations.extend(_self_violations(sc, scale))
+    # vertex chain parameters, one Fraction per index, shared by incidences
+    fracs = [Fraction(k)
+             for k in range(max((len(sc.pts) for sc in scaled), default=0))]
 
     pairs: Dict[Tuple[int, int], Tuple[Incidence, ...]] = {}
-    point_owners: Dict[Tuple[int, int, int], set] = defaultdict(set)
+    # the first pair through each event point, and every curve through a
+    # point that more than one pair meets at
+    first_pair: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    shared: Dict[Tuple[int, int, int], set] = {}
     for i, j in _meeting_pairs([sc.box for sc in scaled]):
         sa, sb = scaled[i], scaled[j]
-        events, overlaps = _pair_events(sa, sb)
+        hits = meetings(sa, sb)
+        if not hits:
+            continue
+        events, overlaps = _pair_events(sa, sb, hits)
+        ids = (sa.curve.id, sb.curve.id)
         for key in events:
-            point_owners[key].update((sa.curve.id, sb.curve.id))
-        incs, viols = _classify_pair(sa, sb, events, overlaps, scale, mode)
-        violations.extend(viols)
+            seen = first_pair.setdefault(key, ids)
+            if seen is not ids:
+                shared.setdefault(key, set(seen)).update(ids)
+        incs = _classify_pair(sa, sb, events, overlaps, scale, mode, fracs,
+                              violations)
         if incs:
-            pairs[(sa.curve.id, sb.curve.id)] = tuple(incs)
+            pairs[ids] = tuple(incs)
         if m is not None and len(incs) > m:
             violations.append(Violation(
-                "intersection_budget",
-                (sa.curve.id, sb.curve.id), incs[0].point,
+                "intersection_budget", ids, incs[0].point,
                 f"{len(incs)} contacts exceed budget {m}"))
 
     triples = sorted((unlift(key, scale), tuple(sorted(owners)))
-                     for key, owners in point_owners.items() if len(owners) >= 3)
+                     for key, owners in shared.items() if len(owners) >= 3)
     for point, owners in triples:
         violations.append(Violation(
             "triple_point", owners, point,

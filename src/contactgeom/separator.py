@@ -266,9 +266,10 @@ def _articulation_points(nbrs: Sequence[Sequence[int]]) -> List[int]:
     return [v for v in range(nv) if splits[v] > 0]
 
 
-def _fundamental_cycles(nbrs, comp, parent, depth) -> List[set]:
-    """Vertex sets of the fundamental cycles of one component's BFS tree,
-    by smaller then larger endpoint of the closing edge, at most _CYCLE_CAP."""
+def _fundamental_cycles(nbrs, comp, parent, depth) -> List[Tuple[int, set]]:
+    """(shallowest vertex, vertex set) of the fundamental cycles of one
+    component's BFS tree, by smaller then larger endpoint of the closing
+    edge, at most _CYCLE_CAP."""
     cycles = []
     for u in sorted(comp):
         for v in nbrs[u]:
@@ -285,7 +286,7 @@ def _fundamental_cycles(nbrs, comp, parent, depth) -> List[set]:
                 a, b = parent[a], parent[b]
                 cyc.add(a)
                 cyc.add(b)
-            cycles.append(cyc)
+            cycles.append((a, cyc))
             if len(cycles) >= _CYCLE_CAP:
                 return cycles
     return cycles
@@ -298,10 +299,11 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
     Candidates come from BFS levels and fundamental cycles of a BFS tree of
     each component, articulation points, and a greedy fallback; the smallest
     candidate that passes the exact balance test wins (ties by balance, then
-    lexicographically). A candidate's walk stops at its first heavy
-    component, and the greedy peel, tried last, stops once it is longer
-    than the best candidate. The search runs on g's positions and scaled
-    integer weights.
+    lexicographically). A BFS level or cycle that leaves a heavy part of
+    its component joined to the root is dropped unwalked, any other
+    candidate's walk stops at its first heavy component, and the greedy
+    peel, tried last, stops once it is longer than the best candidate. The
+    search runs on g's positions and scaled integer weights.
     """
     if not g.planar:
         raise PreconditionError("separator needs a planar graph")
@@ -314,6 +316,7 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
 
     comps, parent = _components(nbrs)
     depth = [0] * nv
+    below = list(w)          # the weight of each vertex's BFS subtree
     candidates: List = [()]
     for comp in comps:
         levels = [[comp[0]]]
@@ -322,8 +325,19 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
             if depth[u] == len(levels):
                 levels.append([])
             levels[-1].append(u)
-        candidates += levels
-        candidates += _fundamental_cycles(nbrs, comp, parent, depth)
+        for u in reversed(comp[1:]):
+            below[parent[u]] += below[u]
+        # Removing a level or a cycle leaves every vertex outside the BFS
+        # subtree of its shallowest vertex joined to the root, so a
+        # candidate whose outside is heavy fails unwalked.
+        outside = 0
+        for level in levels:
+            if 3 * outside <= bound:
+                candidates.append(level)
+            outside += sum(w[v] for v in level)
+        candidates += [cyc for top, cyc in
+                       _fundamental_cycles(nbrs, comp, parent, depth)
+                       if 3 * (below[comp[0]] - below[top]) <= bound]
         candidates.append(comp)
     candidates += [(v,) for v in _articulation_points(nbrs)[:_CUT_CAP]]
     best = None

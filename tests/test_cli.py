@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through cli.main."""
 
 import builtins
+import hashlib
 import io
 import json
 import os
@@ -238,6 +239,30 @@ def test_verify_prop9_charges_a_collision(tmp_path, capsys):
     assert len(entry["alt_edges"]) == 6 and entry["hat_edges"] == []
     assert entry["real"] == 5 and entry["imaginary"] == 1
     assert len(entry["charges"]) == 6
+
+
+@pytest.mark.parametrize("second,m,digest", [
+    (("el2", 1), 40,
+     "0472289880c4bf2bfbbb199228469bf2e898c93a07b34ea93ef39bb9f612d60b"),
+    (("sh1e", 0), 1,
+     "070c920f2db1011fe3f08093397dd6deddd84796350f3ee3b2a2f60e287ef0bf"),
+])
+def test_verify_prop9_builds_one_face_search(tmp_path, monkeypatch, capsys,
+                                             second, m, digest):
+    # the preferred orientation (pickets around the combs) has a common
+    # face, so the other side's arrangement is never built; the report is
+    # byte for byte the one both orientations used to be searched for
+    token, level = second
+    fam = fence_family(instances.comb_subarc(102, 6, (token,) * 6, level), m)
+    path, report = tmp_path / "fence.family", tmp_path / "prop9.json"
+    write_family(path, fam)
+    built = []
+    build = cli.build_mixed_arrangement
+    monkeypatch.setattr(cli, "build_mixed_arrangement",
+                        lambda curves: built.append(curves) or build(curves))
+    assert main(["verify-prop9", str(path), "--report", str(report)]) == 0
+    assert [[c.id for c in curves] for curves in built] == [[1, 2, 3, 4, 5, 6]]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_verify_prop9_analyses_each_arc_pair_once(tmp_path, monkeypatch,

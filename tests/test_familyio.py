@@ -139,3 +139,31 @@ def test_zero_length_segment_spelled_two_ways_is_refused():
     closed = "family m=1\ncurve id=1 closed=1 nv=3\n1/2 0\n4 0\n2/4 0\n"
     with pytest.raises(ParseError, match="must not repeat its first vertex"):
         loads_family(closed)
+
+
+@pytest.mark.parametrize("text,message,line,offset", [
+    # a malformed vertex line inside a truncated last curve
+    ("family m=1\ncurve id=1 closed=0 nv=2\n0 0\n1 1\n"
+     "curve id=2 closed=0 nv=3\n5 5\n6 6 6\n",
+     "line 7: expected '<x> <y>' (byte offset 73)", 7, 73),
+    # the same curve truncated with well-formed lines: its header is blamed
+    ("family m=1\ncurve id=1 closed=0 nv=2\n0 0\n1 1\n"
+     "curve id=2 closed=0 nv=3\n5 5\n6 6\n",
+     "line 5: curve id=2: expected 3 vertices (byte offset 44)", 5, 44),
+    # multi-byte comments before a bad token count in bytes, not characters
+    ("# café – ünïcödé\nfamily m=1\ncurve id=1 closed=0 nv=2\n"
+     "0 0 # ½ ✓\n1 1/0\n",
+     "line 5: bad rational '1/0' (byte offset 73)", 5, 73),
+    # a family-level error is reported at the header line
+    ("# é\n\nfamily m=1\ncurve id=1 closed=0 nv=2\n0 0\n1 1\n"
+     "curve id=1 closed=0 nv=2\n# ü\n3 3\n4 4\n",
+     "line 3: duplicate curve ids (byte offset 6)", 3, 6),
+])
+def test_parse_errors_keep_message_line_and_byte_offset(text, message, line,
+                                                       offset):
+    with pytest.raises(ParseError) as info:
+        loads_family(text)
+    assert (str(info.value), info.value.line, info.value.offset) == (
+        message, line, offset)
+    before = "\n".join(text.split("\n")[:line - 1])
+    assert offset == len(before.encode("utf8")) + (line > 1)

@@ -451,6 +451,27 @@ def test_planar_separator_matches_reference(g):
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
 
+def test_separator_drops_levels_whose_root_side_is_heavy(monkeypatch):
+    # on a path searched from vertex 0, removing level k leaves the k
+    # vertices above it joined to the root, so the levels with 3k > 2n
+    # cannot balance and are never walked; their vertices are still walked
+    # once, as articulation points
+    n = 30
+    g = weighted_graph(range(n), [(i, i + 1) for i in range(n - 1)])
+    walks = []
+    components = separator._components
+
+    def recording(nbrs, removed=(), w=(), bound=None):
+        if bound is not None:
+            walks.append(tuple(removed))
+        return components(nbrs, removed, w, bound)
+
+    monkeypatch.setattr(separator, "_components", recording)
+    assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
+    assert [walks.count((k,)) for k in range(n)] == (
+        [1] + [2] * 20 + [1] * 8 + [0])
+
+
 @pytest.mark.parametrize("kind,n,seed", ARRANGEMENT_FAMILIES)
 def test_planar_separator_matches_reference_on_arrangements(kind, n, seed):
     fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
