@@ -79,7 +79,7 @@ class ArrVertex:
     out: Tuple[int, ...]  # outgoing half-edge ids, CCW by exact angle (angle_cmp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HalfEdge:
     id: int
     origin: int
@@ -87,7 +87,6 @@ class HalfEdge:
     twin: int
     curve: int
     geometry: Tuple[Point, ...]  # oriented origin -> target
-    next: int = -1
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,39 @@ class Arrangement:
     @property
     def F(self) -> int:
         return len(self.faces)
+
+
+def face_walk(origins: Sequence[int], dirs: Sequence[Tuple[int, int]],
+              nv: int):
+    """(out, cycles) of a graph drawn on vertices 0..nv-1, its half-edges
+    in twin pairs 2i, 2i + 1, h leaving origins[h] in integer direction
+    dirs[h]: out[v] is v's half-edges counterclockwise from +x (angle_key),
+    cycles the orbits, by first half-edge, of the walk with its face on
+    the left. DegeneracyError when two leave a vertex in one direction."""
+    out: List[List[int]] = [[] for _ in range(nv)]
+    for h, v in enumerate(origins):
+        out[v].append(h)
+    nxt = [0] * len(origins)
+    for v, hs in enumerate(out):
+        hs.sort(key=lambda h: angle_key(dirs[h]))
+        for k, h in enumerate(hs):
+            if k and angle_cmp(dirs[hs[k - 1]], dirs[h]) == 0:
+                raise DegeneracyError(
+                    f"coincident edge directions at vertex {v}")
+            nxt[h ^ 1] = hs[k - 1]   # in along h's twin, out clockwise of h
+    cycles: List[Tuple[int, ...]] = []
+    seen = [False] * len(origins)
+    for h in range(len(origins)):
+        if seen[h]:
+            continue
+        cyc = []
+        cur = h
+        while not seen[cur]:
+            seen[cur] = True
+            cyc.append(cur)
+            cur = nxt[cur]
+        cycles.append(tuple(cyc))
+    return out, cycles
 
 
 def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangement:
@@ -184,43 +216,11 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
             ig = [ka, *(ipts[k] for k in inner), kb]
             igeo.extend([ig, ig[::-1]])
 
-    # rotation order at each vertex
-    out_at: Dict[int, List[int]] = {i: [] for i in range(len(grid))}
-    for h in half_edges:
-        out_at[h.origin].append(h.id)
-    vertices: List[ArrVertex] = []
-    for vid, key in enumerate(grid):
-        p = at[key]
-        x, y = key
-        dirs = sorted((((igeo[hid][1][0] - x, igeo[hid][1][1] - y), hid)
-                       for hid in out_at[vid]),
-                      key=lambda item: angle_key(item[0]))
-        for k in range(1, len(dirs)):
-            if angle_cmp(dirs[k - 1][0], dirs[k][0]) == 0:
-                raise DegeneracyError(
-                    f"coincident edge directions at vertex {p}")
-        vertices.append(ArrVertex(id=vid, point=p,
-                                  out=tuple(hid for _, hid in dirs)))
-
-    # next pointers: continue the face-on-left walk
-    for h in half_edges:
-        v = vertices[h.target]
-        idx = v.out.index(h.twin)
-        h.next = v.out[idx - 1]
-
-    # face cycles
-    cycles: List[Tuple[int, ...]] = []
-    seen = [False] * len(half_edges)
-    for h in half_edges:
-        if seen[h.id]:
-            continue
-        cyc = []
-        cur = h.id
-        while not seen[cur]:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = half_edges[cur].next
-        cycles.append(tuple(cyc))
+    out, cycles = face_walk([h.origin for h in half_edges],
+                            [(g[1][0] - g[0][0], g[1][1] - g[0][1])
+                             for g in igeo], len(grid))
+    vertices = [ArrVertex(id=vid, point=at[key], out=tuple(out[vid]))
+                for vid, key in enumerate(grid)]
 
     polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
     areas: Dict[Tuple[int, ...], int] = {}
@@ -263,13 +263,14 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
         for k in range(1, 257):
             q = (((ax + bx) << (k - 1)) + ay - by, ((ay + by) << (k - 1)) + bx - ax,
                  1 << k)
-            if (not any(on_polyline(q, pts, c.closed)
-                        for c, pts in zip(curves, curve_pts))
-                    and winding_parity(q, polygons[o])
-                    and not any(winding_parity(q, polygons[h]) for h in holes)):
+            inside = (not any(on_polyline(q, pts, c.closed)
+                              for c, pts in zip(curves, curve_pts))
+                      and winding_parity(q, polygons[o])
+                      and not any(winding_parity(q, polygons[h])
+                                  for h in holes))
+            if inside:
                 break
-        else:
-            raise AssertionError("interior probe did not converge")
+        check(inside, "interior probe did not converge")
         d = q[2] * scale
         faces.append(Face(id=len(faces), cycles=(o,) + tuple(holes),
                           interior=Point(Fraction(q[0], d), Fraction(q[1], d))))

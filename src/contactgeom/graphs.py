@@ -8,7 +8,7 @@ from math import comb
 from typing import (Collection, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
-from .errors import ResourceError, check
+from .errors import ResourceError
 from .incidence import FamilyIncidences
 
 
@@ -96,51 +96,19 @@ def max_common_neighborhood(g: SimpleGraph, s: int,
     return best[0], best[1]
 
 
-def _reduced(vertices: Sequence[int],
-             edges: Collection[Tuple[int, int]]) -> Dict[int, set]:
-    """Adjacency of the graph with every vertex of degree 0 or 1 deleted
-    and every vertex of degree 2 suppressed (its two edges joined into
-    one, a parallel edge dropped), repeated until every vertex left has
-    degree 3 or more. Neither step changes planarity."""
-    adj: Dict[int, set] = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    low = [v for v, ns in adj.items() if len(ns) <= 2]
-    while low:
-        v = low.pop()
-        ns = adj.get(v)
-        if ns is None or len(ns) > 2:
-            continue
-        del adj[v]
-        for u in ns:
-            adj[u].discard(v)
-        if len(ns) == 2:
-            u, x = ns
-            adj[u].add(x)
-            adj[x].add(u)
-        low += [u for u in ns if len(adj[u]) <= 2]
-    return adj
-
-
 def is_planar(vertices: Sequence[int],
               edges: Collection[Tuple[int, int]]) -> bool:
     """True iff the graph on integer `vertices` with these distinct,
-    loop-free `edges` is planar. The graph is reduced first (see _reduced);
-    an Euler count rejects E > 3V - 6, then networkx certifies the rest;
-    the two must agree on the rejection side."""
-    adj = _reduced(vertices, edges)
-    nv = len(adj)
-    ne = sum(map(len, adj.values())) // 2
-    if nv >= 3 and ne > 3 * nv - 6:
+    loop-free `edges` is planar. An Euler count rejects E > 3V - 6 first,
+    then networkx certifies the rest."""
+    nv = len(vertices)
+    if nv >= 3 and len(edges) > 3 * nv - 6:
         return False
     import networkx  # loaded at the first certificate, not at start-up
     g = networkx.Graph()
-    g.add_nodes_from(adj)
-    g.add_edges_from((u, v) for u, ns in adj.items() for v in ns if u < v)
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
     ok, _ = networkx.check_planarity(g)
-    check(not ok or nv < 3 or ne <= 3 * nv - 6,
-          "planar graph exceeds 3n - 6 edges")
     return bool(ok)
 
 

@@ -243,12 +243,9 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
         kind = pattern = None
 
         if not a_vertex and not b_vertex:
-            if proper:
-                kind = "crossing"
-            else:
-                violations.append(Violation(
-                    "degenerate_contact", (ida, idb), point,
-                    "interior contact without a proper crossing"))
+            # seg_events puts every touch on a segment end, that is a vertex
+            check(proper, "interior contact without a proper crossing")
+            kind = "crossing"
         elif a_vertex != b_vertex:
             if s_a in sa.ends if a_vertex else s_b in sb.ends:
                 if mode == "arrangement":

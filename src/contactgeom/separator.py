@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arrangement import curve_portion
+from .arrangement import curve_portion, face_walk
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, lift
 from .graphs import is_planar
@@ -122,6 +122,15 @@ class WeightedPlanarGraph:
                 for v, x in zip(self.vertices, self.scaled)}
 
 
+def _dense(vertices, nbrs, ws, planar: bool) -> WeightedPlanarGraph:
+    """The graph of sorted labels, positions' neighbours and weights."""
+    scale = math.lcm(*(x.denominator for x in ws))
+    return WeightedPlanarGraph(tuple(vertices),
+                               tuple(tuple(sorted(nb)) for nb in nbrs),
+                               tuple(int(x * scale) for x in ws), scale,
+                               planar)
+
+
 def weighted_graph(vertices: Sequence[VertexId],
                    edges: Sequence[Tuple[VertexId, VertexId]],
                    weights: Optional[Mapping[VertexId, Fraction]] = None,
@@ -141,11 +150,8 @@ def weighted_graph(vertices: Sequence[VertexId],
           for v in vs]
     if any(x < 0 for x in ws):
         raise PreconditionError("vertex weights must be nonnegative")
-    scale = math.lcm(*(x.denominator for x in ws))
     es = [(u, v) for u, nb in enumerate(nbrs) for v in nb if u < v]
-    return WeightedPlanarGraph(vs, tuple(tuple(sorted(nb)) for nb in nbrs),
-                               tuple(int(x * scale) for x in ws), scale,
-                               is_planar(range(len(vs)), es))
+    return _dense(vs, nbrs, ws, is_planar(range(len(vs)), es))
 
 
 def _vertex_chains(family: CurveFamily):
@@ -165,26 +171,53 @@ def _vertex_chains(family: CurveFamily):
     return chains, family.n + len(points)
 
 
+def _germs(c: Curve, s: Fraction):
+    """The integer directions, on c's grid, in which c leaves the point at
+    chain parameter s, forward and backward: inside a segment, plus and
+    minus its direction; at a vertex, toward the next and previous one."""
+    g = c.grid
+    k, r = divmod(s.numerator, s.denominator)
+    (x, y), (fx, fy) = g[k], g[(k + 1) % len(g)]
+    if r:
+        return (fx - x, fy - y), (x - fx, y - fy)
+    bx, by = g[k - 1]
+    return (fx - x, fy - y), (bx - x, by - y)
+
+
 def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
     Vertices 0..V-1 are one anchor per curve, then the contact points (see
     _vertex_chains); edges join vertices consecutive along a curve. Each
-    curve's weight is spread evenly over the vertices lying on it. Planarity
-    is certified, not assumed (see weighted_graph).
-    """
+    curve's weight is spread evenly over the vertices lying on it.
+    Planarity is certified by the drawing: the curves' germs at a vertex,
+    in angular order, are its rotation (face_walk), and V - E + F = 2 on
+    each component with an edge, parallel edges counted, else
+    InvariantError."""
+    fi = catalogue(family)
     chains, nv = _vertex_chains(family)
     vw = [Fraction(0)] * nv
-    edges: List[Tuple[int, int]] = []
+    origins: List[int] = []
+    dirs: List[Tuple[int, int]] = []
     for c, chain in zip(family.curves, chains):
         share = Fraction(1, family.n * len(chain))
         for v in chain:
             vw[v] += share
-        edges += zip(chain, chain[1:])
-        if c.closed and len(chain) > 1:
-            edges.append((chain[-1], chain[0]))
-    g = weighted_graph(range(nv), edges, dict(enumerate(vw)))
-    check(g.planar, "arrangement graph failed the planarity check")
+        germs = [_germs(c, inc.s_on(c.id)) for inc in fi.on_curve(c.id)]
+        if not germs:
+            continue
+        # an anchor has degree at most 2: any two germs give its rotation
+        germs.insert(0, ((1, 0), (-1, 0)))
+        for k in range(len(chain) if c.closed else len(chain) - 1):
+            k1 = (k + 1) % len(chain)
+            origins += (chain[k], chain[k1])
+            dirs += (germs[k][0], germs[k1][1])
+    out, faces = face_walk(origins, dirs, nv)
+    g = _dense(range(nv), [{origins[h ^ 1] for h in hs} for hs in out], vw,
+               True)
+    components = sum(len(comp) > 1 for comp in _components(g.nbrs)[0])
+    check(sum(map(bool, out)) - len(origins) // 2 + len(faces)
+          == 2 * components, "arrangement graph's drawing is not plane")
     return g
 
 

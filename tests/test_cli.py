@@ -381,11 +381,11 @@ def test_bad_sweep_list_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_only_the_planarity_certificate_loads_networkx(chain_file,
-                                                       tmp_path):
-    # networkx only certifies planarity, so importing the package and the
-    # commands without a certificate leave it unloaded; decompose loads it
-    # once its recursion reaches a separator (at --cconst 1/10 here)
+def test_every_command_runs_without_networkx(chain_file, tmp_path):
+    # the arrangement graph is certified by its drawing, so no command
+    # needs networkx: all seven run where importing it fails, decompose
+    # through its separator (at --cconst 1/10 here) and experiment through
+    # each sweep row's string separator
     fence, zigzag = tmp_path / "fence.family", tmp_path / "zigzag.family"
     write_family(fence, fence_family(
         instances.comb_subarc(102, 6, ("el2",) * 6, 1), m=40))
@@ -395,20 +395,27 @@ def test_only_the_planarity_certificate_loads_networkx(chain_file,
              "-o", "gen.family"],
             ["sample-lemma", chain_file, "--trials", "3",
              "--report", "sample.json"],
-            ["verify-prop9", str(fence), "--report", "prop9.json"]]
+            ["verify-prop9", str(fence), "--report", "prop9.json"],
+            ["decompose", str(zigzag), "--cconst", "1/10",
+             "--report", "dec.json"],
+            ["experiment", "--kind", "UnitCirclesGrid", "--sweep", "9,16",
+             "--m", "2", "--out", "sweep.csv"]]
     code = ("import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "try:\n"
+            "    import networkx\n"
+            "    sys.exit('networkx imported')\n"
+            "except ImportError:\n"
+            "    pass\n"
             "from contactgeom.cli import main\n"
             f"for argv in {runs!r}:\n"
-            "    assert main(argv) == 0, argv\n"
-            "    assert 'networkx' not in sys.modules, argv\n"
-            f"assert main(['decompose', {str(zigzag)!r}, '--cconst', '1/10',"
-            " '--report', 'dec.json']) == 0\n"
-            "assert 'networkx' in sys.modules\n")
+            "    assert main(argv) == 0, argv\n")
     src = Path(contactgeom.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "dec.json").read_text())["per_level"]
 
 
 # -------------------------------------------------------- console script

@@ -4,10 +4,11 @@ each incidence's kind, point, chain parameters and pattern, and every
 violation in order. The expected values were recorded from the engine
 before its per-contact steps were rewritten and must not change.
 
-The third degenerate-contact detail, "interior contact without a proper
-crossing", has no fixture: every touch seg_events reports lies on a
+There is no third degenerate-contact detail for an interior contact
+without a proper crossing: every touch seg_events reports lies on a
 segment end, that is on a vertex of one of the two curves, so an event
-with no proper crossing always has a vertex side.
+with no proper crossing always has a vertex side, and the engine checks
+this as an invariant instead of reporting it as a violation.
 """
 
 from fractions import Fraction as F

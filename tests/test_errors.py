@@ -10,15 +10,21 @@ import contactgeom
 
 
 def test_no_module_has_assert():
-    # advertised invariants must survive python -O as InvariantError
+    # advertised invariants must survive python -O as InvariantError, and
+    # raise it: no module asserts or raises AssertionError itself
     names = [m.name for m in pkgutil.iter_modules(contactgeom.__path__)]
     assert "separator" in names and "verifier" in names
     found = []
     for name in names:
         tree = ast.parse(inspect.getsource(
             importlib.import_module(f"contactgeom.{name}")))
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            raises = isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            if isinstance(node, ast.Assert) or raises:
+                found.append(f"{name}:{node.lineno}")
     assert not found
 
 

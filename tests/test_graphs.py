@@ -106,23 +106,17 @@ def test_reduced_planarity_matches_networkx_on_the_whole_graph(graph):
     g.add_edges_from(edges)
     want, _ = networkx.check_planarity(g)
     assert graphs.is_planar(range(n), edges) == want
-    # what networkx is shown has no vertex of degree 2 or less
-    reduced = graphs._reduced(range(n), edges)
-    assert all(len(ns) >= 3 for ns in reduced.values())
 
 
 def test_subdivided_kuratowski_graphs_stay_nonplanar():
     # K5 and K3,3 with every edge subdivided twice, plus a tail and a
-    # path parallel to the branch vertices 0 and 1: the tail goes and every
-    # subdivision vertex is suppressed, leaving only the branch vertices
+    # path parallel to the branch vertices 0 and 1: still not planar
     for n, edges in ((5, _K5), (6, _K33)):
         out, m = [], n
         for u, v in edges:
             out += [(u, m), (m, m + 1), (m + 1, v)]
             m += 2
         out += [(0, m), (m, m + 1), (0, m + 2), (m + 2, 1)]
-        reduced = graphs._reduced(range(m + 3), out)
-        assert sorted(reduced) == list(range(n))
         assert not graphs.is_planar(range(m + 3), out)
 
 

@@ -182,6 +182,62 @@ def test_integer_graph_is_the_tuple_graph_relabelled(kind, n, seed):
         *oracles.tuple_string_separator(fam, fi))
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
+@pytest.mark.parametrize("kind,n,seed", ARRANGEMENT_FAMILIES)
+def test_face_walk_certificate_agrees_with_networkx(monkeypatch, kind, n,
+                                                    seed, reduced):
+    # the arrangement graph is certified by its drawing alone: neither
+    # is_planar nor networkx is asked, and networkx, the oracle, agrees
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
+    if reduced:
+        fam = reduce_degree(fam)
+    _, edges, _ = oracles.tuple_arrangement_graph(fam, compute_incidences(fam))
+    want, _ = networkx.check_planarity(networkx.Graph(edges))
+
+    def asked(*args):
+        raise AssertionError("the arrangement graph asked a general test")
+    monkeypatch.setattr(separator, "is_planar", asked)
+    monkeypatch.setattr(networkx, "check_planarity", asked)
+    try:
+        got = arrangement_to_planar_graph(fam).planar
+    except InvariantError:
+        got = False
+    assert got == want
+
+
+def test_face_walk_certificate_counts_parallel_edges(monkeypatch):
+    # two squares touching at a corner each join their anchor to the
+    # contact by two parallel edges; a free square and a free arc add an
+    # anchor each and no edge
+    sq = lambda cid, x, y: Curve(cid, (pt(x, y), pt(x + 2, y),
+                                       pt(x + 2, y + 2), pt(x, y + 2)), True)
+    fam = CurveFamily((sq(1, 0, 0), sq(2, 2, 2), sq(3, 10, 0),
+                       Curve(4, (pt(20, 0), pt(21, 1), pt(22, 0)), False)), 1)
+    walked = []
+    real = separator.face_walk
+    monkeypatch.setattr(separator, "face_walk", lambda origins, dirs, nv:
+                        walked.append(len(origins)) or real(origins, dirs, nv))
+    g = arrangement_to_planar_graph(fam)
+    assert g.planar and g.edges == {(0, 4), (1, 4)}
+    assert walked == [8]
+
+
+def test_reversed_rotation_at_a_contact_fails_the_certificate(monkeypatch):
+    # mirroring the germs at one contact vertex reverses its rotation; on a
+    # grid of touching circles no contact is a cut vertex, so every such
+    # drawing has the wrong Euler count
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=16, m=2, seed=1))
+    nv = len(arrangement_to_planar_graph(fam).vertices)
+    real = separator.face_walk
+    for v in range(fam.n, nv):      # the contact vertices follow the anchors
+        monkeypatch.setattr(separator, "face_walk", lambda origins, dirs, k:
+                            real(origins, [(x, -y) if o == v else (x, y)
+                                           for o, (x, y) in zip(origins, dirs)],
+                                 k))
+        with pytest.raises(InvariantError, match="not plane"):
+            arrangement_to_planar_graph(fam)
+
+
 # -------------------------------------------------------- planar separator
 
 def test_path_graph_splits_at_the_middle():
