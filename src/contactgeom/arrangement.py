@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
-                       coordinate_scale, grid_point, lift, lift_point,
-                       on_polyline, signed_area2, unlift, winding_parity)
+                       coordinate_scale, lift, lift_point, on_polyline,
+                       signed_area2, winding_parity)
 from .incidence import FamilyIncidences, catalogue, mixed_contacts
 
 # the unbounded face's id in every Arrangement
@@ -26,30 +26,31 @@ UNBOUNDED_FACE = 0
 
 
 def chain_point(c: Curve, s: Fraction) -> Point:
-    """Point at chain parameter s (segment index + in-segment fraction)."""
-    k, p = divmod(s.numerator, s.denominator)
+    """Point at chain parameter s (segment index + in-segment fraction),
+    read on c's own grid g: k + p/q lies at (g[k] q + p (g[k+1] - g[k]))
+    / (q grid_scale)."""
+    q = s.denominator
+    k, p = divmod(s.numerator, q)
     if c.closed:
         k %= c.n_segments
     elif k == c.n_segments:
         return c.points[-1]
-    g = c.grid
-    return unlift(grid_point((g[k], g[(k + 1) % len(g)]),
-                             Fraction(p, s.denominator)), c.grid_scale)
+    g, d = c.grid, q * c.grid_scale
+    (x0, y0), (x1, y1) = g[k], g[(k + 1) % len(g)]
+    return Point(Fraction(x0 * q + p * (x1 - x0), d),
+                 Fraction(y0 * q + p * (y1 - y0), d))
 
 
 def curve_portion(c: Curve, s0: Fraction, s1: Fraction) -> Tuple[Point, ...]:
-    """Polyline of c from parameter s0 to s1 (s0 < s1; for closed curves s1
-    may wrap past the segment count by at most one full turn)."""
-    if not s0 < s1:
+    """Polyline of c from parameter s0 to s1 (s0 < s1; a closed curve reads
+    both modulo its segment count, and s1 - s0 is at most one full turn)."""
+    hn, hd = s1.numerator, s1.denominator
+    if not s0.numerator * hd < hn * s0.denominator:
         raise ValueError("need s0 < s1")
-    pts = [chain_point(c, s0)]
-    nv = len(c.points)
-    k = int(s0) + 1
-    while k < s1:
-        pts.append(c.points[k % nv] if c.closed else c.points[k])
-        k += 1
-    pts.append(chain_point(c, s1))
-    return tuple(pts)
+    pts = c.points
+    inner = range(s0.numerator // s0.denominator + 1, -(-hn // hd))
+    return (chain_point(c, s0), *(pts[k % len(pts)] for k in inner),
+            chain_point(c, s1))
 
 
 def split_curve_at(c: Curve, params: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
@@ -60,16 +61,10 @@ def split_curve_at(c: Curve, params: Sequence[Fraction]) -> List[Tuple[Fraction,
     """
     ps = sorted(set(params))
     n = Fraction(c.n_segments)
-    if c.closed:
-        if not ps:
-            return [(Fraction(0), n)]
-        out = []
-        for i, lo in enumerate(ps):
-            hi = ps[i + 1] if i + 1 < len(ps) else ps[0] + n
-            out.append((lo, hi))
-        return out
-    bounds = [Fraction(0)] + [p for p in ps if 0 < p < n] + [n]
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    if not c.closed:
+        ps = [Fraction(0)] + [p for p in ps if 0 < p < n] + [n]
+        return list(zip(ps, ps[1:]))
+    return list(zip(ps, ps[1:] + [ps[0] + n])) if ps else [(Fraction(0), n)]
 
 
 @dataclass(frozen=True)

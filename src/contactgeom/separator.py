@@ -37,24 +37,20 @@ class ReducedFamily(CurveFamily):
 
 def _piece_intervals(c: Curve, params: Sequence[Fraction], d: int):
     """Chain-parameter intervals holding d contact params each (last may hold
-    fewer), separated by open slivers cut out of the contact-free gaps."""
-    q = -(-len(params) // d)
-    gaps = [(params[k * d - 1], params[k * d]) for k in range(1, q)]
-    n = Fraction(c.n_segments)
+    fewer), separated by open slivers cut out of the contact-free gaps: a
+    gap (a/b, e/f) is cut at (2af + eb) / 3bf and (af + 2eb) / 3bf."""
+    n = c.n_segments
+    ps = [(s.numerator, s.denominator) for s in params]
+    gaps = [(ps[k - 1], ps[k]) for k in range(d, len(ps), d)]
     if c.closed:
-        gaps.append((params[-1], params[0] + n))
-    cuts = [(u + (v - u) / 3, u + 2 * (v - u) / 3) for u, v in gaps]
-    if not c.closed:
-        return list(zip([Fraction(0)] + [c2 for _, c2 in cuts],
-                        [c1 for c1, _ in cuts] + [n]))
-    out = []
-    for k in range(len(cuts)):
-        lo = cuts[k][1] % n
-        hi = cuts[(k + 1) % len(cuts)][0]
-        if hi <= lo:
-            hi += n
-        out.append((lo, hi))
-    return out
+        e, f = ps[0]
+        gaps.append((ps[-1], (e + n * f, f)))
+    cuts = [Fraction(x, 3 * b * f) for (a, b), (e, f) in gaps
+            for x in (2 * a * f + e * b, a * f + 2 * e * b)]
+    # a closed curve's piece across the seam comes last, read modulo n
+    ends = (cuts[1:] + [cuts[0] + n] if c.closed
+            else [Fraction(0), *cuts, Fraction(n)])
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def reduce_degree(family: CurveFamily) -> CurveFamily:
@@ -64,9 +60,11 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
     The cuts land strictly inside contact-free parameter gaps, two per gap at
     the one-third and two-thirds positions, so the pieces of one curve are
     pairwise disjoint and every contact point survives on exactly one piece.
-    Returns the input unchanged when d would be 0. The pieces' catalogue is
-    computed afresh, as a check that every contact survived, and kept on
-    the result.
+    Cut parameters are formed in integers from the contacts' chain
+    parameters, and cut points are read on each curve's own grid
+    (arrangement.curve_portion). Returns the input unchanged when d would
+    be 0. The pieces' catalogue is computed afresh, as a check that every
+    contact survived, and kept on the result.
     """
     if family.n == 0:
         raise PreconditionError("reduce_degree needs at least one curve")
@@ -122,13 +120,12 @@ class WeightedPlanarGraph:
                 for v, x in zip(self.vertices, self.scaled)}
 
 
-def _dense(vertices, nbrs, ws, planar: bool) -> WeightedPlanarGraph:
-    """The graph of sorted labels, positions' neighbours and weights."""
-    scale = math.lcm(*(x.denominator for x in ws))
+def _dense(vertices, nbrs, scaled, scale, planar: bool) -> WeightedPlanarGraph:
+    """The graph of sorted labels, positions' neighbours, and integer
+    weights over one scale."""
     return WeightedPlanarGraph(tuple(vertices),
                                tuple(tuple(sorted(nb)) for nb in nbrs),
-                               tuple(int(x * scale) for x in ws), scale,
-                               planar)
+                               tuple(scaled), scale, planar)
 
 
 def weighted_graph(vertices: Sequence[VertexId],
@@ -151,7 +148,9 @@ def weighted_graph(vertices: Sequence[VertexId],
     if any(x < 0 for x in ws):
         raise PreconditionError("vertex weights must be nonnegative")
     es = [(u, v) for u, nb in enumerate(nbrs) for v in nb if u < v]
-    return _dense(vs, nbrs, ws, is_planar(range(len(vs)), es))
+    scale = math.lcm(*(x.denominator for x in ws))
+    return _dense(vs, nbrs, [int(x * scale) for x in ws], scale,
+                  is_planar(range(len(vs)), es))
 
 
 def _vertex_chains(family: CurveFamily):
@@ -196,11 +195,13 @@ def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
     InvariantError."""
     fi = catalogue(family)
     chains, nv = _vertex_chains(family)
-    vw = [Fraction(0)] * nv
+    # curve weight 1/n over a chain of length k is L // k over scale n L
+    L = math.lcm(*{len(chain) for chain in chains})
+    vw = [0] * nv
     origins: List[int] = []
     dirs: List[Tuple[int, int]] = []
     for c, chain in zip(family.curves, chains):
-        share = Fraction(1, family.n * len(chain))
+        share = L // len(chain)
         for v in chain:
             vw[v] += share
         germs = [_germs(c, inc.s_on(c.id)) for inc in fi.on_curve(c.id)]
@@ -214,7 +215,7 @@ def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
             dirs += (germs[k][0], germs[k1][1])
     out, faces = face_walk(origins, dirs, nv)
     g = _dense(range(nv), [{origins[h ^ 1] for h in hs} for hs in out], vw,
-               True)
+               family.n * L, True)
     components = sum(len(comp) > 1 for comp in _components(g.nbrs)[0])
     check(sum(map(bool, out)) - len(origins) // 2 + len(faces)
           == 2 * components, "arrangement graph's drawing is not plane")

@@ -528,6 +528,44 @@ def _portion(c, s0, s1):
     return tuple(pts)
 
 
+def reduced_pieces(family, fi):
+    """The pieces of degree reduction as (points, closed, parent id), in
+    order, from the catalogue's chain parameters alone. With d = X // n, a
+    curve with more than d contacts is cut at the thirds of the gap after
+    every d-th contact and, when closed, of the gap across its seam; each
+    piece runs from one gap's second cut to the next gap's first, read by
+    `_portion`. None when d is 0."""
+    along = {c.id: [] for c in family.curves}
+    for (a, b), incs in fi.pairs.items():
+        for inc in incs:
+            along[a].append(inc.s_a)
+            along[b].append(inc.s_b)
+    d = sum(map(len, fi.pairs.values())) // len(family.curves)
+    if d == 0:
+        return None
+    out = []
+    for c in family.curves:
+        ps, n = sorted(along[c.id]), c.n_segments
+        if len(ps) <= d:
+            out.append((c.points, c.closed, c.id))
+            continue
+        gaps = [(ps[k - 1], ps[k]) for k in range(d, len(ps), d)]
+        if c.closed:
+            gaps.append((ps[-1], ps[0] + n))
+        cuts = [(u + (v - u) / 3, u + 2 * (v - u) / 3) for u, v in gaps]
+        if c.closed:
+            # the last piece crosses the seam; it starts below n
+            spans = [(cuts[k][1], cuts[k + 1][0])
+                     for k in range(len(cuts) - 1)]
+            lo, hi = cuts[-1][1], cuts[0][0] + n
+            spans.append((lo - n, hi - n) if lo >= n else (lo, hi))
+        else:
+            spans = list(zip([F(0)] + [c2 for _, c2 in cuts],
+                             [c1 for c1, _ in cuts] + [F(n)]))
+        out += [(_portion(c, lo, hi), False, c.id) for lo, hi in spans]
+    return out
+
+
 def _on_curve(c, p):
     return any(on_segment(p, a, b) for _, a, b in c.segments())
 

@@ -161,6 +161,9 @@ def test_chain_point_and_portion():
     assert chain_point(c, F(3)) == pt(-2, 2)
     portion = curve_portion(c, F(1, 2), F(2))
     assert portion[0] == pt(0, -2) and portion[-1] == pt(2, 2)
+    for s0, s1 in ((F(2), F(2)), (F(5, 2), F(7, 3))):
+        with pytest.raises(ValueError, match="s0 < s1"):
+            curve_portion(c, s0, s1)
     assert split_curve_at(c, [F(1, 2), F(2)]) == [
         (F(1, 2), F(2)), (F(2), F(9, 2))]
 
@@ -225,6 +228,11 @@ def test_chain_point_matches_the_fraction_formula():
         assert got == _chain_point_by_fractions(c, s), (c, s)
         assert type(got.x) is F and type(got.y) is F
         seen.add((kind, closed))
+        # the portion ending at s starts at most one turn before it
+        lo = max(s - n, F(0))
+        s0 = lo + (s - lo) * F(rng.randint(0, 7), 8)
+        if s0 < s:
+            assert curve_portion(c, s0, s) == oracles._portion(c, s0, s)
     assert seen == {("vertex", False), ("vertex", True), ("inside", False),
                     ("inside", True), ("end", False), ("seam", True)}
 

@@ -1,6 +1,7 @@
 """Degree reduction, planar separators, and the recursive decomposition."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from contactgeom import graphs, incidence, separator
 from contactgeom.errors import (DegenerateError, InvariantError,
                                 PreconditionError)
-from contactgeom.generators import GeneratorSpec, generate
+from contactgeom.generators import KINDS, GeneratorSpec, generate
 from contactgeom.graphs import SimpleGraph, check_planarity
 from contactgeom.geometry import Curve, CurveFamily, pt
 from contactgeom.incidence import FamilyIncidences, compute_incidences
@@ -22,6 +23,7 @@ from contactgeom.separator import (ReducedFamily, SeparatorResult,
                                    reduce_degree, string_separator,
                                    weighted_graph)
 
+import instances
 import oracles
 
 F = Fraction
@@ -96,6 +98,73 @@ def test_reduce_degree_post_check_raises_invariant_error(monkeypatch):
     with pytest.raises(InvariantError, match="changed the stats"):
         reduce_degree(grid9())
     assert len(calls) == 1
+
+
+def test_reduce_degree_post_check_catches_a_moved_point(monkeypatch):
+    def moved(family):
+        # keep every count and kind, and shift one contact point
+        fi = compute_incidences(family)
+        pairs = dict(fi.pairs)
+        key = min(k for k, incs in pairs.items() if incs)
+        inc = pairs[key][0]
+        shifted = replace(inc, point=pt(inc.point.x + F(1, 7), inc.point.y))
+        pairs[key] = (shifted,) + pairs[key][1:]
+        return FamilyIncidences(fi.m, fi.curve_ids, pairs)
+
+    monkeypatch.setattr(separator, "compute_incidences", moved)
+    with pytest.raises(InvariantError, match="moved a contact point"):
+        reduce_degree(grid9())
+
+
+def fence_families():
+    """The fence families of the charging benchmark, m = 40: nested open
+    combs with 2, 3 and 4 pickets, the hat variant (spot order flipped on
+    picket 2) with 3, closed nested combs and distinct combs with 6."""
+    comb = instances.comb_subarc
+    out = []
+    for s, shape in ((2, "nested"), (3, "nested"), (4, "nested"), (3, "hat"),
+                     (6, "closed"), (6, "distinct")):
+        if shape == "distinct":
+            combs = (comb(101, s, ("elbow",) * s, 0),
+                     comb(102, s, ("sh1e",) * s, 0))
+        elif shape == "hat":
+            combs = (comb(101, s, ("elbow", "elbow", "el3"), 0),
+                     comb(102, s, ("el2", "el2", "elbow"), 1))
+        else:
+            closed = shape == "closed"
+            combs = (comb(101, s, ("elbow",) * s, 0, closed),
+                     comb(102, s, ("el2",) * s, 1, closed))
+        out.append(CurveFamily(
+            tuple(sa.geometry for sa in instances.fence_subarcs(s))
+            + tuple(c.geometry for c in combs), 40))
+    return out
+
+
+@pytest.mark.parametrize("families", [
+    lambda: [generate(GeneratorSpec(kind=kind, n=12, m=m, seed=m))
+             for kind in KINDS for m in (1, 2, 3)],
+    fence_families], ids=["generators", "fences"])
+def test_reduce_degree_matches_the_fraction_pieces(families):
+    # each set cuts open arcs, and closed curves whose piece across the
+    # seam holds the first vertex or starts past it
+    cut = set()
+    for fam in families():
+        fi = compute_incidences(fam)
+        want = oracles.reduced_pieces(fam, fi)
+        red = reduce_degree(fam)
+        if want is None:
+            assert red is fam
+            continue
+        assert [(c.id, c.points, c.closed) for c in red.curves] == [
+            (k, pts, closed) for k, (pts, closed, _) in enumerate(want)]
+        assert red.parent_pairs == tuple(
+            (k, parent) for k, (_, _, parent) in enumerate(want))
+        last = {parent: red.curves[k] for k, parent in red.parent_pairs}
+        for c in fam.curves:
+            if last[c.id].points != c.points:
+                cut.add("open" if not c.closed else "across"
+                        if c.points[0] in last[c.id].points[1:-1] else "past")
+    assert cut == {"open", "across", "past"}
 
 
 # ----------------------------------------------------------- planar graphs
