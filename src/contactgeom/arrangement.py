@@ -123,37 +123,41 @@ class Arrangement:
         return len(self.faces)
 
 
-def face_walk(origins: Sequence[int], dirs: Sequence[Tuple[int, int]],
-              nv: int):
-    """(out, cycles) of a graph drawn on vertices 0..nv-1, its half-edges
-    in twin pairs 2i, 2i + 1, h leaving origins[h] in integer direction
-    dirs[h]: out[v] is v's half-edges counterclockwise from +x (angle_key),
-    cycles the orbits, by first half-edge, of the walk with its face on
-    the left. DegeneracyError when two leave a vertex in one direction."""
+def rotation_order(origins: Sequence[int], dirs: Sequence[Tuple[int, int]],
+                   nv: int) -> List[List[int]]:
+    """The rotation system of a graph drawn on vertices 0..nv-1, half-edge
+    h leaving origins[h] in integer direction dirs[h]: each vertex's
+    half-edges counterclockwise from +x (angle_key). DegeneracyError when
+    two leave a vertex in one direction."""
     out: List[List[int]] = [[] for _ in range(nv)]
     for h, v in enumerate(origins):
         out[v].append(h)
-    nxt = [0] * len(origins)
     for v, hs in enumerate(out):
         hs.sort(key=lambda h: angle_key(dirs[h]))
+        if any(angle_cmp(dirs[a], dirs[b]) == 0 for a, b in zip(hs, hs[1:])):
+            raise DegeneracyError(f"coincident edge directions at vertex {v}")
+    return out
+
+
+def face_walk(out: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """The face cycles of a rotation system, its half-edges in twin pairs
+    2i, 2i + 1 and out[v] v's half-edges counterclockwise: the orbits, by
+    first half-edge, of the walk with its face on the left."""
+    nxt = [0] * sum(map(len, out))
+    for hs in out:
         for k, h in enumerate(hs):
-            if k and angle_cmp(dirs[hs[k - 1]], dirs[h]) == 0:
-                raise DegeneracyError(
-                    f"coincident edge directions at vertex {v}")
             nxt[h ^ 1] = hs[k - 1]   # in along h's twin, out clockwise of h
     cycles: List[Tuple[int, ...]] = []
-    seen = [False] * len(origins)
-    for h in range(len(origins)):
-        if seen[h]:
-            continue
+    seen = [False] * len(nxt)
+    for h in range(len(nxt)):
         cyc = []
-        cur = h
-        while not seen[cur]:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = nxt[cur]
-        cycles.append(tuple(cyc))
-    return out, cycles
+        while not seen[h]:
+            seen[h] = True
+            cyc.append(h)
+            h = nxt[h]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return cycles
 
 
 def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangement:
@@ -211,9 +215,10 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
             ig = [ka, *(ipts[k] for k in inner), kb]
             igeo.extend([ig, ig[::-1]])
 
-    out, cycles = face_walk([h.origin for h in half_edges],
-                            [(g[1][0] - g[0][0], g[1][1] - g[0][1])
-                             for g in igeo], len(grid))
+    out = rotation_order([h.origin for h in half_edges],
+                         [(g[1][0] - g[0][0], g[1][1] - g[0][1])
+                          for g in igeo], len(grid))
+    cycles = face_walk(out)
     vertices = [ArrVertex(id=vid, point=at[key], out=tuple(out[vid]))
                 for vid, key in enumerate(grid)]
 

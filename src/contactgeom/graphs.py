@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import (Collection, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import ResourceError
 from .incidence import FamilyIncidences
@@ -96,22 +95,10 @@ def max_common_neighborhood(g: SimpleGraph, s: int,
     return best[0], best[1]
 
 
-def is_planar(vertices: Sequence[int],
-              edges: Collection[Tuple[int, int]]) -> bool:
-    """True iff the graph on integer `vertices` with these distinct,
-    loop-free `edges` is planar. An Euler count rejects E > 3V - 6 first,
-    then networkx certifies the rest."""
-    nv = len(vertices)
-    if nv >= 3 and len(edges) > 3 * nv - 6:
-        return False
-    import networkx  # loaded at the first certificate, not at start-up
-    g = networkx.Graph()
-    g.add_nodes_from(vertices)
-    g.add_edges_from(edges)
-    ok, _ = networkx.check_planarity(g)
-    return bool(ok)
-
-
 def check_planarity(g: SimpleGraph) -> bool:
-    """True iff g is planar, by the certificate `is_planar`."""
-    return is_planar(g.vertices, g.edges)
+    """True iff g is planar, by networkx (in the `test` extra)."""
+    import networkx
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    return bool(networkx.check_planarity(nxg)[0])

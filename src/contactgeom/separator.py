@@ -8,14 +8,14 @@ every remaining piece is smaller than the threshold M = C n^2 d^3 / T^2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arrangement import curve_portion, face_walk
+from .arrangement import curve_portion, face_walk, rotation_order
 from .errors import DegenerateError, PreconditionError, check
-from .geometry import Curve, CurveFamily, lift
-from .graphs import is_planar
+from .geometry import Curve, CurveFamily, frac, lift
 from .incidence import catalogue, compute_incidences, keep_catalogue
 
 VertexId = Tuple
@@ -74,19 +74,14 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
         return family
     pieces: List[Curve] = []
     parent: List[Tuple[int, int]] = []
-    next_id = 0
     for c in family.curves:
         incs = fi.on_curve(c.id)
-        if len(incs) <= d:
-            pieces.append(Curve(next_id, c.points, closed=c.closed))
-            parent.append((next_id, c.id))
-            next_id += 1
-            continue
-        params = [inc.s_on(c.id) for inc in incs]
-        for lo, hi in _piece_intervals(c, params, d):
-            pieces.append(Curve(next_id, curve_portion(c, lo, hi), closed=False))
-            parent.append((next_id, c.id))
-            next_id += 1
+        parts = ([(c.points, c.closed)] if len(incs) <= d else
+                 [(curve_portion(c, lo, hi), False) for lo, hi in
+                  _piece_intervals(c, [inc.s_on(c.id) for inc in incs], d)])
+        for points, closed in parts:
+            parent.append((len(pieces), c.id))
+            pieces.append(Curve(len(pieces), points, closed=closed))
     out = ReducedFamily(tuple(pieces), family.m, parent_pairs=tuple(parent))
     fo = compute_incidences(out)
     check(fo.X == fi.X and fo.T == fi.T, "degree reduction changed the stats")
@@ -98,15 +93,14 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
 
 @dataclass(frozen=True)
 class WeightedPlanarGraph:
-    """A graph with nonnegative rational vertex weights, in the dense form
-    the separator search reads: position k stands for the k-th label of
-    `vertices` in sorted order, nbrs[k] holds its neighbours' positions in
-    order, and its weight is scaled[k] / scale. `planar` is certified."""
+    """A plane graph with nonnegative rational vertex weights, in the dense
+    form the separator search reads: position k stands for the k-th label
+    of `vertices` in sorted order, nbrs[k] holds its neighbours' positions
+    in order, and its weight is scaled[k] / scale."""
     vertices: Tuple[VertexId, ...]
     nbrs: Tuple[Tuple[int, ...], ...]
     scaled: Tuple[int, ...]
     scale: int
-    planar: bool
 
     @property
     def edges(self) -> FrozenSet[Tuple[VertexId, VertexId]]:
@@ -120,37 +114,54 @@ class WeightedPlanarGraph:
                 for v, x in zip(self.vertices, self.scaled)}
 
 
-def _dense(vertices, nbrs, scaled, scale, planar: bool) -> WeightedPlanarGraph:
-    """The graph of sorted labels, positions' neighbours, and integer
-    weights over one scale."""
-    return WeightedPlanarGraph(tuple(vertices),
-                               tuple(tuple(sorted(nb)) for nb in nbrs),
-                               tuple(scaled), scale, planar)
+def _plane_graph(vertices, out, origins, scaled, scale):
+    """The graph of sorted labels, integer weights over one scale, and the
+    rotation system `out` on positions, half-edge h leaving origins[h] (as
+    face_walk reads it); None unless it is plane: V - E + F = 2 on each
+    component with an edge, parallel edges counted."""
+    g = WeightedPlanarGraph(
+        tuple(vertices),
+        tuple(tuple(sorted({origins[h ^ 1] for h in hs})) for hs in out),
+        tuple(scaled), scale)
+    components = sum(len(comp) > 1 for comp in _components(g.nbrs)[0])
+    return g if (sum(map(bool, out)) - len(origins) // 2 + len(face_walk(out))
+                 == 2 * components) else None
 
 
-def weighted_graph(vertices: Sequence[VertexId],
-                   edges: Sequence[Tuple[VertexId, VertexId]],
+def weighted_graph(rotation: Mapping[VertexId, Sequence[VertexId]],
                    weights: Optional[Mapping[VertexId, Fraction]] = None,
                    ) -> WeightedPlanarGraph:
-    """Build a WeightedPlanarGraph from explicit data, dropping loops and
-    certifying planarity on the positions, so the certificate hashes no
-    label. Default weights are uniform 1/|V|. Relabelling and scaling are
-    monotone, so the search compares what the labels and weights would."""
-    vs = tuple(sorted(set(vertices)))
+    """Build a WeightedPlanarGraph from a rotation system: each vertex
+    label maps to its neighbours in counterclockwise order; loops are
+    dropped. Weights are exact (geometry.frac), by default 1/|V| each.
+    PreconditionError names a vertex without a weight >= 0 or listing a
+    neighbour twice, or one that is no vertex or does not list it back,
+    and is raised unless the rotation is plane (_plane_graph). The search
+    reads positions and integer weights, ordered as labels and weights."""
+    vs = tuple(sorted(rotation))
+    darts = Counter((v, u) for v in vs for u in rotation[v] if u != v)
+    half: Dict[Tuple, int] = {}     # twin half-edges 2i, 2i + 1, in order
+    for (v, u), k in darts.items():
+        if k > 1 or (u, v) not in darts:
+            raise PreconditionError(f"vertex {v!r} lists {u!r}" + (
+                " twice" if k > 1 else ", which does not list it"
+                if u in rotation else ", which is not a vertex"))
+        if (v, u) not in half:
+            half[v, u], half[u, v] = len(half), len(half) + 1
+    if weights is None:
+        weights = {v: Fraction(1, len(vs)) for v in vs}
+    for v in vs:
+        if v not in weights or frac(weights[v]) < 0:
+            raise PreconditionError(f"vertex {v!r} needs a weight >= 0")
+    ws = [frac(weights[v]) for v in vs]
     index = {v: k for k, v in enumerate(vs)}
-    nbrs: List[set] = [set() for _ in vs]
-    for u, v in edges:
-        if u != v:
-            nbrs[index[u]].add(index[v])
-            nbrs[index[v]].add(index[u])
-    ws = [Fraction(1, len(vs)) if weights is None else Fraction(weights[v])
-          for v in vs]
-    if any(x < 0 for x in ws):
-        raise PreconditionError("vertex weights must be nonnegative")
-    es = [(u, v) for u, nb in enumerate(nbrs) for v in nb if u < v]
     scale = math.lcm(*(x.denominator for x in ws))
-    return _dense(vs, nbrs, [int(x * scale) for x in ws], scale,
-                  is_planar(range(len(vs)), es))
+    g = _plane_graph(vs, [[half[v, u] for u in rotation[v] if u != v]
+                          for v in vs], [index[v] for v, _ in half],
+                     [int(x * scale) for x in ws], scale)
+    if g is None:
+        raise PreconditionError("the rotation system is not plane")
+    return g
 
 
 def _vertex_chains(family: CurveFamily):
@@ -190,9 +201,10 @@ def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
     _vertex_chains); edges join vertices consecutive along a curve. Each
     curve's weight is spread evenly over the vertices lying on it.
     Planarity is certified by the drawing: the curves' germs at a vertex,
-    in angular order, are its rotation (face_walk), and V - E + F = 2 on
-    each component with an edge, parallel edges counted, else
-    InvariantError."""
+    in angular order, are its rotation (arrangement.rotation_order), which
+    _plane_graph checks, else InvariantError. That count cannot see a
+    reversed rotation at a cut vertex, and in a degree-reduced family every
+    contact vertex is one."""
     fi = catalogue(family)
     chains, nv = _vertex_chains(family)
     # curve weight 1/n over a chain of length k is L // k over scale n L
@@ -213,12 +225,9 @@ def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
             k1 = (k + 1) % len(chain)
             origins += (chain[k], chain[k1])
             dirs += (germs[k][0], germs[k1][1])
-    out, faces = face_walk(origins, dirs, nv)
-    g = _dense(range(nv), [{origins[h ^ 1] for h in hs} for hs in out], vw,
-               family.n * L, True)
-    components = sum(len(comp) > 1 for comp in _components(g.nbrs)[0])
-    check(sum(map(bool, out)) - len(origins) // 2 + len(faces)
-          == 2 * components, "arrangement graph's drawing is not plane")
+    g = _plane_graph(range(nv), rotation_order(origins, dirs, nv), origins,
+                     vw, family.n * L)
+    check(g is not None, "arrangement graph's drawing is not plane")
     return g
 
 
@@ -339,8 +348,6 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
     peel, tried last, stops once it is longer than the best candidate. The
     search runs on g's positions and scaled integer weights.
     """
-    if not g.planar:
-        raise PreconditionError("separator needs a planar graph")
     nbrs, w, nv = g.nbrs, g.scaled, len(g.vertices)
     labels = lambda vs: frozenset(g.vertices[i] for i in vs)
     if nv <= 1:

@@ -4,7 +4,9 @@ Everything here is recomputed from scratch in Fraction arithmetic: segment
 meets by direct linear solves, contact classification by sorting the four
 outgoing rays around the shared point, and region membership by flood fill
 over a conservative raster. Nothing is shared with the package beyond the
-plain Point/Curve containers, so agreement is meaningful.
+plain Point/Curve containers, so agreement is meaningful. Two helpers feed
+the planarity certificate instead: `rotation` asks networkx for an
+embedding, and `is_plane` reads the package's verdict on one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from contactgeom import Point
+from contactgeom.errors import PreconditionError
+from contactgeom.separator import weighted_graph
 
 F = Fraction
 
@@ -398,6 +402,33 @@ def planar_separator(g):
             best = (key, cand, tuple(comps))
     _, sep, comps = best
     return sep, comps, len(sep) / math.sqrt(nv)
+
+
+def rotation(vertices, edges):
+    """A rotation system of the graph on these vertices and edges (loops
+    dropped), as separator.weighted_graph reads it: networkx's planar
+    embedding, counterclockwise, when networkx finds the graph planar;
+    else each vertex's neighbours in sorted order."""
+    import networkx
+
+    g = networkx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from((u, v) for u, v in edges if u != v)
+    ok, embedding = networkx.check_planarity(g)
+    if ok:
+        return {v: list(embedding.neighbors_cw_order(v))[::-1] for v in g}
+    return {v: sorted(g[v]) for v in g}
+
+
+def is_plane(rotation_system):
+    """Whether separator.weighted_graph certifies the rotation system; any
+    refusal but the plane certificate's fails the caller."""
+    try:
+        weighted_graph(rotation_system)
+    except PreconditionError as e:
+        assert "not plane" in str(e), e
+        return False
+    return True
 
 
 def tuple_arrangement_graph(family, fi):

@@ -385,7 +385,8 @@ def test_every_command_runs_without_networkx(chain_file, tmp_path):
     # the arrangement graph is certified by its drawing, so no command
     # needs networkx: all seven run where importing it fails, decompose
     # through its separator (at --cconst 1/10 here) and experiment through
-    # each sweep row's string separator
+    # each sweep row's string separator; so does the public separator API
+    # on a 3 x 3 grid given by its rotation system
     fence, zigzag = tmp_path / "fence.family", tmp_path / "zigzag.family"
     write_family(fence, fence_family(
         instances.comb_subarc(102, 6, ("el2",) * 6, 1), m=40))
@@ -409,7 +410,14 @@ def test_every_command_runs_without_networkx(chain_file, tmp_path):
             "    pass\n"
             "from contactgeom.cli import main\n"
             f"for argv in {runs!r}:\n"
-            "    assert main(argv) == 0, argv\n")
+            "    assert main(argv) == 0, argv\n"
+            "from contactgeom import planar_separator, weighted_graph\n"
+            "steps = ((1, 0), (0, 1), (-1, 0), (0, -1))\n"
+            "grid = {(i, j): [(i + a, j + b) for a, b in steps\n"
+            "                 if 0 <= i + a < 3 and 0 <= j + b < 3]\n"
+            "        for i in range(3) for j in range(3)}\n"
+            "res = planar_separator(weighted_graph(grid))\n"
+            "assert res.separator and len(res.components) > 1, res\n")
     src = Path(contactgeom.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,

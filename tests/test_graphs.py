@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactgeom import graphs
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.graphs import (SimpleGraph, check_planarity,
                                 contact_graph_from, intersection_graph_from,
                                 max_common_neighborhood)
 from contactgeom.incidence import catalogue
+
+import oracles
 
 
 def complete(n):
@@ -99,13 +100,15 @@ def subdivided_graphs(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(subdivided_graphs())
-def test_reduced_planarity_matches_networkx_on_the_whole_graph(graph):
+def test_certificate_matches_networkx_on_subdivided_graphs(graph):
+    # networkx's embedding of a planar graph is certified; sorted
+    # neighbours are refused on any other
     n, edges = graph
     g = networkx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)
     want, _ = networkx.check_planarity(g)
-    assert graphs.is_planar(range(n), edges) == want
+    assert oracles.is_plane(oracles.rotation(range(n), edges)) == want
 
 
 def test_subdivided_kuratowski_graphs_stay_nonplanar():
@@ -117,7 +120,9 @@ def test_subdivided_kuratowski_graphs_stay_nonplanar():
             out += [(u, m), (m, m + 1), (m + 1, v)]
             m += 2
         out += [(0, m), (m, m + 1), (0, m + 2), (m + 2, 1)]
-        assert not graphs.is_planar(range(m + 3), out)
+        assert not check_planarity(SimpleGraph(tuple(range(m + 3)),
+                                               frozenset(out)))
+        assert not oracles.is_plane(oracles.rotation(range(m + 3), out))
 
 
 def test_contact_graph_of_chain_is_a_path():

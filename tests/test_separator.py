@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import graphs, incidence, separator
+from contactgeom import incidence, separator
 from contactgeom.errors import (DegenerateError, InvariantError,
                                 PreconditionError)
 from contactgeom.generators import KINDS, GeneratorSpec, generate
@@ -169,24 +169,43 @@ def test_reduce_degree_matches_the_fraction_pieces(families):
 
 # ----------------------------------------------------------- planar graphs
 
-def test_weighted_graph_defaults_and_flags():
-    g = weighted_graph((1, 2, 3, 4),
-                       ((1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)))
-    assert g.planar                      # K4 embeds in the plane
+def test_weighted_graph_defaults_and_certificate():
+    k4 = ((1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4))
+    g = weighted_graph(oracles.rotation((1, 2, 3, 4), k4))
+    assert g.edges == {tuple(sorted(e)) for e in k4}  # K4 embeds
     assert sum(g.weights.values()) == 1
     assert all(w == F(1, 4) for w in g.weights.values())
     k5_edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    assert not weighted_graph(range(5), k5_edges).planar
+    with pytest.raises(PreconditionError, match="not plane"):
+        weighted_graph(oracles.rotation(range(5), k5_edges))
+    assert weighted_graph({}).vertices == ()
 
 
 def test_weighted_graph_rejects_negative_weight():
-    with pytest.raises(PreconditionError):
-        weighted_graph((1, 2), ((1, 2),), {1: F(-1), 2: F(2)})
+    with pytest.raises(PreconditionError, match="vertex 1 "):
+        weighted_graph({1: [2], 2: [1]}, {1: F(-1), 2: F(2)})
 
 
 def test_weighted_graph_drops_self_loops():
-    g = weighted_graph((1, 2), ((1, 1), (1, 2)))
-    assert g.edges == frozenset({(1, 2)})
+    g = weighted_graph({1: [1, 2], 2: [1], 3: [3]})
+    assert g.edges == frozenset({(1, 2)}) and g.vertices == (1, 2, 3)
+
+
+def test_weighted_graph_weights_are_exact():
+    with pytest.raises(TypeError, match="exact"):
+        weighted_graph({1: [2], 2: [1]}, {1: 0.1, 2: 0.2})
+
+
+@pytest.mark.parametrize("rotation,weights,message", [
+    ({1: [2], 2: [1]}, {1: 1}, "vertex 2 needs a weight"),
+    ({1: [2, 3], 2: [1]}, None, "vertex 1 lists 3, which is not a vertex"),
+    ({1: [2], 2: [1, 3], 3: []}, None,
+     "vertex 2 lists 3, which does not list it"),
+    ({1: [2, 3, 2], 2: [1], 3: [1]}, None, "vertex 1 lists 2 twice")],
+    ids=["no-weight", "not-a-vertex", "one-sided", "twice"])
+def test_weighted_graph_rejects_a_bad_rotation(rotation, weights, message):
+    with pytest.raises(PreconditionError, match=message):
+        weighted_graph(rotation, weights)
 
 
 def _labelled(edges, kind):
@@ -208,10 +227,12 @@ def test_weighted_graph_planarity_matches_networkx_on_labels(kind, name,
     g = networkx.Graph(es)
     want, _ = networkx.check_planarity(g)
     assert want == (name == "grid")
-    got = weighted_graph(list(g.nodes), es)
-    assert got.planar == want
-    assert set(got.vertices) == set(g.nodes)
-    assert got.edges == {tuple(sorted(e)) for e in es}
+    rotation = oracles.rotation(list(g.nodes), es)
+    assert oracles.is_plane(rotation) == want
+    if want:
+        got = weighted_graph(rotation)
+        assert set(got.vertices) == set(g.nodes)
+        assert got.edges == {tuple(sorted(e)) for e in es}
 
 
 def test_arrangement_graph_shape():
@@ -227,7 +248,7 @@ def test_arrangement_graph_shape():
         assert all(v >= fam.n for e in g.edges if k in e for v in e if v != k)
         assert g.weights[k] == F(1, fam.n) / (1 + len(fi.on_curve(cid)))
     assert all(u < v for u, v in g.edges)
-    assert g.planar
+    assert check_planarity(SimpleGraph(g.vertices, g.edges))
     assert sum(g.weights.values()) == 1
 
 
@@ -255,8 +276,8 @@ def test_integer_graph_is_the_tuple_graph_relabelled(kind, n, seed):
 @pytest.mark.parametrize("kind,n,seed", ARRANGEMENT_FAMILIES)
 def test_face_walk_certificate_agrees_with_networkx(monkeypatch, kind, n,
                                                     seed, reduced):
-    # the arrangement graph is certified by its drawing alone: neither
-    # is_planar nor networkx is asked, and networkx, the oracle, agrees
+    # the arrangement graph is certified by its drawing alone: networkx is
+    # not asked, and networkx, the oracle, agrees
     fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
     if reduced:
         fam = reduce_degree(fam)
@@ -265,10 +286,10 @@ def test_face_walk_certificate_agrees_with_networkx(monkeypatch, kind, n,
 
     def asked(*args):
         raise AssertionError("the arrangement graph asked a general test")
-    monkeypatch.setattr(separator, "is_planar", asked)
     monkeypatch.setattr(networkx, "check_planarity", asked)
     try:
-        got = arrangement_to_planar_graph(fam).planar
+        arrangement_to_planar_graph(fam)
+        got = True
     except InvariantError:
         got = False
     assert got == want
@@ -284,10 +305,10 @@ def test_face_walk_certificate_counts_parallel_edges(monkeypatch):
                        Curve(4, (pt(20, 0), pt(21, 1), pt(22, 0)), False)), 1)
     walked = []
     real = separator.face_walk
-    monkeypatch.setattr(separator, "face_walk", lambda origins, dirs, nv:
-                        walked.append(len(origins)) or real(origins, dirs, nv))
+    monkeypatch.setattr(separator, "face_walk", lambda out:
+                        walked.append(sum(map(len, out))) or real(out))
     g = arrangement_to_planar_graph(fam)
-    assert g.planar and g.edges == {(0, 4), (1, 4)}
+    assert g.edges == {(0, 4), (1, 4)}
     assert walked == [8]
 
 
@@ -297,12 +318,12 @@ def test_reversed_rotation_at_a_contact_fails_the_certificate(monkeypatch):
     # drawing has the wrong Euler count
     fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=16, m=2, seed=1))
     nv = len(arrangement_to_planar_graph(fam).vertices)
-    real = separator.face_walk
+    real = separator.rotation_order
     for v in range(fam.n, nv):      # the contact vertices follow the anchors
-        monkeypatch.setattr(separator, "face_walk", lambda origins, dirs, k:
-                            real(origins, [(x, -y) if o == v else (x, y)
-                                           for o, (x, y) in zip(origins, dirs)],
-                                 k))
+        monkeypatch.setattr(
+            separator, "rotation_order", lambda origins, dirs, k:
+            real(origins, [(x, -y) if o == v else (x, y)
+                           for o, (x, y) in zip(origins, dirs)], k))
         with pytest.raises(InvariantError, match="not plane"):
             arrangement_to_planar_graph(fam)
 
@@ -310,7 +331,8 @@ def test_reversed_rotation_at_a_contact_fails_the_certificate(monkeypatch):
 # -------------------------------------------------------- planar separator
 
 def test_path_graph_splits_at_the_middle():
-    g = weighted_graph(range(9), [(i, i + 1) for i in range(8)])
+    g = weighted_graph(oracles.rotation(range(9),
+                                        [(i, i + 1) for i in range(8)]))
     res = planar_separator(g)
     assert res.separator == frozenset({4})
     assert sorted(len(c) for c in res.components) == [4, 4]
@@ -319,7 +341,7 @@ def test_path_graph_splits_at_the_middle():
 
 def test_balanced_graph_needs_no_separator():
     tri = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    res = planar_separator(weighted_graph(range(6), tri))
+    res = planar_separator(weighted_graph(oracles.rotation(range(6), tri)))
     assert res.separator == frozenset()
     assert len(res.components) == 2
 
@@ -328,7 +350,7 @@ def test_grid_graph_separator_is_small_and_balanced():
     vs = [(i, j) for i in range(4) for j in range(4)]
     es = [((i, j), (i + 1, j)) for i in range(3) for j in range(4)]
     es += [((i, j), (i, j + 1)) for i in range(4) for j in range(3)]
-    g = weighted_graph(vs, es)
+    g = weighted_graph(oracles.rotation(vs, es))
     res = planar_separator(g)
     assert len(res.separator) <= 4
     w = g.weights
@@ -339,11 +361,11 @@ def test_grid_graph_separator_is_small_and_balanced():
 def test_separator_requires_planarity():
     k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     with pytest.raises(PreconditionError):
-        planar_separator(weighted_graph(range(5), k5))
+        planar_separator(weighted_graph(oracles.rotation(range(5), k5)))
 
 
 def test_single_vertex_graph():
-    res = planar_separator(weighted_graph((7,), ()))
+    res = planar_separator(weighted_graph({7: []}))
     assert res.separator == frozenset()
     assert res.components == (frozenset({7}),)
 
@@ -395,17 +417,19 @@ def planar_graph_inputs(draw):
 
 
 def planar_graphs():
-    return planar_graph_inputs().map(lambda args: weighted_graph(*args))
+    return planar_graph_inputs().map(lambda args: weighted_graph(
+        oracles.rotation(args[0], args[1]), args[2]))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(planar_graph_inputs(), st.data())
 def test_weighted_graph_views_are_its_input(inputs, data):
     label, edges, weights = inputs
-    loops = data.draw(st.lists(st.sampled_from(label), max_size=3))
-    # loops are dropped, and an edge given twice or reversed counts once
-    g = weighted_graph(label, edges + [(v, u) for u, v in edges]
-                       + [(v, v) for v in loops], weights)
+    rotation = oracles.rotation(label, edges)
+    # loops are dropped wherever they stand in a vertex's rotation
+    for v in data.draw(st.lists(st.sampled_from(label), max_size=3)):
+        rotation[v].insert(data.draw(st.integers(0, len(rotation[v]))), v)
+    g = weighted_graph(rotation, weights)
     assert g.vertices == tuple(sorted(label))
     assert g.edges == {tuple(sorted(e)) for e in edges}
     assert g.weights == {v: F(1, len(label)) if weights is None
@@ -431,14 +455,17 @@ def weighted_trees(draw):
         edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, nv)]
     weights = draw(st.lists(st.sampled_from((0, 1, 1, 2, 3, 7, 20)),
                             min_size=nv, max_size=nv))
-    return weighted_graph(range(nv), edges, dict(enumerate(weights)))
+    return weighted_graph(oracles.rotation(range(nv), edges),
+                          dict(enumerate(weights)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(weighted_trees())
-@example(weighted_graph(range(4), [(0, 1), (0, 2), (0, 3)],
+@example(weighted_graph(oracles.rotation(range(4),
+                                         [(0, 1), (0, 2), (0, 3)]),
                         {0: 1, 1: 7, 2: 1, 3: 2}))
-@example(weighted_graph(range(5), [(0, 1), (0, 2), (2, 3), (3, 4)],
+@example(weighted_graph(oracles.rotation(range(5),
+                                         [(0, 1), (0, 2), (2, 3), (3, 4)]),
                         {0: 7, 1: 20, 2: 1, 3: 0, 4: 7}))
 def test_planar_separator_matches_reference_on_weighted_trees(g):
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
@@ -447,7 +474,8 @@ def test_planar_separator_matches_reference_on_weighted_trees(g):
 def test_greedy_peel_wins_a_length_tie():
     # the cut vertex 0 balances this spider, but the peeled heavy leaf 1,
     # neither a cut vertex nor a BFS level, leaves a lighter heaviest part
-    g = weighted_graph(range(5), [(0, 1), (0, 2), (2, 3), (3, 4)],
+    g = weighted_graph(oracles.rotation(range(5),
+                                        [(0, 1), (0, 2), (2, 3), (3, 4)]),
                        {0: 7, 1: 20, 2: 1, 3: 0, 4: 7})
     res = planar_separator(g)
     assert res == SeparatorResult(*oracles.planar_separator(g))
@@ -456,13 +484,15 @@ def test_greedy_peel_wins_a_length_tie():
 
 
 def test_component_of_exactly_two_thirds_is_balanced():
-    g = weighted_graph(range(3), [(0, 1)], {0: 1, 1: 1, 2: 1})
+    g = weighted_graph(oracles.rotation(range(3), [(0, 1)]),
+                       {0: 1, 1: 1, 2: 1})
     res = planar_separator(g)
     assert res.separator == frozenset()
     assert res.components == (frozenset({0, 1}), frozenset({2}))
     # in a triangle every vertex leaves an edge of weight 2/3; the root's
     # BFS level wins the tie, where the greedy peel would take vertex 2
-    res = planar_separator(weighted_graph(range(3), [(0, 1), (1, 2), (2, 0)]))
+    res = planar_separator(weighted_graph(
+        oracles.rotation(range(3), [(0, 1), (1, 2), (2, 0)])))
     assert res.separator == frozenset({0})
     assert res.components == (frozenset({1, 2}),)
 
@@ -497,6 +527,10 @@ def test_articulation_points_match_networkx(graph):
     g.add_edges_from(edges)
     assert (separator._articulation_points(_adjacency(nv, edges))
             == sorted(networkx.articulation_points(g)))
+    # the plane certificate accepts networkx's embedding of a planar graph
+    # and refuses sorted neighbours on any other
+    want, _ = networkx.check_planarity(g)
+    assert oracles.is_plane(oracles.rotation(range(nv), edges)) == want
 
 
 def test_articulation_points_of_a_long_path():
@@ -515,7 +549,8 @@ def apollonian_network(n, shuffled):
     label = list(range(n))
     if shuffled:
         rng.shuffle(label)
-    return weighted_graph(label, [(label[u], label[v]) for u, v in edges])
+    return weighted_graph(oracles.rotation(
+        label, [(label[u], label[v]) for u, v in edges]))
 
 
 def apollonian_edges(n, rng):
@@ -535,29 +570,24 @@ def _k(n):
 _APOLLONIAN = apollonian_edges(30, random.Random(30))
 
 
-@pytest.mark.parametrize("nv,edges,counted", [
-    (4, _k(4), False),                                   # E = 3V - 6
-    (5, _k(5), True),                                    # E = 3V - 5
-    (5, _k(5)[1:], False),                               # E = 3V - 6
-    (6, [(i, j) for i in range(3) for j in range(3, 6)], False),  # K3,3
-    (30, _APOLLONIAN, False),                            # E = 3V - 6
-    (30, _APOLLONIAN + [next(e for e in _k(30) if e not in _APOLLONIAN)],
-     True)], ids=["K4", "K5", "K5-e", "K33", "apollonian", "apollonian+e"])
-def test_certificate_agrees_with_networkx_at_the_euler_bound(
-        monkeypatch, nv, edges, counted):
-    g = networkx.Graph(edges)
-    want, _ = networkx.check_planarity(g)
-    calls = []
-    real = networkx.check_planarity
-    monkeypatch.setattr(networkx, "check_planarity",
-                        lambda *a: calls.append(a) or real(*a))
-    # an edge count above 3V - 6 rejects before networkx is asked
-    assert graphs.is_planar(range(nv), edges) == want
-    assert len(calls) == (0 if counted else 1)
+@pytest.mark.parametrize("nv,edges", [
+    (4, _k(4)),                                          # E = 3V - 6
+    (5, _k(5)),                                          # E = 3V - 5
+    (5, _k(5)[1:]),                                      # E = 3V - 6
+    (6, [(i, j) for i in range(3) for j in range(3, 6)]),  # K3,3
+    (30, _APOLLONIAN),                                   # E = 3V - 6
+    (30, _APOLLONIAN + [next(e for e in _k(30) if e not in _APOLLONIAN)])],
+    ids=["K4", "K5", "K5-e", "K33", "apollonian", "apollonian+e"])
+def test_certificate_agrees_with_networkx_at_the_euler_bound(nv, edges):
+    want, _ = networkx.check_planarity(networkx.Graph(edges))
     assert check_planarity(SimpleGraph(tuple(range(nv)),
                                        frozenset(edges))) == want
-    assert weighted_graph(range(nv), edges).planar == want
-    assert len(calls) == (0 if counted else 3)
+    rotation = oracles.rotation(range(nv), edges)
+    assert oracles.is_plane(rotation) == want
+    # each planar case is a triangulation, so mirroring any one vertex's
+    # rotation leaves no plane embedding
+    for v in range(nv) if want else ():
+        assert not oracles.is_plane({**rotation, v: rotation[v][::-1]})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -572,7 +602,7 @@ def test_certificate_agrees_with_networkx_at_the_euler_bound(
 @example(apollonian_network(250, shuffled=False))
 @example(apollonian_network(250, shuffled=True))
 def test_planar_separator_matches_reference(g):
-    assert g.planar
+    assert check_planarity(SimpleGraph(g.vertices, g.edges))
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
 
@@ -582,7 +612,8 @@ def test_separator_drops_levels_whose_root_side_is_heavy(monkeypatch):
     # cannot balance and are never walked; their vertices are still walked
     # once, as articulation points
     n = 30
-    g = weighted_graph(range(n), [(i, i + 1) for i in range(n - 1)])
+    g = weighted_graph(oracles.rotation(
+        range(n), [(i, i + 1) for i in range(n - 1)]))
     walks = []
     components = separator._components
 
