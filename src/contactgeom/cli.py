@@ -22,6 +22,7 @@ from .experiments import run_sweep, sweep_csv, sweep_summary
 from .familyio import parse_rational, read_family, write_family
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import CurveFamily, midpoint
+from .graphs import contact_graph_from
 from .incidence import catalogue, validate_general_position
 from .separator import ReducedFamily, recursive_decompose, reduce_degree
 from .verifier import (FaceContext, alt_hat_charging, circular_signature,
@@ -143,18 +144,15 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 def _instance_sides(family: CurveFamily) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Split the ids into two sides that touch completely across and never
     within; None when the touching graph has no such shape."""
-    touch: Dict[int, set] = {c.id: set() for c in family}
-    for a, b in catalogue(family).touching_pairs():
-        touch[a].add(b)
-        touch[b].add(a)
-    active = [cid for cid in sorted(touch) if touch[cid]]
+    g = contact_graph_from(catalogue(family))
+    active = [cid for cid in g.vertices if g.neighbors(cid)]
     if not active:
         return None
-    side_a = frozenset(touch[active[0]])
-    side_b = frozenset(cid for cid in active if touch[cid] == side_a)
+    side_a = g.neighbors(active[0])
+    side_b = frozenset(cid for cid in active if g.neighbors(cid) == side_a)
     if side_a & side_b or side_a | side_b != set(active):
         return None
-    if any(touch[cid] != side_b for cid in side_a):
+    if any(g.neighbors(cid) != side_b for cid in side_a):
         return None
     return tuple(sorted(side_a)), tuple(sorted(side_b))
 

@@ -20,15 +20,16 @@ if TYPE_CHECKING:
     from .incidence import FamilyIncidences
 
 
-def frac(value) -> Fraction:
-    """Coerce ints, strings like '3/7', and Fractions. Floats are rejected."""
+def frac(value, what: str = "exact coordinate") -> Fraction:
+    """Coerce ints, strings like '3/7', and Fractions. Floats are rejected
+    with TypeError(f"{what} required, got float")."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    raise TypeError(f"exact coordinate required, got {type(value).__name__}")
+    raise TypeError(f"{what} required, got {type(value).__name__}")
 
 
 @dataclass(frozen=True, order=True)
@@ -407,18 +408,13 @@ def on_polyline(p: Tuple[int, int, int], pts: Sequence[Tuple[int, int]],
     return False
 
 
-def chain_param(p: Tuple[int, int, int],
-                pts: Sequence[Tuple[int, int]]) -> Optional[Fraction]:
-    """Chain parameter (segment index + in-segment fraction) of the lifted
-    point p = (X, Y, D) along the open integer polyline pts, read on the
-    first segment that holds p, or None when p is off pts."""
-    for k in range(len(pts) - 1):
-        if on_polyline(p, pts[k:k + 2], False):
-            X, Y, D = p
-            (ax, ay), (bx, by) = pts[k], pts[k + 1]
-            return k + (Fraction(X - ax * D, (bx - ax) * D) if bx != ax
-                        else Fraction(Y - ay * D, (by - ay) * D))
-    return None
+def segment_param(seg, p, seg_index: int) -> Fraction:
+    """Chain parameter of the integer point p inside segment seg_index,
+    seg being that segment's integer ends (a Polyline segment will do)."""
+    (ax, ay), (bx, by) = seg[0], seg[1]
+    if bx != ax:
+        return seg_index + Fraction(p[0] - ax, bx - ax)
+    return seg_index + Fraction(p[1] - ay, by - ay)
 
 
 def winding_parity(p: Tuple[int, int, int],

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (DegeneracyError, EndpointError, PreconditionError,
                      ValidationError, check)
 from .geometry import (Curve, CurveFamily, Point, Polyline, coordinate_scale,
-                       grid_point, meetings, seg_events, unlift)
+                       grid_point, meetings, seg_events, segment_param,
+                       unlift)
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,10 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve, hits):
             key, proper = (p[0], p[1], 1), 0
             s_a = vmap_a.get(p)
             if s_a is None:
-                s_a = _segment_param(sa.segs[i], p, i)
+                s_a = segment_param(sa.segs[i], p, i)
             s_b = vmap_b.get(p)
             if s_b is None:
-                s_b = _segment_param(sb.segs[j], p, j)
+                s_b = segment_param(sb.segs[j], p, j)
         elif tag == "proper":
             t = res[1]
             key = grid_point(sa.segs[i][:2], t)
@@ -158,14 +159,6 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve, hits):
             if ev[1] != s_a or ev[2] != s_b:
                 ev[3] = True
     return events, overlaps
-
-
-def _segment_param(seg, p, seg_index: int) -> Fraction:
-    """Chain parameter of the integer point p inside segment seg_index."""
-    (ax, ay), (bx, by) = seg[0], seg[1]
-    if bx != ax:
-        return seg_index + Fraction(p[0] - ax, bx - ax)
-    return seg_index + Fraction(p[1] - ay, by - ay)
 
 
 # owner pattern of the four directions at a shared vertex, keyed by the

@@ -133,7 +133,8 @@ def weighted_graph(rotation: Mapping[VertexId, Sequence[VertexId]],
                    ) -> WeightedPlanarGraph:
     """Build a WeightedPlanarGraph from a rotation system: each vertex
     label maps to its neighbours in counterclockwise order; loops are
-    dropped. Weights are exact (geometry.frac), by default 1/|V| each.
+    dropped. Weights are exact (geometry.frac; TypeError names a vertex
+    whose weight is not), by default 1/|V| each.
     PreconditionError names a vertex without a weight >= 0 or listing a
     neighbour twice, or one that is no vertex or does not list it back,
     and is raised unless the rotation is plane (_plane_graph). The search
@@ -150,10 +151,12 @@ def weighted_graph(rotation: Mapping[VertexId, Sequence[VertexId]],
             half[v, u], half[u, v] = len(half), len(half) + 1
     if weights is None:
         weights = {v: Fraction(1, len(vs)) for v in vs}
+    ws = []
     for v in vs:
-        if v not in weights or frac(weights[v]) < 0:
+        # a missing weight fails the sign test
+        ws.append(frac(weights.get(v, -1), f"vertex {v!r}: exact weight"))
+        if ws[-1] < 0:
             raise PreconditionError(f"vertex {v!r} needs a weight >= 0")
-    ws = [frac(weights[v]) for v in vs]
     index = {v: k for k, v in enumerate(vs)}
     scale = math.lcm(*(x.denominator for x in ws))
     g = _plane_graph(vs, [[half[v, u] for u in rotation[v] if u != v]
@@ -162,6 +165,13 @@ def weighted_graph(rotation: Mapping[VertexId, Sequence[VertexId]],
     if g is None:
         raise PreconditionError("the rotation system is not plane")
     return g
+
+
+@dataclass(frozen=True)
+class ArrangementGraph(WeightedPlanarGraph):
+    """The arrangement graph of a family, with each curve's chain of vertex
+    positions along it, anchor first, in family order (_vertex_chains)."""
+    chains: Tuple[Tuple[int, ...], ...] = field(kw_only=True)
 
 
 def _vertex_chains(family: CurveFamily):
@@ -176,8 +186,8 @@ def _vertex_chains(family: CurveFamily):
     points = sorted({q for qs in lifted for q in qs})
     index = {q: k for k, q in enumerate(points, family.n)}
     anchor = {cid: k for k, cid in enumerate(sorted(c.id for c in family))}
-    chains = [[anchor[c.id]] + [index[q] for q in qs]
-              for c, qs in zip(family.curves, lifted)]
+    chains = tuple((anchor[c.id], *[index[q] for q in qs])
+                   for c, qs in zip(family.curves, lifted))
     return chains, family.n + len(points)
 
 
@@ -194,17 +204,17 @@ def _germs(c: Curve, s: Fraction):
     return (fx - x, fy - y), (bx - x, by - y)
 
 
-def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
+def arrangement_to_planar_graph(family: CurveFamily) -> ArrangementGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
     Vertices 0..V-1 are one anchor per curve, then the contact points (see
-    _vertex_chains); edges join vertices consecutive along a curve. Each
-    curve's weight is spread evenly over the vertices lying on it.
-    Planarity is certified by the drawing: the curves' germs at a vertex,
-    in angular order, are its rotation (arrangement.rotation_order), which
-    _plane_graph checks, else InvariantError. That count cannot see a
-    reversed rotation at a cut vertex, and in a degree-reduced family every
-    contact vertex is one."""
+    _vertex_chains); edges join vertices consecutive along a curve, and
+    the result keeps each curve's chain of them. Each curve's weight is
+    spread evenly over the vertices lying on it. Planarity is certified by
+    the drawing: the curves' germs at a vertex, in angular order, are its
+    rotation (arrangement.rotation_order), which _plane_graph checks, else
+    InvariantError. That count cannot see a reversed rotation at a cut
+    vertex, and in a degree-reduced family every contact vertex is one."""
     fi = catalogue(family)
     chains, nv = _vertex_chains(family)
     # curve weight 1/n over a chain of length k is L // k over scale n L
@@ -228,7 +238,8 @@ def arrangement_to_planar_graph(family: CurveFamily) -> WeightedPlanarGraph:
     g = _plane_graph(range(nv), rotation_order(origins, dirs, nv), origins,
                      vw, family.n * L)
     check(g is not None, "arrangement graph's drawing is not plane")
-    return g
+    return ArrangementGraph(g.vertices, g.nbrs, g.scaled, g.scale,
+                            chains=chains)
 
 
 @dataclass(frozen=True)
@@ -449,9 +460,9 @@ def string_separator(family: CurveFamily) -> StringSeparatorResult:
     components = _curve_components(family)
     if fi.X == 0:
         return StringSeparatorResult(frozenset(), components(), 0.0)
-    res = planar_separator(arrangement_to_planar_graph(family))
-    sep = {c.id for c, chain in zip(family.curves,
-                                    _vertex_chains(family)[0])
+    g = arrangement_to_planar_graph(family)
+    res = planar_separator(g)
+    sep = {c.id for c, chain in zip(family.curves, g.chains)
            if not res.separator.isdisjoint(chain)}
     # the vertex-level lift can be wasteful (one contact vertex drags in two
     # curves); drop members that the balance guarantee does not need

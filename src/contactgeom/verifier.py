@@ -22,10 +22,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
-from .geometry import (Curve, CurveFamily, Point, Polyline, chain_param,
-                       coordinate_scale, grid_point, lift, lift_point,
-                       meetings, on_polyline, unlift)
-from .graphs import SimpleGraph, max_common_neighborhood
+from .geometry import (Curve, CurveFamily, Point, Polyline, coordinate_scale,
+                       grid_point, lift, lift_point, meetings, on_polyline,
+                       segment_param, unlift)
+from .graphs import SimpleGraph, contact_graph_from, max_common_neighborhood
 from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
                           boundary_edge_cycle, locate_cell, pair_arrangement,
@@ -75,17 +75,12 @@ class GroundPairSample:
     t_prime: int
 
 
-def _ground_pairs(family: CurveFamily):
-    """(touching adjacency, sorted curve ids) of a family: the adjacency
-    maps a curve id to the ids it touches. The candidate ground pairs are
-    combinations(ids, 2), drawn by rank with _draw_pair."""
+def _ground_pairs(family: CurveFamily) -> SimpleGraph:
+    """The family's touching graph. The candidate ground pairs are
+    combinations(vertices, 2), drawn by rank with _draw_pair."""
     if family.n < 2:
         raise PreconditionError("need at least two curves")
-    touching: Dict[int, Set[int]] = {}
-    for a, b in catalogue(family).touching_pairs():
-        touching.setdefault(a, set()).add(b)
-        touching.setdefault(b, set()).add(a)
-    return touching, sorted(c.id for c in family)
+    return contact_graph_from(catalogue(family))
 
 
 def _pair_at(ids: Sequence[int], k: int) -> Tuple[int, int]:
@@ -107,18 +102,19 @@ def _draw_pair(rng: random.Random, ids: Sequence[int]) -> Tuple[int, int]:
 
 class _PairContext:
     """Per-ground-pair data reused across coin assignments; `touching` is
-    the adjacency from _ground_pairs, built once per call. The pair
+    the graph from _ground_pairs, built once per call. The pair
     arrangement is built only when a touching of T* has to be located."""
 
-    def __init__(self, family: CurveFamily, touching: Dict[int, Set[int]],
+    def __init__(self, family: CurveFamily, touching: SimpleGraph,
                  g1: int, g2: int):
         self.family = family
         self.g1, self.g2 = g1, g2
-        A = self.A_prime = frozenset(touching.get(g1, ())) - {g2}
-        B = self.B_prime = frozenset(touching.get(g2, ())) - {g1}
+        A = self.A_prime = touching.neighbors(g1) - {g2}
+        B = self.B_prime = touching.neighbors(g2) - {g1}
         self.shared = tuple(sorted(A & B))
         self.t_prime_pairs = tuple(
-            (a, b) for a in sorted(A | B) for b in sorted(touching[a])
+            (a, b) for a in sorted(A | B)
+            for b in sorted(touching.neighbors(a))
             if a < b and ((a in A and b in B) or (a in B and b in A)))
         fi = catalogue(family)
         self._touch_point = {pair: fi.between(*pair)[0].point
@@ -170,9 +166,9 @@ class _PairContext:
 
 def sample_ground_pair(family: CurveFamily, seed: int) -> GroundPairSample:
     """One random draw: uniform pair, fair coin per doubly-touching arc."""
-    touching, ids = _ground_pairs(family)
+    touching = _ground_pairs(family)
     rng = random.Random(seed)
-    g1, g2 = _draw_pair(rng, ids)
+    g1, g2 = _draw_pair(rng, touching.vertices)
     ctx = _PairContext(family, touching, g1, g2)
     to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
     return ctx.resolve(to_A)
@@ -192,11 +188,11 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
     Each pair contributes the average over its 2^s coin assignments, then
     pairs are averaged uniformly, matching the two-stage random draw.
     """
-    touching, ids = _ground_pairs(family)
+    touching = _ground_pairs(family)
     pair_stars: List[Fraction] = []
     pair_deltas: List[Fraction] = []
     pair_primes: List[Fraction] = []
-    for g1, g2 in combinations(ids, 2):
+    for g1, g2 in combinations(touching.vertices, 2):
         ctx = _PairContext(family, touching, g1, g2)
         stars = 0
         deltas = 0
@@ -221,13 +217,13 @@ def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
     """Repeated random draws, summarized for the JSON report."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    touching, ids = _ground_pairs(family)
+    touching = _ground_pairs(family)
     ctxs: Dict[Tuple[int, int], _PairContext] = {}
     rng = random.Random(seed)
     seen: Dict[str, List[int]] = {"t_star": [], "t_star_in_delta": [],
                                   "t_prime": []}
     for _ in range(trials):
-        g = _draw_pair(rng, ids)
+        g = _draw_pair(rng, touching.vertices)
         if g not in ctxs:
             ctxs[g] = _PairContext(family, touching, g[0], g[1])
         ctx = ctxs[g]
@@ -300,8 +296,10 @@ class FaceContext:
     The walk's half-edge ids are the signature labels, so callers build the
     arrangement from the arcs in id order to keep labels independent of
     their input order. The walk is read as the lifted half-edge chains the
-    arrangement keeps on its grid of step 1/scale. Each arc's signature is
-    computed once and kept, keyed by the arc's geometry.
+    arrangement keeps on its grid of step 1/scale, indexed once: each
+    lattice point maps to the (walk step, label, vertex index) of every
+    chain vertex there, in walk order. Each arc's signature is computed
+    once and kept, keyed by the arc's geometry.
     """
 
     def __init__(self, arrangement: Arrangement, face: int):
@@ -314,46 +312,45 @@ class FaceContext:
             raise PreconditionError(
                 f"face {face} has {len(walks)} boundary components; need one")
         self.walk: Tuple[int, ...] = walks[0]
-        self._step: Dict[int, int] = {h: i for i, h in enumerate(self.walk)}
+        self._at: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+        for step, label in enumerate(self.walk):
+            for k, q in enumerate(arrangement._edge_pts[label]):
+                self._at.setdefault(q, []).append((step, label, k))
         self.scale = arrangement.scale
         self._signatures: Dict[Curve, tuple] = {}
 
     def boundary_position(self, p: Point, away: Sequence[Tuple[int, int]]):
         """(walk step, within-step order, label) of boundary point p.
 
-        away holds the integer directions from p to its polyline neighbours
-        on the touching arc; they pick the side label when both sides of an
+        p is a touch point, which the engine only finds at a vertex of both
+        curves, so it is a chain vertex of the walk or off the walk. away
+        holds the integer directions from p to its polyline neighbours on
+        the touching arc; they pick the side label when both sides of an
         edge border the face. The stored half-edge geometry keeps the face
         on its left, so the arc must sit strictly left of the stored wedge
         at p. An arc leaving p collinearly with the boundary cannot be sided
         and is rejected.
         """
-        lifted = lift_point(p, self.scale)
+        X, Y, D = lift_point(p, self.scale)
+        on_walk = (self._at.get((X // D, Y // D), ())
+                   if X % D == 0 and Y % D == 0 else ())
         candidates = []
-        for label in self.walk:
+        for step, label, k in on_walk:
             g = self.arrangement._edge_pts[label]
-            s_stored = chain_param(lifted, g)
-            if s_stored is None:
-                continue
-            k = int(s_stored)
-            if k != s_stored:
-                u = v = _vec(g[k], g[k + 1])
-            elif 0 < k < len(g) - 1:
-                u, v = _vec(g[k - 1], g[k]), _vec(g[k], g[k + 1])
-            else:
+            if not 0 < k < len(g) - 1:
                 raise PreconditionError(
                     f"touching at arrangement vertex {p} is not supported")
+            u, v = _vec(g[k - 1], g[k]), _vec(g[k], g[k + 1])
             if all(_left_of_wedge(u, v, w) for w in away):
-                candidates.append((label, s_stored))
+                # the walk reads stored geometry backwards: larger k first
+                candidates.append((step, -k, label))
         if not candidates:
             raise PreconditionError(
                 f"touch point {p} is not on the face-side boundary")
         if len(candidates) > 1:
             raise PreconditionError(
                 f"touch point {p} is ambiguous between boundary sides")
-        label, s_stored = candidates[0]
-        # the walk traverses stored geometry backwards: larger params first
-        return (self._step[label], -s_stored, label)
+        return candidates[0]
 
 
 def _signature_keyed(ctx: FaceContext, lam: SubArc):
@@ -633,12 +630,15 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
     n1, n2 = closed1.n_segments, closed2.n_segments
     events = []
     for i, j, ev in meetings(ring1, ring2):
-        if ev[0] != "overlap":
-            key = (grid_point(ring1.seg(i), ev[1]) if ev[0] == "proper"
-                   else (*ev[1], 1))
-            events.append((key, unlift(key, scale),
-                           (i + chain_param(key, ring1.seg(i))) % n1,
-                           (j + chain_param(key, ring2.seg(j))) % n2))
+        if ev[0] == "proper":
+            key, s1, s2 = grid_point(ring1.seg(i), ev[1]), i + ev[1], j + ev[2]
+        elif ev[0] == "touch":
+            key = (*ev[1], 1)
+            s1 = segment_param(ring1.segs[i], ev[1], i)
+            s2 = segment_param(ring2.segs[j], ev[1], j)
+        else:
+            continue
+        events.append((key, unlift(key, scale), s1 % n1, s2 % n2))
     crossings = (ring1, ring2, events)
     alt_edges = []
     hat_edges = []
@@ -695,10 +695,7 @@ def subarc_contact_graph(arcs: Sequence[SubArc]) -> SimpleGraph:
     """Touching graph of the arcs, read from one arrangement-mode catalogue:
     two pieces of one curve sharing a cut point meet in a joint, which is
     not a touching."""
-    curves = [sa.geometry for sa in arcs]
-    touching = mixed_contacts(curves).touching_pairs()
-    return SimpleGraph(vertices=tuple(c.id for c in curves),
-                       edges=frozenset(tuple(sorted(p)) for p in touching))
+    return contact_graph_from(mixed_contacts([sa.geometry for sa in arcs]))
 
 
 def check_lemma8(family: CurveFamily, delta_context: GroundPairSample,

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from contactgeom.errors import ValidationError
 from contactgeom.geometry import (Curve, Point, angle_cmp, angle_key,
-                                  chain_param, coordinate_scale, frac, lift,
-                                  lift_point, midpoint, on_polyline,
-                                  orientation, pt, seg_events,
-                                  segment_intersection, signed_area2,
-                                  winding_parity)
+                                  coordinate_scale, frac, lift, lift_point,
+                                  midpoint, on_polyline, orientation, pt,
+                                  seg_events, segment_intersection,
+                                  signed_area2, winding_parity)
 
 import oracles
 
@@ -229,37 +228,6 @@ def test_on_polyline_matches_on_segment():
             ref = any(oracles.on_segment(p, pts[i], pts[(i + 1) % len(pts)])
                       for i in range(n))
             assert on_polyline(q, ip, closed) == ref
-
-
-def test_chain_param_is_exact_on_integer_points():
-    assert chain_param((1, 0, 1), [(0, 0), (2, 0)]) == F(1, 2)
-    assert type(chain_param((1, 0, 1), [(0, 0), (2, 0)])) is F
-    rng = random.Random(7)
-    for _ in range(300):
-        # a vertical or sloped segment with an integer point strictly inside
-        ax, ay = (rng.randrange(-2 ** 60, 2 ** 60) for _ in range(2))
-        dx, dy = rng.choice((0, 1, 3)), rng.randrange(1, 9)
-        k = rng.randrange(1, 2 ** 40)
-        g = [(ax, ay), (ax + dx * k * 7, ay + dy * k * 7)]
-        got = chain_param((ax + dx * k * 3, ay + dy * k * 3, 1), g)
-        assert type(got) is F and got == F(3, 7)
-
-
-def test_chain_param_matches_fraction_reference():
-    # first segment holding the point, as a Fraction computation reads it
-    rng = random.Random(11)
-    pts = [pt(0, 0), pt(4, 1), pt(3, 5), pt(-1, 3), pt(4, 1)]
-    for _ in range(400):
-        p = pt(F(rng.randrange(-8, 40), 8), F(rng.randrange(-8, 48), 8))
-        ref = None
-        for k in range(len(pts) - 1):
-            a, b = pts[k], pts[k + 1]
-            if oracles.on_segment(p, a, b):
-                ref = k + ((p.x - a.x) / (b.x - a.x) if b.x != a.x
-                           else (p.y - a.y) / (b.y - a.y))
-                break
-        for scale in (1, 3):
-            assert chain_param(lift_point(p, scale), lift(pts, scale)) == ref
 
 
 def test_coordinate_scale_clears_denominators():

@@ -192,7 +192,8 @@ def test_weighted_graph_drops_self_loops():
 
 
 def test_weighted_graph_weights_are_exact():
-    with pytest.raises(TypeError, match="exact"):
+    with pytest.raises(TypeError,
+                       match="^vertex 1: exact weight required, got float$"):
         weighted_graph({1: [2], 2: [1]}, {1: 0.1, 2: 0.2})
 
 
@@ -250,6 +251,24 @@ def test_arrangement_graph_shape():
     assert all(u < v for u, v in g.edges)
     assert check_planarity(SimpleGraph(g.vertices, g.edges))
     assert sum(g.weights.values()) == 1
+
+
+def test_string_separator_lifts_through_the_graph_chains(monkeypatch):
+    # the arrangement graph keeps each curve's chain, anchor first, then its
+    # contacts along it, and string_separator builds the chains only there
+    fam = grid9()
+    fi = compute_incidences(fam)
+    g = arrangement_to_planar_graph(fam)
+    ids = sorted(c.id for c in fam)
+    for c, chain in zip(fam.curves, g.chains):
+        assert chain[0] == ids.index(c.id)
+        assert len(chain) == 1 + len(fi.on_curve(c.id))
+        assert all(tuple(sorted(e)) in g.edges for e in zip(chain, chain[1:]))
+    built, real = [], separator._vertex_chains
+    monkeypatch.setattr(separator, "_vertex_chains",
+                        lambda f: built.append(f) or real(f))
+    string_separator(fam)
+    assert len(built) == 1
 
 
 ARRANGEMENT_FAMILIES = [

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom import incidence, verifier
-from contactgeom.arrangement import build_mixed_arrangement, split_arcs_by_pair
+from contactgeom.arrangement import (build_mixed_arrangement, locate_cell,
+                                     split_arcs_by_pair)
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import (Curve, CurveFamily, Point, Polyline, lift,
@@ -135,6 +136,43 @@ def test_collision_detected_for_same_side_combs():
                                       (lam1, lam2))
     assert not rep.distinct
     assert rep.colliding == ((101, 102),)
+
+
+def _square(cid, x0, y0, side=4):
+    return free_arc(cid, (pt(x0, y0), pt(x0 + side, y0),
+                          pt(x0 + side, y0 + side), pt(x0, y0 + side)),
+                    closed=True)
+
+
+def _face_holding(arcs, p):
+    arr = build_mixed_arrangement([sa.geometry for sa in arcs])
+    return FaceContext(arr, locate_cell(arr, p))
+
+
+@pytest.mark.parametrize("surround,inside,lam,message", [
+    # a loop with no contact is anchored at its first vertex
+    ((_square(1, 0, 0),), pt(9, 9),
+     ((-2, 1), (0, 0), (1, -2)), "arrangement vertex"),
+    # a kiss from outside, read in the bounded face
+    ((_square(1, 0, 0),), pt(2, 2),
+     ((6, -1), (4, 0), (5, 2)), "not on the face-side boundary"),
+    # a kiss at a corner that the overlap of two squares does not reach
+    ((_square(1, 0, 0), _square(2, 2, 2)), pt(3, 3),
+     ((-2, 1), (0, 0), (1, -2), (8, 0), (6, 6), (5, 8)),
+     "not on the face-side boundary")],
+    ids=["anchor", "wrong-side", "off-the-walk"])
+def test_signature_refuses_a_touching_it_cannot_side(surround, inside, lam,
+                                                     message):
+    # the third refusal, two sides that both pass the strict wedge test,
+    # needs an arc with no neighbour at its touch point, which no touching
+    # arc has
+    ctx = _face_holding(surround, inside)
+    arc = free_arc(9, tuple(pt(x, y) for x, y in lam))
+    for mu in surround:
+        incs = curve_pair_incidences(arc.geometry, mu.geometry)
+        assert [inc.kind for inc in incs] == ["tangency"]
+    with pytest.raises(PreconditionError, match=message):
+        circular_signature(ctx, arc)
 
 
 # ---------------------------------------------------------------- charging
