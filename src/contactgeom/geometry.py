@@ -62,31 +62,49 @@ def orientation(o: Point, a: Point, b: Point) -> int:
     return (c > 0) - (c < 0)
 
 
-def _quadrant(d) -> int:
-    dx, dy = d
-    if dx > 0 and dy >= 0:
-        return 0
-    if dx <= 0 and dy > 0:
-        return 1
-    if dx < 0 and dy <= 0:
-        return 2
-    return 3
-
-
 def angle_cmp(u, v) -> int:
-    """Compare integer directions u and v by counterclockwise angle from +x.
+    """Compare nonzero integer directions u and v by counterclockwise angle
+    from +x.
 
-    Exact: quadrants first, then the sign of one cross product. Two
-    directions compare equal iff they are positive multiples of each other.
+    Exact: half planes first (angle in [0, pi) before [pi, 2 pi)), then
+    the sign of one cross product. Two directions compare equal iff they
+    are positive multiples of each other. This is the package's one
+    angular predicate.
     """
-    qu, qv = _quadrant(u), _quadrant(v)
-    if qu != qv:
-        return -1 if qu < qv else 1
-    c = u[0] * v[1] - u[1] * v[0]
+    ux, uy = u
+    vx, vy = v
+    lu = uy < 0 or (uy == 0 and ux < 0)
+    if lu != (vy < 0 or (vy == 0 and vx < 0)):
+        return 1 if lu else -1
+    c = ux * vy - uy * vx
     return -1 if c > 0 else (1 if c < 0 else 0)
 
 
 angle_key = cmp_to_key(angle_cmp)
+
+
+def ccw_between(a, w, b) -> bool:
+    """Does direction w lie strictly counterclockwise after a and before b?
+
+    Of the three linear comparisons a < w, w < b and b < a (angle_cmp),
+    exactly two hold when a, w, b are distinct and in counterclockwise
+    cyclic order; fewer hold otherwise.
+    """
+    return ((angle_cmp(a, w) < 0) + (angle_cmp(w, b) < 0)
+            + (angle_cmp(b, a) < 0)) >= 2
+
+
+def germs(pts: Sequence[Tuple[int, int]], k: int, closed: bool):
+    """The integer directions from vertex k of the polyline pts to its next
+    and previous vertices, in that order, only those that exist: an open
+    polyline's end vertex has one."""
+    x, y = pts[k]
+    n = len(pts)
+    if closed or 0 < k < n - 1:
+        (fx, fy), (bx, by) = pts[(k + 1) % n], pts[k - 1]
+        return (fx - x, fy - y), (bx - x, by - y)
+    qx, qy = pts[1] if k == 0 else pts[k - 1]
+    return ((qx - x, qy - y),)
 
 
 def seg_events(pa, pb, pc, pd):

@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegeneracyError, EndpointError, PreconditionError,
                      ValidationError, check)
-from .geometry import (Curve, CurveFamily, Point, Polyline, coordinate_scale,
-                       grid_point, meetings, seg_events, segment_param,
-                       unlift)
+from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
+                       coordinate_scale, germs, grid_point, meetings,
+                       seg_events, segment_param, unlift)
 
 
 @dataclass(frozen=True)
@@ -171,36 +171,17 @@ def _shared_vertex_pattern(sa: _ScaledCurve, ka: int,
                            sb: _ScaledCurve, kb: int) -> Optional[str]:
     """The owner pattern ("ABAB", "AABB", ...) of the four directions from
     a shared interior vertex, vertex ka of A and kb of B, toward each
-    curve's next and previous vertex, in counterclockwise order from +x;
-    None when two of them are parallel.
-
-    Direction u comes before w when u lies in the upper half plane (angle
-    in [0, pi)) and w in the lower, or both lie in one and u x w > 0; in
-    one half plane, u x w = 0 means parallel."""
-    pa, pb = sa.pts, sb.pts
-    vx, vy = pa[ka]
-    ax, ay = pa[(ka + 1) % len(pa)]
-    cx, cy = pa[ka - 1]
-    bx, by = pb[(kb + 1) % len(pb)]
-    dx, dy = pb[kb - 1]
-    ax, ay, cx, cy = ax - vx, ay - vy, cx - vx, cy - vy   # A: a and c
-    bx, by, dx, dy = bx - vx, by - vy, dx - vx, dy - vy   # B: b and d
-    ha = ay < 0 or (ay == 0 and ax < 0)   # lower half plane
-    hc = cy < 0 or (cy == 0 and cx < 0)
-    hb = by < 0 or (by == 0 and bx < 0)
-    hd = dy < 0 or (dy == 0 and dx < 0)
-    ac, ab, ad = ax * cy - ay * cx, ax * by - ay * bx, ax * dy - ay * dx
-    cb, cd, bd = cx * by - cy * bx, cx * dy - cy * dx, bx * dy - by * dx
-    if ((ha == hc and not ac) or (ha == hb and not ab)
-            or (ha == hd and not ad) or (hc == hb and not cb)
-            or (hc == hd and not cd) or (hb == hd and not bd)):
+    curve's next and previous vertex, in counterclockwise order from +x
+    (angle_cmp); None when two of them are parallel."""
+    a, c = germs(sa.pts, ka, sa.closed)
+    b, d = germs(sb.pts, kb, sb.closed)
+    ac, ab, ad = angle_cmp(a, c), angle_cmp(a, b), angle_cmp(a, d)
+    cb, cd, bd = angle_cmp(c, b), angle_cmp(c, d), angle_cmp(b, d)
+    if not (ac and ab and ad and cb and cd and bd):
         return None
     # the rank of a and of c: how many of the other three come first
-    a_first = hc > ha if hc != ha else ac > 0
-    rank_a = ((not a_first) + (hb < ha if hb != ha else ab < 0)
-              + (hd < ha if hd != ha else ad < 0))
-    rank_c = (a_first + (hb < hc if hb != hc else cb < 0)
-              + (hd < hc if hd != hc else cd < 0))
+    rank_a = (ac > 0) + (ab > 0) + (ad > 0)
+    rank_c = (ac < 0) + (cb > 0) + (cd > 0)
     return _PATTERNS[(rank_a, rank_c) if rank_a < rank_c
                      else (rank_c, rank_a)]
 

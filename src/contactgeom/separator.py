@@ -15,7 +15,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .arrangement import curve_portion, face_walk, rotation_order
 from .errors import DegenerateError, PreconditionError, check
-from .geometry import Curve, CurveFamily, frac, lift
+from .geometry import Curve, CurveFamily, frac, germs, lift
+from .graphs import intersection_graph_from
 from .incidence import catalogue, compute_incidences, keep_catalogue
 
 VertexId = Tuple
@@ -197,11 +198,10 @@ def _germs(c: Curve, s: Fraction):
     minus its direction; at a vertex, toward the next and previous one."""
     g = c.grid
     k, r = divmod(s.numerator, s.denominator)
+    if not r:
+        return germs(g, k, c.closed)
     (x, y), (fx, fy) = g[k], g[(k + 1) % len(g)]
-    if r:
-        return (fx - x, fy - y), (x - fx, y - fy)
-    bx, by = g[k - 1]
-    return (fx - x, fy - y), (bx - x, by - y)
+    return (fx - x, fy - y), (x - fx, y - fy)
 
 
 def arrangement_to_planar_graph(family: CurveFamily) -> ArrangementGraph:
@@ -434,13 +434,10 @@ class StringSeparatorResult:
 def _curve_components(family: CurveFamily):
     """The components of the family's intersection graph minus a removed
     curve set, as a function of that set; the adjacency is built once."""
-    ids = sorted(c.id for c in family.curves)
+    g = intersection_graph_from(catalogue(family))
+    ids = g.vertices
     index = {cid: i for i, cid in enumerate(ids)}
-    nbrs: List[List[int]] = [[] for _ in ids]
-    for (a, b), incs in catalogue(family).pairs.items():
-        if incs:
-            nbrs[index[a]].append(index[b])
-            nbrs[index[b]].append(index[a])
+    nbrs = [sorted(map(index.__getitem__, g.neighbors(cid))) for cid in ids]
 
     def components(removed=()) -> Tuple[FrozenSet[int], ...]:
         comps = _components(nbrs, [index[cid] for cid in removed])[0]

@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
-from .geometry import (Curve, CurveFamily, Point, Polyline, coordinate_scale,
-                       grid_point, lift, lift_point, meetings, on_polyline,
-                       segment_param, unlift)
+from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
+                       coordinate_scale, germs, grid_point, lift, lift_point,
+                       meetings, on_polyline, segment_param, unlift)
 from .graphs import SimpleGraph, contact_graph_from, max_common_neighborhood
 from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
@@ -267,27 +267,6 @@ def _canon(seq: Tuple[int, ...]) -> Tuple[int, ...]:
     return seq[k:] + seq[:k]
 
 
-def _left_of_wedge(u, v, w) -> bool:
-    """Is displacement w strictly on the left of the oriented kink (u, v)?
-
-    u is the incoming and v the outgoing direction; a straight angle reduces
-    to one half-plane test, a convex left kink to an intersection of two, a
-    reflex one to a union.
-    """
-    cu = u[0] * w[1] - u[1] * w[0]
-    cv = v[0] * w[1] - v[1] * w[0]
-    turn = u[0] * v[1] - u[1] * v[0]
-    if turn > 0:
-        return cu > 0 and cv > 0
-    if turn < 0:
-        return cu > 0 or cv > 0
-    return cu > 0
-
-
-def _vec(a, b) -> Tuple[int, int]:
-    return (b[0] - a[0], b[1] - a[1])
-
-
 class FaceContext:
     """A face of an arrangement of surrounding arcs (the arrangement's
     curves), with its boundary walk oriented so that the face interior stays
@@ -327,9 +306,10 @@ class FaceContext:
         holds the integer directions from p to its polyline neighbours on
         the touching arc; they pick the side label when both sides of an
         edge border the face. The stored half-edge geometry keeps the face
-        on its left, so the arc must sit strictly left of the stored wedge
-        at p. An arc leaving p collinearly with the boundary cannot be sided
-        and is rejected.
+        on its left, so each of them must lie strictly counterclockwise
+        after the stored chain's forward germ at p and before its backward
+        one (geometry.ccw_between). An arc leaving p collinearly with the
+        boundary cannot be sided and is rejected.
         """
         X, Y, D = lift_point(p, self.scale)
         on_walk = (self._at.get((X // D, Y // D), ())
@@ -340,8 +320,8 @@ class FaceContext:
             if not 0 < k < len(g) - 1:
                 raise PreconditionError(
                     f"touching at arrangement vertex {p} is not supported")
-            u, v = _vec(g[k - 1], g[k]), _vec(g[k], g[k + 1])
-            if all(_left_of_wedge(u, v, w) for w in away):
+            fwd, back = germs(g, k, False)
+            if all(ccw_between(fwd, w, back) for w in away):
                 # the walk reads stored geometry backwards: larger k first
                 candidates.append((step, -k, label))
         if not candidates:
@@ -360,20 +340,14 @@ def _signature_keyed(ctx: FaceContext, lam: SubArc):
     if memo is not None:
         return memo
     g = lam.geometry
-    ip, n = g.grid, g.n_vertices
     keyed, index_of = [], {}
     for mu in ctx.arrangement.curves:
         incs = curve_pair_incidences(g, mu)
         if len(incs) != 1 or incs[0].kind != "tangency":
             raise PreconditionError(f"arc {g.id} does not touch arc {mu.id}")
         # a tangency sits at a vertex of both curves: s_a is lam's index
-        k = int(incs[0].s_a)
-        x, y = ip[k]
-        # at an open arc's first vertex, ip[k - 1:k] is empty
-        nbrs = ((ip[k - 1], ip[(k + 1) % n]) if g.closed
-                else ip[k - 1:k] + ip[k + 1:k + 2])
-        key = ctx.boundary_position(incs[0].point,
-                                    [(qx - x, qy - y) for qx, qy in nbrs])
+        key = ctx.boundary_position(
+            incs[0].point, germs(g.grid, int(incs[0].s_a), g.closed))
         keyed.append(key)
         index_of[key[2]] = incs[0].s_a
     keyed.sort()

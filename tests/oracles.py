@@ -84,6 +84,18 @@ def _ray_cmp(u, v):
     return 0
 
 
+def left_of_wedge(u, v, w):
+    """Is direction w strictly on the left of the oriented kink (u, v), u
+    incoming and v outgoing? A straight angle is one half-plane test, a
+    convex left kink an intersection of two, a reflex one a union."""
+    cu, cv, turn = _cross(u, w), _cross(v, w), _cross(u, v)
+    if turn > 0:
+        return cu > 0 and cv > 0
+    if turn < 0:
+        return cu > 0 or cv > 0
+    return cu > 0
+
+
 def rays_at(curve, p):
     """Outgoing direction vectors of the curve at p, or None if p is not on
     the curve. A single ray means p is a free endpoint."""

@@ -124,7 +124,7 @@ def test_only_graphs_calls_networkx_to_check_planarity():
 
 def test_every_public_name_in_src_is_used():
     # a public top-level function or class is called or named elsewhere in
-    # the package, exported by contactgeom, or one of the four names that
+    # the package, exported by contactgeom, or one of the three names that
     # only the benchmark's tracer wraps; anything else is a helper nothing
     # reads
     traced = {fn for _, fns in _tracing_table("LAYERS").values()
@@ -146,11 +146,10 @@ def test_every_public_name_in_src_is_used():
               if name not in used
               and getattr(contactgeom, name, None)
               is not getattr(module, name)]
-    # pinned, so that no fifth name joins them unnoticed
+    # pinned, so that no fourth name joins them unnoticed
     assert sorted(unused) == ["contactgeom.geometry.orientation",
                               "contactgeom.geometry.segment_intersection",
-                              "contactgeom.graphs.check_planarity",
-                              "contactgeom.graphs.intersection_graph_from"]
+                              "contactgeom.graphs.check_planarity"]
     assert all(name.rsplit(".", 1)[1] in traced for name in unused)
 
 

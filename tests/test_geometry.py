@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from contactgeom.errors import ValidationError
 from contactgeom.geometry import (Curve, Point, angle_cmp, angle_key,
-                                  coordinate_scale, frac, lift, lift_point,
-                                  midpoint, on_polyline, orientation, pt,
-                                  seg_events, segment_intersection,
-                                  signed_area2, winding_parity)
+                                  ccw_between, coordinate_scale, frac, germs,
+                                  lift, lift_point, midpoint, on_polyline,
+                                  orientation, pt, seg_events,
+                                  segment_intersection, signed_area2,
+                                  winding_parity)
 
 import oracles
 
@@ -173,6 +174,43 @@ def test_angle_order_is_counterclockwise():
     assert angle_cmp((2, 2), (4, 4)) == 0
     assert angle_cmp((2, 2), (2, 3)) != 0
     assert angle_cmp((2, 2), (-2, -2)) != 0
+
+
+def _directions(r):
+    return [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+            if x or y]
+
+
+def test_angle_cmp_matches_the_ray_order():
+    dirs = _directions(4)
+    for u in dirs:
+        for v in dirs:
+            assert angle_cmp(u, v) == oracles._ray_cmp(u, v), (u, v)
+
+
+def test_ccw_between_is_the_left_of_a_kink():
+    # the face side of a boundary kink, incoming u and outgoing v: w lies
+    # strictly counterclockwise after v and before -u. A spike (v a
+    # positive multiple of -u) is left out: Curve rejects it as a collinear
+    # triple.
+    dirs = _directions(3)
+    for u in dirs:
+        back = (-u[0], -u[1])
+        for v in dirs:
+            if angle_cmp(v, back) == 0:
+                continue
+            for w in dirs:
+                assert (ccw_between(v, w, back)
+                        == oracles.left_of_wedge(u, v, w)), (u, v, w)
+
+
+def test_germs_are_the_existing_neighbour_directions():
+    pts = ((0, 0), (3, 1), (4, 5), (-1, 2))
+    assert germs(pts, 1, False) == ((1, 4), (-3, -1))
+    assert germs(pts, 0, False) == ((3, 1),)
+    assert germs(pts, 3, False) == ((5, 3),)
+    assert germs(pts, 0, True) == ((3, 1), (-1, 2))
+    assert germs(pts, 3, True) == ((1, -2), (5, 3))
 
 
 def test_signed_area_and_winding():

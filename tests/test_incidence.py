@@ -6,7 +6,7 @@ import random
 import pytest
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -113,6 +113,47 @@ def test_incidence_pattern_only_at_shared_vertices():
         assert x.pattern is None         # interior crossings carry no rays
     tip = curve_pair_incidences(diamond(1, 0, 0), diamond(2, 4, 0))[0]
     assert sorted(tip.pattern) == ["A", "A", "B", "B"]
+
+
+_DIRS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+
+
+@st.composite
+def shared_vertex_germs(draw):
+    """A's germs a, c and B's germs b, d at one shared vertex. Each of B's
+    is drawn free or as a multiple of one of A's, so that parallel and
+    antiparallel pairs are common; one curve's own two germs are never
+    collinear, as Curve rejects a collinear triple."""
+    a, c = draw(_DIRS), draw(_DIRS)
+    bd = []
+    for _ in range(2):
+        base = draw(st.sampled_from((None, a, c)))
+        f = draw(st.sampled_from((-2, -1, 1, 2)))
+        bd.append(draw(_DIRS) if base is None else (f * base[0], f * base[1]))
+    b, d = bd
+    assume(a[0] * c[1] != a[1] * c[0] and b[0] * d[1] != b[1] * d[0])
+    return a, c, b, d
+
+
+@settings(max_examples=400, deadline=None)
+@example(((1, 0), (0, 1), (2, 0), (-1, -1)), (0, 0))    # parallel
+@example(((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0))    # antiparallel
+@given(shared_vertex_germs(),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_shared_vertex_pattern_is_the_ray_order(four, v):
+    a, c, b, d = four
+
+    def scaled(cid, nxt, prev):
+        pts = tuple(pt(v[0] + x, v[1] + y) for x, y in (prev, (0, 0), nxt))
+        return incidence._ScaledCurve(Curve(cid, pts, closed=False), 1)
+
+    got = incidence._shared_vertex_pattern(scaled(1, a, c), 1,
+                                           scaled(2, b, d), 1)
+    rays = sorted([(a, "A"), (c, "A"), (b, "B"), (d, "B")],
+                  key=cmp_to_key(lambda s, t: oracles._ray_cmp(s[0], t[0])))
+    tied = any(oracles._ray_cmp(s[0], t[0]) == 0
+               for s, t in zip(rays, rays[1:]))
+    assert got == (None if tied else "".join(lbl for _, lbl in rays))
 
 
 def test_overlapping_edges_rejected_in_strict_mode():

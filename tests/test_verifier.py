@@ -175,6 +175,21 @@ def test_signature_refuses_a_touching_it_cannot_side(surround, inside, lam,
         circular_signature(ctx, arc)
 
 
+def test_a_kiss_from_each_side_of_a_dangling_edge_has_its_own_label():
+    # one open arc: its only face meets both sides of its one edge
+    ctx = _face_holding((free_arc(1, (pt(0, 0), pt(4, 2), pt(8, 0))),),
+                        pt(9, 9))
+    assert len(ctx.walk) == 2
+    above = free_arc(8, (pt(2, 5), pt(4, 2), pt(6, 5)))
+    below = free_arc(9, (pt(2, -1), pt(4, 2), pt(6, -1)))
+    labels = [circular_signature(ctx, lam).sequence for lam in (above, below)]
+    assert sorted(labels) == [(h,) for h in sorted(ctx.walk)]
+    # with no direction to read, both sides pass: only a direct call can
+    # reach this refusal
+    with pytest.raises(PreconditionError, match="ambiguous"):
+        ctx.boundary_position(pt(4, 2), ())
+
+
 # ---------------------------------------------------------------- charging
 
 def test_open_violators_charge_with_one_imaginary():
