@@ -20,19 +20,17 @@ class SimpleGraph:
     def __post_init__(self):
         vs = tuple(sorted(set(self.vertices)))
         object.__setattr__(self, "vertices", vs)
-        vset = set(vs)
+        adj: Dict[int, set] = {v: set() for v in vs}
         norm = set()
         for u, v in self.edges:
             if u == v:
                 raise ValueError("loop edge")
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u},{v}) endpoint not a vertex")
             norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
-        adj: Dict[int, set] = {v: set() for v in vs}
-        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
+        object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
 
     @property

@@ -18,13 +18,12 @@ is an exact integer sign test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (DegeneracyError, EndpointError, PreconditionError,
-                     ValidationError, check)
+from .errors import DegeneracyError, EndpointError, ValidationError, check
 from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
                        coordinate_scale, germs, grid_point, meetings,
                        seg_events, segment_param, unlift)
@@ -406,36 +405,6 @@ class FamilyIncidences:
     def between(self, a: int, b: int) -> Tuple[Incidence, ...]:
         key = (a, b) if (a, b) in self.pairs else (b, a)
         return self.pairs.get(key, ())
-
-    def restrict(self, sub_family: CurveFamily) -> "FamilyIncidences":
-        """compute_incidences(sub_family), read from this strict catalogue
-        of a family holding every curve of sub_family: of the violations, a
-        sub-family can only add an exceeded smaller budget. Pairs are keyed
-        and ordered by position in sub_family; a flipped pair swaps sides."""
-        pos = {c.id: k for k, c in enumerate(sub_family.curves)}
-        if not pos.keys() <= set(self.curve_ids):
-            raise PreconditionError("restrict needs a sub-family")
-        pairs = {}
-        kept = (p for p in self.pairs if p[0] in pos and p[1] in pos)
-        for a, b in sorted(kept, key=lambda p: sorted((pos[p[0]], pos[p[1]]))):
-            incs = self.pairs[a, b]
-            if pos[a] > pos[b]:
-                a, b, incs = b, a, tuple(map(_swap_sides, incs))
-            if len(incs) > sub_family.m:
-                raise ValidationError(
-                    f"intersection_budget involving curves {(a, b)}: "
-                    f"{len(incs)} contacts exceed budget {sub_family.m}")
-            pairs[a, b] = incs
-        return FamilyIncidences(sub_family.m, tuple(pos), pairs)
-
-
-_AB_SWAP = str.maketrans("AB", "BA")
-
-
-def _swap_sides(inc: Incidence) -> Incidence:
-    """The incidence as the engine reports it with its two curves swapped."""
-    return replace(inc, a=inc.b, b=inc.a, s_a=inc.s_b, s_b=inc.s_a,
-                   pattern=inc.pattern and inc.pattern.translate(_AB_SWAP))
 
 
 def validate_general_position(family: CurveFamily) -> ValidationReport:

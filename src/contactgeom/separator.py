@@ -17,7 +17,8 @@ from .arrangement import curve_portion, face_walk, rotation_order
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, frac, germs, lift
 from .graphs import intersection_graph_from
-from .incidence import catalogue, compute_incidences, keep_catalogue
+from .incidence import (FamilyIncidences, catalogue, compute_incidences,
+                        keep_catalogue)
 
 VertexId = Tuple
 
@@ -390,7 +391,6 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
         candidates += [cyc for top, cyc in
                        _fundamental_cycles(nbrs, comp, parent, depth)
                        if 3 * (below[comp[0]] - below[top]) <= bound]
-        candidates.append(comp)
     candidates += [(v,) for v in _articulation_points(nbrs)[:_CUT_CAP]]
     best = None
     for cand in candidates:
@@ -403,7 +403,8 @@ def planar_separator(g: WeightedPlanarGraph) -> SeparatorResult:
             if best is None or key < best:
                 best = key
     # greedy fallback: peel the heaviest vertex out of the heaviest
-    # component; a peel longer than the best candidate loses on length
+    # component; a peel longer than the best candidate loses on length.
+    # Only the heavy component is peeled: no worse than removing it whole.
     greedy: List[int] = []
     while best is None or len(greedy) <= best[0]:
         comps = _components(nbrs, greedy)[0]
@@ -513,6 +514,18 @@ def _bucket_index(k: int, M: Fraction) -> int:
     return i
 
 
+def _node(family: CurveFamily, ids: FrozenSet[int]) -> CurveFamily:
+    """The family's curves in ids, in family order, with the family's
+    catalogue filtered to them: the one compute_incidences gives, as the
+    engine keys and orders pairs by position, and m is unchanged."""
+    fi = catalogue(family)
+    sub = CurveFamily(tuple(c for c in family if c.id in ids), fi.m)
+    pairs = {p: incs for p, incs in fi.pairs.items()
+             if p[0] in ids and p[1] in ids}
+    return keep_catalogue(sub, FamilyIncidences(
+        fi.m, tuple(c.id for c in sub), pairs))
+
+
 def recursive_decompose(family: CurveFamily,
                         C_const: Fraction = Fraction(8),
                         ) -> DecompositionReport:
@@ -523,11 +536,12 @@ def recursive_decompose(family: CurveFamily,
     to the separator or survives inside a single terminal piece. Families
     with d = 0 degenerate to intersection-graph components; M <= 1 raises
     DegenerateError because no nonempty piece could satisfy the threshold.
+    C_const is read exactly (geometry.frac): a float raises TypeError.
     """
     n = family.n
     if n == 0:
         raise PreconditionError("decomposition needs at least one curve")
-    C_const = Fraction(C_const)
+    C_const = frac(C_const, "exact C_const")
     fi = catalogue(family)
     T = fi.T
     d = fi.X // n
@@ -544,7 +558,6 @@ def recursive_decompose(family: CurveFamily,
         raise DegenerateError(f"threshold M = {M} admits no nonempty piece")
 
     all_ids = frozenset(c.id for c in family.curves)
-    by_id = {c.id: c for c in family.curves}
     pieces: List[FrozenSet[int]] = []
     sep: set = set()
     level_sizes: Dict[int, int] = {}
@@ -555,8 +568,7 @@ def recursive_decompose(family: CurveFamily,
         if len(ids) < M or len(ids) <= 2:
             pieces.append(ids)
             return
-        sub = CurveFamily(tuple(by_id[i] for i in sorted(ids)), family.m)
-        res = string_separator(keep_catalogue(sub, fi.restrict(sub)))
+        res = string_separator(_node(family, ids))
         sep.update(res.separator)
         level_sizes[depth] = level_sizes.get(depth, 0) + len(res.separator)
         for comp in sorted(res.components, key=min):

@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
@@ -164,14 +164,24 @@ class _PairContext:
         return sample
 
 
+def _ground_draws(family: CurveFamily,
+                  seed: int) -> Iterator[GroundPairSample]:
+    """The random draws of one seed, each a uniform pair by rank, then a
+    fair coin per doubly-touching arc; each pair's context is built once."""
+    touching = _ground_pairs(family)
+    ctxs: Dict[Tuple[int, int], _PairContext] = {}
+    rng = random.Random(seed)
+    while True:
+        g = _draw_pair(rng, touching.vertices)
+        if g not in ctxs:
+            ctxs[g] = _PairContext(family, touching, g[0], g[1])
+        ctx = ctxs[g]
+        yield ctx.resolve({c for c in ctx.shared if rng.randrange(2) == 0})
+
+
 def sample_ground_pair(family: CurveFamily, seed: int) -> GroundPairSample:
     """One random draw: uniform pair, fair coin per doubly-touching arc."""
-    touching = _ground_pairs(family)
-    rng = random.Random(seed)
-    g1, g2 = _draw_pair(rng, touching.vertices)
-    ctx = _PairContext(family, touching, g1, g2)
-    to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
-    return ctx.resolve(to_A)
+    return next(_ground_draws(family, seed))
 
 
 @dataclass(frozen=True)
@@ -217,18 +227,9 @@ def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
     """Repeated random draws, summarized for the JSON report."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    touching = _ground_pairs(family)
-    ctxs: Dict[Tuple[int, int], _PairContext] = {}
-    rng = random.Random(seed)
     seen: Dict[str, List[int]] = {"t_star": [], "t_star_in_delta": [],
                                   "t_prime": []}
-    for _ in range(trials):
-        g = _draw_pair(rng, touching.vertices)
-        if g not in ctxs:
-            ctxs[g] = _PairContext(family, touching, g[0], g[1])
-        ctx = ctxs[g]
-        to_A = {c for c in ctx.shared if rng.randrange(2) == 0}
-        sample = ctx.resolve(to_A)
+    for sample in islice(_ground_draws(family, seed), trials):
         seen["t_star"].append(sample.t_star)
         seen["t_star_in_delta"].append(sample.t_star_in_delta)
         seen["t_prime"].append(sample.t_prime)
@@ -672,8 +673,8 @@ def subarc_contact_graph(arcs: Sequence[SubArc]) -> SimpleGraph:
     return contact_graph_from(mixed_contacts([sa.geometry for sa in arcs]))
 
 
-def check_lemma8(family: CurveFamily, delta_context: GroundPairSample,
-                 budget: int = 5_000_000) -> BicliqueAbsenceReport:
+def check_lemma8(family: CurveFamily,
+                 delta_context: GroundPairSample) -> BicliqueAbsenceReport:
     """Largest t carried by a complete bipartite contact pattern with m+5
     left arcs, over the pieces clipped to the sampled cell."""
     arcs = split_arcs_by_pair(
@@ -681,5 +682,5 @@ def check_lemma8(family: CurveFamily, delta_context: GroundPairSample,
         set(delta_context.A), set(delta_context.B), delta_context.delta)
     g = subarc_contact_graph(arcs)
     s = family.m + 5
-    t, witness = max_common_neighborhood(g, s, budget=budget)
+    t, witness = max_common_neighborhood(g, s)
     return BicliqueAbsenceReport(s=s, l_observed=t, biclique_found=witness)

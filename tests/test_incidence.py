@@ -11,9 +11,9 @@ from functools import cmp_to_key, lru_cache
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import incidence
+from contactgeom import incidence, separator
 from contactgeom.errors import (DegeneracyError, InvariantError,
-                                PreconditionError, ValidationError)
+                                ValidationError)
 from contactgeom.geometry import (Curve, CurveFamily, Point, coordinate_scale,
                                   grid_point, pt, seg_events, unlift)
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
@@ -473,9 +473,9 @@ def test_validate_flags_intersection_budget():
 
 # ------------------------------------------- catalogues of sub-families
 
-_RESTRICT_SPECS = (("UnitCirclesGrid", 12, 2), ("RandomCircles", 10, 2),
-                   ("TangentChain", 7, 1), ("PseudoParabolas", 6, 1),
-                   ("PerturbedPencil", 5, 1))
+_NODE_SPECS = (("UnitCirclesGrid", 12, 2), ("RandomCircles", 10, 2),
+               ("TangentChain", 7, 1), ("PseudoParabolas", 6, 1),
+               ("PerturbedPencil", 5, 1))
 
 
 @lru_cache(maxsize=None)
@@ -484,51 +484,25 @@ def _generated(spec):
     return generate(GeneratorSpec(kind=kind, n=n, m=m, seed=3))
 
 
-def _outcome(fn, family):
-    """The catalogue fn gives, or the type and message of what it raises."""
-    try:
-        return fn(family)
-    except ValidationError as e:
-        return type(e), str(e)
-
-
 @st.composite
 def families_and_subsets(draw):
     """A generated family with its curves listed in a drawn order, and a
-    subset of them in another drawn order, with the family's budget or 1."""
-    fam = _generated(draw(st.sampled_from(_RESTRICT_SPECS)))
+    drawn subset of its ids."""
+    fam = _generated(draw(st.sampled_from(_NODE_SPECS)))
     curves = tuple(draw(st.permutations(fam.curves)))
-    sub = draw(st.lists(st.sampled_from(curves), unique=True))
-    m = draw(st.sampled_from((fam.m, 1)))
-    return CurveFamily(curves, fam.m), CurveFamily(tuple(sub), m)
+    ids = draw(st.frozensets(st.sampled_from([c.id for c in curves])))
+    return CurveFamily(curves, fam.m), ids
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(families_and_subsets())
-def test_restrict_equals_the_engine_on_the_sub_family(fam_and_sub):
-    fam, sub = fam_and_sub
-    fi = compute_incidences(fam)
-    got = _outcome(fi.restrict, sub)
-    want = _outcome(compute_incidences, sub)
-    assert got == want
-    if not isinstance(want, tuple):
-        # same keys, key orientation, dict order and Incidence objects
-        assert list(got.pairs.items()) == list(want.pairs.items())
-        assert (got.m, got.curve_ids) == (want.m, want.curve_ids)
-
-
-def test_restrict_swaps_the_sides_of_a_flipped_pair():
-    fam = generate(GeneratorSpec(kind="TangentChain", n=3, m=1, seed=0))
-    flipped = CurveFamily(tuple(reversed(fam.curves)), 1)
-    got = compute_incidences(fam).restrict(flipped)
-    assert list(got.pairs) == [(3, 2), (2, 1)]
-    assert got.pairs == compute_incidences(flipped).pairs
-    inc = got.pairs[3, 2][0]
-    assert inc.pattern == "ABBA" and (inc.a, inc.b) == (3, 2)
-
-
-def test_restrict_rejects_a_curve_the_catalogue_lacks():
-    fam = generate(GeneratorSpec(kind="TangentChain", n=4, m=1, seed=0))
-    fi = compute_incidences(CurveFamily(fam.curves[:3], 1))
-    with pytest.raises(PreconditionError):
-        fi.restrict(fam)
+def test_a_recursion_node_carries_the_engine_catalogue(fam_and_ids):
+    fam, ids = fam_and_ids
+    node = separator._node(fam, ids)
+    assert node.curves == tuple(c for c in fam if c.id in ids)
+    assert node.m == fam.m
+    got = node.incidences
+    want = compute_incidences(CurveFamily(node.curves, node.m))
+    # same keys, key orientation, dict order and Incidence objects
+    assert list(got.pairs.items()) == list(want.pairs.items())
+    assert (got.m, got.curve_ids) == (want.m, want.curve_ids)

@@ -728,7 +728,7 @@ def test_decompose_runs_the_engine_once_per_family(monkeypatch):
     engine = incidence._run_engine
     monkeypatch.setattr(incidence, "_run_engine",
                         lambda *args: runs.append(args) or engine(*args))
-    # the recursion nodes read restrictions of the family's catalogue, and
+    # the recursion nodes read the family's catalogue filtered to them, and
     # the family keeps the one it computed
     bare = CurveFamily(fam.curves, fam.m)
     assert recursive_decompose(bare) == want
@@ -738,6 +738,20 @@ def test_decompose_runs_the_engine_once_per_family(monkeypatch):
     assert recursive_decompose(fam) == want
     assert recursive_decompose(red) == want_red
     assert len(runs) == 1
+
+
+def test_decompose_is_independent_of_curve_order():
+    fam = grid9()
+    want = recursive_decompose(CurveFamily(fam.curves, fam.m))
+    assert want.per_level                # the recursion splits
+    orders = [fam.curves[::-1]]
+    for seed in range(3):
+        curves = list(fam.curves)
+        random.Random(seed).shuffle(curves)
+        orders.append(tuple(curves))
+    for curves in orders:
+        got = recursive_decompose(CurveFamily(curves, fam.m))
+        assert got == want and repr(got) == repr(want)
 
 
 def test_decompose_sparse_family_uses_components():
@@ -767,3 +781,13 @@ def test_decompose_rejects_vanishing_threshold():
 def test_decompose_rejects_empty_family():
     with pytest.raises(PreconditionError):
         recursive_decompose(CurveFamily((), 1))
+
+
+def test_decompose_reads_c_const_exactly():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        recursive_decompose(chain9(), C_const=0.1)
+    for c in (F(1, 4), "1/4"):
+        assert recursive_decompose(chain9(), C_const=c).C_const == F(1, 4)
+    assert recursive_decompose(grid9(), C_const=8) == recursive_decompose(
+        grid9())
