@@ -94,19 +94,19 @@ class Face:
 class Arrangement:
     """Immutable after construction; all queries are read-only.
 
-    Point location runs on the integer view: every curve and face cycle
-    lifted onto the grid of step 1/scale, where each vertex is a lattice
-    point. Each half-edge's chain is kept lifted there for the face side.
+    Point location runs on the integer view: every curve (Curve.lifted) and
+    face cycle lifted onto the grid of step 1/scale, where each vertex is a
+    lattice point. Each half-edge's chain is kept lifted there for the face
+    side.
     """
 
     def __init__(self, curves, vertices, half_edges, faces, scale,
-                 curve_pts, edge_pts, cycle_polygons):
+                 edge_pts, cycle_polygons):
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self.vertices: List[ArrVertex] = vertices
         self.half_edges: List[HalfEdge] = half_edges
         self.faces: List[Face] = faces
         self.scale: int = scale
-        self._curve_pts: List[List[Tuple[int, int]]] = curve_pts
         self._edge_pts: List[List[Tuple[int, int]]] = edge_pts
         self._cycle_polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = cycle_polygons
 
@@ -181,7 +181,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
     scale = lcm(coordinate_scale(curves),
                 *(v.denominator for got in param_points.values()
                   for p in got.values() for v in (p.x, p.y)))
-    curve_pts = [lift(c.points, scale) for c in curves]
+    curve_pts = [c.lifted(scale) for c in curves]
 
     # vertex table, ordered by point for determinism; the first point object
     # seen at a place stands for it
@@ -276,7 +276,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
                           interior=Point(Fraction(q[0], d), Fraction(q[1], d))))
 
     return Arrangement(curves, vertices, half_edges, faces, scale,
-                       curve_pts, igeo, polygons)
+                       igeo, polygons)
 
 
 def build_arrangement(family: CurveFamily) -> Arrangement:
@@ -315,8 +315,8 @@ def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
 def locate_cell(arr: Arrangement, p: Point) -> int:
     """Face id containing p; OnCurveError when p lies on a curve."""
     q = lift_point(p, arr.scale)
-    for c, pts in zip(arr.curves, arr._curve_pts):
-        if on_polyline(q, pts, c.closed):
+    for c in arr.curves:
+        if on_polyline(q, c.lifted(arr.scale), c.closed):
             raise OnCurveError(f"point {p} lies on curve {c.id}")
     polygons = arr._cycle_polygons
     hit = None

@@ -83,16 +83,11 @@ def fit_exponent(rows: Sequence[BoundCheckRow]) -> Dict[str, float]:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One family of a sweep, with the separator and decomposition columns."""
-    n: int
-    m: int
-    T: int
-    X: int
+class SweepRow(BoundCheckRow):
+    """One family of a sweep: its bound check row, with the separator and
+    decomposition columns."""
     d: int
     f: Optional[float]  # X/T, None when T = 0
-    thm3_ratio: float
-    thm4_ratio: Optional[float]
     sep_size: int
     pieces: Optional[int]  # None when the decomposition does not apply
 
@@ -108,11 +103,9 @@ def _sweep_row(family: CurveFamily) -> SweepRow:
             pieces = len(recursive_decompose(reduce_degree(family)).pieces)
         except DegenerateError:
             pass
-    return SweepRow(
-        n=row.n, m=row.m, T=row.T, X=row.X, d=d,
-        f=None if row.T == 0 else row.X / row.T,
-        thm3_ratio=row.thm3_ratio, thm4_ratio=row.thm4_ratio,
-        sep_size=len(sep.separator), pieces=pieces)
+    return SweepRow(**vars(row), d=d,
+                    f=None if row.T == 0 else row.X / row.T,
+                    sep_size=len(sep.separator), pieces=pieces)
 
 
 def run_sweep(kind: str, ns: Sequence[int], m: int = 1, seed: int = 42,

@@ -2,8 +2,9 @@
 
 Coordinates are ints or ``fractions.Fraction``s; floats are rejected. A
 curve set is lifted once onto one integer grid (``coordinate_scale`` and
-``lift``), and the predicates that take integer pairs run there, so every
-sign is decided by integer arithmetic, never by floating point.
+``Curve.lifted``), and the predicates that take integer pairs run there, so
+every sign is decided by integer arithmetic, never by floating point. A
+meeting off the grid is keyed as a reduced (X, Y, D) by ``meeting_key``.
 """
 
 from __future__ import annotations
@@ -181,12 +182,12 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
     tag = res[0]
     if tag == "none":
         return ("none", None)
+    p = unlift(meeting_key(ab, res), scale)
     if tag == "proper":
-        return ("proper", unlift(grid_point(ab, res[1]), scale))
+        return ("proper", p)
     if tag == "touch":
-        return ("endpoint", unlift((*res[1], 1), scale))
-    return ("overlap", (unlift((*res[1], 1), scale),
-                        unlift((*res[2], 1), scale)))
+        return ("endpoint", p)
+    return ("overlap", (p, unlift((*res[2], 1), scale)))
 
 
 @dataclass(frozen=True)
@@ -267,6 +268,14 @@ class Curve:
             return ()
         return (self.points[0], self.points[-1])
 
+    def lifted(self, scale: int) -> Tuple[Tuple[int, int], ...]:
+        """The vertices on the grid of step 1/scale, scale a multiple of
+        grid_scale: grid itself at grid_scale, else grid scaled up, so no
+        Fraction is read again."""
+        f = scale // self.grid_scale
+        return (self.grid if f == 1
+                else tuple([(x * f, y * f) for x, y in self.grid]))
+
     def reversed(self) -> "Curve":
         return Curve(self.id, tuple(reversed(self.points)), self.closed)
 
@@ -329,12 +338,23 @@ def lift_point(p: Point, scale: int) -> Tuple[int, int, int]:
 
 def grid_point(seg, t: Fraction) -> Tuple[int, int, int]:
     """The point at parameter t on the integer segment seg, as a reduced
-    (X, Y, D) with D > 0: the point is (X / D, Y / D)."""
-    (ax, ay), (bx, by) = seg
+    (X, Y, D) with D > 0: the point is (X / D, Y / D). seg's integer ends
+    come first, so a Polyline segment record will do."""
+    (ax, ay), (bx, by) = seg[0], seg[1]
     n, d = t.numerator, t.denominator
     x, y = ax * d + n * (bx - ax), ay * d + n * (by - ay)
     g = gcd(x, y, d)
     return (x // g, y // g, d // g)
+
+
+def meeting_key(seg, ev) -> Tuple[int, int, int]:
+    """The reduced (X, Y, D) key of the seg_events result ev of the integer
+    segment seg against another: a proper crossing's grid_point on seg, or
+    a touch's point, or an overlap's low end, with D = 1."""
+    if ev[0] == "proper":
+        return grid_point(seg, ev[1])
+    x, y = ev[1]
+    return (x, y, 1)
 
 
 def unlift(key: Tuple[int, int, int], scale: int) -> Point:
@@ -353,7 +373,7 @@ class Polyline:
 
     __slots__ = ("pts", "closed", "segs", "box")
 
-    def __init__(self, pts: List[Tuple[int, int]], closed: bool = False):
+    def __init__(self, pts: Sequence[Tuple[int, int]], closed: bool = False):
         self.pts = pts
         self.closed = closed
         ring = pts + pts[:1] if closed else pts
@@ -364,9 +384,6 @@ class Polyline:
                      in zip(ring, ring[1:], ring, ring[1:])]
         xs, ys = zip(*pts)
         self.box = (min(xs), min(ys), max(xs), max(ys))
-
-    def seg(self, i: int):
-        return self.segs[i][:2]
 
     def hits(self, a, b):
         """seg_events of the integer segment ab against each segment, in

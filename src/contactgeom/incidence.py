@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, EndpointError, ValidationError, check
 from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
-                       coordinate_scale, germs, grid_point, meetings,
+                       coordinate_scale, germs, meeting_key, meetings,
                        seg_events, segment_param, unlift)
 
 
@@ -84,18 +84,14 @@ class ValidationReport:
 
 
 class _ScaledCurve(Polyline):
-    """A curve lifted to an integer Polyline, plus its vertex lookups: vmap
-    maps each vertex to its first index, and ends holds the endpoint
-    indices of an open curve. Its own grid vertices are scaled up, or taken
-    as they are when the scale is the curve's own, so no Fraction is read
-    again."""
+    """A curve lifted to an integer Polyline (Curve.lifted), plus its
+    vertex lookups: vmap maps each vertex to its first index, and ends
+    holds the endpoint indices of an open curve."""
 
     __slots__ = ("curve", "vmap", "ends")
 
     def __init__(self, curve: Curve, scale: int):
-        f = scale // curve.grid_scale
-        pts = (curve.grid if f == 1
-               else tuple([(x * f, y * f) for x, y in curve.grid]))
+        pts = curve.lifted(scale)
         super().__init__(pts, curve.closed)
         self.curve = curve
         n = len(pts)
@@ -124,19 +120,20 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve, hits):
     """The meetings of two scaled curves, hits = meetings(sa, sb), grouped
     by point.
 
-    Returns (events, overlaps): events maps a grid point key (X, Y, D), see
-    grid_point, to [proper count, s_a, s_b, multi]: the first chain params,
-    an int at a vertex, and whether any other met there. overlaps lists
-    collinear shared pieces as (lo, hi) integer pairs.
+    Returns (events, overlaps): events maps a point's meeting_key to
+    [proper count, s_a, s_b, multi]: the first chain params, an int at a
+    vertex, and whether any other met there. overlaps lists the meeting_key
+    of each collinear shared piece.
     """
     events: Dict[Tuple[int, int, int], list] = {}
     overlaps: List[tuple] = []
     vmap_a, vmap_b = sa.vmap, sb.vmap
     for i, j, res in hits:
         tag = res[0]
+        key = meeting_key(sa.segs[i], res)
         if tag == "touch":
             p = res[1]
-            key, proper = (p[0], p[1], 1), 0
+            proper = 0
             s_a = vmap_a.get(p)
             if s_a is None:
                 s_a = segment_param(sa.segs[i], p, i)
@@ -144,11 +141,9 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve, hits):
             if s_b is None:
                 s_b = segment_param(sb.segs[j], p, j)
         elif tag == "proper":
-            t = res[1]
-            key = grid_point(sa.segs[i][:2], t)
-            s_a, s_b, proper = i + t, j + res[2], 1
+            s_a, s_b, proper = i + res[1], j + res[2], 1
         else:
-            overlaps.append((res[1], res[2]))
+            overlaps.append(key)
             continue
         ev = events.get(key)
         if ev is None:
@@ -195,9 +190,9 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
     ida, idb = sa.curve.id, sb.curve.id
     incidences: List[Incidence] = []
 
-    for lo, hi in overlaps:
+    for key in overlaps:
         violations.append(Violation(
-            "overlap", (ida, idb), unlift((lo[0], lo[1], 1), scale),
+            "overlap", (ida, idb), unlift(key, scale),
             "curves share a collinear piece"))
 
     found = [(sa.curve.points[ev[1]] if type(ev[1]) is int
@@ -270,15 +265,11 @@ def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
             if sx1 < x0 or sx0 > x1 or sy1 < y0 or sy0 > y1:
                 continue
             res = seg_events(a, b, c, d)
-            tag = res[0]
-            if tag == "none":
+            if res[0] == "none":
                 continue
-            if tag == "proper":
-                pkey = grid_point((a, b), res[1])
-            else:
-                pkey = (res[1][0], res[1][1], 1)
             viols.append(Violation(
-                "self_intersection", (cid,), unlift(pkey, scale),
+                "self_intersection", (cid,),
+                unlift(meeting_key((a, b), res), scale),
                 f"segments {i} and {j} meet"))
     return viols
 

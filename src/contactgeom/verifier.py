@@ -24,7 +24,8 @@ from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
 from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        coordinate_scale, germs, grid_point, lift, lift_point,
-                       meetings, on_polyline, segment_param, unlift)
+                       meeting_key, meetings, on_polyline, segment_param,
+                       unlift)
 from .graphs import SimpleGraph, contact_graph_from, max_common_neighborhood
 from .incidence import catalogue, curve_pair_incidences, mixed_contacts
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
@@ -469,7 +470,7 @@ def _close_arc(ctx: FaceContext, lam: SubArc, own: Polyline, other: Polyline,
             if ev[0] != "touch" or ev[1] not in ends:
                 return False
         for ev in other.hits(a, b):
-            if ev[0] != "proper" or grid_point((a, b), ev[1]) in forbidden:
+            if ev[0] != "proper" or meeting_key((a, b), ev) in forbidden:
                 return False
         return True
 
@@ -485,7 +486,7 @@ def _close_arc(ctx: FaceContext, lam: SubArc, own: Polyline, other: Polyline,
         except ValidationError:
             continue
         return (closed, (Fraction(g.n_segments), Fraction(closed.n_segments)),
-                Polyline(own.pts + list(via), True))
+                Polyline([*own.pts, *via], True))
     raise ConstructionError(
         f"no valid imaginary closure for arc {g.id} at any routing refinement")
 
@@ -498,7 +499,7 @@ def _piece_intersections(crossings, c1: Curve, lo1: Fraction, hi1: Fraction,
     (reduced lifted point, point, param on c1, on c2) per scanned meeting)."""
     ring1, ring2, events = crossings
     n1, n2 = c1.n_segments, c2.n_segments
-    piece_ends = {grid_point(ring.seg(int(s) % n), s - int(s))
+    piece_ends = {grid_point(ring.segs[int(s) % n], s - int(s))
                   for ring, n, s in ((ring1, n1, lo1), (ring1, n1, hi1),
                                      (ring2, n2, lo2), (ring2, n2, hi2))}
     return sorted({p for key, p, s1, s2 in events
@@ -544,17 +545,11 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
     scale = 128 * lcm(ctx.scale, coordinate_scale((g1, g2)),
                       *((inner.x.denominator, inner.y.denominator)
                         if inner is not None else ()))
-    up = scale // ctx.scale
-    walls = [Polyline([(x * up, y * up) for x, y in pts], c.closed)
-             for c, pts in zip(arr.curves, arr._curve_pts)]
-    real1, real2 = (Polyline(lift(g.points, scale), g.closed)
-                    for g in (g1, g2))
-    existing = set()
-    for i, _, ev in meetings(real1, real2):
-        if ev[0] == "proper":
-            existing.add(grid_point(real1.seg(i), ev[1]))
-        else:
-            existing.update((*q, 1) for q in ev[1:])
+    walls = [Polyline(c.lifted(scale), c.closed) for c in arr.curves]
+    real1, real2 = (Polyline(g.lifted(scale), g.closed) for g in (g1, g2))
+    # pieces of a valid family's curves meet in crossings and touches only
+    existing = {meeting_key(real1.segs[i], ev)
+                for i, _, ev in meetings(real1, real2)}
     closed1, imag1, ring1 = _close_arc(ctx, lam1, real1, real2, existing,
                                        walls, scale)
     closed2, imag2, ring2 = _close_arc(ctx, lam2, real2, ring1, existing,
@@ -606,13 +601,13 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
     events = []
     for i, j, ev in meetings(ring1, ring2):
         if ev[0] == "proper":
-            key, s1, s2 = grid_point(ring1.seg(i), ev[1]), i + ev[1], j + ev[2]
+            s1, s2 = i + ev[1], j + ev[2]
         elif ev[0] == "touch":
-            key = (*ev[1], 1)
             s1 = segment_param(ring1.segs[i], ev[1], i)
             s2 = segment_param(ring2.segs[j], ev[1], j)
         else:
             continue
+        key = meeting_key(ring1.segs[i], ev)
         events.append((key, unlift(key, scale), s1 % n1, s2 % n2))
     crossings = (ring1, ring2, events)
     alt_edges = []

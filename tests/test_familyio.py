@@ -110,6 +110,26 @@ def test_equal_tokens_share_one_fraction():
     assert b0.y is b1.y == Fraction(1, 2)
 
 
+_CLEAN = ("family m=2\ncurve id=1 closed=1 nv=3\n0 0\n4 0\n0 3/2\n"
+          "curve id=2 closed=0 nv=2\n-1/3 1\n5 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    _CLEAN.replace("\n", "\r\n"),
+    _CLEAN.replace("4 0\n", "4 0\n# between two vertices\n\n"),
+    _CLEAN.replace("0 0\n", "0 0  # the origin\n").replace(
+        "nv=2\n", "nv=2\t# an arc\n"),
+    _CLEAN.replace(" ", "\t"),
+    _CLEAN[:-1],
+], ids=["crlf", "comment-and-blank-among-vertices", "trailing-comments",
+        "tabs", "no-final-newline"])
+def test_layout_variants_read_as_the_clean_text(text):
+    want = loads_family(_CLEAN)
+    got = loads_family(text)
+    assert got == want
+    assert [c.grid for c in got] == [c.grid for c in want]
+
+
 def test_unreduced_tokens_read_as_their_value():
     fam = loads_family("family m=1\ncurve id=1 closed=0 nv=3\n"
                        "2/4 0\n1/2 1\n3/2 -6/3\n")

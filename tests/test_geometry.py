@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom.errors import ValidationError
@@ -252,6 +252,24 @@ def test_lift_puts_points_on_one_grid():
     for p in pts + (pt("1/4", "3/5"), pt(-7, "1/9")):
         X, Y, D = lift_point(p, scale)
         assert D > 0 and (F(X, D), F(Y, D)) == (p.x * scale, p.y * scale)
+
+
+_COORD = st.one_of(st.integers(-9, 9),
+                   st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=st.lists(st.builds(Point, _COORD, _COORD), min_size=3, max_size=6),
+       closed=st.booleans(), k=st.integers(1, 6))
+def test_lifted_is_the_lift_of_the_points(pts, closed, k):
+    try:
+        c = Curve(id=1, points=tuple(pts), closed=closed)
+    except ValidationError:
+        assume(False)
+    scale = c.grid_scale * k
+    assert c.lifted(scale) == tuple(lift(c.points, scale))
+    if k == 1:
+        assert c.lifted(scale) is c.grid
 
 
 def test_on_polyline_matches_on_segment():

@@ -340,10 +340,10 @@ def unfiltered_self_violations(sc, scale):
         for j in range(i + 2, n):
             if sc.closed and i == 0 and j == n - 1:
                 continue
-            res = seg_events(*sc.seg(i), *sc.seg(j))
+            res = seg_events(*sc.segs[i][:2], *sc.segs[j][:2])
             if res[0] == "none":
                 continue
-            key = (grid_point(sc.seg(i), res[1]) if res[0] == "proper"
+            key = (grid_point(sc.segs[i], res[1]) if res[0] == "proper"
                    else (*res[1], 1))
             out.append(incidence.Violation(
                 "self_intersection", (sc.curve.id,), unlift(key, scale),
