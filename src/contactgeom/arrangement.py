@@ -19,7 +19,8 @@ from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
                        coordinate_scale, lift, lift_point, on_polyline,
                        signed_area2, winding_parity)
-from .incidence import FamilyIncidences, catalogue, mixed_contacts
+from .incidence import (FamilyIncidences, catalogue, mixed_contacts,
+                        sub_family)
 
 # the unbounded face's id in every Arrangement
 UNBOUNDED_FACE = 0
@@ -295,10 +296,8 @@ def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
 def pair_arrangement(family: CurveFamily, i: int, j: int) -> Arrangement:
     """Arrangement of curves i and j of the family, from the contacts
     between them in the family's catalogue."""
-    a, b = family.curve(i), family.curve(j)
-    incs = catalogue(family).between(i, j)
-    return _assemble((a, b), FamilyIncidences(
-        m=family.m, curve_ids=(i, j), pairs={(i, j): incs} if incs else {}))
+    pair = sub_family(family, (i, j))
+    return _assemble(pair.curves, pair.incidences)
 
 
 def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:

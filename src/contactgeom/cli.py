@@ -12,9 +12,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arrangement import Arrangement, build_mixed_arrangement, locate_cell
+from .arrangement import Arrangement, build_arrangement, locate_cell
 from .errors import (ConstructionError, ContactGeomError, DegenerateError,
                      DegeneracyError, ParseError, PreconditionError,
                      ValidationError)
@@ -23,7 +24,7 @@ from .familyio import parse_rational, read_family, write_family
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import CurveFamily, midpoint
 from .graphs import contact_graph_from
-from .incidence import catalogue, validate_general_position
+from .incidence import catalogue, sub_family, validate_general_position
 from .separator import ReducedFamily, recursive_decompose, reduce_degree
 from .verifier import (FaceContext, alt_hat_charging, circular_signature,
                        free_arc, monte_carlo_ground, rich_poor_partition,
@@ -161,12 +162,15 @@ def _pick_face(family: CurveFamily, lambda1_ids: Sequence[int],
                lambdaF_ids: Sequence[int]
                ) -> Optional[Tuple[Arrangement, int]]:
     """(arrangement of the lambda1 curves in the given order, its face
-    holding every candidate arc), or None when the arcs do not share one."""
-    by_id = {c.id: c for c in family}
-    arr = build_mixed_arrangement([by_id[i] for i in lambda1_ids])
+    holding every candidate arc), or None when the arcs do not share one.
+
+    The arrangement reads its contacts from the family's catalogue: in a
+    valid strict family no endpoint rests on another curve, so these are
+    the arrangement-mode contacts of the lambda1 curves too."""
+    arr = build_arrangement(sub_family(family, lambda1_ids))
     face: Optional[int] = None
     for lid in lambdaF_ids:
-        c = by_id[lid]
+        c = family.curve(lid)
         probe = midpoint(c.points[0], c.points[1])
         try:
             f = locate_cell(arr, probe)
@@ -209,7 +213,7 @@ def _cmd_verify_prop9(ns: argparse.Namespace) -> int:
     by_id = {c.id: c for c in family}
     lambdaF = [free_arc(i, by_id[i].points, by_id[i].closed) for i in lamF_ids]
     try:
-        ctx = FaceContext(arr, face)
+        ctx = FaceContext(arr, face, catalogue(family))
     except PreconditionError as e:
         return bail(f"face {face}: {e}")
 
@@ -310,6 +314,7 @@ _HANDLERS = {
 }
 
 
+@cache   # built on the first call, then shared: parse_args leaves it as is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="contactgeom",

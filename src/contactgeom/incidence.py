@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, EndpointError, ValidationError, check
@@ -438,6 +439,17 @@ def keep_catalogue(family: CurveFamily,
           "a catalogue kept on a family must be its own")
     object.__setattr__(family, "incidences", incidences)
     return family
+
+
+def sub_family(family: CurveFamily, ids: Sequence[int]) -> CurveFamily:
+    """The family's curves with the given ids, in that order, carrying the
+    contacts among them: each pair read from the family's catalogue with
+    between(), so the rest of the catalogue is not scanned."""
+    fi = catalogue(family)
+    pairs = {(a, b): incs for a, b in combinations(ids, 2)
+             if (incs := fi.between(a, b))}
+    sub = CurveFamily(tuple(family.curve(i) for i in ids), family.m)
+    return keep_catalogue(sub, FamilyIncidences(family.m, tuple(ids), pairs))
 
 
 def mixed_contacts(curves: Sequence[Curve]) -> FamilyIncidences:

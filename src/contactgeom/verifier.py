@@ -27,7 +27,8 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        meeting_key, meetings, on_polyline, segment_param,
                        unlift)
 from .graphs import SimpleGraph, contact_graph_from, max_common_neighborhood
-from .incidence import catalogue, curve_pair_incidences, mixed_contacts
+from .incidence import (FamilyIncidences, catalogue, curve_pair_incidences,
+                        mixed_contacts)
 from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
                           boundary_edge_cycle, locate_cell, pair_arrangement,
                           split_arcs_by_pair)
@@ -281,9 +282,15 @@ class FaceContext:
     lattice point maps to the (walk step, label, vertex index) of every
     chain vertex there, in walk order. Each arc's signature is computed
     once and kept, keyed by the arc's geometry.
+
+    contacts, when given, is the catalogue the arcs' contacts with the
+    arrangement's curves are read from: a family's, holding the arcs and
+    the surrounding curves under their ids. Without it each arc is run
+    through the incidence engine against each surrounding curve.
     """
 
-    def __init__(self, arrangement: Arrangement, face: int):
+    def __init__(self, arrangement: Arrangement, face: int,
+                 contacts: Optional[FamilyIncidences] = None):
         if face < 0 or face >= arrangement.F:
             raise PreconditionError(f"no face {face} in the arrangement")
         self.arrangement = arrangement
@@ -298,6 +305,7 @@ class FaceContext:
             for k, q in enumerate(arrangement._edge_pts[label]):
                 self._at.setdefault(q, []).append((step, label, k))
         self.scale = arrangement.scale
+        self.contacts = contacts
         self._signatures: Dict[Curve, tuple] = {}
 
     def boundary_position(self, p: Point, away: Sequence[Tuple[int, int]]):
@@ -344,14 +352,16 @@ def _signature_keyed(ctx: FaceContext, lam: SubArc):
     g = lam.geometry
     keyed, index_of = [], {}
     for mu in ctx.arrangement.curves:
-        incs = curve_pair_incidences(g, mu)
+        incs = (curve_pair_incidences(g, mu) if ctx.contacts is None
+                else ctx.contacts.between(g.id, mu.id))
         if len(incs) != 1 or incs[0].kind != "tangency":
             raise PreconditionError(f"arc {g.id} does not touch arc {mu.id}")
-        # a tangency sits at a vertex of both curves: s_a is lam's index
+        # a tangency sits at a vertex of both curves: s is lam's index
+        s = incs[0].s_on(g.id)
         key = ctx.boundary_position(
-            incs[0].point, germs(g.grid, int(incs[0].s_a), g.closed))
+            incs[0].point, germs(g.grid, int(s), g.closed))
         keyed.append(key)
-        index_of[key[2]] = incs[0].s_a
+        index_of[key[2]] = s
     keyed.sort()
     seq = tuple(key[2] for key in keyed)
     if len(set(seq)) != len(seq):
@@ -475,6 +485,11 @@ def _close_arc(ctx: FaceContext, lam: SubArc, own: Polyline, other: Polyline,
         return True
 
     for via in _route_candidates(ctx, ends, walls, scale):
+        # the first segment's verdict, cached, rejects most candidates
+        # before their path is built; the tests below start with it
+        first = via[0] if via else ends[1]
+        if first == ends[0] or not passes(ends[0], first):
+            continue
         path = (ends[0],) + via + (ends[1],)
         if (any(path[i] == path[i + 1] for i in range(len(path) - 1))
                 or not all(map(passes, path, path[1:]))):

@@ -257,9 +257,9 @@ def test_verify_prop9_builds_one_face_search(tmp_path, monkeypatch, capsys,
     path, report = tmp_path / "fence.family", tmp_path / "prop9.json"
     write_family(path, fam)
     built = []
-    build = cli.build_mixed_arrangement
-    monkeypatch.setattr(cli, "build_mixed_arrangement",
-                        lambda curves: built.append(curves) or build(curves))
+    build = cli.build_arrangement
+    monkeypatch.setattr(cli, "build_arrangement",
+                        lambda sub: built.append(sub.curves) or build(sub))
     assert main(["verify-prop9", str(path), "--report", str(report)]) == 0
     assert [[c.id for c in curves] for curves in built] == [[1, 2, 3, 4, 5, 6]]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
@@ -267,8 +267,9 @@ def test_verify_prop9_builds_one_face_search(tmp_path, monkeypatch, capsys,
 
 def test_verify_prop9_analyses_each_arc_pair_once(tmp_path, monkeypatch,
                                                  capsys):
-    # signatures are kept on the face context, so the CLI loop, the
-    # uniqueness check and the charging share one engine run per arc pair
+    # the family's catalogue holds every contact the command reads: the
+    # touching graph, the surrounding arrangement and each arc's signature,
+    # so the engine runs once, on the whole family
     fam = fence_family(instances.comb_subarc(102, 6, ("el2",) * 6, 1), m=40)
     path = tmp_path / "fencev.family"
     write_family(path, fam)
@@ -276,18 +277,13 @@ def test_verify_prop9_analyses_each_arc_pair_once(tmp_path, monkeypatch,
     run_engine = incidence._run_engine
 
     def counting(curves, m, mode):
-        runs.append(frozenset(c.id for c in curves))
+        runs.append((tuple(c.id for c in curves), m, mode))
         return run_engine(curves, m, mode)
 
     monkeypatch.setattr(incidence, "_run_engine", counting)
     assert main(["verify-prop9", str(path),
                  "--report", str(tmp_path / "r.json")]) == 0
-    pairs = [r for r in runs if len(r) == 2]
-    # 6 pickets touched by each of the two combs
-    assert len(pairs) >= 12
-    assert len(pairs) == len(set(pairs))
-    # the surrounding arrangement is built once too
-    assert len(runs) == len(set(runs)) <= 16
+    assert runs == [(tuple(c.id for c in fam), 40, "strict")]
 
 
 def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
@@ -424,6 +420,42 @@ def test_every_command_runs_without_networkx(chain_file, tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "dec.json").read_text())["per_level"]
+
+
+# ---------------------------------------------------------- parser reuse
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_starts_each_parse_from_the_defaults():
+    ap = cli.build_parser()
+    assert ap.parse_args(["-v", "-v", "validate", "f"]).verbose == 2
+    assert ap.parse_args(["validate", "f"]).verbose == 0
+    given = ap.parse_args(["sample-lemma", "f", "--trials", "7",
+                           "--report", "r"])
+    assert given.trials == 7
+    assert ap.parse_args(["sample-lemma", "f", "--report", "r"]).trials == 100
+
+
+def test_usage_error_leaves_the_next_call_unchanged(chain_file, tmp_path,
+                                                    capsys):
+    report = tmp_path / "sample.json"
+    args = ["sample-lemma", chain_file, "--report", str(report)]
+    runs = []
+    for bad in (["sample-lemma", chain_file, "--trials", "7"],
+                ["sample-lemma", chain_file, "--trials", "seven",
+                 "--report", str(report)],
+                ["no-such-command"]):
+        runs.append((main(args), capsys.readouterr(), report.read_bytes()))
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    runs.append((main(args), capsys.readouterr(), report.read_bytes()))
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][0] == 0
+    assert json.loads(runs[0][2])["monte_carlo"]["trials"] == 100
 
 
 # -------------------------------------------------------- console script

@@ -10,13 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom import incidence, verifier
-from contactgeom.arrangement import (build_mixed_arrangement, locate_cell,
+from contactgeom.arrangement import (build_arrangement,
+                                     build_mixed_arrangement, locate_cell,
                                      split_arcs_by_pair)
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import (Curve, CurveFamily, Point, Polyline, lift,
                                   meetings, pt, seg_events, unlift)
-from contactgeom.incidence import compute_incidences, curve_pair_incidences
+from contactgeom.incidence import (catalogue, compute_incidences,
+                                   curve_pair_incidences, sub_family)
 from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
                                   circular_signature, enumerate_ground_pairs,
                                   free_arc, monte_carlo_ground,
@@ -250,6 +252,64 @@ def test_unroutable_closure_is_reported():
     sig = circular_signature(ctx, lam1)
     with pytest.raises(ConstructionError):
         alt_hat_charging(ctx, lam1, lam2, sig)
+
+
+# ------------------------------------------- catalogue against the engine
+
+# (pickets, comb shape) of the benchmark's fence families
+FENCE_SHAPES = ((2, "nested"), (3, "nested"), (4, "nested"), (3, "hat"),
+                (6, "closed"), (6, "distinct"))
+
+
+def _fence_combs(s, shape):
+    comb = instances.comb_subarc
+    if shape == "distinct":
+        return (comb(101, s, ("elbow",) * s, 0),
+                comb(102, s, ("sh1e",) * s, 0))
+    if shape == "hat":
+        return (comb(101, s, tuple("el3" if k == 2 else "elbow"
+                                   for k in range(s)), 0),
+                comb(102, s, tuple("elbow" if k == 2 else "el2"
+                                   for k in range(s)), 1))
+    closed = shape == "closed"
+    return (comb(101, s, ("elbow",) * s, 0, closed),
+            comb(102, s, ("el2",) * s, 1, closed))
+
+
+def _face_results(ctx, lams):
+    sigs = [circular_signature(ctx, lam) for lam in lams]
+    rep = verify_signature_uniqueness(ctx, lams)
+    charges = [alt_hat_charging(ctx, lams[0], lams[1], sigs[0])
+               for _ in rep.colliding]
+    return sigs, rep, charges
+
+
+@pytest.mark.parametrize("s,shape", FENCE_SHAPES)
+def test_catalogue_face_matches_the_per_pair_engine(s, shape, monkeypatch):
+    # verify-prop9 reads the surrounding arrangement and the arcs' contacts
+    # from the family's catalogue; the per-pair engine and the mixed-mode
+    # arrangement of the same curves are the reference
+    lams = _fence_combs(s, shape)
+    fam = CurveFamily(tuple(sa.geometry for sa in instances.fence_subarcs(s))
+                      + tuple(lam.geometry for lam in lams), 40)
+    pickets = tuple(range(1, s + 1))
+    fi = catalogue(fam)
+    arr = build_arrangement(sub_family(fam, pickets))
+    ref = build_mixed_arrangement([fam.curve(i) for i in pickets])
+    assert arr.curves == ref.curves and arr.scale == ref.scale
+    assert arr.vertices == ref.vertices
+    assert arr.half_edges == ref.half_edges
+    assert arr.faces == ref.faces
+    assert arr._edge_pts == ref._edge_pts
+    want = _face_results(FaceContext(arr, 0), lams)
+    runs = []
+    run_engine = incidence._run_engine
+    monkeypatch.setattr(incidence, "_run_engine",
+                        lambda *a: runs.append(a) or run_engine(*a))
+    got = _face_results(FaceContext(arr, 0, fi), lams)
+    assert runs == []
+    assert got == want
+    assert bool(want[2]) == (shape != "distinct")
 
 
 # ------------------------------------------------------------ box rejection
