@@ -107,11 +107,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
     }
     try:
         report = recursive_decompose(reduced, C_const=c_const)
-    except (DegenerateError, PreconditionError) as e:
-        # a family with no touching pair is outside the threshold formula,
-        # an input condition reported like a threshold that admits no piece
-        if isinstance(e, PreconditionError) and catalogue(reduced).T:
-            raise
+    except DegenerateError as e:
         data.update({"degenerate": True, "reason": str(e)})
         _write_text(ns.report, _json_text(data))
         print(f"degenerate: {e}")

@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, EndpointError, ValidationError, check
@@ -45,7 +44,6 @@ class Incidence:
     b: int
     s_a: Fraction
     s_b: Fraction
-    pattern: Optional[str] = None
 
     def s_on(self, cid: int) -> Fraction:
         if cid == self.a:
@@ -156,29 +154,23 @@ def _pair_events(sa: _ScaledCurve, sb: _ScaledCurve, hits):
     return events, overlaps
 
 
-# owner pattern of the four directions at a shared vertex, keyed by the
-# ranks of curve A's two directions in counterclockwise order from +x
-_PATTERNS = {(0, 1): "AABB", (0, 2): "ABAB", (0, 3): "ABBA",
-             (1, 2): "BAAB", (1, 3): "BABA", (2, 3): "BBAA"}
-
-
-def _shared_vertex_pattern(sa: _ScaledCurve, ka: int,
-                           sb: _ScaledCurve, kb: int) -> Optional[str]:
-    """The owner pattern ("ABAB", "AABB", ...) of the four directions from
-    a shared interior vertex, vertex ka of A and kb of B, toward each
-    curve's next and previous vertex, in counterclockwise order from +x
-    (angle_cmp); None when two of them are parallel."""
+def _shared_vertex_kind(sa: _ScaledCurve, ka: int,
+                        sb: _ScaledCurve, kb: int) -> Optional[str]:
+    """"crossing" or "tangency" at a shared interior vertex, vertex ka of A
+    and kb of B, from the four directions toward each curve's next and
+    previous vertex: a crossing iff exactly one of B's lies strictly inside
+    A's wedge, counterclockwise from A's next to its previous
+    (geometry.ccw_between); None when two of them are parallel."""
     a, c = germs(sa.pts, ka, sa.closed)
     b, d = germs(sb.pts, kb, sb.closed)
     ac, ab, ad = angle_cmp(a, c), angle_cmp(a, b), angle_cmp(a, d)
     cb, cd, bd = angle_cmp(c, b), angle_cmp(c, d), angle_cmp(b, d)
     if not (ac and ab and ad and cb and cd and bd):
         return None
-    # the rank of a and of c: how many of the other three come first
-    rank_a = (ac > 0) + (ab > 0) + (ad > 0)
-    rank_c = (ac < 0) + (cb > 0) + (cd > 0)
-    return _PATTERNS[(rank_a, rank_c) if rank_a < rank_c
-                     else (rank_c, rank_a)]
+    # w is inside iff two of a < w, w < c and c < a hold
+    b_in = (ab < 0) + (cb > 0) + (ac > 0) >= 2
+    d_in = (ad < 0) + (cd > 0) + (ac > 0) >= 2
+    return "crossing" if b_in != d_in else "tangency"
 
 
 def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
@@ -209,7 +201,7 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
             continue
         a_vertex = type(s_a) is int
         b_vertex = type(s_b) is int
-        kind = pattern = None
+        kind = None
 
         if not a_vertex and not b_vertex:
             # seg_events puts every touch on a segment end, that is a vertex
@@ -236,19 +228,16 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
                     "endpoint_contact", (ida, idb), point,
                     "arc endpoint meets another curve at a vertex"))
         else:
-            pattern = _shared_vertex_pattern(sa, s_a, sb, s_b)
-            if pattern is None:
+            kind = _shared_vertex_kind(sa, s_a, sb, s_b)
+            if kind is None:
                 violations.append(Violation(
                     "overlap", (ida, idb), point,
                     "parallel germs at a shared vertex"))
-            else:
-                kind = ("crossing" if pattern in ("ABAB", "BABA")
-                        else "tangency")
         if kind is not None:
             incidences.append(Incidence(
                 kind, point, ida, idb,
                 fracs[s_a] if a_vertex else s_a,
-                fracs[s_b] if b_vertex else s_b, pattern))
+                fracs[s_b] if b_vertex else s_b))
     return incidences
 
 
@@ -367,10 +356,14 @@ class FamilyIncidences:
         return sum(1 for incs in self.pairs.values()
                    for inc in incs if inc.kind == "crossing")
 
+    @cached_property
+    def _touching(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(pair for pair, incs in sorted(self.pairs.items())
+                     if len(incs) == 1 and incs[0].kind == "tangency")
+
     def touching_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        out = [pair for pair, incs in sorted(self.pairs.items())
-               if len(incs) == 1 and incs[0].kind == "tangency"]
-        return tuple(out)
+        """The touching pairs in sorted order, found once per catalogue."""
+        return self._touching
 
     def all_incidences(self) -> Tuple[Incidence, ...]:
         out: List[Incidence] = []
@@ -443,12 +436,19 @@ def keep_catalogue(family: CurveFamily,
 
 def sub_family(family: CurveFamily, ids: Sequence[int]) -> CurveFamily:
     """The family's curves with the given ids, in that order, carrying the
-    contacts among them: each pair read from the family's catalogue with
-    between(), so the rest of the catalogue is not scanned."""
+    contacts among them: one pass over the family catalogue's pairs keeps
+    each pair of two ids, keyed and listed in the order of ids, as
+    combinations(ids, 2) lists them. With ids in family order this is the
+    catalogue compute_incidences gives the sub-family."""
     fi = catalogue(family)
-    pairs = {(a, b): incs for a, b in combinations(ids, 2)
-             if (incs := fi.between(a, b))}
-    sub = CurveFamily(tuple(family.curve(i) for i in ids), family.m)
+    by_id = {c.id: c for c in family}
+    sub = CurveFamily(tuple(by_id[i] for i in ids), family.m)
+    rank = {cid: k for k, cid in enumerate(ids)}
+    # distinct pairs sort on their positions alone, never on contacts
+    kept = sorted((sorted((rank[a], rank[b])), incs)
+                  for (a, b), incs in fi.pairs.items()
+                  if a in rank and b in rank)
+    pairs = {(ids[i], ids[j]): incs for (i, j), incs in kept}
     return keep_catalogue(sub, FamilyIncidences(family.m, tuple(ids), pairs))
 
 

@@ -17,8 +17,8 @@ from .arrangement import curve_portion, face_walk, rotation_order
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, frac, germs, lift
 from .graphs import intersection_graph_from
-from .incidence import (FamilyIncidences, catalogue, compute_incidences,
-                        keep_catalogue)
+from .incidence import (catalogue, compute_incidences, keep_catalogue,
+                        sub_family)
 
 VertexId = Tuple
 
@@ -514,18 +514,6 @@ def _bucket_index(k: int, M: Fraction) -> int:
     return i
 
 
-def _node(family: CurveFamily, ids: FrozenSet[int]) -> CurveFamily:
-    """The family's curves in ids, in family order, with the family's
-    catalogue filtered to them: the one compute_incidences gives, as the
-    engine keys and orders pairs by position, and m is unchanged."""
-    fi = catalogue(family)
-    sub = CurveFamily(tuple(c for c in family if c.id in ids), fi.m)
-    pairs = {p: incs for p, incs in fi.pairs.items()
-             if p[0] in ids and p[1] in ids}
-    return keep_catalogue(sub, FamilyIncidences(
-        fi.m, tuple(c.id for c in sub), pairs))
-
-
 def recursive_decompose(family: CurveFamily,
                         C_const: Fraction = Fraction(8),
                         ) -> DecompositionReport:
@@ -534,8 +522,10 @@ def recursive_decompose(family: CurveFamily,
     M = C_const * n^2 * d^3 / T^2, with d the average contact degree X // n
     of the (degree-reduced) input. Every touching pair either loses a curve
     to the separator or survives inside a single terminal piece. Families
-    with d = 0 degenerate to intersection-graph components; M <= 1 raises
-    DegenerateError because no nonempty piece could satisfy the threshold.
+    with d = 0 degenerate to intersection-graph components. DegenerateError
+    is raised when the threshold formula does not apply: for d >= 1 with
+    no touching pair (T = 0), and for M <= 1, which no nonempty piece could
+    satisfy. Each recursion node is sub_family of its ids in family order.
     C_const is read exactly (geometry.frac): a float raises TypeError.
     """
     n = family.n
@@ -552,7 +542,7 @@ def recursive_decompose(family: CurveFamily,
         return DecompositionReport(0, Fraction(0), C_const, frozenset(),
                                    pieces, T, T, ())
     if T == 0:
-        raise PreconditionError("decomposition needs a touching pair")
+        raise DegenerateError("decomposition needs a touching pair")
     M = C_const * n * n * d ** 3 / (T * T)
     if M <= 1:
         raise DegenerateError(f"threshold M = {M} admits no nonempty piece")
@@ -568,7 +558,8 @@ def recursive_decompose(family: CurveFamily,
         if len(ids) < M or len(ids) <= 2:
             pieces.append(ids)
             return
-        res = string_separator(_node(family, ids))
+        res = string_separator(
+            sub_family(family, [c.id for c in family if c.id in ids]))
         sep.update(res.separator)
         level_sizes[depth] = level_sizes.get(depth, 0) + len(res.separator)
         for comp in sorted(res.components, key=min):

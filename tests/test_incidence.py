@@ -7,19 +7,21 @@ import pytest
 from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import combinations
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import incidence, separator
+from contactgeom import incidence
 from contactgeom.errors import (DegeneracyError, InvariantError,
                                 ValidationError)
 from contactgeom.geometry import (Curve, CurveFamily, Point, coordinate_scale,
                                   grid_point, pt, seg_events, unlift)
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
-from contactgeom.incidence import (catalogue, compute_incidences,
-                                   curve_pair_incidences, keep_catalogue,
-                                   mixed_contacts, validate_general_position)
+from contactgeom.incidence import (FamilyIncidences, catalogue,
+                                   compute_incidences, curve_pair_incidences,
+                                   keep_catalogue, mixed_contacts, sub_family,
+                                   validate_general_position)
 
 import oracles
 
@@ -110,9 +112,12 @@ def test_incidence_pattern_only_at_shared_vertices():
     b = square(2, 2, 2)
     for x in curve_pair_incidences(a, b):
         assert {x.a, x.b} == {1, 2}
-        assert x.pattern is None         # interior crossings carry no rays
+        # interior crossings: neither chain parameter is a vertex
+        assert x.s_a.denominator > 1 and x.s_b.denominator > 1
+    # the diamonds share the vertex (2, 0), where their germs do not alternate
     tip = curve_pair_incidences(diamond(1, 0, 0), diamond(2, 4, 0))[0]
-    assert sorted(tip.pattern) == ["A", "A", "B", "B"]
+    assert tip.kind == "tangency"
+    assert (tip.s_a, tip.s_b) == (2, 0)
 
 
 _DIRS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
@@ -147,13 +152,16 @@ def test_shared_vertex_pattern_is_the_ray_order(four, v):
         pts = tuple(pt(v[0] + x, v[1] + y) for x, y in (prev, (0, 0), nxt))
         return incidence._ScaledCurve(Curve(cid, pts, closed=False), 1)
 
-    got = incidence._shared_vertex_pattern(scaled(1, a, c), 1,
-                                           scaled(2, b, d), 1)
+    got = incidence._shared_vertex_kind(scaled(1, a, c), 1,
+                                        scaled(2, b, d), 1)
     rays = sorted([(a, "A"), (c, "A"), (b, "B"), (d, "B")],
                   key=cmp_to_key(lambda s, t: oracles._ray_cmp(s[0], t[0])))
     tied = any(oracles._ray_cmp(s[0], t[0]) == 0
                for s, t in zip(rays, rays[1:]))
-    assert got == (None if tied else "".join(lbl for _, lbl in rays))
+    # a crossing iff the owners alternate in the oracle's ray order
+    owners = "".join(lbl for _, lbl in rays)
+    assert got == (None if tied else "crossing" if owners in ("ABAB", "BABA")
+                   else "tangency")
 
 
 def test_overlapping_edges_rejected_in_strict_mode():
@@ -498,7 +506,7 @@ def families_and_subsets(draw):
 @given(families_and_subsets())
 def test_a_recursion_node_carries_the_engine_catalogue(fam_and_ids):
     fam, ids = fam_and_ids
-    node = separator._node(fam, ids)
+    node = sub_family(fam, [c.id for c in fam if c.id in ids])
     assert node.curves == tuple(c for c in fam if c.id in ids)
     assert node.m == fam.m
     got = node.incidences
@@ -506,3 +514,51 @@ def test_a_recursion_node_carries_the_engine_catalogue(fam_and_ids):
     # same keys, key orientation, dict order and Incidence objects
     assert list(got.pairs.items()) == list(want.pairs.items())
     assert (got.m, got.curve_ids) == (want.m, want.curve_ids)
+
+
+@st.composite
+def families_and_id_lists(draw):
+    """A generated family in a drawn order, and some of its ids listed in
+    another drawn order."""
+    fam, ids = draw(families_and_subsets())
+    return fam, draw(st.permutations(sorted(ids)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(families_and_id_lists())
+def test_sub_family_keeps_the_given_order(fam_and_ids):
+    fam, ids = fam_and_ids
+    fi = catalogue(fam)
+    sub = sub_family(fam, ids)
+    assert sub.curves == tuple(fam.curve(i) for i in ids)
+    assert (sub.m, sub.incidences.m) == (fam.m, fam.m)
+    assert sub.incidences.curve_ids == tuple(ids)
+    # keys oriented and listed in the given order, values the family's own
+    want = [(a, b) for a, b in combinations(ids, 2) if fi.between(a, b)]
+    assert list(sub.incidences.pairs) == want
+    assert all(sub.incidences.pairs[p] is fi.between(*p) for p in want)
+
+
+def test_sub_family_reads_the_catalogue_in_one_pass(monkeypatch):
+    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=100, m=1,
+                                 seed=42))
+    fi = catalogue(fam)
+    calls = []
+    between, curve = FamilyIncidences.between, CurveFamily.curve
+    monkeypatch.setattr(FamilyIncidences, "between", lambda self, a, b: (
+        calls.append("between") or between(self, a, b)))
+    monkeypatch.setattr(CurveFamily, "curve", lambda self, cid: (
+        calls.append("curve") or curve(self, cid)))
+    sub = sub_family(fam, [c.id for c in fam])
+    assert list(sub.incidences.pairs.items()) == list(fi.pairs.items())
+    # at most one between() call per kept pair, and no scan per id
+    assert calls.count("between") <= len(fi.pairs)
+    assert calls.count("curve") == 0
+
+
+def test_touching_pairs_are_found_once_per_catalogue():
+    fi = compute_incidences(generate(GeneratorSpec(kind="TangentChain", n=6,
+                                                   m=1, seed=3)))
+    first = fi.touching_pairs()
+    assert first and fi.touching_pairs() is first
+    assert fi.T == len(first)

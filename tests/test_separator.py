@@ -769,7 +769,7 @@ def test_decompose_needs_touchings_when_dense():
     fam = generate(GeneratorSpec(kind="PerturbedPencil", n=6, m=1, seed=1))
     fi = compute_incidences(fam)
     assert fi.X // fam.n >= 1 and fi.T == 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DegenerateError, match="needs a touching pair"):
         recursive_decompose(fam)
 
 
