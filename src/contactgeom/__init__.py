@@ -5,20 +5,19 @@ sampling, boundary signatures, separators, and empirical bound sweeps."""
 from .errors import (ConstructionError, ContactGeomError, DegeneracyError,
                      DegenerateError, EndpointError, FitError,
                      GenerationError, OnCurveError, ParseError,
-                     PreconditionError, ResourceError, ValidationError)
+                     PreconditionError, ValidationError)
 from .geometry import Curve, CurveFamily, Point
 from .incidence import (FamilyIncidences, Incidence, catalogue,
                         compute_incidences, curve_pair_incidences,
                         validate_general_position)
-from .arrangement import (Arrangement, SubArc, boundary_edge_cycle,
+from .arrangement import (Arrangement, boundary_edge_cycle,
                           build_arrangement, build_mixed_arrangement,
-                          cells_of_pair, locate_cell, pair_arrangement,
-                          split_arcs_by_pair)
+                          cells_of_pair, locate_cell, pair_arrangement)
 from .familyio import (dumps_family, loads_family, read_family, write_family)
 from .generators import KINDS, GeneratorSpec, generate
-from .graphs import SimpleGraph, max_common_neighborhood
+from .graphs import SimpleGraph
 from .verifier import (CircularSignature, FaceContext, GroundPairSample,
-                       RichPoorReport, alt_hat_charging, check_lemma8,
+                       RichPoorReport, SubArc, alt_hat_charging,
                        circular_signature, enumerate_ground_pairs, free_arc,
                        monte_carlo_ground, rich_poor_partition,
                        sample_ground_pair, verify_signature_uniqueness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
@@ -337,72 +337,3 @@ def boundary_edge_cycle(arr: Arrangement, face_id: int) -> Tuple[Tuple[int, ...]
     """
     f = arr.faces[face_id]
     return tuple(tuple(reversed(cyc)) for cyc in f.cycles)
-
-
-@dataclass(frozen=True)
-class SubArc:
-    """A contiguous piece of a parent curve cut at its contacts with the
-    ground pair. endpoint_kinds matches geometry.endpoints ('on_boundary'
-    or 'free'); a closed-loop piece has no endpoints and records its single
-    boundary contact in cut_points."""
-    parent: int
-    geometry: Curve
-    endpoint_kinds: Tuple[str, ...]
-    cut_points: Tuple[Point, ...]
-    interval: Tuple[Fraction, Fraction]
-
-
-def split_arcs_by_pair(family: CurveFamily, i: int, j: int,
-                       A: Set[int], B: Set[int], cell: int) -> List[SubArc]:
-    """Cut every curve of A and B at its contacts with the ground pair and
-    keep the pieces lying inside the closure of the given cell. Contacts
-    are read from the family's catalogue."""
-    fi = catalogue(family)
-    arr = pair_arrangement(family, i, j)
-    if cell < 0 or cell >= arr.F:
-        raise PreconditionError(f"no face {cell} in the pair arrangement")
-
-    out: List[SubArc] = []
-    next_id = 0
-    for cid in sorted(set(A) | set(B)):
-        if cid in (i, j):
-            raise PreconditionError("ground curves cannot be split members")
-        c = family.curve(cid)
-        ground, other = (i, j) if cid in A else (j, i)
-        incs_g = fi.between(cid, ground)
-        if not (len(incs_g) == 1 and incs_g[0].kind == "tangency"):
-            raise PreconditionError(
-                f"curve {cid} does not touch its ground curve {ground}")
-        cuts: Dict[Fraction, Point] = {}
-        for inc in incs_g + fi.between(cid, other):
-            cuts[inc.s_on(cid)] = inc.point
-        for lo, hi in split_curve_at(c, list(cuts)):
-            loop = c.closed and hi - lo == c.n_segments
-            mid = (lo + hi) / 2
-            probe = chain_point(c, mid)
-            try:
-                where = locate_cell(arr, probe)
-            except OnCurveError:
-                raise DegeneracyError(
-                    f"curve {cid} runs along the ground pair") from None
-            if where != cell:
-                continue
-            if loop:
-                shift = int(lo)
-                check(lo == shift, "loop piece must start at a polyline vertex")
-                pts = c.points[shift:] + c.points[:shift]
-                geom = Curve(id=next_id, points=pts, closed=True)
-                kinds: Tuple[str, ...] = ()
-                cut_pts = (cuts[lo],) if lo in cuts else ()
-            else:
-                geom = Curve(id=next_id, points=curve_portion(c, lo, hi),
-                             closed=False)
-                hi_n = hi % c.n_segments if c.closed else hi
-                kinds = tuple("on_boundary" if s in cuts else "free"
-                              for s in (lo, hi_n))
-                cut_pts = tuple(cuts[s] for s in (lo, hi_n) if s in cuts)
-            out.append(SubArc(parent=cid, geometry=geom, endpoint_kinds=kinds,
-                              cut_points=cut_pts, interval=(lo, hi)))
-            next_id += 1
-    return out
-

@@ -285,7 +285,7 @@ def _cmd_sample_lemma(ns: argparse.Namespace) -> int:
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     try:
-        sweep = [int(tok) for tok in ns.sweep.split(",")] if ns.sweep else []
+        sweep = [int(tok) for tok in ns.sweep.split(",")]
     except ValueError:
         raise PreconditionError(f"bad sweep list {ns.sweep!r}")
     rows = run_sweep(ns.kind, sweep, m=ns.m, seed=ns.seed,

@@ -37,10 +37,6 @@ class GenerationError(ContactGeomError):
     """A generator failed to produce a valid family for the given spec."""
 
 
-class ResourceError(ContactGeomError):
-    """A search exceeded its configured work budget."""
-
-
 class DegenerateError(ContactGeomError):
     """An instance is too small or too sparse for the requested analysis."""
 

@@ -40,7 +40,8 @@ def dumps_family(family: CurveFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
+_INTEGER = r"-?[0-9]+"
+_RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
 
 
 def parse_rational(tok: str) -> Fraction:
@@ -65,10 +66,13 @@ def _parse_kv(tok: str, key: str, line_no: int) -> int:
     prefix = key + "="
     if not tok.startswith(prefix):
         raise _Malformed(line_no, f"expected {key}=<int>, got {tok!r}")
-    try:
-        return int(tok[len(prefix):])
-    except ValueError:
-        raise _Malformed(line_no, f"bad integer in {tok!r}")
+    value = tok[len(prefix):]
+    if re.fullmatch(_INTEGER, value):
+        try:
+            return int(value)
+        except ValueError:
+            pass   # more digits than int() reads
+    raise _Malformed(line_no, f"bad integer in {tok!r}")
 
 
 def _token(tok: str, line_no: int) -> Fraction:

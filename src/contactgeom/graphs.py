@@ -1,13 +1,10 @@
-"""Intersection and contact graphs of a catalogue, biclique search,
-planarity."""
+"""Intersection and contact graphs of a catalogue, planarity."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
-from .errors import ResourceError
 from .incidence import FamilyIncidences
 
 
@@ -56,41 +53,6 @@ def contact_graph_from(incidences: FamilyIncidences) -> SimpleGraph:
     """Edge {i,j} iff i and j form a touching pair."""
     return SimpleGraph(vertices=incidences.curve_ids,
                        edges=frozenset(incidences.touching_pairs()))
-
-
-def max_common_neighborhood(g: SimpleGraph, s: int,
-                            budget: int = 5_000_000) -> Tuple[int, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """Largest t with K_{s,t} in g, plus one witness; (0, None) when none.
-
-    Exhaustive over s-subsets of the vertex set in order, pruning a branch
-    whose common neighbourhood cannot beat the best right side so far.
-    """
-    if s < 1:
-        raise ValueError("s must be positive")
-    if comb(g.n, s) > budget:
-        raise ResourceError(f"C({g.n},{s}) exceeds biclique budget {budget}")
-    order = g.vertices
-    best: List = [0, None]
-
-    def extend(start: int, chosen: List[int], common: Optional[FrozenSet[int]]):
-        if len(chosen) == s:
-            rest = sorted(common - set(chosen))
-            if len(rest) > best[0]:
-                best[0] = len(rest)
-                best[1] = (tuple(chosen), tuple(rest))
-            return
-        need = s - len(chosen)
-        for idx in range(start, len(order) - need + 1):
-            v = order[idx]
-            nxt = g.neighbors(v) if common is None else (common & g.neighbors(v))
-            if len(nxt) <= best[0]:
-                continue
-            chosen.append(v)
-            extend(idx + 1, chosen, nxt)
-            chosen.pop()
-
-    extend(0, [], None)
-    return best[0], best[1]
 
 
 def check_planarity(g: SimpleGraph) -> bool:

@@ -8,8 +8,8 @@ Two operating modes share one engine:
   a violation.
 * ``arrangement``: additionally admits open-curve endpoints resting on
   another curve (``tjoint``) and shared endpoints of two open curves
-  (``joint``). Needed when sub-arcs cut from family curves are assembled
-  into an arrangement together with intact curves.
+  (``joint``). Needed for the ad-hoc arc sets that
+  arrangement.build_mixed_arrangement assembles.
 
 All computation happens on integer-scaled coordinates, so every predicate
 is an exact integer sign test.
@@ -453,7 +453,7 @@ def sub_family(family: CurveFamily, ids: Sequence[int]) -> CurveFamily:
 
 
 def mixed_contacts(curves: Sequence[Curve]) -> FamilyIncidences:
-    """Arrangement-mode catalog for an ad-hoc curve set (sub-arcs allowed)."""
+    """Arrangement-mode catalog for an ad-hoc curve set (open arcs allowed)."""
     pairs, violations = _run_engine(curves, None, "arrangement")
     _raise_first(violations)
     return FamilyIncidences(

@@ -26,12 +26,10 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        coordinate_scale, germs, grid_point, lift, lift_point,
                        meeting_key, meetings, on_polyline, segment_param,
                        unlift)
-from .graphs import SimpleGraph, contact_graph_from, max_common_neighborhood
-from .incidence import (FamilyIncidences, catalogue, curve_pair_incidences,
-                        mixed_contacts)
-from .arrangement import (UNBOUNDED_FACE, Arrangement, SubArc,
-                          boundary_edge_cycle, locate_cell, pair_arrangement,
-                          split_arcs_by_pair)
+from .graphs import SimpleGraph, contact_graph_from
+from .incidence import FamilyIncidences, catalogue, curve_pair_incidences
+from .arrangement import (UNBOUNDED_FACE, Arrangement, boundary_edge_cycle,
+                          locate_cell, pair_arrangement)
 
 
 # ---------------------------------------------------------------- sampling
@@ -249,14 +247,16 @@ def monte_carlo_ground(family: CurveFamily, trials: int, seed: int) -> dict:
 
 # ------------------------------------------------------------- signatures
 
+@dataclass(frozen=True)
+class SubArc:
+    """An arc inside a face of the caller's arrangement."""
+    geometry: Curve
+
+
 def free_arc(arc_id: int, points: Sequence[Point],
              closed: bool = False) -> SubArc:
     """Wrap a bare polyline as an arc with unconstrained endpoints."""
-    geom = Curve(id=arc_id, points=tuple(points), closed=closed)
-    kinds = () if closed else ("free", "free")
-    return SubArc(parent=arc_id, geometry=geom, endpoint_kinds=kinds,
-                  cut_points=(),
-                  interval=(Fraction(0), Fraction(geom.n_segments)))
+    return SubArc(Curve(id=arc_id, points=tuple(points), closed=closed))
 
 
 @dataclass(frozen=True)
@@ -665,32 +665,3 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
                         hat_edges=tuple(hat_edges), charges=tuple(charges),
                         real_count=real_count,
                         imaginary_count=imaginary_count)
-
-
-# ------------------------------------------------------- biclique absence
-
-@dataclass(frozen=True)
-class BicliqueAbsenceReport:
-    s: int
-    l_observed: int
-    biclique_found: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-
-
-def subarc_contact_graph(arcs: Sequence[SubArc]) -> SimpleGraph:
-    """Touching graph of the arcs, read from one arrangement-mode catalogue:
-    two pieces of one curve sharing a cut point meet in a joint, which is
-    not a touching."""
-    return contact_graph_from(mixed_contacts([sa.geometry for sa in arcs]))
-
-
-def check_lemma8(family: CurveFamily,
-                 delta_context: GroundPairSample) -> BicliqueAbsenceReport:
-    """Largest t carried by a complete bipartite contact pattern with m+5
-    left arcs, over the pieces clipped to the sampled cell."""
-    arcs = split_arcs_by_pair(
-        family, delta_context.gamma1, delta_context.gamma2,
-        set(delta_context.A), set(delta_context.B), delta_context.delta)
-    g = subarc_contact_graph(arcs)
-    s = family.m + 5
-    t, witness = max_common_neighborhood(g, s)
-    return BicliqueAbsenceReport(s=s, l_observed=t, biclique_found=witness)

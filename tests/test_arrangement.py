@@ -12,7 +12,7 @@ from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
                                      build_mixed_arrangement, cells_of_pair,
                                      chain_point, curve_portion,
                                      locate_cell, pair_arrangement,
-                                     split_arcs_by_pair, split_curve_at)
+                                     split_curve_at)
 from contactgeom.errors import ContactGeomError, DegeneracyError, OnCurveError
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
@@ -150,8 +150,6 @@ def test_pair_queries_read_the_whole_family():
     for query in (pair_arrangement, cells_of_pair):
         with pytest.raises(DegeneracyError, match="overlap"):
             query(fam, 1, 2)
-    with pytest.raises(DegeneracyError, match="overlap"):
-        split_arcs_by_pair(fam, 1, 2, set(), set(), UNBOUNDED_FACE)
 
 
 def test_chain_point_and_portion():
@@ -235,42 +233,6 @@ def test_chain_point_matches_the_fraction_formula():
             assert curve_portion(c, s0, s) == oracles._portion(c, s0, s)
     assert seen == {("vertex", False), ("vertex", True), ("inside", False),
                     ("inside", True), ("end", False), ("seam", True)}
-
-
-def test_split_arcs_by_pair_on_chain():
-    fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=1))
-    subs = split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, UNBOUNDED_FACE)
-    assert {sa.parent for sa in subs} == {1, 3, 4, 6}
-    # chain neighbours never cross the ground pair, so arcs stay whole
-    for sa in subs:
-        assert sa.geometry.closed
-        assert sa.endpoint_kinds == ()
-    # sub-arc ids are renumbered densely
-    assert sorted(sa.geometry.id for sa in subs) == list(range(len(subs)))
-
-
-def test_split_arcs_by_pair_reads_the_family_catalogue(monkeypatch):
-    fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=1))
-    runs = []
-    engine = incidence._run_engine
-    monkeypatch.setattr(incidence, "_run_engine",
-                        lambda *args: runs.append(args) or engine(*args))
-    subs = split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, UNBOUNDED_FACE)
-    # the generated family carries its catalogue: no engine run at all
-    assert runs == []
-    # each member touches its ground curve once, so each piece is the
-    # whole curve, cut at that touching and rotated to start there
-    want = [(1, 0, pt(1, 0)), (3, 4, pt(3, 0)), (4, 0, pt(7, 0)),
-            (6, 4, pt(9, 0))]
-    assert [(sa.parent, sa.interval, sa.endpoint_kinds, sa.cut_points)
-            for sa in subs] == [(cid, (lo, lo + 8), (), (p,))
-                                for cid, lo, p in want]
-    for sa, (cid, lo, _) in zip(subs, want):
-        pts = fam.curve(cid).points
-        assert sa.geometry.points == pts[lo:] + pts[:lo]
-    arr = pair_arrangement(fam, 2, 5)
-    assert all(split_arcs_by_pair(fam, 2, 5, {1, 3}, {4, 6}, cell) == []
-               for cell in range(1, arr.F))
 
 
 # ------------------------------------------ integer view against Fractions

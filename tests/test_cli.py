@@ -372,9 +372,14 @@ def test_experiment_reruns_identically(tmp_path, capsys):
 
 
 def test_bad_sweep_list_exits_2(tmp_path, capsys):
-    rc = main(["experiment", "--kind", "TangentChain", "--sweep", "6,x",
-               "--out", str(tmp_path / "bad.csv")])
-    assert rc == 2
+    # an empty list is as bad as a bad size: no header-only CSV is written
+    for sweep in ("6,x", ""):
+        out = tmp_path / "bad.csv"
+        rc = main(["experiment", "--kind", "TangentChain", "--sweep", sweep,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "bad sweep list" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_every_command_runs_without_networkx(chain_file, tmp_path):

@@ -124,9 +124,9 @@ def test_only_graphs_calls_networkx_to_check_planarity():
 
 def test_every_public_name_in_src_is_used():
     # a public top-level function or class is called or named elsewhere in
-    # the package, exported by contactgeom, or one of the three names that
-    # only the benchmark's tracer wraps; anything else is a helper nothing
-    # reads
+    # the package; an export from contactgeom is not a use. The names
+    # pinned below have no caller in the package, each for its reason;
+    # anything else is a helper nothing reads
     traced = {fn for _, fns in _tracing_table("LAYERS").values()
               for fn in fns} | set(_tracing_table("COUNTED"))
     defined, used = [], set()
@@ -136,21 +136,26 @@ def test_every_public_name_in_src_is_used():
             own = (top.name if isinstance(top, (ast.FunctionDef,
                                                 ast.ClassDef)) else None)
             if own is not None and not own.startswith("_"):
-                defined.append((module, own))
+                defined.append(f"{m.name}.{own}")
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name) else
                         node.attr if isinstance(node, ast.Attribute) else None)
                 if name is not None and name != own:
                     used.add(name)
-    unused = [f"{module.__name__}.{name}" for module, name in defined
-              if name not in used
-              and getattr(contactgeom, name, None)
-              is not getattr(module, name)]
-    # pinned, so that no fourth name joins them unnoticed
-    assert sorted(unused) == ["contactgeom.geometry.orientation",
-                              "contactgeom.geometry.segment_intersection",
-                              "contactgeom.graphs.check_planarity"]
-    assert all(name.rsplit(".", 1)[1] in traced for name in unused)
+    unused = sorted(name for name in defined
+                    if name.rsplit(".", 1)[1] not in used)
+    # the benchmark's tracer wraps these by name
+    wrapped = ["arrangement.build_mixed_arrangement", "geometry.orientation",
+               "geometry.segment_intersection", "graphs.check_planarity"]
+    # the tests' entry points: criterion 5's m+2 bound, the exact
+    # expectations, the determinism tests, and how the separator tests
+    # build their graphs
+    entry_points = ["arrangement.cells_of_pair",
+                    "verifier.enumerate_ground_pairs",
+                    "verifier.sample_ground_pair", "separator.weighted_graph"]
+    # pinned, so that no ninth name joins them unnoticed
+    assert unused == sorted(wrapped + entry_points)
+    assert all(name.rsplit(".", 1)[1] in traced for name in wrapped)
 
 
 def test_verifier_does_not_use_segment_intersection():

@@ -87,9 +87,17 @@ def test_exact_fractions_survive():
     # token alone: 1e999999999 would ask for an integer of about 415 MB
     f"family m=1\ncurve id=1 closed=1 nv=3\n{tok} 0\n4 0\n0 4\n"
     for tok in ("1e999999999", "1.5", "+1", "1_000", "1/0", "-1/-2", "٣")
+] + [
+    # header integers take the same -?[0-9]+ as coordinates: int() would
+    # read each of these as the 1 or 3 the file means, and the family
+    # would be written back without them
+    "family m=1\ncurve id=1 closed=1 nv=3\n0 0\n4 0\n0 4\n".replace(
+        f"{key}={value}", f"{key}={tok}")
+    for key, value in (("m", 1), ("id", 1), ("closed", 1), ("nv", 3))
+    for tok in (f"+{value}", f"0_{value}", chr(0x660 + value))
 ])
 def test_malformed_inputs_raise(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line [0-9]+: "):
         loads_family(text)
 
 

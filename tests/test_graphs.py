@@ -1,6 +1,5 @@
-"""Graph layer: contact/intersection graphs, planarity, biclique search."""
+"""Graph layer: contact/intersection graphs, planarity."""
 
-import random
 from itertools import combinations
 
 import networkx
@@ -10,8 +9,7 @@ from hypothesis import strategies as st
 
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.graphs import (SimpleGraph, check_planarity,
-                                contact_graph_from, intersection_graph_from,
-                                max_common_neighborhood)
+                                contact_graph_from, intersection_graph_from)
 from contactgeom.incidence import catalogue
 
 import oracles
@@ -19,17 +17,6 @@ import oracles
 
 def complete(n):
     return SimpleGraph(tuple(range(n)), frozenset(combinations(range(n), 2)))
-
-
-def brute_max_common(g, s):
-    best = 0
-    for left in combinations(g.vertices, s):
-        common = set(g.vertices)
-        for v in left:
-            common &= set(g.neighbors(v))
-        common -= set(left)
-        best = max(best, len(common))
-    return best
 
 
 def test_simple_graph_accessors():
@@ -142,33 +129,3 @@ def test_intersection_graph_includes_crossings():
     assert gi.n_edges == len(fi.pairs)
     assert gc.n_edges == fi.T
     assert set(gc.edges) <= set(gi.edges)
-
-
-def test_max_common_neighborhood_against_exhaustive_search():
-    rng = random.Random(4)
-    for trial in range(12):
-        n = rng.randrange(6, 11)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.45]
-        g = SimpleGraph(tuple(range(n)), frozenset(edges))
-        for s in (1, 2, 3):
-            want = brute_max_common(g, s)
-            got, witness = max_common_neighborhood(g, s)
-            assert got == want, (trial, s, edges)
-            if witness is not None:
-                left, right = witness
-                assert len(left) == s and len(right) == got
-                for v in left:
-                    for u in right:
-                        assert u in g.neighbors(v)
-
-
-def test_biclique_budget_exhaustion_is_reported():
-    g = complete(14)
-    try:
-        max_common_neighborhood(g, 5, budget=3)
-    except Exception as e:
-        assert "budget" in str(e).lower()
-    else:
-        raise AssertionError("tiny budget should not complete on K14")
-

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from contactgeom import incidence, verifier
 from contactgeom.arrangement import (build_arrangement,
-                                     build_mixed_arrangement, locate_cell,
-                                     split_arcs_by_pair)
+                                     build_mixed_arrangement, locate_cell)
 from contactgeom.errors import ConstructionError, PreconditionError
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.geometry import (Curve, CurveFamily, Point, Polyline, lift,
                                   meetings, pt, seg_events, unlift)
 from contactgeom.incidence import (catalogue, compute_incidences,
                                    curve_pair_incidences, sub_family)
-from contactgeom.verifier import (FaceContext, alt_hat_charging, check_lemma8,
+from contactgeom.verifier import (FaceContext, alt_hat_charging,
                                   circular_signature, enumerate_ground_pairs,
                                   free_arc, monte_carlo_ground,
                                   rich_poor_partition, sample_ground_pair,
@@ -35,12 +34,11 @@ F = Fraction
 
 def test_free_arc_wraps_polyline():
     sa = free_arc(9, (pt(0, 0), pt(2, 1), pt(4, 0)))
-    assert sa.parent == 9
-    assert sa.endpoint_kinds == ("free", "free")
-    assert not sa.geometry.closed
+    assert sa.geometry == Curve(id=9, points=(pt(0, 0), pt(2, 1), pt(4, 0)),
+                                closed=False)
     closed = free_arc(9, (pt(0, 0), pt(2, 1), pt(4, 0), pt(2, -1)),
                       closed=True)
-    assert closed.endpoint_kinds == ()
+    assert closed.geometry.closed
 
 
 def test_face_context_rejects_bad_faces():
@@ -683,34 +681,3 @@ def test_rich_poor_needs_a_touching():
     else:
         rp = rich_poor_partition(fam)
         assert 1000 * rp.T_poor <= fi.T
-
-
-def test_check_lemma8_reports_shape():
-    fam = chain(6)
-    sample = sample_ground_pair(fam, seed=5)
-    rep = check_lemma8(fam, sample)
-    assert rep.s == fam.m + 5
-    assert rep.l_observed >= 0
-    if rep.biclique_found is not None:
-        left, right = rep.biclique_found
-        assert len(left) == rep.s
-
-
-def test_check_lemma8_with_pieces_sharing_a_cut_point():
-    # a curve touching its ground curve leaves two pieces in the sampled
-    # cell that share their cut point: a joint, not a touching, and no error
-    fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=36, m=1, seed=42))
-    sample = sample_ground_pair(fam, 11)
-    arcs = split_arcs_by_pair(fam, sample.gamma1, sample.gamma2,
-                              set(sample.A), set(sample.B), sample.delta)
-    parents = [sa.parent for sa in arcs]
-    assert len(set(parents)) < len(parents)
-    want = set()
-    for a, b in combinations(arcs, 2):
-        if a.parent != b.parent:
-            incs = curve_pair_incidences(a.geometry, b.geometry)
-            if [x.kind for x in incs] == ["tangency"]:
-                want.add((a.geometry.id, b.geometry.id))
-    assert verifier.subarc_contact_graph(arcs).edges == want
-    rep = check_lemma8(fam, sample)
-    assert rep.s == fam.m + 5 and rep.l_observed >= 0
