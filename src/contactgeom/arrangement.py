@@ -69,23 +69,6 @@ def split_curve_at(c: Curve, params: Sequence[Fraction]) -> List[Tuple[Fraction,
 
 
 @dataclass(frozen=True)
-class ArrVertex:
-    id: int
-    point: Point
-    out: Tuple[int, ...]  # outgoing half-edge ids, CCW by exact angle (angle_cmp)
-
-
-@dataclass(frozen=True)
-class HalfEdge:
-    id: int
-    origin: int
-    target: int
-    twin: int
-    curve: int
-    geometry: Tuple[Point, ...]  # oriented origin -> target
-
-
-@dataclass(frozen=True)
 class Face:
     id: int
     cycles: Tuple[Tuple[int, ...], ...]  # face on left; bounded: outer first
@@ -97,27 +80,17 @@ class Arrangement:
 
     Point location runs on the integer view: every curve (Curve.lifted) and
     face cycle lifted onto the grid of step 1/scale, where each vertex is a
-    lattice point. Each half-edge's chain is kept lifted there for the face
-    side.
+    lattice point. half_edges is the half-edge table on that grid:
+    half_edges[h] is half-edge h's chain of lattice points, origin first,
+    and half-edges 2i and 2i + 1 are twins, one chain the other reversed.
     """
 
-    def __init__(self, curves, vertices, half_edges, faces, scale,
-                 edge_pts, cycle_polygons):
+    def __init__(self, curves, half_edges, faces, scale, cycle_polygons):
         self.curves: Tuple[Curve, ...] = tuple(curves)
-        self.vertices: List[ArrVertex] = vertices
-        self.half_edges: List[HalfEdge] = half_edges
+        self.half_edges: List[List[Tuple[int, int]]] = half_edges
         self.faces: List[Face] = faces
         self.scale: int = scale
-        self._edge_pts: List[List[Tuple[int, int]]] = edge_pts
         self._cycle_polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = cycle_polygons
-
-    @property
-    def V(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def E(self) -> int:
-        return len(self.half_edges) // 2
 
     @property
     def F(self) -> int:
@@ -184,20 +157,16 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
                   for p in got.values() for v in (p.x, p.y)))
     curve_pts = [c.lifted(scale) for c in curves]
 
-    # vertex table, ordered by point for determinism; the first point object
-    # seen at a place stands for it
-    at: Dict[Tuple[int, int], Point] = {}
+    # the vertices' lattice points, numbered in sorted order for determinism
+    at = set()
     vkey: Dict[int, Dict[Fraction, Tuple[int, int]]] = {}
     for cid, got in param_points.items():
         keys = lift(got.values(), scale)
         vkey[cid] = dict(zip(got, keys))
-        for key, p in zip(keys, got.values()):
-            at.setdefault(key, p)
-    grid = sorted(at)
-    vid_of: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(grid)}
+        at.update(keys)
+    vid_of: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(sorted(at))}
 
-    half_edges: List[HalfEdge] = []
-    igeo: List[List[Tuple[int, int]]] = []  # integer geometry per half-edge
+    half_edges: List[List[Tuple[int, int]]] = []
     for c, ipts in zip(curves, curve_pts):
         keys = vkey[c.id]
         for s0, s1 in split_curve_at(c, list(keys)):
@@ -205,30 +174,20 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
             ka, kb = keys[s0], keys[s1 % c.n_segments if c.closed else s1]
             # the vertices of c strictly between s0 and s1
             inner = [k % len(ipts) for k in range(int(s0) + 1, ceil(s1))]
-            geom = (at[ka], *(c.points[k] for k in inner), at[kb])
-            a, b = vid_of[ka], vid_of[kb]
-            hf = HalfEdge(id=len(half_edges), origin=a, target=b,
-                          twin=len(half_edges) + 1, curve=c.id, geometry=geom)
-            hb = HalfEdge(id=len(half_edges) + 1, origin=b, target=a,
-                          twin=len(half_edges), curve=c.id,
-                          geometry=tuple(reversed(geom)))
-            half_edges.extend([hf, hb])
-            ig = [ka, *(ipts[k] for k in inner), kb]
-            igeo.extend([ig, ig[::-1]])
+            chain = [ka, *(ipts[k] for k in inner), kb]
+            half_edges.extend([chain, chain[::-1]])
 
-    out = rotation_order([h.origin for h in half_edges],
+    out = rotation_order([vid_of[g[0]] for g in half_edges],
                          [(g[1][0] - g[0][0], g[1][1] - g[0][1])
-                          for g in igeo], len(grid))
+                          for g in half_edges], len(vid_of))
     cycles = face_walk(out)
-    vertices = [ArrVertex(id=vid, point=at[key], out=tuple(out[vid]))
-                for vid, key in enumerate(grid)]
 
     polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
     areas: Dict[Tuple[int, ...], int] = {}
     for cyc in cycles:
         poly: List[Tuple[int, int]] = []
         for hid in cyc:
-            poly.extend(igeo[hid][:-1])
+            poly.extend(half_edges[hid][:-1])
         polygons[cyc] = poly
         areas[cyc] = signed_area2(poly)
 
@@ -260,7 +219,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
         holes = sorted(holes_of[o], key=min)
         # interior probe: the midpoint of the first edge pushed along its left
         # normal, where the face lies, by 2^-k of the normal for k = 1, 2, ...
-        (ax, ay), (bx, by) = igeo[o[0]][0], igeo[o[0]][1]
+        (ax, ay), (bx, by) = half_edges[o[0]][0], half_edges[o[0]][1]
         for k in range(1, 257):
             q = (((ax + bx) << (k - 1)) + ay - by, ((ay + by) << (k - 1)) + bx - ax,
                  1 << k)
@@ -276,8 +235,7 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
         faces.append(Face(id=len(faces), cycles=(o,) + tuple(holes),
                           interior=Point(Fraction(q[0], d), Fraction(q[1], d))))
 
-    return Arrangement(curves, vertices, half_edges, faces, scale,
-                       igeo, polygons)
+    return Arrangement(curves, half_edges, faces, scale, polygons)
 
 
 def build_arrangement(family: CurveFamily) -> Arrangement:

@@ -20,7 +20,7 @@ from .errors import (ConstructionError, ContactGeomError, DegenerateError,
                      DegeneracyError, ParseError, PreconditionError,
                      ValidationError)
 from .experiments import run_sweep, sweep_csv, sweep_summary
-from .familyio import parse_rational, read_family, write_family
+from .familyio import parse_integer, parse_rational, read_family, write_family
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import CurveFamily, midpoint
 from .graphs import contact_graph_from
@@ -285,7 +285,7 @@ def _cmd_sample_lemma(ns: argparse.Namespace) -> int:
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     try:
-        sweep = [int(tok) for tok in ns.sweep.split(",")]
+        sweep = [parse_integer(tok) for tok in ns.sweep.split(",")]
     except ValueError:
         raise PreconditionError(f"bad sweep list {ns.sweep!r}")
     rows = run_sweep(ns.kind, sweep, m=ns.m, seed=ns.seed,
@@ -327,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated family file")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--n", type=parse_integer, required=True)
+    p.add_argument("--m", type=parse_integer, default=1)
+    p.add_argument("--resolution", type=parse_integer, default=8)
+    p.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("decompose",
@@ -348,17 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-lemma",
                        help="rich/poor split and ground-pair sampling")
     p.add_argument("family")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=parse_integer, default=100)
+    p.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("experiment", help="sweep a generator and emit CSV")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--sweep", required=True,
                    help="comma-separated family sizes")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--m", type=parse_integer, default=1)
+    p.add_argument("--resolution", type=parse_integer, default=8)
+    p.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     return ap
 

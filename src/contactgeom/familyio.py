@@ -57,6 +57,13 @@ def parse_rational(tok: str) -> Fraction:
     raise ParseError(f"bad rational {tok!r}")
 
 
+def parse_integer(tok: str) -> int:
+    """An integer token of the written grammar, -?[0-9]+; else ValueError."""
+    if re.fullmatch(_INTEGER, tok) is None:
+        raise ValueError(f"bad integer {tok!r}")
+    return int(tok)   # ValueError too past int()'s digit limit
+
+
 class _Malformed(Exception):
     """(line number, message) of a parse error whose byte offset
     loads_family has yet to count."""
@@ -66,13 +73,10 @@ def _parse_kv(tok: str, key: str, line_no: int) -> int:
     prefix = key + "="
     if not tok.startswith(prefix):
         raise _Malformed(line_no, f"expected {key}=<int>, got {tok!r}")
-    value = tok[len(prefix):]
-    if re.fullmatch(_INTEGER, value):
-        try:
-            return int(value)
-        except ValueError:
-            pass   # more digits than int() reads
-    raise _Malformed(line_no, f"bad integer in {tok!r}")
+    try:
+        return parse_integer(tok[len(prefix):])
+    except ValueError:
+        raise _Malformed(line_no, f"bad integer in {tok!r}") from None
 
 
 def _token(tok: str, line_no: int) -> Fraction:

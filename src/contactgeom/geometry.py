@@ -262,12 +262,6 @@ class Curve:
             a, b = self.segment(i)
             yield (i, a, b)
 
-    @property
-    def endpoints(self) -> Tuple[Point, ...]:
-        if self.closed:
-            return ()
-        return (self.points[0], self.points[-1])
-
     def lifted(self, scale: int) -> Tuple[Tuple[int, int], ...]:
         """The vertices on the grid of step 1/scale, scale a multiple of
         grid_scale: grid itself at grid_scale, else grid scaled up, so no
@@ -275,9 +269,6 @@ class Curve:
         f = scale // self.grid_scale
         return (self.grid if f == 1
                 else tuple([(x * f, y * f) for x, y in self.grid]))
-
-    def reversed(self) -> "Curve":
-        return Curve(self.id, tuple(reversed(self.points)), self.closed)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,6 @@ class SimpleGraph:
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, v: int) -> FrozenSet[int]:
         return self._adj[v]
 

@@ -302,7 +302,7 @@ class FaceContext:
         self.walk: Tuple[int, ...] = walks[0]
         self._at: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
         for step, label in enumerate(self.walk):
-            for k, q in enumerate(arrangement._edge_pts[label]):
+            for k, q in enumerate(arrangement.half_edges[label]):
                 self._at.setdefault(q, []).append((step, label, k))
         self.scale = arrangement.scale
         self.contacts = contacts
@@ -326,7 +326,7 @@ class FaceContext:
                    if X % D == 0 and Y % D == 0 else ())
         candidates = []
         for step, label, k in on_walk:
-            g = self.arrangement._edge_pts[label]
+            g = self.arrangement.half_edges[label]
             if not 0 < k < len(g) - 1:
                 raise PreconditionError(
                     f"touching at arrangement vertex {p} is not supported")
@@ -427,7 +427,7 @@ def _route_candidates(ctx: FaceContext, ends, walls: Sequence[Polyline],
     up = scale // ctx.scale
     ws = [pull, mid] + [((ax + bx) * up // 2, (ay + by) * up // 2)
                         for (ax, ay), (bx, by) in (
-                            ctx.arrangement._edge_pts[h][:2] for h in ctx.walk)]
+                            ctx.arrangement.half_edges[h][:2] for h in ctx.walk)]
     px, py = pull
 
     def toward(w, k):

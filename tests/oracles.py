@@ -841,9 +841,10 @@ def route_candidates(ctx, q1, q2):
     f = ctx.arrangement.faces[ctx.face]
     pull = f.interior if f.interior is not None else _mid(q1, q2)
     anchors = [pull, _mid(q1, q2)]
+    scale = ctx.arrangement.scale
     for label in ctx.walk:
-        g = ctx.arrangement.half_edges[label].geometry
-        anchors.append(_mid(g[0], g[1]))
+        (ax, ay), (bx, by) = ctx.arrangement.half_edges[label][:2]
+        anchors.append(Point(F(ax + bx, 2 * scale), F(ay + by, 2 * scale)))
     for shrink in (F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 64)):
         for w in anchors:
             yield (Point(w.x + (pull.x - w.x) * (1 - shrink),

@@ -151,7 +151,8 @@ def test_criterion_3_euler_and_cell_location():
         for (i, j) in rec["oracle"]:
             parent[find(i)] = find(j)
         comps = len({find(c.id) for c in fam})
-        if arr.V - arr.E + arr.F != 1 + comps:
+        nv = len({g[0] for g in arr.half_edges})
+        if nv - len(arr.half_edges) // 2 + arr.F != 1 + comps:
             defects += 1
         rec["_arr"] = arr
     probes = disagreements = 0

@@ -46,13 +46,20 @@ def components(curves):
     return len({find(c.id) for c in curves})
 
 
+def vef(arr):
+    """(V, E, F): V the distinct chain origins, E the twin pairs."""
+    return (len({g[0] for g in arr.half_edges}), len(arr.half_edges) // 2,
+            arr.F)
+
+
 def euler_holds(arr, curves):
-    return arr.V - arr.E + arr.F == 1 + components(curves)
+    v, e, f = vef(arr)
+    return v - e + f == 1 + components(curves)
 
 
 def test_single_closed_curve_topology():
     arr = build_mixed_arrangement([sq(1, 0, 0)])
-    assert (arr.V, arr.E, arr.F) == (1, 1, 2)
+    assert vef(arr) == (1, 1, 2)
     assert euler_holds(arr, [sq(1, 0, 0)])
     assert locate_cell(arr, pt(0, 0)) != locate_cell(arr, pt(9, 9))
     assert locate_cell(arr, pt(9, 9)) == UNBOUNDED_FACE
@@ -61,7 +68,7 @@ def test_single_closed_curve_topology():
 def test_two_crossing_squares_topology():
     curves = [sq(1, 0, 0), sq(2, 2, 2)]
     arr = build_mixed_arrangement(curves)
-    assert (arr.V, arr.E, arr.F) == (2, 4, 4)
+    assert vef(arr) == (2, 4, 4)
     assert euler_holds(arr, curves)
     lens = locate_cell(arr, pt(1, 1))
     assert arr.faces[lens].interior is not None
@@ -92,17 +99,14 @@ def test_boundary_walks_cover_every_half_edge_once():
     for f in range(arr.F):
         for walk in boundary_edge_cycle(arr, f):
             seen.extend(walk)
-    assert sorted(seen) == sorted(h.id for h in arr.half_edges)
+    assert sorted(seen) == list(range(len(arr.half_edges)))
     assert len(seen) == len(set(seen))
 
 
 def test_twins_are_involutive_and_opposite():
     arr = build_mixed_arrangement([sq(1, 0, 0), sq(2, 2, 2)])
-    for h in arr.half_edges:
-        tw = arr.half_edges[h.twin]
-        assert tw.twin == h.id
-        assert (h.origin, h.target) == (tw.target, tw.origin)
-        assert h.curve == tw.curve
+    for h, chain in enumerate(arr.half_edges):
+        assert arr.half_edges[h ^ 1] == chain[::-1]
 
 
 def test_euler_on_generated_families():
@@ -291,10 +295,14 @@ def test_assemble_matches_fraction_reference(curves):
             oracles.ArrangementRef(curves, fi)
         return
     ref = oracles.ArrangementRef(curves, fi)
-    assert [v.point for v in arr.vertices] == ref.points
-    assert [v.out for v in arr.vertices] == ref.rotation
-    assert [(h.origin, h.target, h.curve, h.geometry)
-            for h in arr.half_edges] == ref.edges
+    # the chains unlifted; the face cycles below check the rotation
+    origins = sorted({g[0] for g in arr.half_edges})
+    vid = {q: k for k, q in enumerate(origins)}
+    point = lambda q: Point(F(q[0], arr.scale), F(q[1], arr.scale))
+    assert [point(q) for q in origins] == ref.points
+    assert [(vid[g[0]], vid[g[-1]], tuple(map(point, g)))
+            for g in arr.half_edges] == [(a, b, geom)
+                                         for a, b, _, geom in ref.edges]
     assert [(f.cycles, f.interior) for f in arr.faces] == [
         (cycles, interior) for cycles, _, _, interior in ref.faces]
     for p in _probes(curves):
@@ -321,7 +329,6 @@ def test_pair_arrangement_reads_the_given_catalogue(monkeypatch):
     monkeypatch.setattr(incidence, "_run_engine", no_engine)
     for pair in pairs:
         got, want = pair_arrangement(fam, *pair), built[pair]
-        assert [v.point for v in got.vertices] == [v.point for v in want.vertices]
-        assert [v.out for v in got.vertices] == [v.out for v in want.vertices]
+        assert got.half_edges == want.half_edges
         assert [(f.cycles, f.interior) for f in got.faces] == [
             (f.cycles, f.interior) for f in want.faces]

@@ -372,14 +372,33 @@ def test_experiment_reruns_identically(tmp_path, capsys):
 
 
 def test_bad_sweep_list_exits_2(tmp_path, capsys):
-    # an empty list is as bad as a bad size: no header-only CSV is written
-    for sweep in ("6,x", ""):
+    # an empty list is as bad as a bad size: no header-only CSV is written;
+    # a size is ASCII -?[0-9]+, so no sign, underscore or other digits
+    for sweep in ("6,x", "", "+6,1_0", "\u0666"):
         out = tmp_path / "bad.csv"
         rc = main(["experiment", "--kind", "TangentChain", "--sweep", sweep,
                    "--out", str(out)])
         assert rc == 2
         assert "bad sweep list" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "TangentChain", "--n", "1_0", "-o", "gen.family"],
+    ["generate", "--kind", "TangentChain", "--n", "4", "--seed", "\u0664",
+     "-o", "gen.family"],
+    ["sample-lemma", "FAMILY", "--trials", "+5", "--report", "r.json"]],
+    ids=["n", "seed", "trials"])
+def test_integer_options_take_ascii_digits_only(argv, chain_file, tmp_path,
+                                                monkeypatch, capsys):
+    # every integer option reads the family files' rule, -?[0-9]+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([chain_file if a == "FAMILY" else a for a in argv])
+    assert exc.value.code == 2
+    assert "invalid parse_integer value" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists()
+                   for name in ("gen.family", "r.json"))
 
 
 def test_every_command_runs_without_networkx(chain_file, tmp_path):

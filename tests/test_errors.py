@@ -158,6 +158,35 @@ def test_every_public_name_in_src_is_used():
     assert all(name.rsplit(".", 1)[1] in traced for name in wrapped)
 
 
+def test_every_public_member_in_src_is_read():
+    # a public method or property of a class in the package is read as an
+    # attribute somewhere in the package outside its own body, by name as
+    # above; dataclass fields are not members here
+    members, reads = [], []
+    for m in pkgutil.iter_modules(contactgeom.__path__):
+        tree = ast.parse(inspect.getsource(
+            importlib.import_module(f"contactgeom.{m.name}")))
+        reads += [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                members += [(f"{m.name}.{cls.name}.{fn.name}", fn)
+                            for fn in cls.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_")]
+    unread = []
+    for name, fn in members:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(node.attr == fn.name and id(node) not in own
+                   for node in reads):
+            unread.append(name)
+    # the oracles and tests walk a curve's segments through it, and the
+    # separator oracle and tests read the exact vertex weights
+    assert sorted(unread) == ["geometry.Curve.segments",
+                              "separator.WeightedPlanarGraph.weights"]
+
+
 def test_verifier_does_not_use_segment_intersection():
     # charging lifts each curve set once; a per-call Fraction lift in the
     # route search is what made it slow. Its segment scans are

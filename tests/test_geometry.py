@@ -299,12 +299,10 @@ def test_coordinate_scale_clears_denominators():
 def test_curve_accessors():
     c = Curve(id=3, points=(pt(0, 0), pt(2, 0), pt(2, 2)), closed=False)
     assert c.n_vertices == 3 and c.n_segments == 2
-    assert c.endpoints == (pt(0, 0), pt(2, 2))
     segs = list(c.segments())
     assert [s[0] for s in segs] == [0, 1]
     closed = Curve(id=4, points=c.points, closed=True)
     assert closed.n_segments == 3
-    assert closed.reversed().points[0] == pt(2, 2)
 
 
 def test_curve_rejects_degenerate_input():

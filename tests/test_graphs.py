@@ -22,7 +22,7 @@ def complete(n):
 def test_simple_graph_accessors():
     g = SimpleGraph((3, 1, 2, 1), frozenset({(2, 1), (2, 3)}))
     assert g.vertices == (1, 2, 3) and g.edges == {(1, 2), (2, 3)}
-    assert g.n == 3 and g.n_edges == 2
+    assert len(g.vertices) == 3 and len(g.edges) == 2
     assert 1 in g.neighbors(2) and 3 not in g.neighbors(1)
     assert set(g.neighbors(2)) == {1, 3} and g.neighbors(1) == {2}
     with pytest.raises(ValueError, match="loop"):
@@ -115,7 +115,7 @@ def test_subdivided_kuratowski_graphs_stay_nonplanar():
 def test_contact_graph_of_chain_is_a_path():
     fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=0))
     g = contact_graph_from(catalogue(fam))
-    assert g.n == 6 and g.n_edges == 5
+    assert len(g.vertices) == 6 and len(g.edges) == 5
     degrees = sorted(len(g.neighbors(v)) for v in g.vertices)
     assert degrees == [1, 1, 2, 2, 2, 2]
     assert check_planarity(g)
@@ -126,6 +126,6 @@ def test_intersection_graph_includes_crossings():
     fi = catalogue(fam)
     gi = intersection_graph_from(fi)
     gc = contact_graph_from(fi)
-    assert gi.n_edges == len(fi.pairs)
-    assert gc.n_edges == fi.T
+    assert len(gi.edges) == len(fi.pairs)
+    assert len(gc.edges) == fi.T
     assert set(gc.edges) <= set(gi.edges)
