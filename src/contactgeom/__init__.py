@@ -3,7 +3,7 @@ pairwise intersections: incidence classification, arrangements, tangency
 sampling, boundary signatures, separators, and empirical bound sweeps."""
 
 from .errors import (ConstructionError, ContactGeomError, DegeneracyError,
-                     DegenerateError, EndpointError, FitError,
+                     DegenerateError, FitError,
                      GenerationError, OnCurveError, ParseError,
                      PreconditionError, ValidationError)
 from .geometry import Curve, CurveFamily, Point

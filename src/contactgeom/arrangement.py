@@ -1,9 +1,10 @@
 """Planar arrangement of a curve set as a half-edge structure.
 
-Vertices are contact points, arc endpoints, and one anchor per otherwise
-vertex-free closed curve. Edges are the curve portions between consecutive
-vertices along each curve. Face cycles keep their face on the LEFT of the
-walk direction; the boundary_edge_cycle query re-orients walks so the face
+Vertices are contact points (crossings and tangencies), arc endpoints,
+which rest on no other curve, and one anchor per otherwise vertex-free
+closed curve. Edges are the curve portions between consecutive vertices
+along each curve. Face cycles keep their face on the LEFT of the walk
+direction; the boundary_edge_cycle query re-orients walks so the face
 interior is on the right, matching the tracing convention the signature
 machinery needs.
 """
@@ -244,8 +245,8 @@ def build_arrangement(family: CurveFamily) -> Arrangement:
 
 
 def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
-    """Arrangement of an ad-hoc curve set; open-arc endpoints may rest on
-    other curves (T-joints become degree-3 vertices)."""
+    """Arrangement of an ad-hoc set of open and closed curves, from their
+    catalogue (incidence.mixed_contacts)."""
     if len({c.id for c in curves}) != len(curves):
         raise PreconditionError("curves must have distinct ids")
     return _assemble(curves, mixed_contacts(curves))

@@ -97,6 +97,8 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
         c_const = parse_rational(ns.cconst)
     except ParseError as e:
         raise PreconditionError(f"--cconst: {e}")
+    if c_const <= 0:
+        raise PreconditionError(f"--cconst: {ns.cconst!r} is not positive")
     family = read_family(ns.family)
     reduced = reduce_degree(family)
     data: Dict[str, object] = {
@@ -160,9 +162,8 @@ def _pick_face(family: CurveFamily, lambda1_ids: Sequence[int],
     """(arrangement of the lambda1 curves in the given order, its face
     holding every candidate arc), or None when the arcs do not share one.
 
-    The arrangement reads its contacts from the family's catalogue: in a
-    valid strict family no endpoint rests on another curve, so these are
-    the arrangement-mode contacts of the lambda1 curves too."""
+    The arrangement reads the contacts of the lambda1 curves from the
+    family's catalogue."""
     arr = build_arrangement(sub_family(family, lambda1_ids))
     face: Optional[int] = None
     for lid in lambdaF_ids:
@@ -310,6 +311,11 @@ _HANDLERS = {
 }
 
 
+def integer(tok: str) -> int:
+    """parse_integer, under the name argparse prints in a usage error."""
+    return parse_integer(tok)
+
+
 @cache   # built on the first call, then shared: parse_args leaves it as is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -327,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated family file")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--n", type=parse_integer, required=True)
-    p.add_argument("--m", type=parse_integer, default=1)
-    p.add_argument("--resolution", type=parse_integer, default=8)
-    p.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--m", type=integer, default=1)
+    p.add_argument("--resolution", type=integer, default=8)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("decompose",
@@ -348,17 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-lemma",
                        help="rich/poor split and ground-pair sampling")
     p.add_argument("family")
-    p.add_argument("--trials", type=parse_integer, default=100)
-    p.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=integer, default=100)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("experiment", help="sweep a generator and emit CSV")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--sweep", required=True,
                    help="comma-separated family sizes")
-    p.add_argument("--m", type=parse_integer, default=1)
-    p.add_argument("--resolution", type=parse_integer, default=8)
-    p.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
+    p.add_argument("--m", type=integer, default=1)
+    p.add_argument("--resolution", type=integer, default=8)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     return ap
 

@@ -8,13 +8,9 @@ class ContactGeomError(Exception):
 class DegeneracyError(ContactGeomError):
     """A configuration outside the supported general-position model.
 
-    Raised for overlapping segments, triple points, curves passing through
-    polyline vertices of other curves, and similar unclassifiable contacts.
+    Raised for overlapping segments, triple points, arc endpoints and
+    polyline vertices on other curves, and similar unclassifiable contacts.
     """
-
-
-class EndpointError(DegeneracyError):
-    """An arc endpoint lies on another curve (or touches one)."""
 
 
 class OnCurveError(ContactGeomError):

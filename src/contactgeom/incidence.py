@@ -1,15 +1,9 @@
 """Pairwise contact detection, classification, and family validation.
 
-Two operating modes share one engine:
-
-* ``strict``: the family model. Curves meet only in proper crossings of
-  segment interiors or at shared polyline vertices where the four outgoing
-  directions alternate (crossing) or do not (tangency). Everything else is
-  a violation.
-* ``arrangement``: additionally admits open-curve endpoints resting on
-  another curve (``tjoint``) and shared endpoints of two open curves
-  (``joint``). Needed for the ad-hoc arc sets that
-  arrangement.build_mixed_arrangement assembles.
+One engine reads the family model: curves meet only in proper crossings of
+segment interiors or at shared polyline vertices where the four outgoing
+directions alternate (crossing) or do not (tangency). Everything else,
+an open-arc endpoint on another curve included, is a violation.
 
 All computation happens on integer-scaled coordinates, so every predicate
 is an exact integer sign test.
@@ -23,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegeneracyError, EndpointError, ValidationError, check
+from .errors import DegeneracyError, ValidationError, check
 from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
                        coordinate_scale, germs, meeting_key, meetings,
                        seg_events, segment_param, unlift)
@@ -33,10 +27,9 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, angle_cmp,
 class Incidence:
     """One contact point between two curves.
 
-    kind is "crossing" or "tangency" in the strict model; arrangement mode
-    adds "tjoint" and "joint". s_a and s_b are chain parameters along each
-    curve: segment index plus in-segment fraction, so integral values are
-    polyline vertices.
+    kind is "crossing" or "tangency". s_a and s_b are chain parameters
+    along each curve: segment index plus in-segment fraction, so integral
+    values are polyline vertices.
     """
     kind: str
     point: Point
@@ -174,7 +167,7 @@ def _shared_vertex_kind(sa: _ScaledCurve, ka: int,
 
 
 def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
-                   scale: int, mode: str, fracs: Sequence[Fraction],
+                   scale: int, fracs: Sequence[Fraction],
                    violations: List[Violation]) -> List[Incidence]:
     """Turn one pair's grouped events (from _pair_events) into incidences,
     returned, and violations, appended to violations. A vertex contact
@@ -209,24 +202,17 @@ def _classify_pair(sa: _ScaledCurve, sb: _ScaledCurve, events, overlaps,
             kind = "crossing"
         elif a_vertex != b_vertex:
             if s_a in sa.ends if a_vertex else s_b in sb.ends:
-                if mode == "arrangement":
-                    kind = "tjoint"
-                else:
-                    violations.append(Violation(
-                        "endpoint_contact", (ida, idb), point,
-                        "arc endpoint rests on another curve"))
+                violations.append(Violation(
+                    "endpoint_contact", (ida, idb), point,
+                    "arc endpoint rests on another curve"))
             else:
                 violations.append(Violation(
                     "degenerate_contact", (ida, idb), point,
                     "polyline vertex rests on another curve interior"))
         elif s_a in sa.ends or s_b in sb.ends:
-            if mode == "arrangement":
-                kind = ("joint" if s_a in sa.ends and s_b in sb.ends
-                        else "tjoint")
-            else:
-                violations.append(Violation(
-                    "endpoint_contact", (ida, idb), point,
-                    "arc endpoint meets another curve at a vertex"))
+            violations.append(Violation(
+                "endpoint_contact", (ida, idb), point,
+                "arc endpoint meets another curve at a vertex"))
         else:
             kind = _shared_vertex_kind(sa, s_a, sb, s_b)
             if kind is None:
@@ -264,7 +250,7 @@ def _self_violations(sc: _ScaledCurve, scale: int) -> List[Violation]:
     return viols
 
 
-def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
+def _run_engine(curves: Sequence[Curve], m: Optional[int]):
     """Shared core: returns (pair incidence dict, violations)."""
     scale = coordinate_scale(curves)
     scaled = [_ScaledCurve(c, scale) for c in curves]
@@ -291,7 +277,7 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
             seen = first_pair.setdefault(key, ids)
             if seen is not ids:
                 shared.setdefault(key, set(seen)).update(ids)
-        incs = _classify_pair(sa, sb, events, overlaps, scale, mode, fracs,
+        incs = _classify_pair(sa, sb, events, overlaps, scale, fracs,
                               violations)
         if incs:
             pairs[ids] = tuple(incs)
@@ -309,17 +295,12 @@ def _run_engine(curves: Sequence[Curve], m: Optional[int], mode: str):
     return pairs, violations
 
 
-_RAISE_MAP = {
-    "endpoint_contact": EndpointError,
-    "intersection_budget": ValidationError,
-}
-
-
 def _raise_first(violations: Sequence[Violation]):
     if not violations:
         return
     v = violations[0]
-    exc = _RAISE_MAP.get(v.kind, DegeneracyError)
+    exc = (ValidationError if v.kind == "intersection_budget"
+           else DegeneracyError)
     raise exc(f"{v.kind} involving curves {v.curves}: {v.detail}")
 
 
@@ -328,7 +309,7 @@ def curve_pair_incidences(a: Curve, b: Curve) -> Tuple[Incidence, ...]:
 
     Raises on any configuration outside the strict model.
     """
-    pairs, violations = _run_engine([a, b], None, "strict")
+    pairs, violations = _run_engine([a, b], None)
     _raise_first(violations)
     # _classify_pair writes a pair's incidences in point order
     return pairs.get((a.id, b.id), ())
@@ -395,7 +376,7 @@ class FamilyIncidences:
 def validate_general_position(family: CurveFamily) -> ValidationReport:
     """Check the whole strict family model, collecting every violation; a
     valid family's report keeps the catalogue compute_incidences would give."""
-    pairs, violations = _run_engine(family.curves, family.m, "strict")
+    pairs, violations = _run_engine(family.curves, family.m)
     fi = None if violations else FamilyIncidences(
         family.m, tuple(c.id for c in family.curves), pairs)
     return ValidationReport(ok=not violations, n=family.n, m=family.m,
@@ -406,7 +387,7 @@ def compute_incidences(family: CurveFamily) -> FamilyIncidences:
     """Contact catalog of a family; raises if the model is violated. Layers
     read a family's catalogue through catalogue(family), which runs this
     once per family."""
-    pairs, violations = _run_engine(family.curves, family.m, "strict")
+    pairs, violations = _run_engine(family.curves, family.m)
     _raise_first(violations)
     return FamilyIncidences(
         m=family.m,
@@ -453,8 +434,9 @@ def sub_family(family: CurveFamily, ids: Sequence[int]) -> CurveFamily:
 
 
 def mixed_contacts(curves: Sequence[Curve]) -> FamilyIncidences:
-    """Arrangement-mode catalog for an ad-hoc curve set (open arcs allowed)."""
-    pairs, violations = _run_engine(curves, None, "arrangement")
+    """Catalogue of an ad-hoc set of open and closed curves, with no budget
+    (m = 0); raises, as compute_incidences does, outside the model."""
+    pairs, violations = _run_engine(curves, None)
     _raise_first(violations)
     return FamilyIncidences(
         m=0, curve_ids=tuple(c.id for c in curves), pairs=pairs)

@@ -526,12 +526,15 @@ def recursive_decompose(family: CurveFamily,
     is raised when the threshold formula does not apply: for d >= 1 with
     no touching pair (T = 0), and for M <= 1, which no nonempty piece could
     satisfy. Each recursion node is sub_family of its ids in family order.
-    C_const is read exactly (geometry.frac): a float raises TypeError.
+    C_const is read exactly (geometry.frac): a float raises TypeError, and
+    C_const <= 0 raises PreconditionError, on every family.
     """
     n = family.n
     if n == 0:
         raise PreconditionError("decomposition needs at least one curve")
     C_const = frac(C_const, "exact C_const")
+    if C_const <= 0:
+        raise PreconditionError(f"C_const = {C_const} is not positive")
     fi = catalogue(family)
     T = fi.T
     d = fi.X // n

@@ -28,8 +28,8 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        unlift)
 from .graphs import SimpleGraph, contact_graph_from
 from .incidence import FamilyIncidences, catalogue, curve_pair_incidences
-from .arrangement import (UNBOUNDED_FACE, Arrangement, boundary_edge_cycle,
-                          locate_cell, pair_arrangement)
+from .arrangement import (Arrangement, boundary_edge_cycle, locate_cell,
+                          pair_arrangement)
 
 
 # ---------------------------------------------------------------- sampling
@@ -64,12 +64,11 @@ def rich_poor_partition(family: CurveFamily) -> RichPoorReport:
 
 @dataclass(frozen=True)
 class GroundPairSample:
+    """t_star_in_delta: most touchings of T* in one pair-arrangement face."""
     gamma1: int
     gamma2: int
     A: frozenset
     B: frozenset
-    X_shared: frozenset
-    delta: int
     t_star: int
     t_star_in_delta: int
     t_prime: int
@@ -142,17 +141,9 @@ class _PairContext:
         for pair in star:
             f = self.face_of_touch(pair)
             counts[f] = counts.get(f, 0) + 1
-        if counts:
-            best = max(counts.values())
-            delta = min(f for f, k in counts.items() if k == best)
-            in_delta = best
-        else:
-            delta = UNBOUNDED_FACE
-            in_delta = 0
         sample = GroundPairSample(
             gamma1=self.g1, gamma2=self.g2, A=A, B=B,
-            X_shared=frozenset(self.shared), delta=delta,
-            t_star=len(star), t_star_in_delta=in_delta,
+            t_star=len(star), t_star_in_delta=max(counts.values(), default=0),
             t_prime=len(self.t_prime_pairs))
         check(not (sample.A & sample.B), "A and B share an arc")
         check(sample.A <= self.A_prime and sample.B <= self.B_prime,

@@ -12,8 +12,7 @@ from fractions import Fraction
 from contactgeom.arrangement import (build_mixed_arrangement, cells_of_pair,
                                      locate_cell)
 from contactgeom.errors import GenerationError
-from contactgeom.experiments import (check_thm4, fit_exponent, thm3_exponent,
-                                     thm4_exponent)
+from contactgeom.experiments import check_thm4, fit_exponent, thm3_exponent
 from contactgeom.cli import main as cli_main
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.graphs import check_planarity, contact_graph_from

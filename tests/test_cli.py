@@ -192,11 +192,12 @@ def test_decompose_without_touchings_reports_degenerate(kind, m, tmp_path,
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("token", ["1e999999999", "1.5", "1/0"])
+@pytest.mark.parametrize("token", ["1e999999999", "1.5", "1/0", "0", "-1"])
 def test_cconst_takes_only_the_family_grammar(token, chain_file, tmp_path,
                                               capsys):
     # the exponent would ask for an integer of about 415 MB if evaluated,
-    # and a zero denominator escaped as a traceback
+    # a zero denominator escaped as a traceback, and a constant <= 0 went
+    # unread into the report of the d = 0 fallback
     report = tmp_path / "dec.json"
     rc = main(["decompose", chain_file, "--cconst", token,
                "--report", str(report)])
@@ -276,14 +277,14 @@ def test_verify_prop9_analyses_each_arc_pair_once(tmp_path, monkeypatch,
     runs = []
     run_engine = incidence._run_engine
 
-    def counting(curves, m, mode):
-        runs.append((tuple(c.id for c in curves), m, mode))
-        return run_engine(curves, m, mode)
+    def counting(curves, m):
+        runs.append((tuple(c.id for c in curves), m))
+        return run_engine(curves, m)
 
     monkeypatch.setattr(incidence, "_run_engine", counting)
     assert main(["verify-prop9", str(path),
                  "--report", str(tmp_path / "r.json")]) == 0
-    assert runs == [(tuple(c.id for c in fam), 40, "strict")]
+    assert runs == [(tuple(c.id for c in fam), 40)]
 
 
 def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
@@ -396,7 +397,7 @@ def test_integer_options_take_ascii_digits_only(argv, chain_file, tmp_path,
     with pytest.raises(SystemExit) as exc:
         main([chain_file if a == "FAMILY" else a for a in argv])
     assert exc.value.code == 2
-    assert "invalid parse_integer value" in capsys.readouterr().err
+    assert "invalid integer value" in capsys.readouterr().err
     assert not any((tmp_path / name).exists()
                    for name in ("gen.family", "r.json"))
 

@@ -16,7 +16,8 @@ from contactgeom import incidence
 from contactgeom.errors import (DegeneracyError, InvariantError,
                                 ValidationError)
 from contactgeom.geometry import (Curve, CurveFamily, Point, coordinate_scale,
-                                  grid_point, pt, seg_events, unlift)
+                                  grid_point, midpoint, pt, seg_events,
+                                  unlift)
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom.incidence import (FamilyIncidences, catalogue,
                                    compute_incidences, curve_pair_incidences,
@@ -284,43 +285,40 @@ def test_incidences_hold_fractions_from_int_coordinates():
         (5, 6, "tangency", F(1), F(1))]
 
 
-def test_joints_hold_fractions_from_int_coordinates():
-    arcs = (int_curve(10, [(-4, 0), (4, 0)], closed=False),
-            int_curve(11, [(0, 0), (0, 3)], closed=False),
-            int_curve(12, [(4, 0), (6, 2), (8, 0)], closed=False),
-            int_curve(13, [(6, 2), (6, 5)], closed=False))
-    incs = assert_written_exactly(mixed_contacts(arcs), arcs)
-    assert [(i.a, i.b, i.kind, i.s_a, i.s_b) for i in incs] == [
-        (10, 11, "tjoint", F(1, 2), F(0)),
-        (10, 12, "joint", F(1), F(0)),
-        (12, 13, "tjoint", F(1), F(0))]
-
-
 def _halves(curve):
-    """The closed curve cut at vertices 1 and n/2 + 1 into two arcs, ids
-    2 * id and 2 * id + 1; no contact of a valid circle family lies there."""
+    """The closed curve cut into two arcs that share no endpoint, ids
+    2 * id and 2 * id + 1: vertices 1 to n/2 + 1, where no contact of a
+    valid circle family lies, and the midpoint of the next segment round
+    to the midpoint of segment 0. Every axis vertex, where tangencies land,
+    stays inside an arc."""
     pts, h = curve.points, len(curve.points) // 2 + 1
+    mid = [midpoint(*curve.segment(k)) for k in (h, 0)]
     return (Curve(2 * curve.id, pts[1:h + 1], False),
-            Curve(2 * curve.id + 1, pts[h:] + pts[:2], False))
-
-
-_ORACLE_KIND = {"tjoint": "endpoint", "joint": "endpoint"}
+            Curve(2 * curve.id + 1, (mid[0], *pts[h + 1:], pts[0], mid[1]),
+                  False))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rational_circle_families())
 def test_random_circle_families_match_reference(fam):
-    """The catalogue, and the arrangement-mode one of the circles cut into
-    arcs, equal the reference; every incidence holds exact parameters."""
+    """The catalogue, and the one of the circles cut into open arcs, equal
+    the reference; every incidence holds exact parameters. A cut midpoint
+    that lies on another curve, as in a few examples, is an endpoint
+    contact for both, and the engine raises."""
     assume(validate_general_position(fam).ok)
     assert contact_table(fam) == oracles.family_contacts(fam)
     assert_written_exactly(compute_incidences(fam), fam.curves)
     arcs = tuple(arc for c in fam for arc in _halves(c))
+    want = oracles.family_contacts(CurveFamily(arcs, 1))
+    if any(kind == "endpoint" for incs in want.values() for _, kind in incs):
+        with pytest.raises(DegeneracyError, match="endpoint_contact"):
+            mixed_contacts(arcs)
+        return
     fi = mixed_contacts(arcs)
     assert_written_exactly(fi, arcs)
-    got = {pair: sorted(((x.point.x, x.point.y), _ORACLE_KIND.get(x.kind, x.kind))
-                        for x in incs) for pair, incs in fi.pairs.items()}
-    assert got == oracles.family_contacts(CurveFamily(arcs, 1))
+    got = {pair: sorted(((x.point.x, x.point.y), x.kind) for x in incs)
+           for pair, incs in fi.pairs.items()}
+    assert got == want
 
 
 def boxes_from(corner_and_size):

@@ -778,6 +778,16 @@ def test_decompose_rejects_vanishing_threshold():
         recursive_decompose(grid9(), C_const=F(1, 100))
 
 
+@pytest.mark.parametrize("c", [0, -1, "0/3", "-1/4"])
+def test_decompose_rejects_a_constant_that_is_not_positive(c):
+    # the d = 0 fallback never reads the constant, so the check comes first
+    red = reduce_degree(grid9())
+    assert compute_incidences(red).X // red.n == 0
+    for fam in (grid9(), red):
+        with pytest.raises(PreconditionError, match="not positive"):
+            recursive_decompose(fam, C_const=c)
+
+
 def test_decompose_rejects_empty_family():
     with pytest.raises(PreconditionError):
         recursive_decompose(CurveFamily((), 1))
