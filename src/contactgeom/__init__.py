@@ -15,7 +15,6 @@ from .arrangement import (Arrangement, boundary_edge_cycle,
                           cells_of_pair, locate_cell, pair_arrangement)
 from .familyio import (dumps_family, loads_family, read_family, write_family)
 from .generators import KINDS, GeneratorSpec, generate
-from .graphs import SimpleGraph
 from .verifier import (CircularSignature, FaceContext, GroundPairSample,
                        RichPoorReport, SubArc, alt_hat_charging,
                        circular_signature, enumerate_ground_pairs, free_arc,

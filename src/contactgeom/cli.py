@@ -144,14 +144,14 @@ def _instance_sides(family: CurveFamily) -> Optional[Tuple[Tuple[int, ...], Tupl
     """Split the ids into two sides that touch completely across and never
     within; None when the touching graph has no such shape."""
     g = contact_graph_from(catalogue(family))
-    active = [cid for cid in g.vertices if g.neighbors(cid)]
+    active = [cid for cid, nb in g.items() if nb]
     if not active:
         return None
-    side_a = g.neighbors(active[0])
-    side_b = frozenset(cid for cid in active if g.neighbors(cid) == side_a)
+    side_a = g[active[0]]
+    side_b = frozenset(cid for cid in active if g[cid] == side_a)
     if side_a & side_b or side_a | side_b != set(active):
         return None
-    if any(g.neighbors(cid) != side_b for cid in side_a):
+    if any(g[cid] != side_b for cid in side_a):
         return None
     return tuple(sorted(side_a)), tuple(sorted(side_b))
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arrangement import curve_portion, face_walk, rotation_order
+from .arrangement import (curve_portion, face_walk, rotation_order,
+                          split_curve_at)
 from .errors import DegenerateError, PreconditionError, check
 from .geometry import Curve, CurveFamily, frac, germs, lift
 from .graphs import intersection_graph_from
@@ -49,10 +50,9 @@ def _piece_intervals(c: Curve, params: Sequence[Fraction], d: int):
         gaps.append((ps[-1], (e + n * f, f)))
     cuts = [Fraction(x, 3 * b * f) for (a, b), (e, f) in gaps
             for x in (2 * a * f + e * b, a * f + 2 * e * b)]
-    # a closed curve's piece across the seam comes last, read modulo n
-    ends = (cuts[1:] + [cuts[0] + n] if c.closed
-            else [Fraction(0), *cuts, Fraction(n)])
-    return list(zip(ends[::2], ends[1::2]))
+    # every other piece of the split; a closed curve's seam piece comes last
+    pieces = split_curve_at(c, cuts)
+    return pieces[1::2] if c.closed else pieces[::2]
 
 
 def reduce_degree(family: CurveFamily) -> CurveFamily:
@@ -436,9 +436,9 @@ def _curve_components(family: CurveFamily):
     """The components of the family's intersection graph minus a removed
     curve set, as a function of that set; the adjacency is built once."""
     g = intersection_graph_from(catalogue(family))
-    ids = g.vertices
+    ids = tuple(g)
     index = {cid: i for i, cid in enumerate(ids)}
-    nbrs = [sorted(map(index.__getitem__, g.neighbors(cid))) for cid in ids]
+    nbrs = [sorted(map(index.__getitem__, g[cid])) for cid in ids]
 
     def components(removed=()) -> Tuple[FrozenSet[int], ...]:
         comps = _components(nbrs, [index[cid] for cid in removed])[0]

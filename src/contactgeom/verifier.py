@@ -26,7 +26,7 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        coordinate_scale, germs, grid_point, lift, lift_point,
                        meeting_key, meetings, on_polyline, segment_param,
                        unlift)
-from .graphs import SimpleGraph, contact_graph_from
+from .graphs import CurveGraph, contact_graph_from
 from .incidence import FamilyIncidences, catalogue, curve_pair_incidences
 from .arrangement import (Arrangement, boundary_edge_cycle, locate_cell,
                           pair_arrangement)
@@ -74,9 +74,9 @@ class GroundPairSample:
     t_prime: int
 
 
-def _ground_pairs(family: CurveFamily) -> SimpleGraph:
+def _ground_pairs(family: CurveFamily) -> CurveGraph:
     """The family's touching graph. The candidate ground pairs are
-    combinations(vertices, 2), drawn by rank with _draw_pair."""
+    combinations(ids, 2) over its sorted ids, drawn by rank with _draw_pair."""
     if family.n < 2:
         raise PreconditionError("need at least two curves")
     return contact_graph_from(catalogue(family))
@@ -104,16 +104,16 @@ class _PairContext:
     the graph from _ground_pairs, built once per call. The pair
     arrangement is built only when a touching of T* has to be located."""
 
-    def __init__(self, family: CurveFamily, touching: SimpleGraph,
+    def __init__(self, family: CurveFamily, touching: CurveGraph,
                  g1: int, g2: int):
         self.family = family
         self.g1, self.g2 = g1, g2
-        A = self.A_prime = touching.neighbors(g1) - {g2}
-        B = self.B_prime = touching.neighbors(g2) - {g1}
+        A = self.A_prime = touching[g1] - {g2}
+        B = self.B_prime = touching[g2] - {g1}
         self.shared = tuple(sorted(A & B))
         self.t_prime_pairs = tuple(
             (a, b) for a in sorted(A | B)
-            for b in sorted(touching.neighbors(a))
+            for b in sorted(touching[a])
             if a < b and ((a in A and b in B) or (a in B and b in A)))
         fi = catalogue(family)
         self._touch_point = {pair: fi.between(*pair)[0].point
@@ -160,10 +160,11 @@ def _ground_draws(family: CurveFamily,
     """The random draws of one seed, each a uniform pair by rank, then a
     fair coin per doubly-touching arc; each pair's context is built once."""
     touching = _ground_pairs(family)
+    ids = tuple(touching)
     ctxs: Dict[Tuple[int, int], _PairContext] = {}
     rng = random.Random(seed)
     while True:
-        g = _draw_pair(rng, touching.vertices)
+        g = _draw_pair(rng, ids)
         if g not in ctxs:
             ctxs[g] = _PairContext(family, touching, g[0], g[1])
         ctx = ctxs[g]
@@ -193,7 +194,7 @@ def enumerate_ground_pairs(family: CurveFamily) -> ExhaustiveGroundReport:
     pair_stars: List[Fraction] = []
     pair_deltas: List[Fraction] = []
     pair_primes: List[Fraction] = []
-    for g1, g2 in combinations(touching.vertices, 2):
+    for g1, g2 in combinations(touching, 2):
         ctx = _PairContext(family, touching, g1, g2)
         stars = 0
         deltas = 0

@@ -416,6 +416,16 @@ def planar_separator(g):
     return sep, comps, len(sep) / math.sqrt(nv)
 
 
+def adjacency(vertices, edges):
+    """The graph as graphs.check_planarity reads it: each vertex, in sorted
+    order, mapped to the frozenset of its neighbours."""
+    adj = {v: set() for v in sorted(vertices)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: frozenset(nb) for v, nb in adj.items()}
+
+
 def rotation(vertices, edges):
     """A rotation system of the graph on these vertices and edges (loops
     dropped), as separator.weighted_graph reads it: networkx's planar

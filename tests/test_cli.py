@@ -323,6 +323,19 @@ def test_verify_prop9_bails_politely(chain_file, tmp_path, capsys):
     assert "bipartite" in data["reason"]
 
 
+@pytest.mark.parametrize("kind,n", [("PerturbedPencil", 4),
+                                    ("UnitCirclesGrid", 1)])
+def test_verify_prop9_bails_without_touching_pairs(tmp_path, capsys, kind, n):
+    # a touching graph with no edge has no sides to split
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=0))
+    path, report = tmp_path / "none.family", tmp_path / "na.json"
+    write_family(path, fam)
+    assert main(["verify-prop9", str(path), "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["applicable"] is False
+    assert data["reason"] == "touching graph is not complete bipartite"
+
+
 # ---------------------------------------------------------- sample-lemma
 
 def test_sample_lemma_report(chain_file, tmp_path, capsys):

@@ -8,42 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactgeom.generators import GeneratorSpec, generate
-from contactgeom.graphs import (SimpleGraph, check_planarity,
-                                contact_graph_from, intersection_graph_from)
+from contactgeom.geometry import Curve, CurveFamily
+from contactgeom.graphs import (check_planarity, contact_graph_from,
+                                intersection_graph_from)
 from contactgeom.incidence import catalogue
 
 import oracles
 
 
+_K5 = list(combinations(range(5), 2))
+_K33 = [(i, j) for i in range(3) for j in range(3, 6)]
+
+
 def complete(n):
-    return SimpleGraph(tuple(range(n)), frozenset(combinations(range(n), 2)))
-
-
-def test_simple_graph_accessors():
-    g = SimpleGraph((3, 1, 2, 1), frozenset({(2, 1), (2, 3)}))
-    assert g.vertices == (1, 2, 3) and g.edges == {(1, 2), (2, 3)}
-    assert len(g.vertices) == 3 and len(g.edges) == 2
-    assert 1 in g.neighbors(2) and 3 not in g.neighbors(1)
-    assert set(g.neighbors(2)) == {1, 3} and g.neighbors(1) == {2}
-    with pytest.raises(ValueError, match="loop"):
-        SimpleGraph((1,), frozenset({(1, 1)}))
-    with pytest.raises(ValueError, match="not a vertex"):
-        SimpleGraph((1,), frozenset({(1, 2)}))
+    return oracles.adjacency(range(n), combinations(range(n), 2))
 
 
 def test_planarity_on_known_graphs():
     assert check_planarity(complete(4))
     assert not check_planarity(complete(5))
-    k33 = SimpleGraph(tuple(range(6)), frozenset(
-        (i, j + 3) for i in range(3) for j in range(3)))
-    assert not check_planarity(k33)
+    assert not check_planarity(oracles.adjacency(range(6), _K33))
     # K5 minus one edge embeds fine
-    k5 = complete(5)
-    assert check_planarity(SimpleGraph(k5.vertices, k5.edges - {(0, 1)}))
-
-
-_K5 = list(combinations(range(5), 2))
-_K33 = [(i, j) for i in range(3) for j in range(3, 6)]
+    assert check_planarity(oracles.adjacency(range(5), _K5[1:]))
 
 
 @st.composite
@@ -107,16 +93,15 @@ def test_subdivided_kuratowski_graphs_stay_nonplanar():
             out += [(u, m), (m, m + 1), (m + 1, v)]
             m += 2
         out += [(0, m), (m, m + 1), (0, m + 2), (m + 2, 1)]
-        assert not check_planarity(SimpleGraph(tuple(range(m + 3)),
-                                               frozenset(out)))
+        assert not check_planarity(oracles.adjacency(range(m + 3), out))
         assert not oracles.is_plane(oracles.rotation(range(m + 3), out))
 
 
 def test_contact_graph_of_chain_is_a_path():
     fam = generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=0))
     g = contact_graph_from(catalogue(fam))
-    assert len(g.vertices) == 6 and len(g.edges) == 5
-    degrees = sorted(len(g.neighbors(v)) for v in g.vertices)
+    degrees = sorted(map(len, g.values()))
+    assert len(g) == 6 and sum(degrees) // 2 == 5
     assert degrees == [1, 1, 2, 2, 2, 2]
     assert check_planarity(g)
 
@@ -126,6 +111,34 @@ def test_intersection_graph_includes_crossings():
     fi = catalogue(fam)
     gi = intersection_graph_from(fi)
     gc = contact_graph_from(fi)
-    assert len(gi.edges) == len(fi.pairs)
-    assert len(gc.edges) == fi.T
-    assert set(gc.edges) <= set(gi.edges)
+    assert sum(map(len, gi.values())) // 2 == len(fi.pairs)
+    assert sum(map(len, gc.values())) // 2 == fi.T
+    assert all(gc[v] <= gi[v] for v in gi)
+
+
+def _families():
+    yield generate(GeneratorSpec(kind="TangentChain", n=6, m=1, seed=0))
+    for seed in (3, 5):
+        yield generate(GeneratorSpec(kind="RandomCircles", n=7, m=2,
+                                     seed=seed))
+    grid = generate(GeneratorSpec(kind="UnitCirclesGrid", n=9, m=1, seed=0))
+    # ids 34, 29, ..., -6: gapped, negative, against the curve order
+    yield CurveFamily([Curve(id=34 - 5 * c.id, points=c.points,
+                             closed=c.closed) for c in grid], grid.m)
+
+
+@pytest.mark.parametrize("family", list(_families()),
+                         ids=["chain", "rc-3", "rc-5", "grid-relabelled"])
+def test_curve_graphs_match_the_oracle(family):
+    # the intersection graph holds every meeting pair, the contact graph
+    # the pairs whose one contact is a tangency, keyed in sorted id order
+    ids = [c.id for c in family]
+    table = oracles.family_contacts(family)
+    fi = catalogue(family)
+    gi = intersection_graph_from(fi)
+    gc = contact_graph_from(fi)
+    assert gi == oracles.adjacency(ids, table)
+    assert gc == oracles.adjacency(
+        ids, [pair for pair, got in table.items()
+              if len(got) == 1 and got[0][1] == "tangency"])
+    assert list(gi) == list(gc) == sorted(ids)

@@ -13,7 +13,7 @@ from contactgeom import incidence, separator
 from contactgeom.errors import (DegenerateError, InvariantError,
                                 PreconditionError)
 from contactgeom.generators import KINDS, GeneratorSpec, generate
-from contactgeom.graphs import SimpleGraph, check_planarity
+from contactgeom.graphs import check_planarity
 from contactgeom.geometry import Curve, CurveFamily, pt
 from contactgeom.incidence import FamilyIncidences, compute_incidences
 from contactgeom.separator import (ReducedFamily, SeparatorResult,
@@ -249,7 +249,7 @@ def test_arrangement_graph_shape():
         assert all(v >= fam.n for e in g.edges if k in e for v in e if v != k)
         assert g.weights[k] == F(1, fam.n) / (1 + len(fi.on_curve(cid)))
     assert all(u < v for u, v in g.edges)
-    assert check_planarity(SimpleGraph(g.vertices, g.edges))
+    assert check_planarity(oracles.adjacency(g.vertices, g.edges))
     assert sum(g.weights.values()) == 1
 
 
@@ -599,8 +599,7 @@ _APOLLONIAN = apollonian_edges(30, random.Random(30))
     ids=["K4", "K5", "K5-e", "K33", "apollonian", "apollonian+e"])
 def test_certificate_agrees_with_networkx_at_the_euler_bound(nv, edges):
     want, _ = networkx.check_planarity(networkx.Graph(edges))
-    assert check_planarity(SimpleGraph(tuple(range(nv)),
-                                       frozenset(edges))) == want
+    assert check_planarity(oracles.adjacency(range(nv), edges)) == want
     rotation = oracles.rotation(range(nv), edges)
     assert oracles.is_plane(rotation) == want
     # each planar case is a triangulation, so mirroring any one vertex's
@@ -621,7 +620,7 @@ def test_certificate_agrees_with_networkx_at_the_euler_bound(nv, edges):
 @example(apollonian_network(250, shuffled=False))
 @example(apollonian_network(250, shuffled=True))
 def test_planar_separator_matches_reference(g):
-    assert check_planarity(SimpleGraph(g.vertices, g.edges))
+    assert check_planarity(oracles.adjacency(g.vertices, g.edges))
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
 
