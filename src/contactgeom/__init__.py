@@ -12,7 +12,7 @@ from .incidence import (FamilyIncidences, Incidence, catalogue,
                         validate_general_position)
 from .arrangement import (Arrangement, boundary_edge_cycle,
                           build_arrangement, build_mixed_arrangement,
-                          cells_of_pair, locate_cell, pair_arrangement)
+                          locate_cell, pair_arrangement)
 from .familyio import (dumps_family, loads_family, read_family, write_family)
 from .generators import KINDS, GeneratorSpec, generate
 from .verifier import (CircularSignature, FaceContext, GroundPairSample,

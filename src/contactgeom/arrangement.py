@@ -1,4 +1,5 @@
-"""Planar arrangement of a curve set as a half-edge structure.
+"""Planar arrangement of a curve set as a half-edge structure, built on
+the plane skeleton (plane_skeleton) that the separator graph shares.
 
 Vertices are contact points (crossings and tangencies), arc endpoints,
 which rest on no other curve, and one anchor per otherwise vertex-free
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegeneracyError, OnCurveError, PreconditionError, check
 from .geometry import (Curve, CurveFamily, Point, angle_cmp, angle_key,
-                       coordinate_scale, lift, lift_point, on_polyline,
+                       coordinate_scale, germs, lift, lift_point, on_polyline,
                        signed_area2, winding_parity)
 from .incidence import (FamilyIncidences, catalogue, mixed_contacts,
                         sub_family)
@@ -98,22 +99,6 @@ class Arrangement:
         return len(self.faces)
 
 
-def rotation_order(origins: Sequence[int], dirs: Sequence[Tuple[int, int]],
-                   nv: int) -> List[List[int]]:
-    """The rotation system of a graph drawn on vertices 0..nv-1, half-edge
-    h leaving origins[h] in integer direction dirs[h]: each vertex's
-    half-edges counterclockwise from +x (angle_key). DegeneracyError when
-    two leave a vertex in one direction."""
-    out: List[List[int]] = [[] for _ in range(nv)]
-    for h, v in enumerate(origins):
-        out[v].append(h)
-    for v, hs in enumerate(out):
-        hs.sort(key=lambda h: angle_key(dirs[h]))
-        if any(angle_cmp(dirs[a], dirs[b]) == 0 for a, b in zip(hs, hs[1:])):
-            raise DegeneracyError(f"coincident edge directions at vertex {v}")
-    return out
-
-
 def face_walk(out: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     """The face cycles of a rotation system, its half-edges in twin pairs
     2i, 2i + 1 and out[v] v's half-edges counterclockwise: the orbits, by
@@ -135,52 +120,94 @@ def face_walk(out: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     return cycles
 
 
-def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangement:
-    curves = tuple(curves)
+def _germs(c: Curve, s: Fraction):
+    """The integer directions, on c's grid, in which c leaves the point at
+    chain parameter s, forward and backward: inside a segment, plus and
+    minus its direction; at a vertex, toward the next and previous one. An
+    arc's end reads its one segment, of which one direction is real."""
+    g = c.grid
+    k, r = divmod(s.numerator, s.denominator)
+    if not r and (c.closed or 0 < k < c.n_segments):
+        return germs(g, k, c.closed)
+    k -= k == c.n_segments
+    (x, y), (fx, fy) = g[k], g[(k + 1) % len(g)]
+    return (fx - x, fy - y), (x - fx, y - fy)
 
-    # chain parameters carrying a vertex, per curve
-    param_points: Dict[int, Dict[Fraction, Point]] = {}
+
+def plane_skeleton(curves: Sequence[Curve], contacts: FamilyIncidences,
+                   anchored: bool):
+    """The plane graph the curves draw: vertex ids, each curve's chain of
+    them, and the rotation system.
+
+    A curve stops at its contacts in chain order. With anchored (the
+    separator graph) it also carries a virtual anchor first in its chain;
+    without (the arrangement) an arc also stops at its ends, and a closed
+    curve with no contact at 0. Vertices are the anchors by curve id, then
+    the stops' points in sorted order on one integer grid. Edge i joins
+    consecutive stops, cyclically on a closed curve, and half-edge 2i runs
+    forward along it. Returns the stops as (parameter, point) pairs, the
+    chains, the half-edge origins, and each vertex's half-edges
+    counterclockwise (angle_key) by the curves' germs, an anchor's by any
+    two; DegeneracyError when two leave a vertex in one direction."""
+    stops = []
     for c in curves:
-        got: Dict[Fraction, Point] = {}
-        for inc in contacts.on_curve(c.id):
-            got[inc.s_on(c.id)] = inc.point
-        if not c.closed:
-            got.setdefault(Fraction(0), c.points[0])
-            got.setdefault(Fraction(c.n_segments), c.points[-1])
-        elif not got:
-            got[Fraction(0)] = c.points[0]  # anchor for a free-floating loop
-        param_points[c.id] = got
+        got = [(inc.s_on(c.id), inc.point) for inc in contacts.on_curve(c.id)]
+        if not (anchored or c.closed):
+            got = [(Fraction(0), c.points[0]), *got,
+                   (Fraction(c.n_segments), c.points[-1])]
+        elif not (anchored or got):
+            got = [(Fraction(0), c.points[0])]
+        stops.append(got)
+    scale = lcm(*(v.denominator for got in stops for _, p in got
+                  for v in (p.x, p.y)))
+    lifted = [lift((p for _, p in got), scale) for got in stops]
+    points = sorted({q for qs in lifted for q in qs})
+    base = len(curves) if anchored else 0
+    index = {q: k for k, q in enumerate(points, base)}
+    anchor = {cid: k for k, cid in enumerate(sorted(c.id for c in curves))}
+    chains, origins, dirs = [], [], []
+    for c, got, qs in zip(curves, stops, lifted):
+        chain = [index[q] for q in qs]
+        gs = [_germs(c, s) for s, _ in got]
+        if anchored:
+            chain.insert(0, anchor[c.id])
+            gs.insert(0, ((1, 0), (-1, 0)))
+        chains.append(tuple(chain))
+        for k in range(len(chain) if c.closed and got else len(chain) - 1):
+            k1 = (k + 1) % len(chain)
+            origins += (chain[k], chain[k1])
+            dirs += (gs[k][0], gs[k1][1])
+    out: List[List[int]] = [[] for _ in range(base + len(points))]
+    for h, v in enumerate(origins):
+        out[v].append(h)
+    for v, hs in enumerate(out):
+        hs.sort(key=lambda h: angle_key(dirs[h]))
+        if any(angle_cmp(dirs[a], dirs[b]) == 0 for a, b in zip(hs, hs[1:])):
+            raise DegeneracyError(f"coincident edge directions at vertex {v}")
+    return stops, tuple(chains), origins, out
+
+
+def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangement:
+    stops, _, _, out = plane_skeleton(curves, contacts, anchored=False)
 
     # the integer view: a grid fine enough that every curve vertex and every
     # arrangement vertex is a lattice point
     scale = lcm(coordinate_scale(curves),
-                *(v.denominator for got in param_points.values()
-                  for p in got.values() for v in (p.x, p.y)))
+                *(v.denominator for got in stops for _, p in got
+                  for v in (p.x, p.y)))
     curve_pts = [c.lifted(scale) for c in curves]
 
-    # the vertices' lattice points, numbered in sorted order for determinism
-    at = set()
-    vkey: Dict[int, Dict[Fraction, Tuple[int, int]]] = {}
-    for cid, got in param_points.items():
-        keys = lift(got.values(), scale)
-        vkey[cid] = dict(zip(got, keys))
-        at.update(keys)
-    vid_of: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(sorted(at))}
-
+    # half-edges in the skeleton's order, each a chain of lattice points
     half_edges: List[List[Tuple[int, int]]] = []
-    for c, ipts in zip(curves, curve_pts):
-        keys = vkey[c.id]
-        for s0, s1 in split_curve_at(c, list(keys)):
-            # a closed curve's last piece ends past the seam
-            ka, kb = keys[s0], keys[s1 % c.n_segments if c.closed else s1]
+    for c, ipts, got in zip(curves, curve_pts, stops):
+        keys = lift((p for _, p in got), scale)
+        for (s0, s1), ka, kb in zip(split_curve_at(c, [s for s, _ in got]),
+                                    keys, keys[1:] + keys[:1]):
             # the vertices of c strictly between s0 and s1
             inner = [k % len(ipts) for k in range(int(s0) + 1, ceil(s1))]
             chain = [ka, *(ipts[k] for k in inner), kb]
             half_edges.extend([chain, chain[::-1]])
 
-    out = rotation_order([vid_of[g[0]] for g in half_edges],
-                         [(g[1][0] - g[0][0], g[1][1] - g[0][1])
-                          for g in half_edges], len(vid_of))
     cycles = face_walk(out)
 
     polygons: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
@@ -254,20 +281,13 @@ def build_mixed_arrangement(curves: Sequence[Curve]) -> Arrangement:
 
 def pair_arrangement(family: CurveFamily, i: int, j: int) -> Arrangement:
     """Arrangement of curves i and j of the family, from the contacts
-    between them in the family's catalogue."""
+    between them in the family's catalogue. Two closed curves make at most
+    m + 2 faces; open-arc pairs are measured, not constrained."""
     pair = sub_family(family, (i, j))
-    return _assemble(pair.curves, pair.incidences)
-
-
-def cells_of_pair(family: CurveFamily, i: int, j: int) -> List[Face]:
-    """Faces of the two-curve arrangement. For a closed-closed pair the count
-    is at most m+2; open-arc pairs are measured, not constrained."""
-    arr = pair_arrangement(family, i, j)
-    a, b = family.curve(i), family.curve(j)
-    if a.closed and b.closed:
-        check(arr.F <= family.m + 2,
-              f"pair ({i},{j}): {arr.F} cells exceeds m+2={family.m + 2}")
-    return list(arr.faces)
+    arr = _assemble(pair.curves, pair.incidences)
+    check(not all(c.closed for c in pair.curves) or arr.F <= family.m + 2,
+          f"pair ({i},{j}): {arr.F} cells exceeds m+2={family.m + 2}")
+    return arr
 
 
 def locate_cell(arr: Arrangement, p: Point) -> int:

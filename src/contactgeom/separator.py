@@ -1,9 +1,9 @@
 """Degree reduction, planar/string separators, and recursive decomposition.
 
 The pipeline: cut curves into low-degree sub-curves without disturbing any
-contact point, convert the arrangement into a weighted planar graph, extract
-a balanced vertex separator, lift it to a curve separator, and recurse until
-every remaining piece is smaller than the threshold M = C n^2 d^3 / T^2.
+contact point, weigh the arrangement's plane skeleton, extract a balanced
+vertex separator, lift it to a curve separator, and recurse until every
+remaining piece is smaller than the threshold M = C n^2 d^3 / T^2.
 """
 from __future__ import annotations
 
@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arrangement import (curve_portion, face_walk, rotation_order,
+from .arrangement import (curve_portion, face_walk, plane_skeleton,
                           split_curve_at)
 from .errors import DegenerateError, PreconditionError, check
-from .geometry import Curve, CurveFamily, frac, germs, lift
+from .geometry import Curve, CurveFamily, frac
 from .graphs import intersection_graph_from
 from .incidence import (catalogue, compute_incidences, keep_catalogue,
                         sub_family)
@@ -172,72 +172,32 @@ def weighted_graph(rotation: Mapping[VertexId, Sequence[VertexId]],
 @dataclass(frozen=True)
 class ArrangementGraph(WeightedPlanarGraph):
     """The arrangement graph of a family, with each curve's chain of vertex
-    positions along it, anchor first, in family order (_vertex_chains)."""
+    positions along it, anchor first, in family order (plane_skeleton)."""
     chains: Tuple[Tuple[int, ...], ...] = field(kw_only=True)
-
-
-def _vertex_chains(family: CurveFamily):
-    """Each curve's graph vertices along it, anchor first, and the vertex
-    count. Vertices are numbered as the labels ("a", curve id) and ("p", x,
-    y) sort, with points compared exactly on one integer grid, unhashed."""
-    fi = catalogue(family)
-    incs = [fi.on_curve(c.id) for c in family.curves]
-    scale = math.lcm(*(v.denominator for on_c in incs for inc in on_c
-                       for v in (inc.point.x, inc.point.y)))
-    lifted = [lift((inc.point for inc in on_c), scale) for on_c in incs]
-    points = sorted({q for qs in lifted for q in qs})
-    index = {q: k for k, q in enumerate(points, family.n)}
-    anchor = {cid: k for k, cid in enumerate(sorted(c.id for c in family))}
-    chains = tuple((anchor[c.id], *[index[q] for q in qs])
-                   for c, qs in zip(family.curves, lifted))
-    return chains, family.n + len(points)
-
-
-def _germs(c: Curve, s: Fraction):
-    """The integer directions, on c's grid, in which c leaves the point at
-    chain parameter s, forward and backward: inside a segment, plus and
-    minus its direction; at a vertex, toward the next and previous one."""
-    g = c.grid
-    k, r = divmod(s.numerator, s.denominator)
-    if not r:
-        return germs(g, k, c.closed)
-    (x, y), (fx, fy) = g[k], g[(k + 1) % len(g)]
-    return (fx - x, fy - y), (x - fx, y - fy)
 
 
 def arrangement_to_planar_graph(family: CurveFamily) -> ArrangementGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
-    Vertices 0..V-1 are one anchor per curve, then the contact points (see
-    _vertex_chains); edges join vertices consecutive along a curve, and
-    the result keeps each curve's chain of them. Each curve's weight is
-    spread evenly over the vertices lying on it. Planarity is certified by
-    the drawing: the curves' germs at a vertex, in angular order, are its
-    rotation (arrangement.rotation_order), which _plane_graph checks, else
+    Vertices 0..V-1 are one anchor per curve, then the contact points
+    (arrangement.plane_skeleton, anchored); edges join vertices
+    consecutive along a curve, and the result keeps each curve's chain of
+    them. Each curve's weight is spread evenly over the vertices lying on
+    it. Planarity is certified by the drawing: the skeleton's rotation,
+    from the curves' germs, is checked by _plane_graph, else
     InvariantError. That count cannot see a reversed rotation at a cut
-    vertex, and in a degree-reduced family every contact vertex is one."""
-    fi = catalogue(family)
-    chains, nv = _vertex_chains(family)
+    vertex, where every contact of a degree-reduced family lies; the
+    arrangement's faces, on the same rotation, can."""
+    _, chains, origins, out = plane_skeleton(
+        family.curves, catalogue(family), anchored=True)
     # curve weight 1/n over a chain of length k is L // k over scale n L
     L = math.lcm(*{len(chain) for chain in chains})
-    vw = [0] * nv
-    origins: List[int] = []
-    dirs: List[Tuple[int, int]] = []
-    for c, chain in zip(family.curves, chains):
+    vw = [0] * len(out)
+    for chain in chains:
         share = L // len(chain)
         for v in chain:
             vw[v] += share
-        germs = [_germs(c, inc.s_on(c.id)) for inc in fi.on_curve(c.id)]
-        if not germs:
-            continue
-        # an anchor has degree at most 2: any two germs give its rotation
-        germs.insert(0, ((1, 0), (-1, 0)))
-        for k in range(len(chain) if c.closed else len(chain) - 1):
-            k1 = (k + 1) % len(chain)
-            origins += (chain[k], chain[k1])
-            dirs += (germs[k][0], germs[k1][1])
-    g = _plane_graph(range(nv), rotation_order(origins, dirs, nv), origins,
-                     vw, family.n * L)
+    g = _plane_graph(range(len(out)), out, origins, vw, family.n * L)
     check(g is not None, "arrangement graph's drawing is not plane")
     return ArrangementGraph(g.vertices, g.nbrs, g.scaled, g.scale,
                             chains=chains)

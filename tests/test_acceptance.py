@@ -9,8 +9,8 @@ import math
 import time
 from fractions import Fraction
 
-from contactgeom.arrangement import (build_mixed_arrangement, cells_of_pair,
-                                     locate_cell)
+from contactgeom.arrangement import (build_mixed_arrangement, locate_cell,
+                                     pair_arrangement)
 from contactgeom.errors import GenerationError
 from contactgeom.experiments import check_thm4, fit_exponent, thm3_exponent
 from contactgeom.cli import main as cli_main
@@ -200,7 +200,7 @@ def test_criterion_5_pair_cell_counts():
                 a, b = ids[i], ids[j]
                 if a in closed and b in closed:
                     closed_pairs += 1
-                    cells = len(cells_of_pair(fam, a, b))
+                    cells = pair_arrangement(fam, a, b).F
                     worst = max(worst, cells - fam.m)
                     if cells > fam.m + 2:
                         violations += 1

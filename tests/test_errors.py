@@ -147,13 +147,11 @@ def test_every_public_name_in_src_is_used():
     # the benchmark's tracer wraps these by name
     wrapped = ["arrangement.build_mixed_arrangement", "geometry.orientation",
                "geometry.segment_intersection", "graphs.check_planarity"]
-    # the tests' entry points: criterion 5's m+2 bound, the exact
-    # expectations, the determinism tests, and how the separator tests
-    # build their graphs
-    entry_points = ["arrangement.cells_of_pair",
-                    "verifier.enumerate_ground_pairs",
+    # the tests' entry points: the exact expectations, the determinism
+    # tests, and how the separator tests build their graphs
+    entry_points = ["verifier.enumerate_ground_pairs",
                     "verifier.sample_ground_pair", "separator.weighted_graph"]
-    # pinned, so that no ninth name joins them unnoticed
+    # pinned, so that no eighth name joins them unnoticed
     assert unused == sorted(wrapped + entry_points)
     assert all(name.rsplit(".", 1)[1] in traced for name in wrapped)
 
@@ -188,6 +186,25 @@ def test_every_public_member_in_src_is_read():
                               # `separator.planar_graph.edges` through it
                               "separator.WeightedPlanarGraph.edges",
                               "separator.WeightedPlanarGraph.weights"]
+
+
+def test_one_function_builds_a_rotation_system():
+    # the arrangement and the separator graph read one plane skeleton: a
+    # second function sorting half-edges by angle (angle_key, or the
+    # rotation_order it replaced) would be a second rotation builder
+    readers = []
+    for m in pkgutil.iter_modules(contactgeom.__path__):
+        tree = ast.parse(inspect.getsource(
+            importlib.import_module(f"contactgeom.{m.name}")))
+        functions = [fn for top in tree.body
+                     for fn in (top.body if isinstance(top, ast.ClassDef)
+                                else [top])
+                     if isinstance(fn, ast.FunctionDef)]
+        readers += [f"{m.name}.{fn.name}" for fn in functions
+                    if any(getattr(node, "id", getattr(node, "attr", None))
+                           in ("angle_key", "rotation_order")
+                           for node in ast.walk(fn))]
+    assert readers == ["arrangement.plane_skeleton"]
 
 
 def test_verifier_does_not_use_segment_intersection():

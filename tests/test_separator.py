@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactgeom import incidence, separator
+from contactgeom import arrangement, incidence, separator
+from contactgeom.arrangement import chain_point
 from contactgeom.errors import (DegenerateError, InvariantError,
                                 PreconditionError)
 from contactgeom.generators import KINDS, GeneratorSpec, generate
@@ -264,9 +265,10 @@ def test_string_separator_lifts_through_the_graph_chains(monkeypatch):
         assert chain[0] == ids.index(c.id)
         assert len(chain) == 1 + len(fi.on_curve(c.id))
         assert all(tuple(sorted(e)) in g.edges for e in zip(chain, chain[1:]))
-    built, real = [], separator._vertex_chains
-    monkeypatch.setattr(separator, "_vertex_chains",
-                        lambda f: built.append(f) or real(f))
+    built, real = [], separator.plane_skeleton
+    monkeypatch.setattr(separator, "plane_skeleton",
+                        lambda *args, **kw: built.append(args)
+                        or real(*args, **kw))
     string_separator(fam)
     assert len(built) == 1
 
@@ -337,12 +339,14 @@ def test_reversed_rotation_at_a_contact_fails_the_certificate(monkeypatch):
     # drawing has the wrong Euler count
     fam = generate(GeneratorSpec(kind="UnitCirclesGrid", n=16, m=2, seed=1))
     nv = len(arrangement_to_planar_graph(fam).vertices)
-    real = separator.rotation_order
-    for v in range(fam.n, nv):      # the contact vertices follow the anchors
+    points = {i.point for i in compute_incidences(fam).all_incidences()}
+    assert len(points) == nv - fam.n    # the contact vertices
+    real = arrangement._germs
+    for p in points:
         monkeypatch.setattr(
-            separator, "rotation_order", lambda origins, dirs, k:
-            real(origins, [(x, -y) if o == v else (x, y)
-                           for o, (x, y) in zip(origins, dirs)], k))
+            arrangement, "_germs", lambda c, s:
+            tuple((x, -y) if chain_point(c, s) == p else (x, y)
+                  for x, y in real(c, s)))
         with pytest.raises(InvariantError, match="not plane"):
             arrangement_to_planar_graph(fam)
 
