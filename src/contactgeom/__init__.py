@@ -10,9 +10,9 @@ from .geometry import Curve, CurveFamily, Point
 from .incidence import (FamilyIncidences, Incidence, catalogue,
                         compute_incidences, curve_pair_incidences,
                         validate_general_position)
-from .arrangement import (Arrangement, boundary_edge_cycle,
-                          build_arrangement, build_mixed_arrangement,
-                          locate_cell, pair_arrangement)
+from .arrangement import (Arrangement, build_arrangement,
+                          build_mixed_arrangement, locate_cell,
+                          pair_arrangement)
 from .familyio import (dumps_family, loads_family, read_family, write_family)
 from .generators import KINDS, GeneratorSpec, generate
 from .verifier import (CircularSignature, FaceContext, GroundPairSample,

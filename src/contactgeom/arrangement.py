@@ -5,9 +5,7 @@ Vertices are contact points (crossings and tangencies), arc endpoints,
 which rest on no other curve, and one anchor per otherwise vertex-free
 closed curve. Edges are the curve portions between consecutive vertices
 along each curve. Face cycles keep their face on the LEFT of the walk
-direction; the boundary_edge_cycle query re-orients walks so the face
-interior is on the right, matching the tracing convention the signature
-machinery needs.
+direction.
 """
 
 from __future__ import annotations
@@ -143,12 +141,16 @@ def plane_skeleton(curves: Sequence[Curve], contacts: FamilyIncidences,
     separator graph) it also carries a virtual anchor first in its chain;
     without (the arrangement) an arc also stops at its ends, and a closed
     curve with no contact at 0. Vertices are the anchors by curve id, then
-    the stops' points in sorted order on one integer grid. Edge i joins
-    consecutive stops, cyclically on a closed curve, and half-edge 2i runs
-    forward along it. Returns the stops as (parameter, point) pairs, the
-    chains, the half-edge origins, and each vertex's half-edges
-    counterclockwise (angle_key) by the curves' germs, an anchor's by any
-    two; DegeneracyError when two leave a vertex in one direction."""
+    the stop points as first met on the curves by id, each in chain order:
+    a contact is numbered by (smaller curve id, parameter on it), not by
+    its coordinates, so a map that keeps the catalogue keeps the
+    numbering, and with anchored a sub-family's is its parent's, filtered.
+    Edge i joins consecutive stops, cyclically on a closed curve, and
+    half-edge 2i runs forward along it. Returns the stops as (parameter,
+    point) pairs, the chains, the half-edge origins, and each vertex's
+    half-edges counterclockwise (angle_key) by the curves' germs, an
+    anchor's by any two; DegeneracyError when two leave a vertex in one
+    direction."""
     stops = []
     for c in curves:
         got = [(inc.s_on(c.id), inc.point) for inc in contacts.on_curve(c.id)]
@@ -158,16 +160,15 @@ def plane_skeleton(curves: Sequence[Curve], contacts: FamilyIncidences,
         elif not (anchored or got):
             got = [(Fraction(0), c.points[0])]
         stops.append(got)
-    scale = lcm(*(v.denominator for got in stops for _, p in got
-                  for v in (p.x, p.y)))
-    lifted = [lift((p for _, p in got), scale) for got in stops]
-    points = sorted({q for qs in lifted for q in qs})
     base = len(curves) if anchored else 0
-    index = {q: k for k, q in enumerate(points, base)}
+    index: Dict[Point, int] = {}
+    for _, got in sorted(zip((c.id for c in curves), stops)):
+        for _, p in got:
+            index.setdefault(p, base + len(index))
     anchor = {cid: k for k, cid in enumerate(sorted(c.id for c in curves))}
     chains, origins, dirs = [], [], []
-    for c, got, qs in zip(curves, stops, lifted):
-        chain = [index[q] for q in qs]
+    for c, got in zip(curves, stops):
+        chain = [index[p] for _, p in got]
         gs = [_germs(c, s) for s, _ in got]
         if anchored:
             chain.insert(0, anchor[c.id])
@@ -177,7 +178,7 @@ def plane_skeleton(curves: Sequence[Curve], contacts: FamilyIncidences,
             k1 = (k + 1) % len(chain)
             origins += (chain[k], chain[k1])
             dirs += (gs[k][0], gs[k1][1])
-    out: List[List[int]] = [[] for _ in range(base + len(points))]
+    out: List[List[int]] = [[] for _ in range(base + len(index))]
     for h, v in enumerate(origins):
         out[v].append(h)
     for v, hs in enumerate(out):
@@ -305,14 +306,3 @@ def locate_cell(arr: Arrangement, p: Point) -> int:
             check(hit is None, "point claimed by two faces")
             hit = f.id
     return UNBOUNDED_FACE if hit is None else hit
-
-
-def boundary_edge_cycle(arr: Arrangement, face_id: int) -> Tuple[Tuple[int, ...], ...]:
-    """Boundary walks of a face with the interior kept on the RIGHT.
-
-    Labels are the face's own half-edge ids; an edge bordering the face on
-    both sides contributes two labels. One tuple per boundary component
-    (simply bounded faces yield exactly one).
-    """
-    f = arr.faces[face_id]
-    return tuple(tuple(reversed(cyc)) for cyc in f.cycles)

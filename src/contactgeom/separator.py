@@ -179,15 +179,16 @@ class ArrangementGraph(WeightedPlanarGraph):
 def arrangement_to_planar_graph(family: CurveFamily) -> ArrangementGraph:
     """Convert the family's arrangement into a weighted planar graph.
 
-    Vertices 0..V-1 are one anchor per curve, then the contact points
-    (arrangement.plane_skeleton, anchored); edges join vertices
-    consecutive along a curve, and the result keeps each curve's chain of
-    them. Each curve's weight is spread evenly over the vertices lying on
-    it. Planarity is certified by the drawing: the skeleton's rotation,
-    from the curves' germs, is checked by _plane_graph, else
-    InvariantError. That count cannot see a reversed rotation at a cut
-    vertex, where every contact of a degree-reduced family lies; the
-    arrangement's faces, on the same rotation, can."""
+    Vertices 0..V-1 are one anchor per curve by id, then the contact
+    points by (smaller curve id, chain parameter on it), read off the
+    catalogue and never the coordinates (arrangement.plane_skeleton,
+    anchored); edges join vertices consecutive along a curve, and the
+    result keeps each curve's chain of them. Each curve's weight is spread
+    evenly over the vertices lying on it. Planarity is certified by the
+    drawing: the skeleton's rotation, from the curves' germs, is checked
+    by _plane_graph, else InvariantError. That count cannot see a reversed
+    rotation at a cut vertex, where every contact of a degree-reduced
+    family lies; the arrangement's faces, on the same rotation, can."""
     _, chains, origins, out = plane_skeleton(
         family.curves, catalogue(family), anchored=True)
     # curve weight 1/n over a chain of length k is L // k over scale n L

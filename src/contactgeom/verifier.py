@@ -28,8 +28,7 @@ from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        unlift)
 from .graphs import CurveGraph, contact_graph_from
 from .incidence import FamilyIncidences, catalogue, curve_pair_incidences
-from .arrangement import (Arrangement, boundary_edge_cycle, locate_cell,
-                          pair_arrangement)
+from .arrangement import Arrangement, locate_cell, pair_arrangement
 
 
 # ---------------------------------------------------------------- sampling
@@ -287,11 +286,12 @@ class FaceContext:
             raise PreconditionError(f"no face {face} in the arrangement")
         self.arrangement = arrangement
         self.face = face
-        walks = boundary_edge_cycle(arrangement, face)
-        if len(walks) != 1:
+        cycles = arrangement.faces[face].cycles
+        if len(cycles) != 1:
             raise PreconditionError(
-                f"face {face} has {len(walks)} boundary components; need one")
-        self.walk: Tuple[int, ...] = walks[0]
+                f"face {face} has {len(cycles)} boundary components; need one")
+        # the arrangement's cycles keep the face on the left: walk it reversed
+        self.walk: Tuple[int, ...] = cycles[0][::-1]
         self._at: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
         for step, label in enumerate(self.walk):
             for k, q in enumerate(arrangement.half_edges[label]):

@@ -453,20 +453,26 @@ def is_plane(rotation_system):
     return True
 
 
+def _contact_label(inc):
+    """("p", smaller curve id, chain parameter on that curve)."""
+    return (("p", inc.a, inc.s_a) if inc.a < inc.b
+            else ("p", inc.b, inc.s_b))
+
+
 def tuple_arrangement_graph(family, fi):
-    """The arrangement graph with ("a", curve id) and ("p", x, y) vertex
-    labels, as (vertices, edges, weights): each curve's chain is its anchor,
-    then its catalogue contacts by chain parameter; every curve weighs 1/n,
-    shared evenly by its chain. Reads only the catalogue's plain data."""
+    """The arrangement graph with ("a", curve id) and ("p", smaller curve
+    id, parameter on it) vertex labels, as (vertices, edges, weights): each
+    curve's chain is its anchor, then its catalogue contacts by chain
+    parameter; every curve weighs 1/n, shared evenly by its chain. Reads
+    only the catalogue's plain data."""
     along = {c.id: [] for c in family.curves}
     for (a, b), incs in fi.pairs.items():
         for inc in incs:
-            along[a].append((inc.s_a, b, inc.point))
-            along[b].append((inc.s_b, a, inc.point))
+            along[a].append((inc.s_a, b, _contact_label(inc)))
+            along[b].append((inc.s_b, a, _contact_label(inc)))
     weights, edges = {}, set()
     for c in family.curves:
-        chain = [("a", c.id)] + [("p", p.x, p.y)
-                                 for _, _, p in sorted(along[c.id])]
+        chain = [("a", c.id)] + [v for _, _, v in sorted(along[c.id])]
         for v in chain:
             weights[v] = weights.get(v, F(0)) + F(1, family.n) / len(chain)
         ring = list(zip(chain, chain[1:]))
@@ -493,7 +499,7 @@ def tuple_string_separator(family, fi):
             sep.add(v[1])
         else:
             sep |= {cid for pair, incs in fi.pairs.items() for inc in incs
-                    if (inc.point.x, inc.point.y) == v[1:] for cid in pair}
+                    if _contact_label(inc) == v for cid in pair}
     adj = {c.id: [] for c in family.curves}
     for (a, b), incs in fi.pairs.items():
         if incs:

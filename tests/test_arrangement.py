@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
-                                     boundary_edge_cycle, build_arrangement,
+                                     build_arrangement,
                                      build_mixed_arrangement, chain_point,
                                      curve_portion, locate_cell,
                                      pair_arrangement, split_curve_at)
@@ -97,7 +97,7 @@ def test_boundary_walks_cover_every_half_edge_once():
     arr = build_mixed_arrangement(curves)
     seen = []
     for f in range(arr.F):
-        for walk in boundary_edge_cycle(arr, f):
+        for walk in arr.faces[f].cycles:
             seen.extend(walk)
     assert sorted(seen) == list(range(len(arr.half_edges)))
     assert len(seen) == len(set(seen))

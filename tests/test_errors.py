@@ -207,6 +207,17 @@ def test_one_function_builds_a_rotation_system():
     assert readers == ["arrangement.plane_skeleton"]
 
 
+def test_plane_skeleton_numbers_vertices_without_coordinates():
+    # vertex numbers come from the catalogue (curve id, chain parameter),
+    # so every tie-break of the separator search is the same under any map
+    # that keeps the catalogue; a lift to a common grid reads coordinates
+    from contactgeom import arrangement
+    tree = ast.parse(inspect.getsource(arrangement.plane_skeleton))
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(tree)}
+    assert not named & {"lift", "lift_point", "lcm", "coordinate_scale"}
+
+
 def test_verifier_does_not_use_segment_intersection():
     # charging lifts each curve set once; a per-call Fraction lift in the
     # route search is what made it slow. Its segment scans are

@@ -757,6 +757,38 @@ def test_decompose_is_independent_of_curve_order():
         assert got == want and repr(got) == repr(want)
 
 
+# exact affine maps, four isometries and a shear: each keeps every ratio
+# along a segment, so the mapped family has the same catalogue, with the
+# same chain parameters
+AFFINE_MAPS = {
+    "reflect": lambda x, y: (-x, y),
+    "swap": lambda x, y: (y, x),
+    "quarter-turn": lambda x, y: (-y, x),
+    "shear": lambda x, y: (x + y / 2, y),
+    "translate": lambda x, y: (x + F(1, 3), y - F(2, 7)),
+}
+
+
+@pytest.mark.parametrize("kind,n,m,seed", [
+    ("UnitCirclesGrid", 36, 1, 42), ("UnitCirclesGrid", 100, 1, 42),
+    ("RandomCircles", 100, 2, 7)])
+def test_decomposition_is_invariant_under_affine_maps(kind, n, m, seed):
+    # the separator search reads the contact structure only: vertex numbers
+    # come from the catalogue, not from where the drawing puts the points
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=m, seed=seed))
+
+    def outcome(family):
+        fi = compute_incidences(family)
+        return (fi.T, fi.X, string_separator(family),
+                recursive_decompose(family))
+    want = outcome(fam)
+    for name, f in AFFINE_MAPS.items():
+        image = CurveFamily(
+            [Curve(id=c.id, points=tuple(pt(*f(p.x, p.y)) for p in c.points),
+                   closed=c.closed) for c in fam.curves], fam.m)
+        assert outcome(image) == want, name
+
+
 def test_decompose_sparse_family_uses_components():
     fam = chain9()           # average contact degree rounds down to zero
     rep = recursive_decompose(fam)
