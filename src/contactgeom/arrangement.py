@@ -26,48 +26,6 @@ from .incidence import (FamilyIncidences, catalogue, mixed_contacts,
 UNBOUNDED_FACE = 0
 
 
-def chain_point(c: Curve, s: Fraction) -> Point:
-    """Point at chain parameter s (segment index + in-segment fraction),
-    read on c's own grid g: k + p/q lies at (g[k] q + p (g[k+1] - g[k]))
-    / (q grid_scale)."""
-    q = s.denominator
-    k, p = divmod(s.numerator, q)
-    if c.closed:
-        k %= c.n_segments
-    elif k == c.n_segments:
-        return c.points[-1]
-    g, d = c.grid, q * c.grid_scale
-    (x0, y0), (x1, y1) = g[k], g[(k + 1) % len(g)]
-    return Point(Fraction(x0 * q + p * (x1 - x0), d),
-                 Fraction(y0 * q + p * (y1 - y0), d))
-
-
-def curve_portion(c: Curve, s0: Fraction, s1: Fraction) -> Tuple[Point, ...]:
-    """Polyline of c from parameter s0 to s1 (s0 < s1; a closed curve reads
-    both modulo its segment count, and s1 - s0 is at most one full turn)."""
-    hn, hd = s1.numerator, s1.denominator
-    if not s0.numerator * hd < hn * s0.denominator:
-        raise ValueError("need s0 < s1")
-    pts = c.points
-    inner = range(s0.numerator // s0.denominator + 1, -(-hn // hd))
-    return (chain_point(c, s0), *(pts[k % len(pts)] for k in inner),
-            chain_point(c, s1))
-
-
-def split_curve_at(c: Curve, params: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
-    """Chain-parameter intervals of the pieces of c cut at params.
-
-    Open: pieces cover [0, n_seg]. Closed with k >= 1 cuts: k wrap-around
-    intervals; the piece spanning the seam has hi = lo' + n_seg.
-    """
-    ps = sorted(set(params))
-    n = Fraction(c.n_segments)
-    if not c.closed:
-        ps = [Fraction(0)] + [p for p in ps if 0 < p < n] + [n]
-        return list(zip(ps, ps[1:]))
-    return list(zip(ps, ps[1:] + [ps[0] + n])) if ps else [(Fraction(0), n)]
-
-
 @dataclass(frozen=True)
 class Face:
     id: int
@@ -202,8 +160,10 @@ def _assemble(curves: Sequence[Curve], contacts: FamilyIncidences) -> Arrangemen
     half_edges: List[List[Tuple[int, int]]] = []
     for c, ipts, got in zip(curves, curve_pts, stops):
         keys = lift((p for _, p in got), scale)
-        for (s0, s1), ka, kb in zip(split_curve_at(c, [s for s, _ in got]),
-                                    keys, keys[1:] + keys[:1]):
+        ss = [s for s, _ in got]
+        # a closed curve's last span runs across the seam
+        ends = ss[1:] + [ss[0] + c.n_segments] if c.closed else ss[1:]
+        for s0, s1, ka, kb in zip(ss, ends, keys, keys[1:] + keys[:1]):
             # the vertices of c strictly between s0 and s1
             inner = [k % len(ipts) for k in range(int(s0) + 1, ceil(s1))]
             chain = [ka, *(ipts[k] for k in inner), kb]

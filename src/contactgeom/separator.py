@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arrangement import (curve_portion, face_walk, plane_skeleton,
-                          split_curve_at)
+from .arrangement import face_walk, plane_skeleton
 from .errors import DegenerateError, PreconditionError, check
-from .geometry import Curve, CurveFamily, frac
+from .geometry import Curve, CurveFamily, Point, frac
 from .graphs import intersection_graph_from
 from .incidence import (catalogue, compute_incidences, keep_catalogue,
                         sub_family)
@@ -38,21 +37,42 @@ class ReducedFamily(CurveFamily):
         return dict(self.parent_pairs)
 
 
-def _piece_intervals(c: Curve, params: Sequence[Fraction], d: int):
-    """Chain-parameter intervals holding d contact params each (last may hold
-    fewer), separated by open slivers cut out of the contact-free gaps: a
-    gap (a/b, e/f) is cut at (2af + eb) / 3bf and (af + 2eb) / 3bf."""
-    n = c.n_segments
+def _pieces(c: Curve, params: Sequence[Fraction], d: int):
+    """The vertex tuples of c's pieces, each holding d contact params (the
+    last may hold fewer), between open slivers cut out of contact-free
+    gaps: a gap (a/b, e/f) is cut at the integer pairs (2af + eb, 3bf) and
+    (af + 2eb, 3bf). A cut x/q lies p/q of the way along segment k, for
+    k, p = divmod(x, q), read on c's own grid, or on vertex k when p = 0."""
+    n, pts, g = c.n_segments, c.points, c.grid
     ps = [(s.numerator, s.denominator) for s in params]
     gaps = [(ps[k - 1], ps[k]) for k in range(d, len(ps), d)]
     if c.closed:
         e, f = ps[0]
         gaps.append((ps[-1], (e + n * f, f)))
-    cuts = [Fraction(x, 3 * b * f) for (a, b), (e, f) in gaps
+    cuts = [(x, 3 * b * f) for (a, b), (e, f) in gaps
             for x in (2 * a * f + e * b, a * f + 2 * e * b)]
-    # every other piece of the split; a closed curve's seam piece comes last
-    pieces = split_curve_at(c, cuts)
-    return pieces[1::2] if c.closed else pieces[::2]
+    # every other span is a piece, a closed curve's seam piece last
+    if c.closed:
+        (x, q), cuts = cuts[0], cuts[1:]
+        cuts.append((x + n * q, q))
+    else:
+        cuts = [(0, 1), *cuts, (n, 1)]
+
+    def at(x, q):
+        k, p = divmod(x, q)
+        if not p:
+            return pts[k % len(pts)]
+        (x0, y0), (x1, y1) = g[k % len(g)], g[(k + 1) % len(g)]
+        return Point(Fraction(x0 * q + p * (x1 - x0), q * c.grid_scale),
+                     Fraction(y0 * q + p * (y1 - y0), q * c.grid_scale))
+
+    out = []
+    for (x0, q0), (x1, q1) in zip(cuts[::2], cuts[1::2]):
+        check(x0 * q1 < x1 * q0, f"curve {c.id}: empty piece")
+        out.append((at(x0, q0), *(pts[k % len(pts)]
+                                  for k in range(x0 // q0 + 1, -(-x1 // q1))),
+                    at(x1, q1)))
+    return out
 
 
 def reduce_degree(family: CurveFamily) -> CurveFamily:
@@ -64,9 +84,9 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
     pairwise disjoint and every contact point survives on exactly one piece.
     Cut parameters are formed in integers from the contacts' chain
     parameters, and cut points are read on each curve's own grid
-    (arrangement.curve_portion). Returns the input unchanged when d would
-    be 0. The pieces' catalogue is computed afresh, as a check that every
-    contact survived, and kept on the result.
+    (_pieces). Returns the input unchanged when d would be 0. The pieces'
+    catalogue is computed afresh, as a check that every contact survived,
+    and kept on the result.
     """
     if family.n == 0:
         raise PreconditionError("reduce_degree needs at least one curve")
@@ -79,8 +99,8 @@ def reduce_degree(family: CurveFamily) -> CurveFamily:
     for c in family.curves:
         incs = fi.on_curve(c.id)
         parts = ([(c.points, c.closed)] if len(incs) <= d else
-                 [(curve_portion(c, lo, hi), False) for lo, hi in
-                  _piece_intervals(c, [inc.s_on(c.id) for inc in incs], d)])
+                 [(pts, False) for pts in
+                  _pieces(c, [inc.s_on(c.id) for inc in incs], d)])
         for points, closed in parts:
             parent.append((len(pieces), c.id))
             pieces.append(Curve(len(pieces), points, closed=closed))

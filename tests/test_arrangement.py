@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
                                      build_arrangement,
-                                     build_mixed_arrangement, chain_point,
-                                     curve_portion, locate_cell,
-                                     pair_arrangement, split_curve_at)
-from contactgeom.errors import ContactGeomError, DegeneracyError, OnCurveError
+                                     build_mixed_arrangement, locate_cell,
+                                     pair_arrangement)
+from contactgeom.errors import (ContactGeomError, DegeneracyError,
+                                InvariantError, OnCurveError)
 from contactgeom.geometry import Curve, CurveFamily, Point, pt
 from contactgeom.generators import GeneratorSpec, generate, rational_circle
 from contactgeom import incidence
 from contactgeom.incidence import compute_incidences, mixed_contacts
-from contactgeom.separator import reduce_degree
+from contactgeom.separator import _pieces, reduce_degree
 
 import oracles
 
@@ -155,18 +155,28 @@ def test_pair_queries_read_the_whole_family():
         pair_arrangement(fam, 1, 2)
 
 
-def test_chain_point_and_portion():
+def test_pieces_by_hand():
+    # d = 2 on the closed square: the gaps (1, 5/2) and, across the seam,
+    # (3, 9/2) are cut at their thirds 3/2, 2 and 7/2, 4; the seam piece
+    # runs from the second gap's second cut to the first gap's first plus 4
     c = sq(1, 0, 0)
-    assert chain_point(c, F(0)) == pt(-2, -2)
-    assert chain_point(c, F(1, 2)) == pt(0, -2)
-    assert chain_point(c, F(3)) == pt(-2, 2)
-    portion = curve_portion(c, F(1, 2), F(2))
-    assert portion[0] == pt(0, -2) and portion[-1] == pt(2, 2)
-    for s0, s1 in ((F(2), F(2)), (F(5, 2), F(7, 3))):
-        with pytest.raises(ValueError, match="s0 < s1"):
-            curve_portion(c, s0, s1)
-    assert split_curve_at(c, [F(1, 2), F(2)]) == [
-        (F(1, 2), F(2)), (F(2), F(9, 2))]
+    assert _pieces(c, [F(1, 2), F(1), F(5, 2), F(3)], 2) == [
+        (pt(2, 2), pt(-2, 2), pt(-2, 0)),
+        (pt(-2, -2), pt(2, -2), pt(2, 0))]
+    # d = 1 on the square as an arc: its pieces also start at 0 and end at 3
+    arc = Curve(2, c.points, closed=False)
+    assert _pieces(arc, [F(1, 2), F(1), F(2)], 1) == [
+        (pt(-2, -2), pt(F(2, 3), -2)),
+        (pt(F(4, 3), -2), pt(2, -2), pt(2, F(-2, 3))),
+        (pt(2, F(2, 3)), pt(2, 2), pt(-2, 2))]
+    # unsorted parameters give a piece that ends before it starts
+    with pytest.raises(InvariantError, match="empty piece"):
+        _pieces(arc, [F(1), F(2), F(1, 2)], 1)
+
+
+def _oracle_pieces(c, ps, d):
+    return [oracles._portion(c, lo, hi)
+            for lo, hi in oracles.piece_spans(c, ps, d)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,36 +184,22 @@ def test_chain_point_and_portion():
        cy=st.fractions(-5, 5, max_denominator=12),
        resolution=st.sampled_from((8, 12)), keep=st.integers(2, 12),
        closed=st.booleans(), den=st.integers(1, 12), data=st.data())
-def test_chain_point_matches_fraction_arithmetic(cx, cy, resolution, keep,
-                                                 closed, den, data):
+def test_pieces_match_fraction_arithmetic(cx, cy, resolution, keep, closed,
+                                          den, data):
     pts = rational_circle(Point(cx, cy), resolution)
     c = Curve(1, pts if closed else pts[:keep], closed=closed)
-    turns = 2 if closed else 1      # closed curves wrap their parameter
-    s = F(data.draw(st.integers(0, turns * c.n_segments * den)), den)
-    got = chain_point(c, s)
-    assert got == oracles._chain_point(c, s)
-    assert type(got.x) is F and type(got.y) is F
+    # contact parameters in [0, n], or [0, n) on a closed curve
+    top = c.n_segments * den - closed
+    xs = data.draw(st.sets(st.integers(0, top), min_size=2))
+    ps = [F(x, den) for x in sorted(xs)]
+    d = data.draw(st.integers(1, len(ps) - 1))
+    got = _pieces(c, ps, d)
+    assert got == _oracle_pieces(c, ps, d)
+    assert all(type(v) is F for piece in got for p in piece
+                   for v in (p.x, p.y))
 
 
-def _chain_point_by_fractions(c, s):
-    """The point at chain parameter s as one fraction per coordinate over
-    the segment ends' denominators, without a lift."""
-    k, p = divmod(s.numerator, s.denominator)
-    q = s.denominator
-    if c.closed:
-        k %= c.n_segments
-    elif k == c.n_segments:
-        return c.points[-1]
-    a, b = c.segment(k)
-
-    def at(u, v):
-        du, dv = u.denominator, v.denominator
-        return Fraction(u.numerator * dv * (q - p) + v.numerator * du * p,
-                        du * dv * q)
-    return Point(at(a.x, b.x), at(a.y, b.y))
-
-
-def test_chain_point_matches_the_fraction_formula():
+def test_pieces_match_the_fraction_formula():
     rng = random.Random(5)
     seen = set()
     for _ in range(1500):
@@ -217,23 +213,27 @@ def test_chain_point_matches_the_fraction_formula():
         closed = rng.random() < 0.5
         c = Curve(1, tuple(Point(x + dx, x * x + dy) for x in xs), closed)
         n = c.n_segments
-        kind = rng.choice(("vertex", "inside", "end", "seam"))
-        if kind == "end" and closed or kind == "seam" and not closed:
-            kind = "inside"
-        k = rng.randrange(n, 2 * n) if kind == "seam" else rng.randrange(n)
-        q = rng.randint(2, 13)
-        s = {"vertex": F(k), "end": F(n),
-             "inside": k + F(rng.randint(1, q - 1), q),
-             "seam": k + F(rng.randint(0, q - 1), q)}[kind]
-        got = chain_point(c, s)
-        assert got == _chain_point_by_fractions(c, s), (c, s)
-        assert type(got.x) is F and type(got.y) is F
-        seen.add((kind, closed))
-        # the portion ending at s starts at most one turn before it
-        lo = max(s - n, F(0))
-        s0 = lo + (s - lo) * F(rng.randint(0, 7), 8)
-        if s0 < s:
-            assert curve_portion(c, s0, s) == oracles._portion(c, s0, s)
+        # contact parameters on vertices and inside segments, in [0, n) on
+        # a closed curve and inside an arc
+        ps = set()
+        for _ in range(rng.randint(2, 8)):
+            q = rng.choice((1, rng.randint(2, 13)))
+            ps.add(F(rng.randint(not closed, n * q - (not closed)), q))
+        ps = sorted(ps)
+        if len(ps) < 2:
+            continue
+        d = rng.randint(1, len(ps) - 1)
+        got = _pieces(c, ps, d)
+        assert got == _oracle_pieces(c, ps, d), (c, ps, d)
+        assert all(type(v) is F for piece in got for p in piece
+                   for v in (p.x, p.y))
+        for lo, hi in oracles.piece_spans(c, ps, d):
+            for s in (lo, hi):
+                seen.add(("end" if not closed and s in (0, n) else
+                          "vertex" if s.denominator == 1 else "inside",
+                          closed))
+            if closed and hi > n:
+                seen.add(("seam", True))
     assert seen == {("vertex", False), ("vertex", True), ("inside", False),
                     ("inside", True), ("end", False), ("seam", True)}
 

@@ -223,10 +223,10 @@ def test_verifier_does_not_use_segment_intersection():
     # route search is what made it slow. Its segment scans are
     # geometry.Polyline's, so it calls the segment kernel nowhere itself,
     # and it reads each charged piece off one scan of the closed-up arcs
-    # instead of cutting it as a Fraction polyline.
+    # instead of cutting curves itself, as degree reduction does.
     tree = ast.parse(inspect.getsource(
         importlib.import_module("contactgeom.verifier")))
-    banned = ("segment_intersection", "seg_events", "curve_portion")
+    banned = ("segment_intersection", "seg_events", "_pieces")
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -236,3 +236,30 @@ def test_verifier_does_not_use_segment_intersection():
         elif isinstance(node, ast.Attribute) and node.attr in banned:
             found.append(node.attr)
     assert not found
+
+
+def test_degree_reduction_cuts_compare_no_fraction(monkeypatch):
+    # the cuts are integer pairs and a cut point is read off the curve's
+    # grid: no Fraction is ordered or hashed while a curve is cut
+    from fractions import Fraction
+    from contactgeom.generators import GeneratorSpec, generate
+    from contactgeom.incidence import compute_incidences
+    from contactgeom.separator import _pieces
+    jobs = []
+    for kind, n, m in (("PerturbedPencil", 12, 12), ("UnitCirclesGrid", 16, 2)):
+        fam = generate(GeneratorSpec(kind=kind, n=n, m=m, seed=1))
+        fi = compute_incidences(fam)
+        d = fi.X // fam.n
+        for c in fam.curves:
+            ps = [inc.s_on(c.id) for inc in fi.on_curve(c.id)]
+            if len(ps) > d:
+                jobs.append((c, ps, d))
+    assert any(s.denominator > 1 for _, ps, _ in jobs for s in ps)
+
+    def refuse(*args):
+        raise TypeError("a Fraction was compared or hashed")
+    with monkeypatch.context() as mp:
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+            mp.setattr(Fraction, name, refuse)
+        pieces = [_pieces(c, ps, d) for c, ps, d in jobs]
+    assert len(pieces) == len(jobs) > 0 and all(pieces)
