@@ -17,7 +17,7 @@ from .familyio import (dumps_family, loads_family, read_family, write_family)
 from .generators import KINDS, GeneratorSpec, generate
 from .verifier import (CircularSignature, FaceContext, GroundPairSample,
                        RichPoorReport, SubArc, alt_hat_charging,
-                       circular_signature, enumerate_ground_pairs, free_arc,
+                       circular_signature, enumerate_ground_pairs,
                        monte_carlo_ground, rich_poor_partition,
                        sample_ground_pair, verify_signature_uniqueness)
 from .separator import (DecompositionReport, ReducedFamily, SeparatorResult,

@@ -26,9 +26,9 @@ from .geometry import CurveFamily, midpoint
 from .graphs import contact_graph_from
 from .incidence import catalogue, sub_family, validate_general_position
 from .separator import ReducedFamily, recursive_decompose, reduce_degree
-from .verifier import (FaceContext, alt_hat_charging, circular_signature,
-                       free_arc, monte_carlo_ground, rich_poor_partition,
-                       verify_signature_uniqueness)
+from .verifier import (FaceContext, SubArc, alt_hat_charging,
+                       circular_signature, monte_carlo_ground,
+                       rich_poor_partition, verify_signature_uniqueness)
 
 # numbering used by the validator's report, in model order
 _VIOLATION_TAGS = {
@@ -208,7 +208,7 @@ def _cmd_verify_prop9(ns: argparse.Namespace) -> int:
         return bail("no face of either side holds all arcs of the other")
     arr, face = picked
     by_id = {c.id: c for c in family}
-    lambdaF = [free_arc(i, by_id[i].points, by_id[i].closed) for i in lamF_ids]
+    lambdaF = [SubArc(by_id[i]) for i in lamF_ids]
     try:
         ctx = FaceContext(arr, face, catalogue(family))
     except PreconditionError as e:

@@ -24,10 +24,9 @@ from .errors import (ConstructionError, PreconditionError, ValidationError,
                      check)
 from .geometry import (Curve, CurveFamily, Point, Polyline, ccw_between,
                        coordinate_scale, germs, grid_point, lift, lift_point,
-                       meeting_key, meetings, on_polyline, segment_param,
-                       unlift)
+                       meeting_key, meetings, segment_param, unlift)
 from .graphs import CurveGraph, contact_graph_from
-from .incidence import FamilyIncidences, catalogue, curve_pair_incidences
+from .incidence import FamilyIncidences, catalogue
 from .arrangement import Arrangement, locate_cell, pair_arrangement
 
 
@@ -244,12 +243,6 @@ class SubArc:
     geometry: Curve
 
 
-def free_arc(arc_id: int, points: Sequence[Point],
-             closed: bool = False) -> SubArc:
-    """Wrap a bare polyline as an arc with unconstrained endpoints."""
-    return SubArc(Curve(id=arc_id, points=tuple(points), closed=closed))
-
-
 @dataclass(frozen=True)
 class CircularSignature:
     arc: int
@@ -274,14 +267,12 @@ class FaceContext:
     chain vertex there, in walk order. Each arc's signature is computed
     once and kept, keyed by the arc's geometry.
 
-    contacts, when given, is the catalogue the arcs' contacts with the
-    arrangement's curves are read from: a family's, holding the arcs and
-    the surrounding curves under their ids. Without it each arc is run
-    through the incidence engine against each surrounding curve.
+    contacts is the catalogue every contact is read from: a family's,
+    holding the arcs and the surrounding curves under their ids.
     """
 
     def __init__(self, arrangement: Arrangement, face: int,
-                 contacts: Optional[FamilyIncidences] = None):
+                 contacts: FamilyIncidences):
         if face < 0 or face >= arrangement.F:
             raise PreconditionError(f"no face {face} in the arrangement")
         self.arrangement = arrangement
@@ -344,8 +335,7 @@ def _signature_keyed(ctx: FaceContext, lam: SubArc):
     g = lam.geometry
     keyed, index_of = [], {}
     for mu in ctx.arrangement.curves:
-        incs = (curve_pair_incidences(g, mu) if ctx.contacts is None
-                else ctx.contacts.between(g.id, mu.id))
+        incs = ctx.contacts.between(g.id, mu.id)
         if len(incs) != 1 or incs[0].kind != "tangency":
             raise PreconditionError(f"arc {g.id} does not touch arc {mu.id}")
         # a tangency sits at a vertex of both curves: s is lam's index
@@ -445,15 +435,15 @@ def _route_candidates(ctx: FaceContext, ends, walls: Sequence[Polyline],
 
 
 def _close_arc(ctx: FaceContext, lam: SubArc, own: Polyline, other: Polyline,
-               forbidden: Set[tuple], walls: Sequence[Polyline], scale: int):
+               forbidden: Set[Point], walls: Sequence[Polyline], scale: int):
     """Join lam's free endpoints by an imaginary polyline inside the face.
 
     Returns (closed curve, imaginary chain-parameter interval, closed curve
     lifted); an already closed arc comes back unchanged with interval None.
     The imaginary part must not meet the surrounding arcs `walls`, may meet
     lam's real part `own` only at the two junctions, and must cross `other`
-    transversally off `forbidden`, reduced lifted points (X, Y, D). All lie
-    on the grid of step 1/scale that _route_candidates asks for.
+    transversally off the points `forbidden`. All lie on the grid of step
+    1/scale that _route_candidates asks for.
     """
     g = lam.geometry
     if g.closed:
@@ -472,7 +462,8 @@ def _close_arc(ctx: FaceContext, lam: SubArc, own: Polyline, other: Polyline,
             if ev[0] != "touch" or ev[1] not in ends:
                 return False
         for ev in other.hits(a, b):
-            if ev[0] != "proper" or meeting_key((a, b), ev) in forbidden:
+            if (ev[0] != "proper"
+                    or unlift(meeting_key((a, b), ev), scale) in forbidden):
                 return False
         return True
 
@@ -554,9 +545,8 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
                         if inner is not None else ()))
     walls = [Polyline(c.lifted(scale), c.closed) for c in arr.curves]
     real1, real2 = (Polyline(g.lifted(scale), g.closed) for g in (g1, g2))
-    # pieces of a valid family's curves meet in crossings and touches only
-    existing = {meeting_key(real1.segs[i], ev)
-                for i, _, ev in meetings(real1, real2)}
+    # the real arcs' meetings: no closure crosses there, a charge there is real
+    existing = {inc.point for inc in ctx.contacts.between(g1.id, g2.id)}
     closed1, imag1, ring1 = _close_arc(ctx, lam1, real1, real2, existing,
                                        walls, scale)
     closed2, imag2, ring2 = _close_arc(ctx, lam2, real2, ring1, existing,
@@ -640,8 +630,7 @@ def alt_hat_charging(ctx: FaceContext, lam1: SubArc, lam2: SubArc,
                 f"edge {lbl}: piece {k1} of arc {lam1.geometry.id} misses "
                 f"piece {k2} of arc {lam2.geometry.id}")
         p = pts[0]
-        q = lift_point(p, scale)
-        real = all(on_polyline(q, r.pts, r.closed) for r in (real1, real2))
+        real = p in existing
         if not real:
             check(piece_has_imag(i1, imag1, closed1.n_segments)
                   or piece_has_imag(i2, imag2, closed2.n_segments),

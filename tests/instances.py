@@ -16,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from contactgeom import Point
-from contactgeom.arrangement import build_mixed_arrangement
-from contactgeom.verifier import (FaceContext, alt_hat_charging,
-                                  circular_signature, free_arc)
+from contactgeom import Curve, CurveFamily, Point
+from contactgeom.arrangement import build_arrangement, locate_cell
+from contactgeom.incidence import catalogue, sub_family
+from contactgeom.verifier import (FaceContext, SubArc, alt_hat_charging,
+                                  circular_signature)
 
 F = Fraction
 
@@ -53,8 +54,9 @@ def picket_points(k):
 
 
 def fence_subarcs(s):
-    """s pickets as free arcs with ids 1..s."""
-    return tuple(free_arc(k + 1, picket_points(k)) for k in range(s))
+    """s pickets as arcs with ids 1..s."""
+    return tuple(SubArc(Curve(id=k + 1, points=picket_points(k), closed=False))
+                 for k in range(s))
 
 
 def comb_points(s, tokens, level=0, closed=False):
@@ -113,7 +115,8 @@ def comb_points(s, tokens, level=0, closed=False):
 
 
 def comb_subarc(cid, s, tokens, level=0, closed=False):
-    return free_arc(cid, comb_points(s, tokens, level, closed), closed=closed)
+    return SubArc(Curve(id=cid, points=comb_points(s, tokens, level, closed),
+                        closed=closed))
 
 
 def _cycle(parts, s):
@@ -182,11 +185,19 @@ def hat_variant_pair(m, j=2):
     return fence, lam1, lam2
 
 
-def face_context(arcs, face):
-    """FaceContext of a face of the arcs' arrangement, built from the arcs in
-    id order as the CLI builds it."""
-    curves = sorted((sa.geometry for sa in arcs), key=lambda c: c.id)
-    return FaceContext(build_mixed_arrangement(curves), face)
+def face_context(arcs, face, probes=()):
+    """FaceContext of a face of the arcs' arrangement, built as verify-prop9
+    builds it: the arcs and the probe arcs make one family, at the m = 40 of
+    the benchmark's charging families; the arrangement is the one of the
+    arcs' sub-family in id order, and every contact, probe to arc or probe
+    to probe, is read from the family's catalogue. face is a face id or a
+    point inside the face."""
+    family = CurveFamily(tuple(sa.geometry for sa in (*arcs, *probes)), 40)
+    arr = build_arrangement(sub_family(
+        family, sorted(sa.geometry.id for sa in arcs)))
+    if isinstance(face, Point):
+        face = locate_cell(arr, face)
+    return FaceContext(arr, face, catalogue(family))
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +208,7 @@ def fence_charging(fence, lam1, lam2):
     The imaginary-closure route search is the costliest step of a charging,
     so test modules that check the same pair share one run.
     """
-    ctx = face_context(fence, 0)
+    ctx = face_context(fence, 0, (lam1, lam2))
     sig = circular_signature(ctx, lam1)
     return ctx, sig, alt_hat_charging(ctx, lam1, lam2, sig)
 
@@ -206,28 +217,36 @@ def fence_charging(fence, lam1, lam2):
 
 def lens_arcs():
     """Two open arcs crossing twice; the bounded face between them is the
-    lens. Returns (a, b) as free arcs with ids 1 and 2."""
-    a = free_arc(1, (Point(-12, -2), Point(-4, 5), Point(4, 6),
-                     Point(12, -1)))
-    b = free_arc(2, (Point(-12, 2), Point(-4, 1), Point(4, 1),
-                     Point(12, 2)))
+    lens. Returns (a, b) as arcs with ids 1 and 2."""
+    a = SubArc(Curve(id=1, points=(Point(-12, -2), Point(-4, 5), Point(4, 6),
+                                   Point(12, -1)), closed=False))
+    b = SubArc(Curve(id=2, points=(Point(-12, 2), Point(-4, 1), Point(4, 1),
+                                   Point(12, 2)), closed=False))
     return a, b
+
+
+# a point of the lens, the bounded face between the lens arcs
+LENS = Point(0, 3)
 
 
 def lens_flank_pair():
     """Arcs kissing the lens roof and floor once each, on opposite flanks.
     Their two-label fingerprints collide."""
-    lam7 = free_arc(7, (Point(-6, 3), Point(-4, 5), Point(-2, 3),
-                        Point(-4, 1), Point(-6, 2)))
-    lam8 = free_arc(8, (Point(6, 3), Point(4, 6), Point(2, 3),
-                        Point(4, 1), Point(6, F(3, 2))))
+    lam7 = SubArc(Curve(id=7, points=(Point(-6, 3), Point(-4, 5),
+                                      Point(-2, 3), Point(-4, 1),
+                                      Point(-6, 2)), closed=False))
+    lam8 = SubArc(Curve(id=8, points=(Point(6, 3), Point(4, 6), Point(2, 3),
+                                      Point(4, 1), Point(6, F(3, 2))),
+                        closed=False))
     return lam7, lam8
 
 
 def lens_diagonal_pair():
     """Colliding pair whose closures are blocked by the lens geometry."""
-    lam1 = free_arc(7, (Point(-6, 3), Point(-4, 5), Point(0, F(5, 2)),
-                        Point(4, 1), Point(6, 2)))
-    lam2 = free_arc(8, (Point(6, 4), Point(4, 6), Point(0, 4),
-                        Point(-4, 1), Point(-6, 2)))
+    lam1 = SubArc(Curve(id=7, points=(Point(-6, 3), Point(-4, 5),
+                                      Point(0, F(5, 2)), Point(4, 1),
+                                      Point(6, 2)), closed=False))
+    lam2 = SubArc(Curve(id=8, points=(Point(6, 4), Point(4, 6), Point(0, 4),
+                                      Point(-4, 1), Point(-6, 2)),
+                        closed=False))
     return lam1, lam2

@@ -16,8 +16,7 @@ from contactgeom.experiments import check_thm4, fit_exponent, thm3_exponent
 from contactgeom.cli import main as cli_main
 from contactgeom.generators import GeneratorSpec, generate
 from contactgeom.graphs import check_planarity, contact_graph_from
-from contactgeom.incidence import (catalogue, compute_incidences,
-                                   curve_pair_incidences)
+from contactgeom.incidence import catalogue, compute_incidences
 from contactgeom.separator import (recursive_decompose, reduce_degree,
                                    string_separator)
 from contactgeom.verifier import (circular_signature, enumerate_ground_pairs,
@@ -239,11 +238,11 @@ def test_criterion_6_ground_pair_expectations():
 
 def test_criterion_7_face_signatures_and_charging():
     fences = {m: instances.fence_subarcs(m + 5) for m in (1, 2, 3)}
-    contexts = {m: instances.face_context(fences[m], 0) for m in fences}
     distinct_ok = 0
     cases = instances.uniqueness_instances()
     for m, fence, lams, note in cases:
-        rep = verify_signature_uniqueness(contexts[m], lams)
+        rep = verify_signature_uniqueness(
+            instances.face_context(fence, 0, lams), lams)
         assert rep.distinct, note
         assert len(fence) == m + 5
         distinct_ok += 1
@@ -252,16 +251,15 @@ def test_criterion_7_face_signatures_and_charging():
     pairs += [(m, *instances.hat_variant_pair(m)[1:]) for m in (1, 2, 3)]
     charged = 0
     for m, lam1, lam2 in pairs:
-        _, sig, ch = instances.fence_charging(fences[m], lam1, lam2)
-        sig2 = circular_signature(contexts[m], lam2)
+        ctx, sig, ch = instances.fence_charging(fences[m], lam1, lam2)
+        sig2 = circular_signature(ctx, lam2)
         assert sig.sequence == sig2.sequence
         assert ch.real_count >= m + 1
         assert ch.imaginary_count <= 4
         pts = [p for _, p, _ in ch.charges]
         assert len(set(pts)) == len(pts)
         assert len(ch.charges) == len(sig.sequence)
-        hits = {i.point for i in curve_pair_incidences(lam1.geometry,
-                                                       lam2.geometry)}
+        hits = oracles.meeting_points(lam1.geometry, lam2.geometry)
         assert all((p in hits) == real for _, p, real in ch.charges)
         charged += 1
     _verdict(7, distinct_ok >= 20 and charged >= 5,

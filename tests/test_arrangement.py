@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from contactgeom.arrangement import (UNBOUNDED_FACE, _assemble,
@@ -278,26 +278,7 @@ def _probes(curves):
     return out
 
 
-def _reduced(kind, n, seed):
-    """The pieces of a degree-reduced generated family. Every contact is
-    a cut vertex of its separator graph, so the Euler certificate cannot
-    see a mirrored rotation there; the faces, on the same rotation, can."""
-    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
-    return list(reduce_degree(fam).curves)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.filter_too_much,
-                                 HealthCheck.too_slow])
-@given(rational_curve_sets())
-@example(_reduced("UnitCirclesGrid", 9, 1))
-@example(_reduced("RandomCircles", 8, 3))
-@example(_reduced("TangentChain", 9, 1))
-def test_assemble_matches_fraction_reference(curves):
-    try:
-        fi = mixed_contacts(curves)
-    except ContactGeomError:
-        assume(False)
+def _check_against_fraction_reference(curves, fi):
     try:
         arr = _assemble(curves, fi)
     except ContactGeomError:
@@ -321,6 +302,30 @@ def test_assemble_matches_fraction_reference(curves):
         except OnCurveError:
             got = None
         assert got == ref.locate(p), p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(rational_curve_sets())
+def test_assemble_matches_fraction_reference(curves):
+    try:
+        fi = mixed_contacts(curves)
+    except ContactGeomError:
+        assume(False)
+    _check_against_fraction_reference(curves, fi)
+
+
+@pytest.mark.parametrize("kind,n,seed", [("UnitCirclesGrid", 9, 1),
+                                         ("RandomCircles", 8, 3),
+                                         ("TangentChain", 9, 1)])
+def test_assemble_matches_fraction_reference_on_reduced_pieces(kind, n, seed):
+    # every contact of a degree-reduced family's pieces is a cut vertex of
+    # its separator graph, so the Euler certificate cannot see a mirrored
+    # rotation there; the faces, on the same rotation, can
+    fam = generate(GeneratorSpec(kind=kind, n=n, m=2, seed=seed))
+    curves = list(reduce_degree(fam).curves)
+    _check_against_fraction_reference(curves, mixed_contacts(curves))
 
 
 def test_pair_arrangement_reads_the_given_catalogue(monkeypatch):

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -528,18 +529,21 @@ def test_console_entry_point(chain_file):
 
 # ------------------------------------------------------- mutated inputs
 
+# the generated families the mutations start from; a fence family follows
+_SPECS = (("UnitCirclesGrid", 9, 1, 42), ("TangentChain", 5, 1, 42),
+          ("RandomCircles", 8, 2, 3), ("PseudoParabolas", 5, 2, 42),
+          ("PerturbedPencil", 5, 1, 42))
+
+
+@cache   # built on the first draw, not while the module is collected
 def _mutation_sources():
-    specs = [("UnitCirclesGrid", 9, 1, 42), ("TangentChain", 5, 1, 42),
-             ("RandomCircles", 8, 2, 3), ("PseudoParabolas", 5, 2, 42),
-             ("PerturbedPencil", 5, 1, 42)]
     fams = [generate(GeneratorSpec(kind=k, n=n, m=m, seed=seed))
-            for k, n, m, seed in specs]
+            for k, n, m, seed in _SPECS]
     fams.append(fence_family(instances.comb_subarc(102, 6, ("sh1e",) * 6, 0),
                              m=1))
     return tuple(dumps_family(fam).splitlines() for fam in fams)
 
 
-_SOURCES = _mutation_sources()
 # replacement tokens for a vertex line and for a header line
 _COORDS = ("0", "-1", "3", "1/2", "2/4", "-3/7", "1/0", "x", "1.5", "+1")
 _WORDS = ("family", "curve", "m=0", "m=3", "id=1", "closed=2", "nv=2",
@@ -566,7 +570,8 @@ def mutated_files(draw):
     another; a token replaced; or any of those, lines deleted, repeated,
     swapped or replaced by garbage, the text cut short, or bytes that are
     not UTF-8."""
-    lines = list(draw(st.sampled_from(_SOURCES)))
+    lines = list(_mutation_sources()[
+        draw(st.sampled_from(range(len(_SPECS) + 1)))])
     ops = draw(st.sampled_from(_EDITS))
     tail = b""
     for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):

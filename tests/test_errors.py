@@ -146,12 +146,13 @@ def test_every_public_name_in_src_is_used():
                     if name.rsplit(".", 1)[1] not in used)
     # the benchmark's tracer wraps these by name
     wrapped = ["arrangement.build_mixed_arrangement", "geometry.orientation",
-               "geometry.segment_intersection", "graphs.check_planarity"]
+               "geometry.segment_intersection", "graphs.check_planarity",
+               "incidence.curve_pair_incidences"]
     # the tests' entry points: the exact expectations, the determinism
     # tests, and how the separator tests build their graphs
     entry_points = ["verifier.enumerate_ground_pairs",
                     "verifier.sample_ground_pair", "separator.weighted_graph"]
-    # pinned, so that no eighth name joins them unnoticed
+    # pinned, so that no ninth name joins them unnoticed
     assert unused == sorted(wrapped + entry_points)
     assert all(name.rsplit(".", 1)[1] in traced for name in wrapped)
 
@@ -236,6 +237,21 @@ def test_verifier_does_not_use_segment_intersection():
         elif isinstance(node, ast.Attribute) and node.attr in banned:
             found.append(node.attr)
     assert not found
+
+
+def test_the_face_side_reads_contacts_only_from_a_catalogue():
+    # a face context is given its family's catalogue, and the verifier
+    # opens no other door into the incidence engine
+    from contactgeom import verifier
+    tree = ast.parse(inspect.getsource(verifier))
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(tree)}
+    named |= {a.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not named & {"curve_pair_incidences", "mixed_contacts",
+                        "compute_incidences", "build_mixed_arrangement"}
+    contacts = inspect.signature(verifier.FaceContext).parameters["contacts"]
+    assert contacts.default is inspect.Parameter.empty
 
 
 def test_degree_reduction_cuts_compare_no_fraction(monkeypatch):

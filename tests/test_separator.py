@@ -438,11 +438,6 @@ def planar_graph_inputs(draw):
             None if weights is None else dict(zip(label, weights)))
 
 
-def planar_graphs():
-    return planar_graph_inputs().map(lambda args: weighted_graph(
-        oracles.rotation(args[0], args[1]), args[2]))
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(planar_graph_inputs(), st.data())
 def test_weighted_graph_views_are_its_input(inputs, data):
@@ -468,8 +463,9 @@ def test_weighted_graph_views_are_its_input(inputs, data):
 
 @st.composite
 def weighted_trees(draw):
-    """Stars and random trees with a few heavy vertices: there the greedy
-    peel often wins, sometimes tied in length with a BFS level."""
+    """(rotation, weights) of stars and random trees with a few heavy
+    vertices: there the greedy peel often wins, sometimes tied in length
+    with a BFS level."""
     nv = draw(st.integers(2, 14))
     if draw(st.booleans()):
         edges = [(0, k) for k in range(1, nv)]
@@ -477,19 +473,17 @@ def weighted_trees(draw):
         edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, nv)]
     weights = draw(st.lists(st.sampled_from((0, 1, 1, 2, 3, 7, 20)),
                             min_size=nv, max_size=nv))
-    return weighted_graph(oracles.rotation(range(nv), edges),
-                          dict(enumerate(weights)))
+    return oracles.rotation(range(nv), edges), dict(enumerate(weights))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(weighted_trees())
-@example(weighted_graph(oracles.rotation(range(4),
-                                         [(0, 1), (0, 2), (0, 3)]),
-                        {0: 1, 1: 7, 2: 1, 3: 2}))
-@example(weighted_graph(oracles.rotation(range(5),
-                                         [(0, 1), (0, 2), (2, 3), (3, 4)]),
-                        {0: 7, 1: 20, 2: 1, 3: 0, 4: 7}))
-def test_planar_separator_matches_reference_on_weighted_trees(g):
+@example((oracles.rotation(range(4), [(0, 1), (0, 2), (0, 3)]),
+          {0: 1, 1: 7, 2: 1, 3: 2}))
+@example((oracles.rotation(range(5), [(0, 1), (0, 2), (2, 3), (3, 4)]),
+          {0: 7, 1: 20, 2: 1, 3: 0, 4: 7}))
+def test_planar_separator_matches_reference_on_weighted_trees(tree):
+    g = weighted_graph(*tree)
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
 
@@ -563,16 +557,16 @@ def test_articulation_points_of_a_long_path():
 
 
 def apollonian_network(n, shuffled):
-    """A random stacked triangulation on n >= 3 vertices (Andrade et al.,
-    PRL 94, 2005): each new vertex goes into a face drawn uniformly and is
-    joined to its three corners. Labels follow insertion, or are shuffled."""
+    """(labels, edges, no weights) of a random stacked triangulation on
+    n >= 3 vertices (Andrade et al., PRL 94, 2005): each new vertex goes
+    into a face drawn uniformly and is joined to its three corners. Labels
+    follow insertion, or are shuffled."""
     rng = random.Random(n)
     edges = apollonian_edges(n, rng)
     label = list(range(n))
     if shuffled:
         rng.shuffle(label)
-    return weighted_graph(oracles.rotation(
-        label, [(label[u], label[v]) for u, v in edges]))
+    return label, [(label[u], label[v]) for u, v in edges], None
 
 
 def apollonian_edges(n, rng):
@@ -612,7 +606,7 @@ def test_certificate_agrees_with_networkx_at_the_euler_bound(nv, edges):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(planar_graphs())
+@given(planar_graph_inputs())
 # on triangulations the fundamental-cycle candidates carry the result
 @example(apollonian_network(30, shuffled=False))
 @example(apollonian_network(30, shuffled=True))
@@ -622,7 +616,9 @@ def test_certificate_agrees_with_networkx_at_the_euler_bound(nv, edges):
 @example(apollonian_network(120, shuffled=True))
 @example(apollonian_network(250, shuffled=False))
 @example(apollonian_network(250, shuffled=True))
-def test_planar_separator_matches_reference(g):
+def test_planar_separator_matches_reference(inputs):
+    label, edges, weights = inputs
+    g = weighted_graph(oracles.rotation(label, edges), weights)
     assert check_planarity(oracles.adjacency(g.vertices, g.edges))
     assert planar_separator(g) == SeparatorResult(*oracles.planar_separator(g))
 
